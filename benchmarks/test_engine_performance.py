@@ -113,14 +113,16 @@ class TestEngineSpeed:
 
     def test_cores_identical_results_at_speed(self):
         """Speed must not cost correctness: the benchmark configuration
-        itself delivers identical results on both cores."""
+        itself delivers identical results on the oracle, the scalar
+        branch and the default core (which batches at this load)."""
         config = dict(
             topology="torus", radix=16, dims=2, rate=0.002,
             warmup_cycles=200, measure_cycles=600, seed=42,
         )
         legacy = Simulator(SimulationConfig(**config), core="legacy").run()
         active = Simulator(SimulationConfig(**config), core="active").run()
-        assert legacy.to_dict() == active.to_dict()
+        default = Simulator(SimulationConfig(**config)).run()
+        assert legacy.to_dict() == active.to_dict() == default.to_dict()
 
     def test_routing_decisions_per_second(self, benchmark):
         from repro.core import FaultTolerantRouting

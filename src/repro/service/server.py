@@ -701,8 +701,12 @@ class _Handler(BaseHTTPRequestHandler):
                     return
                 self._json(201 if created else 200, record.summary())
             elif parts == ["drain"]:
-                service.drain()
+                # answer first: on an idle server the drain watcher shuts
+                # the listener down at once, and handler threads are
+                # daemons — the process could exit mid-response
                 self._json(202, {"draining": True})
+                self.wfile.flush()
+                service.drain()
             else:
                 self._error(404, f"no such endpoint: {url.path}")
         except BrokenPipeError:

@@ -25,13 +25,24 @@ Each cycle has four phases, one stage object per phase (see
    entering a consumption channel are delivered.
 
 The :class:`Simulator` is a thin façade over the stages plus a
-:class:`~repro.sim.stats.StatsCollector`.  Two interchangeable cores
-exist (``core="active"``/``"legacy"``, or the ``REPRO_SIM_CORE``
-environment variable): the default active-set core visits only sources,
-modules and channels with pending work, the legacy core reproduces the
-original full-scan loops.  Both produce bit-for-bit identical results
-(``tests/test_engine_parity.py``); the active core is simply faster at
-low-to-moderate load.  docs/architecture.md has the full design.
+:class:`~repro.sim.stats.StatsCollector`.  There is **one adaptive
+core, two pinned spellings of it, and one oracle**:
+
+* ``Simulator(config)`` runs the *adaptive* core: sources, modules and
+  channels with pending work sit on work-lists, and every cycle the
+  allocation/transfer pair chooses between the scalar work-list service
+  (few busy channels) and the batched numpy pass over the busy set (many
+  — see :mod:`repro.sim.stages` for the measured cutoff).  Without numpy
+  the scalar branch runs alone.
+* ``core="active"`` / ``core="vector"`` pin that choice to never / always
+  batch — the parity matrix forces the batched branch onto networks too
+  small to reach the cutoff, numpy-free installs need the scalar one.
+* ``core="legacy"`` is the executable reference: the original full-scan
+  loops, kept as the oracle every other spelling must match bit for bit
+  (``tests/test_engine_parity.py``).
+
+``REPRO_SIM_CORE`` sets the default for a whole process.
+docs/architecture.md has the full design.
 
 A watchdog aborts if nothing moves for ``deadlock_threshold`` cycles
 while messages are in flight (executable deadlock-freedom check).
@@ -51,21 +62,30 @@ from .config import SimulationConfig
 from .deadlock import DeadlockError, stuck_worm_snapshot
 from .metrics import SimulationResult, batch_means_ci, percentile
 from .network import SimNetwork
-from .stages import AllocationStage, GenerationStage, InjectionStage, TransferStage
+from .stages import (
+    AdaptiveAllocationStage,
+    AdaptiveTransferStage,
+    AllocationStage,
+    GenerationStage,
+    InjectionStage,
+    TransferStage,
+)
 from .stats import StatsCollector
 from .traffic import make_traffic
 
 #: environment override for the default simulation core
 _CORE_ENV = "REPRO_SIM_CORE"
-_CORES = ("active", "legacy", "vector")
+_CORES = ("adaptive", "active", "vector", "legacy")
 
 
 class Simulator:
     """One simulation run over a static network and fault scenario.
 
-    ``core`` selects the scheduling strategy: ``"active"`` (default) uses
-    event-driven work-lists, ``"legacy"`` the original full scans.  Both
-    are result-identical; ``REPRO_SIM_CORE`` sets the default.
+    ``core`` selects the scheduling strategy: ``"adaptive"`` (default)
+    picks, per cycle, the scalar work-list service or the batched numpy
+    pass; ``"active"`` / ``"vector"`` pin that choice; ``"legacy"`` is the
+    full-scan oracle.  All are result-identical; ``REPRO_SIM_CORE`` sets
+    the default, and without numpy ``"adaptive"`` runs as ``"active"``.
     """
 
     def __init__(
@@ -76,17 +96,19 @@ class Simulator:
         core: Optional[str] = None,
     ):
         if core is None:
-            core = os.environ.get(_CORE_ENV, "active")
+            core = os.environ.get(_CORE_ENV, "adaptive")
         if core not in _CORES:
             raise ValueError(f"unknown simulation core {core!r}; expected one of {_CORES}")
-        if core == "vector":
+        if core in ("adaptive", "vector"):
             try:
                 import numpy  # noqa: F401
             except ImportError:
-                raise ImportError(
-                    'core="vector" needs numpy; install the optional extra '
-                    "with `pip install repro[fast]` (or pick core=\"active\")"
-                ) from None
+                if core == "vector":
+                    raise ImportError(
+                        'core="vector" needs numpy; install the optional extra '
+                        "with `pip install repro[fast]` (or pick core=\"active\")"
+                    ) from None
+                core = "active"  # the scalar branch alone; same results
         self.core = core
         self.config = config
         if network is not None:
@@ -167,16 +189,15 @@ class Simulator:
 
         # the pipeline; transfer first so the upstream stages can register
         # channels on its work-list
-        if core == "vector":
-            from .vector import VectorAllocationStage, VectorTransferStage
-
-            self.transfer = VectorTransferStage(self)
-            self.allocation = VectorAllocationStage(self, self.transfer)
+        work_lists = core != "legacy"
+        if core in ("adaptive", "vector"):
+            self.transfer = AdaptiveTransferStage(self, always_batch=core == "vector")
+            self.allocation = AdaptiveAllocationStage(self, self.transfer)
         else:
-            self.transfer = TransferStage(self)
+            self.transfer = TransferStage(self, work_list=work_lists)
             self.allocation = AllocationStage(self, self.transfer)
         self.injection = InjectionStage(self, self.transfer)
-        self.generation = GenerationStage(self)
+        self.generation = GenerationStage(self, block_sampling=work_lists)
 
     # ------------------------------------------------------------------
     # public driver

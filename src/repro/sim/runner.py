@@ -19,9 +19,9 @@ keeps the amortized-build economics by caching one network per signature
 inside each worker (:func:`repro.exec.executor._shared_network`).
 
 Either way each point runs on whatever simulation core is configured
-(``REPRO_SIM_CORE``; active-set by default) — the cores are bit-for-bit
-result-identical, so sweep outputs and cache keys are core-independent
-(see docs/architecture.md).
+(``REPRO_SIM_CORE``; the adaptive core by default) — every spelling is
+bit-for-bit result-identical, so sweep outputs and cache keys are
+core-independent (see docs/architecture.md).
 
 New code should use :class:`repro.api.Experiment`; the functions here
 emit :class:`DeprecationWarning` and delegate.

@@ -10,8 +10,9 @@ buffers (stdlib ``array.array``, one array per field).  The object layer
 :class:`~repro.router.modules.Module`) is a set of thin views over these
 buffers, so every existing caller — the scalar stages, reconfiguration,
 the obs tracer, the deadlock detector, metrics — keeps working
-unchanged, while the ``vector`` core maps the same buffers as zero-copy
-numpy arrays and processes the busy set with batched array ops.
+unchanged, while the adaptive core's batched pass (:mod:`repro.sim.vector`)
+maps the same buffers as zero-copy numpy arrays and processes the busy set
+with batched array ops.
 
 Id assignment
 -------------
@@ -71,7 +72,7 @@ from typing import List, Optional
 BIG = 1 << 60
 
 #: channel-kind codes mirrored into ``kind_code`` (ChannelKind is an
-#: Enum; the vector core needs plain integers)
+#: Enum; the batched pass needs plain integers)
 KIND_INTERNODE = 0
 KIND_INTERCHIP = 1
 KIND_INJECTION = 2
@@ -221,7 +222,7 @@ class SoAState:
 
     # ------------------------------------------------------------------
     # dynamic-state primitives (shared by the object views and the
-    # vector core's scalar fallback)
+    # batched pass's event replay)
     # ------------------------------------------------------------------
     def reset_vc(self, vid: int) -> None:
         """Equivalent of the old ``VirtualChannel.reset``."""
@@ -296,7 +297,7 @@ class SoAState:
         self.version += 1
 
     # ------------------------------------------------------------------
-    # numpy mapping (vector core)
+    # numpy mapping (batched pass)
     # ------------------------------------------------------------------
     def numpy_views(self):
         """Zero-copy numpy views over the buffers, cached until the next

@@ -8,20 +8,28 @@ dynamic state (source queues, outstanding counts, the waiting-module
 set, in-flight accounting) stays on the simulator, which every stage
 holds a reference to.
 
-Two cores share these stage objects (``Simulator(core=...)``):
+The stages serve one adaptive core, its two pinned spellings and the
+oracle (``Simulator(core=...)``):
 
-* ``"active"`` (default) — the event-driven active-set core.  Sources
-  enter the injection work-list only when they hold queued messages,
-  modules enter the allocation work-list only when a header arrives
-  (the engine's long-standing ``_modules_waiting`` pattern), channels
-  enter the transfer work-list only while a virtual channel is busy on
-  them, and generation skips idle sources through the
+* **work-lists** (every core but ``"legacy"``) — sources enter the
+  injection work-list only when they hold queued messages, modules enter
+  the allocation work-list only when a header arrives (the engine's
+  long-standing ``_modules_waiting`` pattern), channels enter the
+  transfer work-list only while a virtual channel is busy on them, and
+  generation skips idle sources through the
   :class:`~repro.sim.sampling.GeometricSampler` block stream.
-* ``"legacy"`` — the seed engine's full-scan algorithm: every healthy
-  node draws inline and every physical channel is visited every cycle.
+* **two branches for phases 3 and 4** — the scalar loops of
+  :class:`AllocationStage` / :class:`TransferStage` (all of ``"active"``),
+  and the batched numpy pass of :mod:`repro.sim.vector`.  The default
+  ``"adaptive"`` core (:class:`AdaptiveAllocationStage` /
+  :class:`AdaptiveTransferStage`) picks one per cycle from the number of
+  busy channels; ``"vector"`` is the same pair pinned to always batch.
+* ``"legacy"`` — the seed engine's full-scan algorithm, kept as the
+  oracle: every healthy node draws inline and every physical channel is
+  visited every cycle.
 
-Both cores execute the *same* per-node / per-channel decision code in
-the same order, so their results are bit-for-bit identical — the parity
+Every spelling executes the *same* per-node / per-channel decisions in
+the same order, so results are bit-for-bit identical — the parity
 guarantee ``tests/test_engine_parity.py`` enforces (see
 docs/architecture.md for the ordering argument).
 """
@@ -50,17 +58,17 @@ class GenerationStage:
     ``rate`` for a destination chosen by the traffic pattern; generated
     messages queue at the source.
 
-    The active core consumes the generation stream through the block
-    sampler, so cycles and nodes that generate nothing never execute any
-    per-node Python; the legacy core draws inline per node.  Both
-    consume the RNG stream in identical order.
+    With ``block_sampling`` the generation stream comes through the
+    block sampler, so cycles and nodes that generate nothing never
+    execute any per-node Python; the legacy oracle draws inline per node.
+    Both consume the RNG stream in identical order.
     """
 
     __slots__ = ("sim", "sampler")
 
-    def __init__(self, sim: "Simulator"):
+    def __init__(self, sim: "Simulator", *, block_sampling: bool):
         self.sim = sim
-        self.sampler = GeometricSampler(sim.gen_rng) if sim.core in ("active", "vector") else None
+        self.sampler = GeometricSampler(sim.gen_rng) if block_sampling else None
 
     def run(self, now: int) -> None:
         sim = self.sim
@@ -269,19 +277,21 @@ class TransferStage:
     entering a module input buffer become eligible after the router
     timing delay; flits entering a consumption channel are delivered.
 
-    The active core services only channels on its work-list: a channel
+    With ``work_list`` only registered channels are serviced: a channel
     registers (``activate``) when a virtual channel is allocated on it
     and lazily drops off once its busy list empties.  The work-list is
     kept sorted by construction index, which makes its service order a
     subsequence of the legacy full scan — channels with no busy VC are
-    exactly the ones the full scan skips, so both cores execute the same
+    exactly the ones the full scan skips, so both execute the same
     transfers in the same order."""
 
     __slots__ = ("sim", "active_set", "_active")
 
-    def __init__(self, sim: "Simulator"):
+    def __init__(self, sim: "Simulator", *, work_list: bool):
         self.sim = sim
-        self.active_set = sim.core == "active"
+        #: True while channels register on (and are served from) the
+        #: work-list; False full-scans ``net.channels`` (legacy oracle)
+        self.active_set = work_list
         self._active: List[PhysicalChannel] = []
 
     # -- work-list maintenance ------------------------------------------
@@ -396,3 +406,112 @@ class TransferStage:
         if compact:
             del channels[write:]
         return progress
+
+
+#: Busy physical channels at which a scalar cycle hands over to the
+#: batched pass (``BATCH_ENTER``) and below which a batched cycle hands
+#: back (``BATCH_LEAVE``; the gap keeps a network hovering at the cutoff
+#: from paying the work-list rebuild every cycle).  Measured, not
+#: configurable.  Milliseconds per run, best of 3, enter/leave:
+#:
+#:   run (busy channels p5-p95)       never 32/24 64/48 96/72 128/96 always
+#:   4x4   rate 0.06    (69-85)         858   946   955   855    859    951
+#:   8x8   rate 0.005   (28-86)         687   785   725   684    689    793
+#:   16x16 rate 0.0002  (0-26)          189   196   190   191    190    410
+#:   16x16 rate 0.002   (87-193)       1761  1128  1130  1144   1194   1154
+#:   16x16 5% faults, rate 0.014 (~930) 2701  932   930   964    936    918
+#:
+#: The full sweep and the busy-channel distributions are in
+#: docs/architecture.md ("Choosing the branch").
+BATCH_ENTER = 96
+BATCH_LEAVE = 72
+
+
+class AdaptiveTransferStage(TransferStage):
+    """Phase 4 of the adaptive core: each cycle takes one of two branches
+    over the same SoA state — the inherited scalar loop over the
+    work-list, or the batched numpy pass of :mod:`repro.sim.vector`.
+
+    The choice follows the number of physical channels with a busy VC:
+    the work-list's own length on scalar cycles, the busy set's size on
+    batched ones, so neither branch pays for the other's bookkeeping
+    (and a run that never reaches the cutoff never loads the batched
+    module at all).  Both branches map a cycle-start state to the same
+    cycle-end state, so a switch only refreshes what the idle branch let
+    go stale: the work-list is rebuilt on the way down, the batched
+    pass's parked modules are flushed on the way up."""
+
+    __slots__ = ("batched", "enter", "leave", "batched_cycles", "switches")
+
+    def __init__(self, sim: "Simulator", *, always_batch: bool):
+        super().__init__(sim, work_list=True)
+        #: the :class:`~repro.sim.vector.BatchedPass`, built on first use
+        self.batched = None
+        timing = sim.config.timing
+        if timing.header_delay < 1 or timing.data_delay < 1:
+            # batching needs pushed flits to never be same-cycle eligible
+            self.enter, self.leave = float("inf"), 0
+        elif always_batch:
+            self.enter = self.leave = 0
+        else:
+            self.enter, self.leave = BATCH_ENTER, BATCH_LEAVE
+        #: branch accounting (the parity tests assert both branches ran)
+        self.batched_cycles = 0
+        self.switches = 0
+
+    @property
+    def batching(self) -> bool:
+        """The branch the next stage call takes: batched cycles are
+        exactly those on which the work-list is not maintained."""
+        return not self.active_set
+
+    def resync(self) -> None:
+        # reconfiguration killed worms and rebuilt routing outside the
+        # stages: besides the work-list, every parked allocation
+        # decision and recorded wake source is stale
+        TransferStage.resync(self)
+        if self.batched is not None:
+            self.batched.flush()
+
+    def _switch(self, batching: bool) -> None:
+        self.active_set = not batching
+        self.switches += 1
+        if not batching:
+            # batched cycles do not maintain the work-list
+            TransferStage.resync(self)
+        elif self.batched is None:
+            from .vector import BatchedPass
+
+            self.batched = BatchedPass(self.sim)
+        else:
+            # scalar cycles release channels without waking parked modules
+            self.batched.flush()
+
+    def run(self, now: int) -> bool:
+        if self.batching:
+            if self.sim.reconfig is not None:
+                self._switch(False)  # transition windows are scalar-only
+        elif len(self._active) >= self.enter and self.sim.reconfig is None:
+            self._switch(True)
+        if self.batching:
+            progress = self.batched.transfer(now, self.leave)
+            if progress is not None:
+                self.batched_cycles += 1
+                return progress
+            self._switch(False)  # fewer than ``leave`` channels busy
+        return TransferStage.run(self, now)
+
+
+class AdaptiveAllocationStage(AllocationStage):
+    """Phase 3 of the adaptive core: the inherited arbitration loop on
+    scalar cycles (and in reconfiguration windows, whose stale/target
+    resolution is stateful), the batched pass's parked/cached variant of
+    it while the transfer stage is batching."""
+
+    __slots__ = ()
+
+    def run(self, now: int) -> bool:
+        transfer = self.transfer
+        if transfer.batching and self.sim.reconfig is None:
+            return transfer.batched.allocate(now)
+        return AllocationStage.run(self, now)

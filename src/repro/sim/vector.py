@@ -1,13 +1,16 @@
-"""The ``vector`` simulation core: batched array ops over the busy set.
+"""The batched branch of the adaptive core: array ops over the busy set.
 
 At saturation nearly every physical channel is busy every cycle, so the
-active-set core degenerates to the legacy full scan — the win has to
-come from the *representation*, not the work-list.  This core maps the
-:class:`~repro.sim.soa.SoAState` buffers as numpy arrays and evaluates
-the transfer stage's per-channel decision (drain guard, upstream
-eligibility, buffer space, round-robin arbitration) for every busy
-channel at once, falling back to the scalar code only for the rare
-events that must stay sequenced.
+work-list service degenerates to the legacy full scan — the win has to
+come from the *representation*, not the work-list.  :class:`BatchedPass`
+maps the :class:`~repro.sim.soa.SoAState` buffers as numpy arrays and
+evaluates the transfer stage's per-channel decision (drain guard,
+upstream eligibility, buffer space, round-robin arbitration) for every
+busy channel at once, falling back to scalar code only for the rare
+events that must stay sequenced.  The adaptive stage pair in
+:mod:`repro.sim.stages` runs it on the cycles where enough channels are
+busy to amortise the ~100 array-op launches it costs, and loads this
+module only then.
 
 Parity argument (enforced bit-for-bit by tests/test_engine_parity.py)
 ---------------------------------------------------------------------
@@ -51,38 +54,36 @@ releases) are replayed in ascending channel order after the batch, so
 ``module.waiting`` order, ``_modules_waiting`` insertion order and the
 observable event stream are identical to the scalar cores.
 
-The allocation stage stays a Python loop (header arbitration is
-sequenced by nature) but gets three private fast paths: ring-head
+Allocation stays a Python loop on batched cycles too (header
+arbitration is sequenced by nature) but gets fast paths the scalar loop
+cannot have without the transfer replay's release hook: ring-head
 eligibility as one array load, a free-class bitmask reject before
-``free_vc``, and a memoized resolution table for routing policies that
+``free_vc``, a memoized resolution table for routing policies that
 declare ``cacheable_decisions`` (decisions keyed by the exact mutable
 route fields they read; misroute entries mutate state and are never
-cached).  Reconfiguration transition windows delegate whole cycles to
-the unmodified scalar stages.
+cached), and parking of modules that cannot grant.
 """
 
 from __future__ import annotations
 
 import bisect
 import heapq
-from typing import TYPE_CHECKING, Dict, List
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
 from ..core.ecube import next_ecube_dim
 from ..router.channels import ChannelKind
 from .soa import BIG
-from .stages import AllocationStage, TransferStage
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import cycle guard
     from .engine import Simulator
 
 
-class VectorAllocationStage:
-    """Phase 3 for the vector core: the scalar arbitration loop over the
-    waiting-module dict, with SoA-backed eligibility, a free-mask quick
-    reject, a per-routing-object resolution cache, and event-driven
-    parking of modules that cannot possibly grant.
+class BatchedPass:
+    """Phases 3 and 4 of one batched cycle, plus the state only batched
+    cycles keep: the parked-module bookkeeping.  (The resolution memo
+    depends on static structure only and lives on the network.)
 
     Parking argument: a module whose scan ends without a grant changed
     nothing observable (``rr`` untouched, resolutions cached,
@@ -97,72 +98,53 @@ class VectorAllocationStage:
       a timer at that cycle is exact;
     * its resolved output channel has no free VC in the admissible
       classes — free bits are set only by ``channel.release``, and on
-      batched cycles every release goes through the transfer stage's
+      batched cycles every release goes through :meth:`transfer`'s
       event replay, which wakes the channel's subscribers.
 
-    Cycles that run the scalar stages (reconfiguration windows,
-    zero-delay timings) release channels without the hook, so they
-    flush the parked set wholesale; spurious wakes are always safe (a
-    rescan that cannot grant has no observable effect)."""
+    Scalar cycles release channels without that hook (and rescan every
+    waiting module anyway), so the stage pair calls :meth:`flush` on
+    every switch back to batching and on every ``resync``; spurious
+    wakes are always safe (a rescan that cannot grant has no observable
+    effect)."""
 
-    __slots__ = (
-        "sim",
-        "transfer",
-        "_scalar",
-        "_routing",
-        "_cache",
-        "_parked",
-        "_subs",
-        "_timers",
-        "_tseq",
-        "_flush",
-    )
+    __slots__ = ("sim", "_parked", "_subs", "_timers", "_tseq")
 
-    def __init__(self, sim: "Simulator", transfer: "VectorTransferStage"):
+    def __init__(self, sim: "Simulator"):
         self.sim = sim
-        self.transfer = transfer
-        self._scalar = AllocationStage(sim, transfer)
-        self._routing = None
-        self._cache = None
         self._parked: Dict = {}
         self._subs: Dict[int, List] = {}
         self._timers: List[tuple] = []
         self._tseq = 0
-        self._flush = False
-        transfer.alloc = self
 
-    def run(self, now: int) -> bool:
+    def flush(self) -> None:
+        """Wake every parked module and forget every wake source."""
+        self._parked.clear()
+        self._subs.clear()
+        self._timers.clear()
+
+    def allocate(self, now: int) -> bool:
+        """Phase 3: one header per module, skipping parked modules."""
         sim = self.sim
-        if sim.reconfig is not None:
-            # transition window: stale/target knowledge resolution is
-            # stateful — run the reference scalar stage verbatim (it
-            # releases channels without the wake hook, hence the flush)
-            self._flush = True
-            return self._scalar.run(now)
         waiting_set = sim._modules_waiting
         if not waiting_set:
             return False
-        routing = sim.net.routing
-        if routing is not self._routing:
-            # routing objects are replaced, never mutated, on
-            # reconfiguration — identity tracks fault-view freshness
-            self._routing = routing
-            self._cache = {} if getattr(routing, "cacheable_decisions", False) else None
-        cache = self._cache
-        parked = self._parked if self.transfer._batched else None
-        if parked is not None:
-            if self._flush:
-                parked.clear()
-                self._subs.clear()
-                self._timers.clear()
-                self._flush = False
-            timers = self._timers
-            while timers and timers[0][0] <= now:
-                parked.pop(heapq.heappop(timers)[2], None)
-        min_dir = routing.network.minimal_direction if cache is not None else None
+        net = sim.net
+        routing = net.routing
         share_idle = sim.config.effective_sharing
-        nodes = sim.net.nodes
-        store = sim.net.store
+        memo_routing, memo_sharing, cache = net.resolution_memo
+        if routing is not memo_routing or share_idle != memo_sharing:
+            # routing objects are replaced, never mutated, on
+            # reconfiguration — identity tracks fault-view freshness;
+            # a reused network hands the next run a warm table
+            cache = {} if getattr(routing, "cacheable_decisions", False) else None
+            net.resolution_memo = (routing, share_idle, cache)
+        parked = self._parked
+        timers = self._timers
+        while timers and timers[0][0] <= now:
+            parked.pop(heapq.heappop(timers)[2], None)
+        min_dir = routing.network.minimal_direction if cache is not None else None
+        nodes = net.nodes
+        store = net.store
         head_time = store.head_time
         free_mask = store.free_mask
         res = store.res
@@ -172,7 +154,7 @@ class VectorAllocationStage:
         finished: List = []
         subs = self._subs
         for module in waiting_set:
-            if parked is not None and module in parked:
+            if module in parked:
                 continue
             waiting = module.waiting
             if not waiting:
@@ -265,7 +247,7 @@ class VectorAllocationStage:
                 break  # one header per module per cycle
             if not waiting:
                 finished.append(module)
-            elif not granted and parked is not None:
+            elif not granted:
                 # every waiting VC contributed a wake source; stale
                 # subscriptions from an earlier parking only cause a
                 # spurious (safe) rescan
@@ -278,50 +260,25 @@ class VectorAllocationStage:
                         lst.append(module)
                 if wake_time < BIG:
                     self._tseq += 1
-                    heapq.heappush(self._timers, (int(wake_time), self._tseq, module))
+                    heapq.heappush(timers, (int(wake_time), self._tseq, module))
         for module in finished:
             waiting_set.pop(module, None)
         return progress
 
 
-class VectorTransferStage:
-    """Phase 4 for the vector core: batched pick evaluation + batched
-    array effects, with an ordered Python replay of the rare events."""
-
-    __slots__ = ("sim", "active_set", "_scalar", "_batched", "alloc")
-
-    def __init__(self, sim: "Simulator"):
-        self.sim = sim
-        self.active_set = False
-        self.alloc = None  # wired by VectorAllocationStage
-        # reference scalar stage; with core != "active" it full-scans
-        # net.channels exactly like the legacy core (used for transition
-        # windows and zero-delay timings)
-        self._scalar = TransferStage(sim)
-        timing = sim.config.timing
-        # the push-invisibility argument needs pushed flits to never be
-        # same-cycle eligible
-        self._batched = timing.header_delay >= 1 and timing.data_delay >= 1
-
-    # the vector core discovers work from busy_count, not a work-list
-    def activate(self, channel) -> None:
-        pass
-
-    def resync(self) -> None:
-        # instantaneous reconfiguration killed worms and rebuilt routing
-        # outside the events loop: every parked allocation decision (and
-        # every recorded wake source) is stale, so flush wholesale
-        if self.alloc is not None:
-            self.alloc._flush = True
-
-    def run(self, now: int) -> bool:
+    def transfer(self, now: int, leave: int) -> Optional[bool]:
+        """Phase 4: batched pick evaluation + batched array effects,
+        with an ordered Python replay of the rare events.  Returns
+        ``None`` — having changed nothing — when fewer than ``leave``
+        channels are busy (the caller's cue to drop to the scalar
+        branch)."""
         sim = self.sim
-        if sim.reconfig is not None or not self._batched:
-            return self._scalar.run(now)
         store = sim.net.store
         V = store.numpy_views()
         BL = V["busy_count"]
         busy = np.flatnonzero(BL)  # ascending == scalar service order
+        if busy.size < leave:
+            return None
         if busy.size == 0:
             return False
         R = V["received"]
@@ -696,14 +653,8 @@ class VectorTransferStage:
             modules_waiting = sim._modules_waiting
             on_consumed = sim._on_consumed
             INTERNODE = ChannelKind.INTERNODE
-            alloc = self.alloc
-            if alloc is not None:
-                subs_pop = alloc._subs.pop
-                parked_pop = alloc._parked.pop
-            else:  # standalone stage (unit tests): no parking to wake
-                _none: Dict = {}
-                subs_pop = _none.pop
-                parked_pop = _none.pop
+            subs_pop = self._subs.pop
+            parked_pop = self._parked.pop
             # releases split into the object/bit bookkeeping (done in
             # event order, it is what later events and the next stages
             # read) and the numeric ring resets (batched after the loop;

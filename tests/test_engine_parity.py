@@ -1,14 +1,16 @@
-"""Cross-engine parity: the active-set and vector cores must be
-bit-for-bit result-identical to the legacy full-scan core.
+"""Cross-engine parity: the adaptive core and its two pinned spellings
+must be bit-for-bit result-identical to the legacy full-scan oracle.
 
-The scalar cores share the stage implementations but schedule them
-differently (work-lists + block sampling vs. full scans); the vector
-core replaces the transfer stage's inner loop with batched array
-evaluation over the struct-of-arrays state.  Everything observable —
-every counter, every batch statistic, every latency sample — must match
-exactly; any drift means bookkeeping skipped or reordered work.  See
-docs/architecture.md ("Determinism and the engine-parity guarantee" and
-"SoA state layout").
+The adaptive core chooses per cycle between the scalar work-list service
+(``core="active"`` pins it) and the batched array evaluation over the
+struct-of-arrays state (``core="vector"`` pins that).  Most configs here
+are too small to reach the cutoff on their own, so the pinned columns
+are what drives each branch everywhere; the ``adaptive`` column and
+``TestAdaptiveSwitching`` cover the switches between them.  Everything
+observable — every counter, every batch statistic, every latency sample
+— must match exactly; any drift means bookkeeping skipped or reordered
+work.  See docs/architecture.md ("Determinism and the engine-parity
+guarantee", "Choosing the branch" and "SoA state layout").
 """
 
 import random
@@ -24,10 +26,15 @@ try:
 except ImportError:  # pragma: no cover - exercised in the numpy-free CI job
     HAVE_NUMPY = False
 
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="vector core needs numpy")
+needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="the batched branch needs numpy")
 
 # every non-reference core, compared against "legacy" as the baseline
-ALT_CORES = ["active", pytest.param("vector", marks=needs_numpy)]
+# (without numpy "adaptive" *is* "active", so that column is skipped too)
+ALT_CORES = [
+    "active",
+    pytest.param("vector", marks=needs_numpy),
+    pytest.param("adaptive", marks=needs_numpy),
+]
 
 # The fixed-seed configurations the integration suite measures the
 # paper's claims on (tests/test_integration.py), plus the corner cases
@@ -76,6 +83,10 @@ GOLDEN_CONFIGS = {
     "sharing-all": dict(topology="torus", radix=8, dims=2, rate=0.012,
                         vc_sharing_mode="all", warmup_cycles=200, measure_cycles=1000,
                         seed=10, fault_percent=1),
+    # sits astride the adaptive cutoff: 34-90 busy channels, so the
+    # default core keeps switching branches (TestAdaptiveSwitching)
+    "crossing": dict(topology="torus", radix=8, dims=2, rate=0.005,
+                     warmup_cycles=300, measure_cycles=1500, seed=3),
 }
 
 
@@ -127,12 +138,27 @@ class TestGoldenParity:
         # REPRO_SIM_CORE=vector as well
         monkeypatch.delenv("REPRO_SIM_CORE", raising=False)
         config = SimulationConfig(topology="torus", radix=4, dims=2, rate=0.01)
-        assert Simulator(config).core == "active"
+        assert Simulator(config).core == ("adaptive" if HAVE_NUMPY else "active")
         assert Simulator(config, core="legacy").core == "legacy"
+        assert Simulator(config, core="active").core == "active"
         if HAVE_NUMPY:
             assert Simulator(config, core="vector").core == "vector"
         with pytest.raises(ValueError):
             Simulator(config, core="warp")
+
+    def test_default_without_numpy_is_the_scalar_branch(self, monkeypatch):
+        import sys
+
+        monkeypatch.delenv("REPRO_SIM_CORE", raising=False)
+        monkeypatch.setitem(sys.modules, "numpy", None)  # ``import numpy`` now fails
+        from repro.sim.stages import AllocationStage, TransferStage
+
+        config = SimulationConfig(topology="torus", radix=4, dims=2, rate=0.01)
+        for core in (None, "adaptive"):
+            sim = Simulator(config, core=core)
+            assert sim.core == "active"
+            assert type(sim.transfer) is TransferStage
+            assert type(sim.allocation) is AllocationStage
 
     @pytest.mark.parametrize(
         "core", ["legacy", pytest.param("vector", marks=needs_numpy)]
@@ -237,11 +263,9 @@ class TestRandomizedParity:
     def test_random_configs_agree(self, case_seed):
         kwargs = self.random_config(random.Random(20_000 + case_seed))
         _, legacy = run_core("legacy", kwargs)
-        _, active = run_core("active", kwargs)
-        assert_results_identical(legacy, active)
-        if HAVE_NUMPY:
-            _, vector = run_core("vector", kwargs)
-            assert_results_identical(legacy, vector)
+        for core in ("active", "vector", "adaptive") if HAVE_NUMPY else ("active",):
+            _, other = run_core(core, kwargs)
+            assert_results_identical(legacy, other)
 
 
 class TestTracerNeutrality:
@@ -249,7 +273,7 @@ class TestTracerNeutrality:
     simulation results (it observes, draws no randomness, and mutates no
     state), and both cores emit the identical event stream."""
 
-    TRACED_CONFIGS = ["int-f5", "mesh-f5", "saturated", "reqrep"]
+    TRACED_CONFIGS = ["int-f5", "mesh-f5", "saturated", "reqrep", "crossing"]
 
     @staticmethod
     def run_traced(core, kwargs):
@@ -262,9 +286,7 @@ class TestTracerNeutrality:
         return tracer, result
 
     @pytest.mark.parametrize("name", TRACED_CONFIGS)
-    @pytest.mark.parametrize(
-        "core", ["legacy", "active", pytest.param("vector", marks=needs_numpy)]
-    )
+    @pytest.mark.parametrize("core", ["legacy", *ALT_CORES])
     def test_traced_run_is_bit_identical_to_untraced(self, name, core):
         _, untraced = run_core(core, GOLDEN_CONFIGS[name])
         _, traced = self.run_traced(core, GOLDEN_CONFIGS[name])
@@ -281,6 +303,117 @@ class TestTracerNeutrality:
         legacy_series = [s.to_dict() for s in legacy_tracer.series.samples]
         other_series = [s.to_dict() for s in other_tracer.series.samples]
         assert legacy_series == other_series
+
+
+@needs_numpy
+class TestAdaptiveSwitching:
+    """The default core's own moves: crossing the cutoff in both
+    directions, and reconfigurations landing on either branch."""
+
+    INF = float("inf")
+
+    def test_crosses_the_cutoff_in_both_directions(self):
+        kwargs = GOLDEN_CONFIGS["crossing"]
+        _, legacy = run_core("legacy", kwargs)
+        sim, adaptive = run_core("adaptive", kwargs)
+        assert_results_identical(legacy, adaptive)
+        transfer = sim.transfer
+        cycles = kwargs["warmup_cycles"] + kwargs["measure_cycles"]
+        assert 0 < transfer.batched_cycles < cycles  # both branches ran
+        assert transfer.switches >= 2  # up, and back down
+
+    @pytest.mark.parametrize("detection_latency", [0, 2])
+    @pytest.mark.parametrize("landing", ["batched", "scalar"])
+    def test_fault_lands_on_either_branch(self, landing, detection_latency):
+        # instantaneous reconfiguration (latency 0) and a transition
+        # window (latency 2) opening on a cycle of the given branch; the
+        # branch is pinned just long enough to make the landing certain,
+        # then the cutoff is restored and the run keeps switching
+        kwargs = dict(GOLDEN_CONFIGS["crossing"], seed=21, detection_latency=detection_latency)
+        at_cycle, spec = TestRuntimeFaultParity.FAULT
+        legacy_sim, legacy = run_core("legacy", kwargs, drain=True, fault=(at_cycle, spec))
+
+        sim = Simulator(SimulationConfig(**kwargs), core="adaptive")
+        transfer = sim.transfer
+        cutoff = (transfer.enter, transfer.leave)
+        landed = []
+
+        def pin_then_bomb(now):
+            if now == at_cycle - 3:
+                transfer.enter = transfer.leave = 0 if landing == "batched" else self.INF
+            elif now == at_cycle:
+                landed.append(transfer.batching)
+                transfer.enter, transfer.leave = cutoff
+                sim.inject_runtime_fault(**spec)
+
+        sim.cycle_hooks.append(pin_then_bomb)
+        adaptive = sim.run()
+        sim.drain()
+        assert landed == [landing == "batched"]
+        assert legacy.fault_events == adaptive.fault_events == 1
+        assert_results_identical(legacy, adaptive)
+        assert legacy_sim.now == sim.now
+        assert 0 < transfer.batched_cycles < sim.now
+
+    def test_release_on_a_scalar_cycle_reaches_a_module_parked_while_batching(self):
+        # The one interaction the merge creates.  A long worm holds the
+        # only admissible VC of (1,0)'s +x output; a second header
+        # arrives behind it and its module parks, subscribed to that
+        # channel's release.  The release then happens on a scalar
+        # cycle, which has no wake hook — the module must still be
+        # rescanned the very cycle the oracle grants it, and the stale
+        # parked entry must not survive the switch back up.
+        kwargs = dict(topology="torus", radix=8, dims=2, rate=0.0, message_length=32,
+                      share_idle_vcs=False, warmup_cycles=0, measure_cycles=10)
+
+        def start(core):
+            sim = Simulator(SimulationConfig(**kwargs), core=core)
+            first = sim.inject_message((0, 0), (4, 0))
+            for _ in range(12):
+                sim.step()
+            second = sim.inject_message((1, 0), (4, 0))
+            return sim, first, second
+
+        def step_until_granted(sim, second):
+            # the second header waits for a route in (1,0)'s injection VC
+            injection = sim.net.nodes[(1, 0)].injection_channel
+            while not (injection.busy and injection.busy[0].waiting_route):
+                sim.step()
+            while injection.busy[0].waiting_route:
+                sim.step()
+            assert injection.busy[0].message is second
+            return sim.now
+
+        legacy_sim, legacy_first, legacy_second = start("legacy")
+        granted_at = step_until_granted(legacy_sim, legacy_second)
+        while legacy_sim.in_flight:
+            legacy_sim.step()
+
+        sim, first, second = start("adaptive")
+        transfer = sim.transfer
+        transfer.enter = transfer.leave = 0  # batch from the first cycle
+        sim.step()
+        parked, subscribers = transfer.batched._parked, transfer.batched._subs
+        module = sim.net.nodes[(1, 0)].injection_channel.dst_module
+        # (it parks on a timer first, until the header becomes eligible)
+        while not any(module in woken for woken in subscribers.values()):
+            sim.step()
+            assert sim.now < granted_at
+        assert module in parked
+
+        transfer.enter = transfer.leave = self.INF  # drop to the scalar branch
+        sim.step()
+        assert not transfer.batching and module in parked  # stale, never consulted
+        assert step_until_granted(sim, second) == granted_at
+
+        transfer.enter = transfer.leave = 0  # and back up: the flush
+        sim.step()
+        assert transfer.batching and not parked
+        while sim.in_flight:
+            sim.step()
+        assert (first.consumed_cycle, second.consumed_cycle) == (
+            legacy_first.consumed_cycle, legacy_second.consumed_cycle
+        )
 
 
 class TestBatchNormalization:

@@ -337,3 +337,43 @@ class TestHTTP:
         status = live_server.status()
         assert status["max_queue"] == 4
         assert "stats" in status and "infra_retries" in status["stats"]
+
+
+class TestServedProcessDrain:
+    def test_idle_drain_answers_before_the_process_exits(self, tmp_path):
+        """``POST /drain`` on an idle served process: the drain watcher
+        stops the listener at once and handler threads are daemons, so
+        the 202 must be on the wire before the drain begins — every
+        time, with a complete body and exit code 0."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        env = dict(os.environ)
+        src_root = str(Path(repro.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = src_root + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        for round_index in range(20):
+            root = tmp_path / f"svc{round_index}"
+            server = subprocess.Popen(
+                [sys.executable, "-m", "repro.service", "serve", "--root", str(root), "--jobs", "1"],
+                env=env,
+                stderr=subprocess.DEVNULL,
+            )
+            try:
+                deadline = time.monotonic() + 30
+                while not (root / "server.json").is_file():
+                    assert server.poll() is None and time.monotonic() < deadline
+                    time.sleep(0.01)
+                # one attempt: a torn response must surface, not be retried
+                answer = ServiceClient(root, attempts=1).request("POST", "/drain")
+                assert answer == (202, {"draining": True})
+                assert server.wait(timeout=60) == 0
+            finally:
+                if server.poll() is None:
+                    server.kill()
+                    server.wait()
