@@ -45,6 +45,14 @@ simulation cycles* — wall time over the same sim's per-cycle step time —
 so it is machine-independent too; ``--check`` fails when it exceeds
 ``RECONFIG_REGRESSION_FACTOR`` (125%) of the committed baseline.
 
+Pattern classification (``repro.mc``'s fast tier: blocking rule, regions,
+f-rings, degrade pipeline, routing build) is measured the same way for
+the three cells of the ``mc_torus16`` suite workload: milliseconds per
+classified pattern over the legacy core's per-cycle step time taken in
+the same repetition, so the committed number is in legacy
+cycle-equivalents and machine-independent; ``--check`` fails when a cell
+exceeds ``CLASSIFY_REGRESSION_FACTOR`` (125%) of the committed value.
+
 Finally the smoke gates the observability tracer both ways:
 
 * **disabled** — a run without a tracer attached pays only ``tracer is
@@ -126,6 +134,14 @@ RECONFIG_BASELINE_CYCLES = 400
 #: a measured reconfiguration cost above this multiple of the baseline fails
 RECONFIG_REGRESSION_FACTOR = 1.25
 
+#: classification smoke: the three cells of the suite's ``mc_torus16``
+#: workload as (radix, node faults, link faults, policy) on a 2D torus,
+#: each timed over this many seeded patterns per repetition
+CLASSIFY_CELLS = ((16, 1, 1, "ft"), (16, 4, 10, "ft"), (8, 2, 2, "adaptive"))
+CLASSIFY_PATTERNS = 100
+#: a measured classification cost above this multiple of the baseline fails
+CLASSIFY_REGRESSION_FACTOR = 1.25
+
 #: routing-policy indirection smoke: the registry/protocol layer must
 #: add no per-cycle work on the active core — a run whose relation was
 #: built through the registry may be at most 2% slower than one whose
@@ -183,6 +199,17 @@ def _measure_rate(rate: float, cores: tuple, radix: int = RADIX) -> dict:
     return point
 
 
+def _steady_cycle_seconds(sim) -> float:
+    """Per-cycle step time of ``sim`` once it is at steady occupancy: the
+    unit the reconfiguration and classification costs are expressed in."""
+    for _ in range(WARMUP_CYCLES):
+        sim.step()
+    start = time.perf_counter()
+    for _ in range(RECONFIG_BASELINE_CYCLES):
+        sim.step()
+    return (time.perf_counter() - start) / RECONFIG_BASELINE_CYCLES
+
+
 def _reconfiguration_cost() -> dict:
     config = SimulationConfig(
         topology="torus", radix=RADIX, dims=2, rate=RECONFIG_RATE,
@@ -193,12 +220,7 @@ def _reconfiguration_cost() -> dict:
     window_cycles = 0
     for _ in range(REPETITIONS):
         sim = Simulator(config)
-        for _ in range(WARMUP_CYCLES):
-            sim.step()
-        start = time.perf_counter()
-        for _ in range(RECONFIG_BASELINE_CYCLES):
-            sim.step()
-        per_cycle = (time.perf_counter() - start) / RECONFIG_BASELINE_CYCLES
+        per_cycle = _steady_cycle_seconds(sim)
         start = time.perf_counter()
         sim.inject_runtime_fault(nodes=RECONFIG_NODES)
         window_cycles = 0
@@ -211,6 +233,49 @@ def _reconfiguration_cost() -> dict:
         "detection_latency": RECONFIG_LATENCY,
         "window_cycles": window_cycles,
         "cost_cycles": round(best, 1),
+    }
+
+
+def _classify_cost() -> dict:
+    from repro.mc import MCCell, PatternSampler, classify_pattern
+
+    config = SimulationConfig(
+        topology="torus", radix=RADIX, dims=2, rate=RECONFIG_RATE,
+        warmup_cycles=0, measure_cycles=10, seed=42,
+    )
+    cells = {
+        f"torus{radix} {nodes}+{links} {policy}": MCCell("torus", radix, 2, nodes, links, policy)
+        for radix, nodes, links, policy in CLASSIFY_CELLS
+    }
+    seconds: dict = {label: [] for label in cells}
+    ratios: dict = {label: [] for label in cells}
+    # each repetition times the legacy core's cycle and every cell
+    # back-to-back; the per-repetition ratio cancels clock drift
+    for _ in range(REPETITIONS):
+        per_cycle = _steady_cycle_seconds(Simulator(config, core="legacy"))
+        for label, cell in cells.items():
+            # a fresh network per repetition, as every MC shard builds one
+            network = cell.network()
+            sampler = PatternSampler(
+                network, cell.num_node_faults, cell.num_link_faults,
+                master_seed=42, cell_key=cell.key(),
+            )
+            patterns = [sampler.draw(index) for index in range(CLASSIFY_PATTERNS)]
+            start = time.perf_counter()
+            for faults in patterns:
+                classify_pattern(network, faults, policy=cell.policy)
+            per_pattern = (time.perf_counter() - start) / CLASSIFY_PATTERNS
+            seconds[label].append(per_pattern)
+            ratios[label].append(per_pattern / per_cycle)
+    return {
+        "patterns": CLASSIFY_PATTERNS,
+        "cells": {
+            label: {
+                "ms_per_pattern": round(1e3 * min(seconds[label]), 3),
+                "cost_cycles": round(_median(ratios[label]), 4),
+            }
+            for label in cells
+        },
     }
 
 
@@ -314,6 +379,12 @@ def measure() -> dict:
         f"({reconfig['window_cycles']} window cycles at detection latency "
         f"{reconfig['detection_latency']})"
     )
+    classify = _classify_cost()
+    for label, cell in classify["cells"].items():
+        print(
+            f"classify {label}: {cell['ms_per_pattern']:.3f} ms/pattern = "
+            f"{cell['cost_cycles']:.4f} legacy cycle-equivalents"
+        )
     tracing = _tracing_cost()
     print(
         f"tracing: disabled={tracing['disabled_cycles_per_sec']:9.1f} c/s  "
@@ -335,6 +406,7 @@ def measure() -> dict:
         "rates": points,
         "small": {"radix": SMALL_RADIX, "rate": SMALL_RATE, **small},
         "reconfiguration": reconfig,
+        "classify": classify,
         "tracing": tracing,
         "policy": policy,
     }
@@ -359,6 +431,7 @@ def check(measured: dict, baseline: dict) -> int:
         failures += _check_vector_rate(rate, point, got)
     failures += _check_default(measured)
     failures += _check_policy(measured)
+    failures += _check_classify(measured, baseline)
     base = baseline.get("reconfiguration")
     if base is None:
         # pre-reconfiguration baseline file: nothing to compare against
@@ -430,6 +503,29 @@ def _check_default(measured: dict) -> int:
             f"(floor {DEFAULT_VS_BEST_FLOOR:.2f}) -> {verdict}"
         )
         if ratio < DEFAULT_VS_BEST_FLOOR:
+            failures += 1
+    return failures
+
+
+def _check_classify(measured: dict, baseline: dict) -> int:
+    base = baseline.get("classify")
+    if base is None:
+        print("classify: no baseline entry; skipping (--write to add)")
+        return 0
+    got = measured.get("classify")
+    if got is None:
+        print("classify: missing from measurement", file=sys.stderr)
+        return 1
+    failures = 0
+    for label, cell in base["cells"].items():
+        cost = got["cells"][label]["cost_cycles"]
+        ceiling = CLASSIFY_REGRESSION_FACTOR * cell["cost_cycles"]
+        verdict = "ok" if cost <= ceiling else "REGRESSION"
+        print(
+            f"classify {label}: {cost:.4f} cycle-equivalents vs baseline "
+            f"{cell['cost_cycles']:.4f} (ceiling {ceiling:.4f}) -> {verdict}"
+        )
+        if cost > ceiling:
             failures += 1
     return failures
 

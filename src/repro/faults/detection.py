@@ -107,10 +107,10 @@ class DetectionProcess:
             if coord in finish:
                 continue
             finish[coord] = cycle
-            for dim, _direction, other in self.network.neighbors(coord):
-                if other in finish or other in dead_nodes:
-                    continue
-                if BiLink.between(coord, other, dim, self.network.radix) in dead_links:
+            for (_dim, _direction, other), link in zip(
+                self.network.adjacent(coord), self.network.incident_links(coord)
+            ):
+                if other in finish or other in dead_nodes or link in dead_links:
                     continue
                 heapq.heappush(heap, (cycle + latency, other))
 

@@ -15,9 +15,18 @@ only about hops adjacent to the current node).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple
+from weakref import WeakKeyDictionary
 
 from ..topology import BiLink, Coord, Direction, GridNetwork
+
+#: ``network -> {fault set -> all_faulty_links}``.  Keyed weakly on the
+#: network and held outside both objects, so the memo never enters a
+#: fault set's equality, hash, canonical form or pickle and dies with
+#: the network; at most :data:`FAULTY_LINKS_MEMO` fault sets are kept per
+#: network (the memo is dropped wholesale when full).
+_faulty_links: "WeakKeyDictionary[GridNetwork, Dict[FaultSet, FrozenSet[BiLink]]]" = WeakKeyDictionary()
+FAULTY_LINKS_MEMO = 16
 
 
 @dataclass(frozen=True)
@@ -47,10 +56,10 @@ class FaultSet:
         node_set = frozenset(tuple(c) for c in nodes)
         link_set = set()
         for coord, dim, direction in links:
-            other = network.neighbor(tuple(coord), dim, direction)
-            if other is None:
+            hop = network.hop(tuple(coord), dim, direction)
+            if hop is None:
                 raise ValueError(f"no link at {coord} dim {dim} dir {direction}")
-            link_set.add(BiLink.between(tuple(coord), other, dim, network.radix))
+            link_set.add(hop[1])
         return FaultSet(node_set, frozenset(link_set))
 
     @property
@@ -61,23 +70,25 @@ class FaultSet:
         return coord in self.node_faults
 
     def all_faulty_links(self, network: GridNetwork) -> FrozenSet[BiLink]:
-        """Explicit link faults plus every link incident on a faulty node."""
-        links: Set[BiLink] = set(self.link_faults)
-        for coord in self.node_faults:
-            for dim, _direction, other in network.neighbors(coord):
-                links.add(BiLink.between(coord, other, dim, network.radix))
-        return frozenset(links)
+        """Explicit link faults plus every link incident on a faulty node
+        (computed once per fault set and network)."""
+        memo = _faulty_links.setdefault(network, {})
+        found = memo.get(self)
+        if found is None:
+            links: Set[BiLink] = set(self.link_faults)
+            for coord in self.node_faults:
+                links.update(network.incident_links(coord))
+            if len(memo) >= FAULTY_LINKS_MEMO:
+                memo.clear()
+            found = memo[self] = frozenset(links)
+        return found
 
     def is_hop_faulty(self, network: GridNetwork, coord: Coord, dim: int, direction: Direction) -> bool:
         """True if the hop from ``coord`` in ``dim``/``direction`` cannot be
         used: the link is faulty, the far node is faulty, or (mesh) the hop
         falls off the boundary."""
-        other = network.neighbor(coord, dim, direction)
-        if other is None:
-            return True
-        if other in self.node_faults or coord in self.node_faults:
-            return True
-        return BiLink.between(coord, other, dim, network.radix) in self.link_faults
+        hop = network.hop(coord, dim, direction)
+        return hop is None or hop[1] in self.all_faulty_links(network)
 
     def faulty_link_fraction(self, network: GridNetwork) -> float:
         """Fraction of the network's links that are faulty (the paper's
@@ -117,12 +128,8 @@ class LocalFaultView:
     def hop_blocked(self, coord: Coord, dim: int, direction: Direction) -> bool:
         """Whether the next hop from ``coord`` along ``dim``/``direction``
         is unusable (faulty link/neighbor, or mesh boundary)."""
-        other = self.network.neighbor(coord, dim, direction)
-        if other is None:
-            return True
-        if other in self.faults.node_faults:
-            return True
-        return BiLink.between(coord, other, dim, self.network.radix) in self._faulty_links
+        hop = self.network.hop(coord, dim, direction)
+        return hop is None or hop[1] in self._faulty_links
 
     def node_usable(self, coord: Coord) -> bool:
         return coord not in self.faults.node_faults
@@ -131,4 +138,5 @@ class LocalFaultView:
         """The coordinate the blocked hop leads to (used to locate which
         fault region is responsible), or ``None`` for a mesh-boundary
         block."""
-        return self.network.neighbor(coord, dim, direction)
+        hop = self.network.hop(coord, dim, direction)
+        return None if hop is None else hop[0]

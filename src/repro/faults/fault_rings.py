@@ -16,7 +16,9 @@ perimeter) and for single-link faults (the six-node ring around the link).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from functools import lru_cache
+from itertools import combinations, product
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..topology import BiLink, Coord, Direction, GridNetwork, ring_span
 from .fault_model import FaultSet
@@ -35,15 +37,17 @@ class FaultRing:
     ``plane`` is the unordered pair of dimensions the ring lies in;
     ``fixed`` gives the coordinate of the ring in every other dimension
     (``None`` in the plane dimensions).  ``lo``/``hi`` give the node
-    bounds of the ring rectangle per plane dimension; on a torus
-    ``hi < lo`` encodes a rectangle wrapping the dateline.
+    bounds of the ring rectangle, indexed by dimension (``None`` outside
+    the plane); on a torus ``hi < lo`` encodes a rectangle wrapping the
+    dateline.  Every field is immutable, so rings of equal geometry are
+    equal, hash equal and can key a dict.
     """
 
     region_index: int
     plane: FrozenSet[int]
     fixed: Tuple[Optional[int], ...]
-    lo: Dict[int, int]
-    hi: Dict[int, int]
+    lo: Tuple[Optional[int], ...]
+    hi: Tuple[Optional[int], ...]
     radix: int
     wraparound: bool
 
@@ -64,11 +68,6 @@ class FaultRing:
 
     def pos_on_boundary(self, dim: int, position: int) -> bool:
         return position == self.lo[dim] or position == self.hi[dim]
-
-    def span_positions(self, dim: int) -> List[int]:
-        if self.wraparound:
-            return list(ring_span(self.lo[dim], self.hi[dim], self.radix))
-        return list(range(self.lo[dim], self.hi[dim] + 1))
 
     def matches_fixed(self, coord: Coord) -> bool:
         return all(
@@ -101,36 +100,47 @@ class FaultRing:
         return self.hi[dim] if direction is Direction.POS else self.lo[dim]
 
     # ------------------------------------------------------------------
-    # perimeter enumeration (tests, visualization, overlap checks)
+    # perimeter enumeration (ring membership, tests, visualization)
     # ------------------------------------------------------------------
-    def perimeter_nodes(self) -> List[Coord]:
-        """Ring nodes in cycle order, starting at the (lo, lo) corner and
-        moving in the positive direction of the lower plane dimension."""
+    def perimeter(self) -> Tuple[Tuple[Coord, ...], Tuple[BiLink, ...]]:
+        """Perimeter ``(nodes, links)``: the nodes in cycle order, starting
+        at the (lo, lo) corner and moving in the positive direction of the
+        lower plane dimension; the links in the iteration order of the set
+        they are collected into, which is the order the degrade pipeline
+        has always examined them in — the first offending link decides
+        which regions merge."""
+        fixed, lo, hi, radix = self.fixed, self.lo, self.hi, self.radix
         dim_a, dim_b = sorted(self.plane)
-        pos_a = self.span_positions(dim_a)
-        pos_b = self.span_positions(dim_b)
+        if self.wraparound:
+            pos_a = list(ring_span(lo[dim_a], hi[dim_a], radix))
+            pos_b = list(ring_span(lo[dim_b], hi[dim_b], radix))
+        else:
+            pos_a = list(range(lo[dim_a], hi[dim_a] + 1))
+            pos_b = list(range(lo[dim_b], hi[dim_b] + 1))
 
         def make(a_val: int, b_val: int) -> Coord:
-            coord = list(self.fixed)
+            coord = list(fixed)
             coord[dim_a] = a_val
             coord[dim_b] = b_val
             return tuple(coord)  # type: ignore[arg-type]
 
-        cycle: List[Coord] = []
-        cycle.extend(make(a, pos_b[0]) for a in pos_a)  # low-b edge, a increasing
-        cycle.extend(make(pos_a[-1], b) for b in pos_b[1:])  # high-a edge
-        cycle.extend(make(a, pos_b[-1]) for a in reversed(pos_a[:-1]))  # high-b edge
-        cycle.extend(make(pos_a[0], b) for b in reversed(pos_b[1:-1]))  # low-a edge
-        return cycle
-
-    def perimeter_links(self) -> Set[BiLink]:
-        nodes = self.perimeter_nodes()
-        links: Set[BiLink] = set()
+        nodes: List[Coord] = []
+        nodes.extend(make(a, pos_b[0]) for a in pos_a)  # low-b edge, a increasing
+        nodes.extend(make(pos_a[-1], b) for b in pos_b[1:])  # high-a edge
+        nodes.extend(make(a, pos_b[-1]) for a in reversed(pos_a[:-1]))  # high-b edge
+        nodes.extend(make(pos_a[0], b) for b in reversed(pos_b[1:-1]))  # low-a edge
+        links = set()
         for index, node in enumerate(nodes):
             nxt = nodes[(index + 1) % len(nodes)]
-            dim = next(d for d in range(len(node)) if node[d] != nxt[d])
-            links.add(BiLink.between(node, nxt, dim, self.radix))
-        return links
+            dim = dim_a if node[dim_a] != nxt[dim_a] else dim_b
+            links.add(BiLink.between(node, nxt, dim, radix))
+        return tuple(nodes), tuple(links)
+
+    def perimeter_nodes(self) -> Tuple[Coord, ...]:
+        return self.perimeter()[0]
+
+    def perimeter_links(self) -> FrozenSet[BiLink]:
+        return frozenset(self.perimeter()[1])
 
 
 # ----------------------------------------------------------------------
@@ -168,51 +178,57 @@ def _ring_bounds(region: FaultRegion, dim: int, radix: int, wraparound: bool) ->
     return lo, hi
 
 
+#: fault regions whose ring geometry is kept (least recently used
+#: beyond that are dropped, 2-3 KB each): every pass of the degrade
+#: pipeline re-derives the rings of the regions it kept, and random
+#: draws keep meeting the same single-node and single-link regions
+RING_MEMO = 512
+
+#: a ring of a region together with its perimeter nodes and links
+RingShape = Tuple[FaultRing, Tuple[Coord, ...], Tuple[BiLink, ...]]
+
+
+@lru_cache(maxsize=RING_MEMO)
+def _ring_shapes(
+    region: FaultRegion, radix: int, dims: int, wraparound: bool
+) -> Tuple[RingShape, ...]:
+    """Every f-ring of ``region`` in a network of the given shape, as if
+    the region had index 0, with its perimeter: one ring per 2D
+    cross-section per routing plane type that intersects the region.  A
+    pure function of its arguments, hence memoised across passes and
+    patterns (failures are not cached, they re-raise)."""
+    if dims == 1:
+        raise RingGeometryError("fault rings require at least 2 dimensions")
+    shapes: List[RingShape] = []
+    for plane in routing_planes(dims):
+        # Cross-sections: every combination of node positions of the region
+        # in the non-plane dimensions.  A link region whose link dimension
+        # is not in this plane has no position there, hence none here.
+        axes = [[None] if dim in plane else region.node_extent(dim) for dim in range(dims)]
+        if not all(axes):
+            continue
+        lo: List[Optional[int]] = [None] * dims
+        hi: List[Optional[int]] = [None] * dims
+        for dim in sorted(plane):
+            lo[dim], hi[dim] = _ring_bounds(region, dim, radix, wraparound)
+        for fixed in product(*axes):
+            ring = FaultRing(0, plane, fixed, tuple(lo), tuple(hi), radix, wraparound)
+            shapes.append((ring, *ring.perimeter()))
+    return tuple(shapes)
+
+
+def _indexed(ring: FaultRing, region_index: int) -> FaultRing:
+    return FaultRing(
+        region_index, ring.plane, ring.fixed, ring.lo, ring.hi, ring.radix, ring.wraparound
+    )
+
+
 def rings_for_region(
     network: GridNetwork, region: FaultRegion, region_index: int
 ) -> List[FaultRing]:
-    """All f-rings of one region, one per 2D cross-section per routing
-    plane type that intersects the region."""
-    rings: List[FaultRing] = []
-    if network.dims == 1:
-        raise RingGeometryError("fault rings require at least 2 dimensions")
-    for plane in routing_planes(network.dims):
-        dim_a, dim_b = sorted(plane)
-        # Cross-sections: every combination of node positions of the region
-        # in the non-plane dimensions.
-        fixed_axes: List[List[Optional[int]]] = []
-        degenerate = False
-        for dim in range(network.dims):
-            if dim in plane:
-                fixed_axes.append([None])
-            else:
-                positions = region.node_extent(dim)
-                if not positions:
-                    # Link region whose link dimension is not in this
-                    # plane: no cross-section here.
-                    degenerate = True
-                    break
-                fixed_axes.append(list(positions))
-        if degenerate:
-            continue
-        lo_a, hi_a = _ring_bounds(region, dim_a, network.radix, network.wraparound)
-        lo_b, hi_b = _ring_bounds(region, dim_b, network.radix, network.wraparound)
-        fixed_choices: List[Tuple[Optional[int], ...]] = [()]
-        for axis in fixed_axes:
-            fixed_choices = [prefix + (value,) for prefix in fixed_choices for value in axis]
-        for fixed in fixed_choices:
-            rings.append(
-                FaultRing(
-                    region_index=region_index,
-                    plane=plane,
-                    fixed=fixed,
-                    lo={dim_a: lo_a, dim_b: lo_b},
-                    hi={dim_a: hi_a, dim_b: hi_b},
-                    radix=network.radix,
-                    wraparound=network.wraparound,
-                )
-            )
-    return rings
+    """All f-rings of one region (see :func:`_ring_shapes`)."""
+    shapes = _ring_shapes(region, network.radix, network.dims, network.wraparound)
+    return [_indexed(ring, region_index) for ring, _nodes, _links in shapes]
 
 
 class FaultRingIndex:
@@ -230,19 +246,35 @@ class FaultRingIndex:
         self.regions = list(regions)
         self.rings: List[FaultRing] = []
         self._by_key: Dict[Tuple[int, FrozenSet[int], Tuple[Optional[int], ...]], FaultRing] = {}
+        #: ring membership: positions in :attr:`rings` of every ring a
+        #: node / link lies on, ascending.  Ring health, conflicts and
+        #: overlaps are all reads of these two maps.
+        self.node_owners: Dict[Coord, List[int]] = {}
+        self.link_owners: Dict[BiLink, List[int]] = {}
+        self._perimeters: List[Tuple[Tuple[Coord, ...], Tuple[BiLink, ...]]] = []
         for index, region in enumerate(self.regions):
-            for ring in rings_for_region(network, region, index):
+            for shape, nodes, links in _ring_shapes(
+                region, network.radix, network.dims, network.wraparound
+            ):
+                ring = _indexed(shape, index)
+                slot = len(self.rings)
                 self.rings.append(ring)
+                self._perimeters.append((nodes, links))
                 self._by_key[(index, ring.plane, ring.fixed)] = ring
+                for node in nodes:
+                    self.node_owners.setdefault(node, []).append(slot)
+                for link in links:
+                    self.link_owners.setdefault(link, []).append(slot)
 
     # ------------------------------------------------------------------
     def locate_region(self, coord: Coord, dim: int, direction: Direction) -> Optional[int]:
         """Index of the region responsible for blocking the hop from
         ``coord`` along ``dim``/``direction``, or ``None`` (e.g. the hop is
         blocked by the mesh boundary rather than a fault)."""
-        target = self.network.neighbor(coord, dim, direction)
-        if target is None:
+        hop = self.network.hop(coord, dim, direction)
+        if hop is None:
             return None
+        target = hop[0]
         # doubled coordinates of the link midpoint
         doubled = [2 * coord[d] for d in range(self.network.dims)]
         if direction is Direction.POS:
@@ -272,30 +304,37 @@ class FaultRingIndex:
 
     # ------------------------------------------------------------------
     def overlapping_ring_pairs(self) -> List[Tuple[FaultRing, FaultRing]]:
-        """Pairs of distinct rings sharing at least one link (the paper's
-        definition of overlap; overlapping rings need the extended scheme
-        of reference [8] and are rejected by the generator)."""
-        pairs = []
-        link_sets = [ring.perimeter_links() for ring in self.rings]
-        for i in range(len(self.rings)):
-            for j in range(i + 1, len(self.rings)):
-                if self.rings[i].region_index == self.rings[j].region_index:
-                    # Rings of one region never share links: same-plane
-                    # rings differ in a fixed coordinate, and cross-plane
-                    # rings place their shared-dimension links at different
-                    # offsets (boundary vs interior of the region extent).
-                    continue
-                if link_sets[i] & link_sets[j]:
-                    pairs.append((self.rings[i], self.rings[j]))
-        return pairs
+        """Pairs of rings of different regions sharing at least one link
+        (the paper's definition of overlap; overlapping rings need the
+        extended scheme of reference [8] and are rejected by the
+        generator), in ring order.  Rings of one region never share
+        links: same-plane rings differ in a fixed coordinate, and
+        cross-plane rings place their shared-dimension links at different
+        offsets (boundary vs interior of the region extent)."""
+        rings = self.rings
+        slots = {
+            (first, second)
+            for owners in self.link_owners.values()
+            for first, second in combinations(owners, 2)
+            if rings[first].region_index != rings[second].region_index
+        }
+        return [(rings[first], rings[second]) for first, second in sorted(slots)]
+
+    def faults_on_rings(self, faults: FaultSet) -> List[Tuple[FaultRing, Union[Coord, BiLink]]]:
+        """Every faulty node and link lying on a ring, as ``(ring,
+        item)``: ring by ring, a ring's nodes before its links, each in
+        perimeter order."""
+        hits = []
+        for node in faults.node_faults:
+            for slot in self.node_owners.get(node, ()):
+                hits.append((slot, 0, self._perimeters[slot][0].index(node), node))
+        for link in faults.all_faulty_links(self.network):
+            for slot in self.link_owners.get(link, ()):
+                hits.append((slot, 1, self._perimeters[slot][1].index(link), link))
+        hits.sort(key=lambda hit: hit[:3])
+        return [(self.rings[slot], item) for slot, _kind, _position, item in hits]
 
     def rings_healthy(self, faults: FaultSet) -> bool:
         """Every ring node and link must be healthy for the routing
         algorithm's guarantees to hold."""
-        faulty_links = faults.all_faulty_links(self.network)
-        for ring in self.rings:
-            if any(node in faults.node_faults for node in ring.perimeter_nodes()):
-                return False
-            if any(link in faulty_links for link in ring.perimeter_links()):
-                return False
-        return True
+        return not self.faults_on_rings(faults)

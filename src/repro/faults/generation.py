@@ -25,7 +25,7 @@ from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
 from ..topology import BiLink, Coord, GridNetwork
 from .fault_model import FaultSet
-from .fault_rings import FaultRing, FaultRingIndex, RingGeometryError
+from .fault_rings import FaultRingIndex, RingGeometryError
 from .overlaps import OverlapColoringError, assign_region_layers, has_overlaps
 from .regions import (
     FaultRegion,
@@ -33,7 +33,7 @@ from .regions import (
     NonConvexFaultError,
     _interval_from_positions,
     _node_components,
-    blocking_waves,
+    block_faults,
     extract_fault_regions,
     healthy_network_connected,
     link_fault_region,
@@ -151,44 +151,26 @@ def _link_region_endpoints(network: GridNetwork, region: FaultRegion) -> List[Co
     return [tuple(coords_u), tuple(coords_v)]
 
 
-def _region_of_node(regions: Sequence[FaultRegion], coord: Coord) -> int:
-    for index, region in enumerate(regions):
-        if not region.is_link_region() and region.contains_node(coord):
-            return index
-    raise FaultGenerationError(f"faulty node {coord} belongs to no fault region")
-
-
-def _region_of_link(
-    network: GridNetwork, regions: Sequence[FaultRegion], link: BiLink
-) -> int:
-    doubled = tuple(iv.start for iv in link_fault_region(network, link).intervals)
+def _region_of(network: GridNetwork, regions: Sequence[FaultRegion], item) -> int:
+    """Index of the region a faulty node or link belongs to."""
+    if isinstance(item, BiLink):
+        doubled = tuple(iv.start for iv in link_fault_region(network, item).intervals)
+    else:
+        doubled = tuple(2 * position for position in item)
     for index, region in enumerate(regions):
         if region.contains_doubled(doubled):
             return index
-    raise FaultGenerationError(f"faulty link {link} belongs to no fault region")
+    raise FaultGenerationError(f"faulty {item} belongs to no fault region")
 
 
-def _ring_offender(
-    network: GridNetwork,
-    blocked: FaultSet,
-    regions: Sequence[FaultRegion],
-    rings: Sequence[FaultRing],
-) -> "Tuple[int, int] | None":
+def _ring_offender(blocked: FaultSet, ring_index: FaultRingIndex) -> "Tuple[int, int] | None":
     """First pair of regions whose geometry conflicts: a ring of one
     passes through faulty material of the other.  Returns ``None`` when
     every ring is healthy."""
-    faulty_links = blocked.all_faulty_links(network)
-    for ring in rings:
-        for node in ring.perimeter_nodes():
-            if node in blocked.node_faults:
-                other = _region_of_node(regions, node)
-                if other != ring.region_index:
-                    return (ring.region_index, other)
-        for link in ring.perimeter_links():
-            if link in faulty_links:
-                other = _region_of_link(network, regions, link)
-                if other != ring.region_index:
-                    return (ring.region_index, other)
+    for ring, item in ring_index.faults_on_rings(blocked):
+        other = _region_of(ring_index.network, ring_index.regions, item)
+        if other != ring.region_index:
+            return (ring.region_index, other)
     return None
 
 
@@ -232,41 +214,42 @@ def degrade_fault_pattern(
                 f"degraded-mode convexification did not converge within "
                 f"{max_passes} passes on {network!r}"
             )
-        waves = blocking_waves(network, working.node_faults)
+        waves, blocked_nodes = block_faults(network, working.node_faults)
         for wave_index, wave in enumerate(waves[1:], start=1):
             for coord in wave:
                 condemned_rounds.setdefault(coord, round_base + wave_index)
         round_base += len(waves) - 1
         try:
-            blocked, regions = extract_fault_regions(network, working, block=True)
+            blocked, regions = extract_fault_regions(network, working, blocked=blocked_nodes)
         except NonConvexFaultError:
             # box-fill every component that is not a filled box
-            blocked_nodes = set().union(*waves)
-            filled: Set[Coord] = set(blocked_nodes)
-            for component in _node_components(network, frozenset(blocked_nodes)):
+            unfilled = set().union(*waves)
+            filled: Set[Coord] = set(unfilled)
+            for component in _node_components(network, frozenset(unfilled)):
                 filled |= _box_nodes(network, component)
             round_base += 1
-            for coord in filled - blocked_nodes:
+            for coord in filled - unfilled:
                 condemned_rounds.setdefault(coord, round_base)
             working = FaultSet(frozenset(filled), working.link_faults)
             continue
         working = blocked
         ring_index = FaultRingIndex(network, regions)
-        offender = _ring_offender(network, blocked, regions, ring_index.rings)
+        offender = _ring_offender(blocked, ring_index)
+        layers = None
         if offender is None:
+            # overlapping rings stay when they are allowed and two layers
+            # separate them; otherwise the first overlapping pair merges
             pairs = ring_index.overlapping_ring_pairs()
-            if pairs:
-                if not allow_overlapping_rings:
-                    offender = (pairs[0][0].region_index, pairs[0][1].region_index)
-                else:
-                    try:
-                        assign_region_layers(ring_index)
-                    except OverlapColoringError:
-                        offender = (pairs[0][0].region_index, pairs[0][1].region_index)
+            if allow_overlapping_rings or not pairs:
+                try:
+                    layers = assign_region_layers(ring_index)
+                except OverlapColoringError:
+                    pass
+            if layers is None:
+                offender = (pairs[0][0].region_index, pairs[0][1].region_index)
         if offender is None:
             if not healthy_network_connected(network, blocked):
                 raise NetworkDisconnectedError("faults disconnect the healthy nodes")
-            layers = assign_region_layers(ring_index)
             degraded = tuple(sorted(blocked.node_faults - faults.node_faults))
             info = DegradationInfo(
                 requested_nodes=faults.node_faults,
@@ -294,6 +277,28 @@ def degrade_fault_pattern(
         merges += 1
 
 
+def draw_fault_set(
+    all_nodes: Sequence[Coord],
+    all_links: Sequence[BiLink],
+    num_node_faults: int,
+    num_link_faults: int,
+    rng: random.Random,
+) -> FaultSet:
+    """One random raw pattern: faulty nodes sampled without replacement,
+    faulty links among the links not incident on a faulty node.  Every
+    generator here and :class:`repro.mc.PatternSampler` draw through this
+    one function, so they consume the RNG identically."""
+    nodes = rng.sample(all_nodes, num_node_faults) if num_node_faults else []
+    links: List[BiLink] = []
+    if num_link_faults:
+        node_set = set(nodes)
+        candidates = [
+            link for link in all_links if link.u not in node_set and link.v not in node_set
+        ]
+        links = rng.sample(candidates, num_link_faults)
+    return FaultSet(frozenset(nodes), frozenset(links))
+
+
 def generate_random_pattern(
     network: GridNetwork,
     num_node_faults: int,
@@ -313,13 +318,7 @@ def generate_random_pattern(
     all_nodes = list(network.nodes())
     all_links = list(network.links())
     for _attempt in range(max_tries):
-        nodes = rng.sample(all_nodes, num_node_faults) if num_node_faults else []
-        node_set = set(nodes)
-        candidate_links = [
-            link for link in all_links if link.u not in node_set and link.v not in node_set
-        ]
-        links = rng.sample(candidate_links, num_link_faults) if num_link_faults else []
-        faults = FaultSet(frozenset(nodes), frozenset(links))
+        faults = draw_fault_set(all_nodes, all_links, num_node_faults, num_link_faults, rng)
         try:
             return degrade_fault_pattern(
                 network, faults, allow_overlapping_rings=allow_overlapping_rings
@@ -346,13 +345,7 @@ def generate_fault_pattern(
     all_nodes = list(network.nodes())
     all_links = list(network.links())
     for _attempt in range(max_tries):
-        nodes = rng.sample(all_nodes, num_node_faults) if num_node_faults else []
-        node_set = set(nodes)
-        candidate_links = [
-            link for link in all_links if link.u not in node_set and link.v not in node_set
-        ]
-        links = rng.sample(candidate_links, num_link_faults) if num_link_faults else []
-        faults = FaultSet(frozenset(nodes), frozenset(links))
+        faults = draw_fault_set(all_nodes, all_links, num_node_faults, num_link_faults, rng)
         try:
             return validate_fault_pattern(network, faults)
         except (NonConvexFaultError, RingGeometryError, NetworkDisconnectedError):
@@ -375,8 +368,7 @@ def generate_overlapping_pattern(
     validated under the layered scheme of report [8]."""
     all_nodes = list(network.nodes())
     for _attempt in range(max_tries):
-        nodes = rng.sample(all_nodes, num_regions)
-        faults = FaultSet(frozenset(nodes))
+        faults = draw_fault_set(all_nodes, (), num_regions, 0, rng)
         try:
             scenario = validate_fault_pattern(
                 network, faults, allow_overlapping_rings=True

@@ -30,6 +30,7 @@ paper's escalation of "more virtual channels".
 from __future__ import annotations
 
 from collections import deque
+from itertools import combinations
 from typing import Dict, List, Set, Tuple
 
 from .fault_rings import FaultRingIndex
@@ -46,18 +47,9 @@ def ring_overlap_graph(ring_index: FaultRingIndex) -> Dict[int, Set[int]]:
     adjacency: Dict[int, Set[int]] = {
         index: set() for index in range(len(ring_index.regions))
     }
-    link_sets: List[Tuple[int, Set]] = [
-        (ring.region_index, ring.perimeter_links()) for ring in ring_index.rings
-    ]
-    for i in range(len(link_sets)):
-        region_a, links_a = link_sets[i]
-        for j in range(i + 1, len(link_sets)):
-            region_b, links_b = link_sets[j]
-            if region_a == region_b:
-                continue
-            if links_a & links_b:
-                adjacency[region_a].add(region_b)
-                adjacency[region_b].add(region_a)
+    for ring_a, ring_b in ring_index.overlapping_ring_pairs():
+        adjacency[ring_a.region_index].add(ring_b.region_index)
+        adjacency[ring_b.region_index].add(ring_a.region_index)
     return adjacency
 
 
@@ -96,21 +88,9 @@ def has_overlaps(layers: Dict[int, int]) -> bool:
 def shared_links_report(ring_index: FaultRingIndex) -> List[Tuple[int, int, int]]:
     """(region_a, region_b, shared link count) triples for diagnostics and
     examples."""
-    report = []
-    adjacency = ring_overlap_graph(ring_index)
-    seen = set()
-    for region_a, neighbors in adjacency.items():
-        for region_b in neighbors:
-            key = (min(region_a, region_b), max(region_a, region_b))
-            if key in seen:
-                continue
-            seen.add(key)
-            links_a = set()
-            links_b = set()
-            for ring in ring_index.rings:
-                if ring.region_index == region_a:
-                    links_a |= ring.perimeter_links()
-                elif ring.region_index == region_b:
-                    links_b |= ring.perimeter_links()
-            report.append((key[0], key[1], len(links_a & links_b)))
-    return report
+    shared: Dict[Tuple[int, int], int] = {}
+    for owners in ring_index.link_owners.values():
+        regions = sorted({ring_index.rings[slot].region_index for slot in owners})
+        for pair in combinations(regions, 2):
+            shared[pair] = shared.get(pair, 0) + 1
+    return [(*pair, count) for pair, count in sorted(shared.items())]

@@ -27,7 +27,8 @@ plus a length in the doubled ring of size ``2k``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Sequence, Set, Tuple
+from itertools import product
+from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..topology import BiLink, Coord, GridNetwork
 from .fault_model import FaultSet
@@ -157,13 +158,7 @@ class FaultRegion:
 
     def faulty_nodes(self, network: GridNetwork) -> List[Coord]:
         """All node coordinates inside the region (empty for link regions)."""
-        axes: List[List[int]] = [self.node_extent(d) for d in range(self.dims)]
-        if any(not axis for axis in axes):
-            return []
-        coords: List[Coord] = [()]
-        for axis in axes:
-            coords = [prefix + (value,) for prefix in coords for value in axis]
-        return coords
+        return list(product(*(self.node_extent(d) for d in range(self.dims))))
 
 
 def node_fault_region(network: GridNetwork, nodes: Iterable[Coord]) -> FaultRegion:
@@ -209,57 +204,35 @@ def link_fault_region(network: GridNetwork, link: BiLink) -> FaultRegion:
 # ----------------------------------------------------------------------
 # the blocking rule
 # ----------------------------------------------------------------------
-def apply_block_fault_rule(network: GridNetwork, node_faults: FrozenSet[Coord]) -> FrozenSet[Coord]:
-    """Apply the paper's local blocking rule to fixpoint.
+def block_faults(
+    network: GridNetwork, node_faults: FrozenSet[Coord]
+) -> Tuple[List[Set[Coord]], FrozenSet[Coord]]:
+    """The paper's local blocking rule, run to fixpoint: ``(waves,
+    blocked)``.
 
     "A fault-free node may have at most one faulty neighbor.  Using this
     rule, any fault pattern can be blocked: if a node has more than one
-    neighbor faulty, it marks itself faulty."  The fixpoint is reached in
-    at most diameter-many sweeps.
+    neighbor faulty, it marks itself faulty."  Wave 0 is the seed fault
+    set; wave ``i >= 1`` holds the nodes that condemn themselves on sweep
+    ``i`` (they see more than one faulty neighbor among the union of
+    earlier waves); ``blocked`` is the union of all waves.  The number of
+    condemning waves is bounded by the network diameter, which is what
+    the distributed detection protocol's announcement schedule relies on.
     """
-    faulty: Set[Coord] = set(node_faults)
-    frontier = set(faulty)
-    while frontier:
-        candidates: Set[Coord] = set()
-        for coord in frontier:
-            for _dim, _direction, other in network.neighbors(coord):
-                if other not in faulty:
-                    candidates.add(other)
-        newly = set()
-        for coord in candidates:
-            faulty_neighbors = sum(
-                1 for _d, _dir, other in network.neighbors(coord) if other in faulty
-            )
-            if faulty_neighbors > 1:
-                newly.add(coord)
-        faulty |= newly
-        frontier = newly
-    return frozenset(faulty)
-
-
-def blocking_waves(network: GridNetwork, node_faults: FrozenSet[Coord]) -> List[Set[Coord]]:
-    """The blocking rule as a sequence of sweeps.
-
-    Wave 0 is the seed fault set; wave ``i >= 1`` holds the nodes that
-    condemn themselves on sweep ``i`` (they see more than one faulty
-    neighbor among the union of earlier waves).  The union of all waves
-    equals :func:`apply_block_fault_rule`; the number of condemning waves
-    is bounded by the network diameter, which is what the distributed
-    detection protocol's announcement schedule relies on.
-    """
+    adjacent = network.adjacent
     faulty: Set[Coord] = set(node_faults)
     waves: List[Set[Coord]] = [set(node_faults)]
     frontier = set(faulty)
     while frontier:
         candidates: Set[Coord] = set()
         for coord in frontier:
-            for _dim, _direction, other in network.neighbors(coord):
+            for _dim, _direction, other in adjacent(coord):
                 if other not in faulty:
                     candidates.add(other)
         newly = set()
         for coord in candidates:
             faulty_neighbors = sum(
-                1 for _d, _dir, other in network.neighbors(coord) if other in faulty
+                1 for _d, _dir, other in adjacent(coord) if other in faulty
             )
             if faulty_neighbors > 1:
                 newly.add(coord)
@@ -267,7 +240,17 @@ def blocking_waves(network: GridNetwork, node_faults: FrozenSet[Coord]) -> List[
             waves.append(newly)
         faulty |= newly
         frontier = newly
-    return waves
+    return waves, frozenset(faulty)
+
+
+def apply_block_fault_rule(network: GridNetwork, node_faults: FrozenSet[Coord]) -> FrozenSet[Coord]:
+    """The blocked node set of :func:`block_faults`."""
+    return block_faults(network, node_faults)[1]
+
+
+def blocking_waves(network: GridNetwork, node_faults: FrozenSet[Coord]) -> List[Set[Coord]]:
+    """The sweeps of :func:`block_faults`."""
+    return block_faults(network, node_faults)[0]
 
 
 def _node_components(network: GridNetwork, nodes: FrozenSet[Coord]) -> List[Set[Coord]]:
@@ -280,7 +263,7 @@ def _node_components(network: GridNetwork, nodes: FrozenSet[Coord]) -> List[Set[
         stack = [seed]
         while stack:
             coord = stack.pop()
-            for _dim, _direction, other in network.neighbors(coord):
+            for _dim, _direction, other in network.adjacent(coord):
                 if other in remaining:
                     remaining.discard(other)
                     component.add(other)
@@ -289,12 +272,20 @@ def _node_components(network: GridNetwork, nodes: FrozenSet[Coord]) -> List[Set[
     return components
 
 
-def extract_fault_regions(network: GridNetwork, faults: FaultSet, *, block: bool = True) -> Tuple[FaultSet, List[FaultRegion]]:
+def extract_fault_regions(
+    network: GridNetwork,
+    faults: FaultSet,
+    *,
+    block: bool = True,
+    blocked: Optional[FrozenSet[Coord]] = None,
+) -> Tuple[FaultSet, List[FaultRegion]]:
     """Decompose a fault set into convex fault regions.
 
     If ``block`` is true the blocking rule is applied first, so the
     returned :class:`FaultSet` may contain more faulty nodes than the
-    input (nodes sacrificed to convexity, as in the paper).  Explicitly
+    input (nodes sacrificed to convexity, as in the paper); a caller that
+    already ran :func:`block_faults` on ``faults`` passes its ``blocked``
+    set instead of having the fixpoint recomputed.  Explicitly
     faulty links that are incident on a faulty node are absorbed into that
     node's region; every other faulty link becomes its own degenerate
     region.
@@ -303,9 +294,10 @@ def extract_fault_regions(network: GridNetwork, faults: FaultSet, *, block: bool
     even after blocking.
     """
     node_faults = faults.node_faults
-    if block:
+    if blocked is not None:
+        node_faults = blocked
+    elif block:
         node_faults = apply_block_fault_rule(network, node_faults)
-    blocked = FaultSet(node_faults, faults.link_faults)
 
     regions: List[FaultRegion] = []
     for component in _node_components(network, node_faults):
@@ -315,7 +307,7 @@ def extract_fault_regions(network: GridNetwork, faults: FaultSet, *, block: bool
         if link.u in node_faults or link.v in node_faults:
             continue  # absorbed into a node region
         regions.append(link_fault_region(network, link))
-    return blocked, regions
+    return FaultSet(node_faults, faults.link_faults), regions
 
 
 def healthy_network_connected(network: GridNetwork, faults: FaultSet) -> bool:
@@ -323,18 +315,22 @@ def healthy_network_connected(network: GridNetwork, faults: FaultSet) -> bool:
     healthy links (Section 3 requires faults not to disconnect the
     network)."""
     faulty_links = faults.all_faulty_links(network)
-    healthy = [coord for coord in network.nodes() if coord not in faults.node_faults]
-    if not healthy:
+    start = next((c for c in network.nodes() if c not in faults.node_faults), None)
+    if start is None:
         return False
-    seen = {healthy[0]}
-    stack = [healthy[0]]
+    # only hops out of an endpoint of a faulty link can be cut; every
+    # link of a faulty node is faulty, so the search never enters one
+    guarded = {end for link in faulty_links for end in link.endpoints}
+    seen = {start}
+    stack = [start]
     while stack:
         coord = stack.pop()
-        for dim, _direction, other in network.neighbors(coord):
-            if other in seen or other in faults.node_faults:
-                continue
-            if BiLink.between(coord, other, dim, network.radix) in faulty_links:
-                continue
-            seen.add(other)
-            stack.append(other)
-    return len(seen) == len(healthy)
+        hops = network.adjacent(coord)
+        if coord in guarded:
+            links = network.incident_links(coord)
+            hops = [hop for hop, link in zip(hops, links) if link not in faulty_links]
+        for _dim, _direction, other in hops:
+            if other not in seen:
+                seen.add(other)
+                stack.append(other)
+    return len(seen) == network.num_nodes - len(faults.node_faults)

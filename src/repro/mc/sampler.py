@@ -12,9 +12,10 @@ from its own :class:`random.Random` seeded by
 
 so "skip-ahead" is O(1) by construction, shards can start anywhere, and
 nothing depends on Python's per-process ``hash()`` randomization.  The
-draw itself mirrors :func:`repro.faults.generation.generate_random_pattern`
-exactly — faulty nodes sampled without replacement, faulty links among
-the links not incident to a faulty node — but performs **no rejection**:
+draw itself is :func:`repro.faults.generation.draw_fault_set`, the one
+the rejection-sampling generators use — faulty nodes sampled without
+replacement, faulty links among the links not incident to a faulty node
+— but performs **no rejection**:
 fatal geometries are a *measured outcome* here, not a redraw, which is
 what lets :mod:`repro.mc.exact` enumerate the identical distribution.
 
@@ -29,6 +30,7 @@ import random
 from typing import List, Tuple
 
 from ..faults.fault_model import FaultSet
+from ..faults.generation import draw_fault_set
 from ..topology import GridNetwork
 
 __all__ = [
@@ -48,7 +50,7 @@ def pattern_seed(master_seed: int, cell_key: str, index: int) -> int:
 
 def max_node_faults(network: GridNetwork) -> int:
     """The documented maximum node-fault count: every node faulty."""
-    return len(list(network.nodes()))
+    return network.num_nodes
 
 
 def max_link_faults(network: GridNetwork, num_node_faults: int = 0) -> int:
@@ -102,22 +104,9 @@ class PatternSampler:
         if index < 0:
             raise ValueError(f"pattern index must be >= 0, got {index}")
         rng = random.Random(pattern_seed(self.master_seed, self.cell_key, index))
-        nodes = (
-            rng.sample(self._nodes, self.num_node_faults)
-            if self.num_node_faults
-            else []
+        return draw_fault_set(
+            self._nodes, self._links, self.num_node_faults, self.num_link_faults, rng
         )
-        node_set = set(nodes)
-        if self.num_link_faults:
-            candidates = [
-                link
-                for link in self._links
-                if link.u not in node_set and link.v not in node_set
-            ]
-            links = rng.sample(candidates, self.num_link_faults)
-        else:
-            links = []
-        return FaultSet(frozenset(nodes), frozenset(links))
 
     def batch(self, start: int, count: int) -> List[Tuple[int, FaultSet]]:
         """Patterns ``start .. start+count-1`` as ``(index, faults)``."""

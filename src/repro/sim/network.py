@@ -22,7 +22,6 @@ from ..faults import (
 from ..router.channels import ChannelKind, PhysicalChannel
 from ..router.modules import CrossbarNode, Module, NodeModel, PDRNode
 from ..topology import (
-    BiLink,
     Coord,
     GridNetwork,
     bisection_bandwidth,
@@ -57,12 +56,6 @@ class SimNetwork:
             self.topology, faults.all_faulty_links(self.topology)
         )
 
-        self._ring_links = set()
-        self._ring_nodes = set()
-        for ring in self.scenario.ring_index.rings:
-            self._ring_links.update(ring.perimeter_links())
-            self._ring_nodes.update(ring.perimeter_nodes())
-
         self.nodes: Dict[Coord, NodeModel] = {}
         self.channels: List[PhysicalChannel] = []
         self.modules: List[Module] = []
@@ -80,7 +73,7 @@ class SimNetwork:
     # ------------------------------------------------------------------
     def _build_scenario(self) -> FaultScenario:
         config = self.config
-        topology = make_network(config.topology, config.radix, config.dims)
+        topology = self.topology
         if config.faults is not None:
             # degraded mode: arbitrary patterns are convexified with the
             # paper's own blocking rule instead of rejected; on an input
@@ -123,7 +116,7 @@ class SimNetwork:
                     fault_tolerant=config.fault_tolerant
                     or policy_spec(config.effective_routing).needs_modified_pdr,
                 )
-            node.on_ring = coord in self._ring_nodes
+            node.on_ring = coord in self.scenario.ring_index.node_owners
             self.nodes[coord] = node
             for module in node.modules:
                 module.adopt(self.store)
@@ -177,12 +170,12 @@ class SimNetwork:
                         )
                         module.outputs[("chip", target)] = channel
 
+        ring_links = self.scenario.ring_index.link_owners
         for coord, node in self.nodes.items():
-            for dim, direction, neighbor in self.topology.neighbors(coord):
-                if neighbor in faults.node_faults:
-                    continue
-                link = BiLink.between(coord, neighbor, dim, self.topology.radix)
-                if link in faulty_links:
+            for (dim, direction, neighbor), link in zip(
+                self.topology.adjacent(coord), self.topology.incident_links(coord)
+            ):
+                if neighbor in faults.node_faults or link in faulty_links:
                     continue
                 dst_node = self.nodes[neighbor]
                 dst_module = (
@@ -202,7 +195,7 @@ class SimNetwork:
                     dst_module=dst_module,
                     name=f"{coord}->DIM{dim}{direction.symbol}",
                 )
-                channel.on_ring = link in self._ring_links
+                channel.on_ring = link in ring_links
                 src_module.outputs[("node", dim, direction)] = channel
 
     # ------------------------------------------------------------------

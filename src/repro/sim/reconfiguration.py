@@ -471,8 +471,7 @@ def _stage_event(
 def _incident_links(topology, dead_nodes) -> Set[BiLink]:
     links: Set[BiLink] = set()
     for coord in dead_nodes:
-        for dim, _direction, other in topology.neighbors(coord):
-            links.add(BiLink.between(coord, other, dim, topology.radix))
+        links.update(topology.incident_links(coord))
     return links
 
 
@@ -482,10 +481,7 @@ def _dying_channels(net, dead_nodes, dead_links) -> List[PhysicalChannel]:
         if channel.src_node in dead_nodes or channel.dst_node in dead_nodes:
             dying.append(channel)
         elif channel.kind is ChannelKind.INTERNODE:
-            link = BiLink.between(
-                channel.src_node, channel.dst_node, channel.dim, net.topology.radix
-            )
-            if link in dead_links:
+            if net.topology.hop(channel.src_node, channel.dim, channel.direction)[1] in dead_links:
                 dying.append(channel)
     return dying
 
@@ -529,19 +525,13 @@ def _install_scenario(simulator, scenario, routing) -> None:
         topology, scenario.faults.all_faulty_links(topology)
     )
 
-    ring_links = set()
-    ring_nodes = set()
-    for ring in scenario.ring_index.rings:
-        ring_links.update(ring.perimeter_links())
-        ring_nodes.update(ring.perimeter_nodes())
+    ring_index = scenario.ring_index
     for channel in net.channels:
         if channel.kind is ChannelKind.INTERNODE:
-            link = BiLink.between(
-                channel.src_node, channel.dst_node, channel.dim, topology.radix
-            )
-            channel.on_ring = link in ring_links
+            link = topology.hop(channel.src_node, channel.dim, channel.direction)[1]
+            channel.on_ring = link in ring_index.link_owners
     for coord, node in net.nodes.items():
-        node.on_ring = coord in ring_nodes
+        node.on_ring = coord in ring_index.node_owners
 
 
 def _clear_cached_resolutions(net) -> None:

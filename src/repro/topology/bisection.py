@@ -50,9 +50,9 @@ def bisection_links(network: GridNetwork) -> Iterator[BiLink]:
         for coord in network.nodes():
             if coord[BISECTION_DIM] != position:
                 continue
-            other = network.neighbor(coord, BISECTION_DIM, Direction.POS)
-            if other is not None:
-                yield BiLink.between(coord, other, BISECTION_DIM, network.radix)
+            hop = network.hop(coord, BISECTION_DIM, Direction.POS)
+            if hop is not None:
+                yield hop[1]
 
 
 def bisection_bandwidth(network: GridNetwork, faulty_links: Set[BiLink] = frozenset()) -> int:

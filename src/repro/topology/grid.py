@@ -5,12 +5,17 @@ answers structural questions: who is adjacent to whom, which links exist,
 which links are wraparound, and what the minimal travel directions are.
 Faults are layered on top by :mod:`repro.faults` and routers by
 :mod:`repro.router`.
+
+A network is immutable after construction, so its adjacency is tabled:
+the first question about a node computes its hops once (from
+:meth:`GridNetwork.neighbor`, the coordinate arithmetic) and every later
+one is a dict read.  The tables are derived state — filled lazily, never
+part of a pickle — so a network nobody asks about costs nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Dict, Iterator, NamedTuple, Optional, Tuple
 
 from .coordinates import (
     Coord,
@@ -23,12 +28,13 @@ from .coordinates import (
 )
 
 
-@dataclass(frozen=True, order=True)
-class BiLink:
+class BiLink(NamedTuple):
     """An undirected (full-duplex) link between two adjacent nodes.
 
     Normalized so that ``u`` has the smaller node id; a link fault disables
-    both unidirectional physical channels of the link.
+    both unidirectional physical channels of the link.  A named tuple:
+    links live in sets and dict keys throughout the fault layer, and a
+    tuple hashes and compares without entering the interpreter.
     """
 
     u: Coord
@@ -44,6 +50,10 @@ class BiLink:
     @property
     def endpoints(self) -> Tuple[Coord, Coord]:
         return (self.u, self.v)
+
+
+#: one ``(dim, direction, neighbor)`` entry of a node's adjacency
+Hop = Tuple[int, Direction, Coord]
 
 
 class GridNetwork:
@@ -68,6 +78,13 @@ class GridNetwork:
         self.radix = radix
         self.dims = dims
         self.num_nodes = radix**dims
+        self._adjacent: Dict[Coord, Tuple[Hop, ...]] = {}
+        self._incident: Dict[Coord, Tuple[BiLink, ...]] = {}
+        self._interned: Dict[BiLink, BiLink] = {}
+
+    def __reduce__(self):
+        # the tables are derived state: a copy refills its own
+        return (type(self), (self.radix, self.dims))
 
     # ------------------------------------------------------------------
     # node indexing
@@ -96,20 +113,57 @@ class GridNetwork:
         except ValueError:
             return None
 
-    def neighbors(self, coord: Coord) -> Iterator[Tuple[int, Direction, Coord]]:
-        """All ``(dim, direction, neighbor)`` triples of ``coord``."""
+    def adjacent(self, coord: Coord) -> Tuple[Hop, ...]:
+        """All ``(dim, direction, neighbor)`` hops of ``coord``, dimension
+        by dimension, POS before NEG."""
+        try:
+            return self._adjacent[coord]
+        except KeyError:
+            return self._tabulate(coord)
+
+    def incident_links(self, coord: Coord) -> Tuple[BiLink, ...]:
+        """The link of every hop of ``coord``, parallel to
+        :meth:`adjacent`.  Links are interned: both directions of a hop
+        (and both hops of a radix-2 torus ring) share one object."""
+        try:
+            return self._incident[coord]
+        except KeyError:
+            self._tabulate(coord)
+            return self._incident[coord]
+
+    def hop(self, coord: Coord, dim: int, direction: Direction) -> Optional[Tuple[Coord, BiLink]]:
+        """``(neighbor, link)`` of one hop, or ``None`` off a mesh
+        boundary."""
+        self._check_dim(dim)
+        for (hop_dim, way, other), link in zip(self.adjacent(coord), self.incident_links(coord)):
+            if hop_dim == dim and way == direction:
+                return other, link
+        return None
+
+    def _tabulate(self, coord: Coord) -> Tuple[Hop, ...]:
+        """Fill every table entry of ``coord`` — the only caller of the
+        arithmetic in :meth:`neighbor` on behalf of the tables."""
+        hops, links = [], []
         for dim in range(self.dims):
             for direction in (Direction.POS, Direction.NEG):
                 other = self.neighbor(coord, dim, direction)
                 if other is not None:
-                    yield dim, direction, other
+                    link = BiLink.between(coord, other, dim, self.radix)
+                    hops.append((dim, direction, other))
+                    links.append(self._interned.setdefault(link, link))
+        self._incident[coord] = tuple(links)
+        self._adjacent[coord] = tuple(hops)
+        return self._adjacent[coord]
+
+    def neighbors(self, coord: Coord) -> Iterator[Hop]:
+        """All ``(dim, direction, neighbor)`` triples of ``coord``."""
+        return iter(self.adjacent(coord))
 
     def links(self) -> Iterator[BiLink]:
         """All undirected links, each reported once."""
         seen = set()
         for coord in self.nodes():
-            for dim, _direction, other in self.neighbors(coord):
-                link = BiLink.between(coord, other, dim, self.radix)
+            for link in self.incident_links(coord):
                 if link not in seen:
                     seen.add(link)
                     yield link

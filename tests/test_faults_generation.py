@@ -210,3 +210,49 @@ class TestRandomPattern:
             f"{sorted(map(str, here.faults.link_faults))}\n"
         )
         assert out == expected
+
+
+class TestPaperScenarioGoldens:
+    """Seed -> fault set of the paper's 1% and 5% scenarios on 16x16,
+    recorded on the commit before the fault geometry was tabled: the
+    simulator's inputs (every ``fault_percent`` / ``fault_seed`` config,
+    every benchmark workload) must not drift with a geometry refactor."""
+
+    GOLDENS = {
+        ("torus", 1, 0): {"nodes": [[5, 12]], "links": [[[10, 11], [11, 11], 0]]},
+        ("torus", 1, 42): {"nodes": [[9, 3]], "links": [[[3, 0], [3, 15], 1]]},
+        ("torus", 5, 0): {
+            "nodes": [[0, 6], [2, 4], [4, 13], [10, 2]],
+            "links": [
+                [[0, 0], [15, 0], 0], [[0, 3], [15, 3], 0], [[2, 0], [3, 0], 0],
+                [[4, 6], [5, 6], 0], [[5, 11], [6, 11], 0], [[5, 15], [6, 15], 0],
+                [[8, 6], [9, 6], 0], [[11, 10], [12, 10], 0], [[12, 4], [13, 4], 0],
+                [[14, 11], [14, 12], 1],
+            ],
+        },
+        ("torus", 5, 42): {
+            "nodes": [[5, 2], [10, 11], [10, 12], [15, 11]],
+            "links": [
+                [[0, 2], [15, 2], 0], [[0, 5], [1, 5], 0], [[0, 9], [1, 9], 0],
+                [[1, 1], [2, 1], 0], [[3, 15], [4, 15], 0], [[6, 4], [6, 5], 1],
+                [[6, 11], [7, 11], 0], [[9, 6], [10, 6], 0], [[10, 1], [10, 2], 1],
+                [[12, 4], [13, 4], 0],
+            ],
+        },
+        ("mesh", 1, 1): {"nodes": [[4, 4]], "links": [[[8, 9], [9, 9], 0]]},
+        ("mesh", 5, 1): {
+            "nodes": [[2, 14], [6, 11], [11, 9], [13, 2]],
+            "links": [
+                [[2, 6], [3, 6], 0], [[3, 2], [3, 3], 1], [[4, 14], [5, 14], 0],
+                [[5, 3], [6, 3], 0], [[6, 7], [6, 8], 1], [[8, 9], [9, 9], 0],
+                [[10, 2], [10, 3], 1], [[10, 5], [10, 6], 1], [[11, 0], [11, 1], 1],
+                [[11, 13], [11, 14], 1],
+            ],
+        },
+    }
+
+    @pytest.mark.parametrize("key", sorted(GOLDENS))
+    def test_seed_to_fault_set(self, key):
+        from .geometry_goldens import paper_scenario_record
+
+        assert paper_scenario_record(*key) == self.GOLDENS[key]

@@ -77,3 +77,91 @@ class TestLocalFaultView:
         t = Torus(8, 2)
         view = LocalFaultView(t, FaultSet())
         assert view.blocking_fault_target((7, 0), 0, Direction.POS) == (0, 0)
+
+
+class TestMemoHygiene:
+    """``all_faulty_links`` and the ring geometry are memoised; the memos
+    live outside the objects they describe, so nothing derived may leak
+    into equality, hashes, canonical forms or pickles — fault sets travel
+    inside ``SimulationConfig`` to pool workers and into store keys."""
+
+    @staticmethod
+    def pattern(network):
+        return FaultSet.of(
+            network, nodes=[(3, 3), (9, 12)], links=[((1, 1), 0, Direction.POS)]
+        )
+
+    def test_queries_leave_fault_set_and_config_untouched(self):
+        import pickle
+
+        from repro.faults import degrade_fault_pattern
+        from repro.sim.config import SimulationConfig
+
+        t = Torus(16, 2)
+        fs = self.pattern(t)
+        twin = self.pattern(t)
+        config = SimulationConfig(topology="torus", radix=16, dims=2, faults=fs)
+        before = (
+            pickle.dumps(fs),
+            pickle.dumps(config),
+            hash(fs),
+            config.content_hash("v"),
+            config.to_canonical(),
+            dict(vars(fs)),
+        )
+        links = fs.all_faulty_links(t)
+        assert fs.all_faulty_links(t) is links  # served from the memo
+        scenario, _info = degrade_fault_pattern(t, fs)
+        for ring in scenario.ring_index.rings:
+            ring.perimeter_nodes(), ring.perimeter_links()
+        LocalFaultView(t, fs).hop_blocked((3, 2), 1, Direction.POS)
+        after = (
+            pickle.dumps(fs),
+            pickle.dumps(config),
+            hash(fs),
+            config.content_hash("v"),
+            config.to_canonical(),
+            dict(vars(fs)),
+        )
+        assert after == before
+        assert fs == twin and hash(fs) == hash(twin)
+        assert pickle.loads(pickle.dumps(fs)) == fs
+        assert pickle.loads(pickle.dumps(config)).content_hash("v") == before[3]
+
+    def test_memo_is_per_network_and_equal_sets_share_an_entry(self):
+        a, b = Torus(16, 2), Mesh(16, 2)
+        fs = self.pattern(a)
+        assert fs.all_faulty_links(a) is self.pattern(a).all_faulty_links(a)
+        # same fault set, different network: the mesh has no wraparound
+        # links, the answer must not be served from the torus's entry
+        edge = FaultSet(frozenset({(0, 0)}))
+        assert len(edge.all_faulty_links(a)) == 4
+        assert len(edge.all_faulty_links(b)) == 2
+
+    def test_memo_is_bounded_and_dies_with_the_network(self):
+        import gc
+
+        from repro.faults import fault_model
+
+        t = Torus(8, 2)
+        for coord in t.nodes():
+            FaultSet(frozenset({coord})).all_faulty_links(t)
+            assert len(fault_model._faulty_links[t]) <= fault_model.FAULTY_LINKS_MEMO
+        tracked = len(fault_model._faulty_links)
+        del t
+        gc.collect()
+        assert len(fault_model._faulty_links) == tracked - 1
+
+    def test_ring_geometry_memo_stays_within_its_bound(self):
+        import random
+
+        from repro.faults import fault_rings, generate_random_pattern
+
+        t = Torus(16, 2)
+        rng = random.Random(2)
+        assert fault_rings._ring_shapes.cache_info().maxsize == fault_rings.RING_MEMO
+        for _ in range(5000):
+            generate_random_pattern(t, 2, 2, rng)
+        info = fault_rings._ring_shapes.cache_info()
+        assert info.hits > info.misses  # random draws do reuse ring shapes
+        assert info.currsize <= fault_rings.RING_MEMO

@@ -42,7 +42,7 @@ class TestRingGeometry2D:
         t = Torus(8, 2)
         region = region_of(t, FaultSet.of(t, nodes=[(3, 3), (4, 3), (3, 4), (4, 4)]))
         (ring,) = rings_for_region(t, region, 0)
-        assert ring.lo == {0: 2, 1: 2} and ring.hi == {0: 5, 1: 5}
+        assert ring.lo == (2, 2) and ring.hi == (5, 5)
         assert ring.span_length(0) == 4
 
     def test_node_block_perimeter(self):
@@ -70,7 +70,7 @@ class TestRingGeometry2D:
         nodes = ring.perimeter_nodes()
         assert len(nodes) == 6
         assert (2, 5) in nodes and (3, 5) in nodes  # link endpoints are ON the ring
-        assert ring.lo == {0: 2, 1: 4} and ring.hi == {0: 3, 1: 6}
+        assert ring.lo == (2, 4) and ring.hi == (3, 6)
 
     def test_wrapping_ring(self):
         t = Torus(8, 2)
@@ -202,3 +202,107 @@ class TestFaultRingIndex:
         bad = FaultSet.of(t, nodes=[(2, 2)], links=[((1, 1), 0, Direction.POS)])
         index2, _ = self._index(t, bad)
         assert not index2.rings_healthy(bad)
+
+
+class TestRingValueSemantics:
+    """Regression: ``FaultRing`` is a frozen dataclass but used to carry
+    its bounds as dicts, so ``hash(ring)`` raised ``TypeError`` and the
+    "frozen" bounds could be edited in place."""
+
+    @staticmethod
+    def single_node_ring():
+        t = Torus(8, 2)
+        region = region_of(t, FaultSet.of(t, nodes=[(4, 4)]))
+        (ring,) = rings_for_region(t, region, 0)
+        return ring
+
+    def test_equal_geometry_rings_are_equal_and_hash_equal(self):
+        a, b = self.single_node_ring(), self.single_node_ring()
+        assert a is not b and a == b
+        assert hash(a) == hash(b)
+        assert {a: "ring"}[b] == "ring"
+        assert len({a, b}) == 1
+
+    def test_bounds_are_immutable_and_indexed_by_dimension(self):
+        ring = self.single_node_ring()
+        assert (ring.lo[0], ring.hi[0], ring.lo[1], ring.hi[1]) == (3, 5, 3, 5)
+        with pytest.raises(TypeError):
+            ring.lo[0] = 0
+
+    def test_bounds_outside_the_plane_are_none(self):
+        t = Torus(6, 3)
+        region = region_of(t, FaultSet.of(t, nodes=[(2, 2, 2)]))
+        for ring in rings_for_region(t, region, 0):
+            for dim in range(3):
+                assert (ring.lo[dim] is None) == (dim not in ring.plane)
+                assert (ring.fixed[dim] is None) == (dim in ring.plane)
+            hash(ring)
+
+
+class TestRingOwnership:
+    """The index's node/link ownership maps are the one source of ring
+    membership: they must agree with every ring's own perimeter."""
+
+    def test_maps_match_perimeters(self):
+        t = Torus(12, 2)
+        fs = FaultSet.of(t, nodes=[(4, 4), (5, 6), (9, 9)], links=[((0, 0), 1, Direction.POS)])
+        _blocked, regions = extract_fault_regions(t, fs)
+        index = FaultRingIndex(t, regions)
+        for slot, ring in enumerate(index.rings):
+            for node in ring.perimeter_nodes():
+                assert slot in index.node_owners[node]
+            for link in ring.perimeter_links():
+                assert slot in index.link_owners[link]
+        assert sum(map(len, index.node_owners.values())) == sum(
+            len(ring.perimeter_nodes()) for ring in index.rings
+        )
+        assert sum(map(len, index.link_owners.values())) == sum(
+            len(ring.perimeter_links()) for ring in index.rings
+        )
+
+    def test_overlap_pairs_equal_pairwise_intersection(self):
+        """The map-derived pairs are exactly what intersecting every pair
+        of link sets yields, in the same (ring order) sequence."""
+        import random
+
+        from repro.faults import NetworkDisconnectedError, NonConvexFaultError
+
+        t = Torus(12, 2)
+        rng = random.Random(5)
+        nodes = list(t.nodes())
+        seen_overlap = False
+        for _ in range(300):
+            fs = FaultSet(frozenset(rng.sample(nodes, 4)))
+            try:
+                _blocked, regions = extract_fault_regions(t, fs)
+                index = FaultRingIndex(t, regions)
+            except (NonConvexFaultError, NetworkDisconnectedError, RingGeometryError):
+                continue
+            brute = [
+                (a, b)
+                for i, a in enumerate(index.rings)
+                for b in index.rings[i + 1 :]
+                if a.region_index != b.region_index
+                and a.perimeter_links() & b.perimeter_links()
+            ]
+            assert index.overlapping_ring_pairs() == brute
+            seen_overlap |= bool(brute)
+        assert seen_overlap
+
+    def test_faults_on_rings_order(self):
+        """Ring by ring, nodes before links — the order the degrade
+        pipeline picks its first offender in."""
+        t = Torus(10, 2)
+        # (5, 4) sits on the ring of (4, 4) and vice versa
+        fs = FaultSet.of(t, nodes=[(4, 4), (5, 4)])
+        regions = [region_of(t, FaultSet.of(t, nodes=[n])) for n in [(4, 4), (5, 4)]]
+        index = FaultRingIndex(t, regions)
+        hits = index.faults_on_rings(fs)
+        assert not index.rings_healthy(fs)
+        assert [ring.region_index for ring, _item in hits] == sorted(
+            ring.region_index for ring, _item in hits
+        )
+        first_ring = hits[0][0]
+        kinds = [isinstance(item, BiLink) for ring, item in hits if ring is first_ring]
+        assert kinds == sorted(kinds)  # nodes (False) before links (True)
+        assert hits[0][1] == (5, 4)

@@ -23,6 +23,15 @@ from repro.mc import (
 )
 from repro.topology import Torus
 
+from .geometry_goldens import (
+    GOLDEN_PATH,
+    GOLDEN_TOPOLOGIES,
+    PINNED_CELLS,
+    degrade_record,
+    golden_patterns,
+    shard_digest,
+)
+
 #: patterns per (topology, fault-count) fuzz bucket; the satellite
 #: requirement is >= 500 per topology, spread over varying k
 FUZZ_PER_BUCKET = 125
@@ -142,3 +151,44 @@ class TestFuzzDeterminism:
         a = [faults for _, faults in fuzz_patterns(4, [(1, 1)])]
         b = [faults for _, faults in fuzz_patterns(4, [(1, 1)])]
         assert a == b
+
+
+#: ``ShardTally.digest()`` of shard 0 (50 patterns, ``master_seed=7``),
+#: recorded on the commit before the fault geometry was tabled (PR 13).
+#: A geometry refactor that moves one of these has moved R(k).
+PINNED_SHARD_DIGESTS = {
+    "torus16 1+1 ft": "a3fc32c72ed4e76225ecc4ad350eb4ff8cbc958f95cf371b738747f66e901f2e",
+    "torus16 4+10 ft": "ea6d89b686b68d21d07bb4e1bf2bfc2f953bdcf903d03784612caa1ca2a73840",
+    "torus8 2+2 adaptive": "f4e577d0c86b563858de70a4e7c34554634fde17aef4018f1bf9b498f69a97bc",
+    "torus4x4x4 2+2 ft": "1a076687c155d28a8c814d3780218db3a44739685fc1246cdeaf30778b948f6f",
+    "mesh8 1+2 ft": "cb5506ff88082d6ee293283ec451cecda5b551270ef2f2ca7c639f58a0035a44",
+    "torus16 4+4 ft overlap": "dbc351cc1ff30c39c5f7162a0a3c6a894db122ae2c4f729d112c352f6272cb02",
+}
+
+
+class TestPinnedClassification:
+    """Bit-identical classification across geometry refactors."""
+
+    def test_every_pinned_cell_has_a_digest(self):
+        assert set(PINNED_SHARD_DIGESTS) == set(PINNED_CELLS)
+
+    @pytest.mark.parametrize("label", sorted(PINNED_SHARD_DIGESTS))
+    def test_pinned_shard_digest(self, label):
+        assert shard_digest(PINNED_CELLS[label]) == PINNED_SHARD_DIGESTS[label]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_TOPOLOGIES))
+    def test_pinned_degrade_results(self, name):
+        """200 seeded raw patterns per topology: blocked fault set, region
+        intervals and order, layers, sacrificed nodes, merges, passes and
+        condemnation rounds all equal the goldens dumped from the
+        reference commit (``tests/geometry_goldens.py --dump``)."""
+        import json
+
+        want = json.loads(GOLDEN_PATH.read_text())[name]
+        got = [degrade_record(*pattern) for pattern in golden_patterns(name)]
+        assert len(got) == len(want) == 200
+        for index, (have, expected) in enumerate(zip(got, want)):
+            assert have == expected, f"{name} pattern {index}"
+        # the stream exercises every outcome, not just clean patterns
+        assert any("fatal" in r for r in want)
+        assert any(r.get("merges") for r in want) or name == "torus4x4x4"

@@ -65,20 +65,16 @@ class TestOverlapDetection:
         exercised directly on a synthetic overlap triangle."""
 
         class FakeRing:
-            def __init__(self, region_index, links):
+            def __init__(self, region_index):
                 self.region_index = region_index
-                self._links = set(links)
-
-            def perimeter_links(self):
-                return self._links
 
         class FakeIndex:
             regions = [0, 1, 2]
-            rings = [
-                FakeRing(0, {"ab", "ca"}),
-                FakeRing(1, {"ab", "bc"}),
-                FakeRing(2, {"bc", "ca"}),
-            ]
+            rings = [FakeRing(0), FakeRing(1), FakeRing(2)]
+
+            def overlapping_ring_pairs(self):
+                a, b, c = self.rings
+                return [(a, b), (a, c), (b, c)]
 
         with pytest.raises(OverlapColoringError):
             assign_region_layers(FakeIndex())

@@ -125,3 +125,138 @@ class TestRoutingQueries:
     def test_mesh_never_crosses_dateline(self):
         m = Mesh(8, 2)
         assert not m.crosses_dateline(0, 7, Direction.POS)
+
+
+def _arithmetic_hops(network, coord):
+    """The adjacency the tables must reproduce, straight from
+    ``neighbor()``: dimension by dimension, POS before NEG."""
+    return tuple(
+        (dim, direction, network.neighbor(coord, dim, direction))
+        for dim in range(network.dims)
+        for direction in (Direction.POS, Direction.NEG)
+        if network.neighbor(coord, dim, direction) is not None
+    )
+
+
+class TestAdjacencyTables:
+    """The tables are derived from ``neighbor()`` and must equal it hop
+    for hop, in order — radix-2 tori (POS and NEG reach the same node)
+    and mesh boundaries included."""
+
+    @pytest.mark.parametrize("kind", ["torus", "mesh"])
+    @pytest.mark.parametrize("radix", [2, 3, 4, 8])
+    @pytest.mark.parametrize("dims", [1, 2, 3])
+    def test_tables_equal_arithmetic(self, kind, radix, dims):
+        network = make_network(kind, radix, dims)
+        for coord in network.nodes():
+            hops = _arithmetic_hops(network, coord)
+            assert network.adjacent(coord) == hops
+            assert tuple(network.neighbors(coord)) == hops
+            links = network.incident_links(coord)
+            assert links == tuple(
+                BiLink.between(coord, other, dim, radix) for dim, _direction, other in hops
+            )
+            for dim in range(dims):
+                for direction in (Direction.POS, Direction.NEG):
+                    other = network.neighbor(coord, dim, direction)
+                    hop = network.hop(coord, dim, direction)
+                    if other is None:
+                        assert hop is None
+                    else:
+                        assert hop == (other, BiLink.between(coord, other, dim, radix))
+                        assert hop[1] is links[hops.index((dim, direction, other))]
+
+    @pytest.mark.parametrize("network", [Torus(2, 2), Torus(4, 2), Mesh(3, 3)])
+    def test_links_are_interned(self, network):
+        """One object per link, whichever end or direction asks."""
+        by_value = {}
+        for coord in network.nodes():
+            for link in network.incident_links(coord):
+                assert by_value.setdefault(link, link) is link
+        assert set(by_value) == set(network.links())
+
+    def test_hop_validates_dimension(self):
+        t = Torus(4, 2)
+        with pytest.raises(ValueError):
+            t.hop((0, 0), 2, Direction.POS)
+        t.adjacent((0, 0))
+        with pytest.raises(ValueError):  # also once the node is tabulated
+            t.hop((0, 0), -1, Direction.POS)
+
+    def test_tables_fill_lazily(self):
+        t = Torus(16, 2)
+        assert not t._adjacent and not t._incident
+        t.adjacent((3, 3))
+        assert list(t._adjacent) == [(3, 3)]
+
+    def test_pickle_carries_no_tables(self):
+        import pickle
+
+        t = Torus(8, 2)
+        bare = pickle.dumps(t)
+        list(t.links())
+        assert pickle.dumps(t) == bare
+        restored = pickle.loads(bare)
+        assert type(restored) is Torus and (restored.radix, restored.dims) == (8, 2)
+        assert not restored._adjacent
+        assert restored.adjacent((7, 0)) == t.adjacent((7, 0))
+        assert list(restored.links()) == list(t.links())
+        m = pickle.loads(pickle.dumps(Mesh(4, 3)))
+        assert type(m) is Mesh and m.hop((3, 0, 0), 0, Direction.POS) is None
+
+
+def _sha(items):
+    import hashlib
+
+    return hashlib.sha256(repr(items).encode()).hexdigest()[:16]
+
+
+class TestIterationOrderPinned:
+    """``PatternSampler`` and ``generate_fault_pattern`` sample from
+    ``list(nodes())`` / ``list(links())``: every seeded fault pattern —
+    hence every digest in the repo — depends on this exact order."""
+
+    def test_torus16(self):
+        t = Torus(16, 2)
+        nodes, links = list(t.nodes()), list(t.links())
+        assert nodes[:3] == [(0, 0), (1, 0), (2, 0)] and nodes[-2:] == [(14, 15), (15, 15)]
+        assert links[:3] == [
+            BiLink((0, 0), (1, 0), 0),
+            BiLink((0, 0), (15, 0), 0),
+            BiLink((0, 0), (0, 1), 1),
+        ]
+        assert links[-2:] == [BiLink((13, 15), (14, 15), 0), BiLink((14, 15), (15, 15), 0)]
+        assert (len(nodes), len(links)) == (256, 512)
+        assert (_sha(nodes), _sha(links)) == ("64d289d900afbf71", "47ea40973047c115")
+
+    def test_mesh8(self):
+        m = Mesh(8, 2)
+        nodes, links = list(m.nodes()), list(m.links())
+        assert links[:3] == [
+            BiLink((0, 0), (1, 0), 0),
+            BiLink((0, 0), (0, 1), 1),
+            BiLink((1, 0), (2, 0), 0),
+        ]
+        assert links[-2:] == [BiLink((5, 7), (6, 7), 0), BiLink((6, 7), (7, 7), 0)]
+        assert (len(nodes), len(links)) == (64, 112)
+        assert (_sha(nodes), _sha(links)) == ("e0b05a222c234393", "46ad9ce7aecc006c")
+
+    def test_torus4x4x4(self):
+        t = Torus(4, 3)
+        nodes, links = list(t.nodes()), list(t.links())
+        assert nodes[:3] == [(0, 0, 0), (1, 0, 0), (2, 0, 0)]
+        assert links[:3] == [
+            BiLink((0, 0, 0), (1, 0, 0), 0),
+            BiLink((0, 0, 0), (3, 0, 0), 0),
+            BiLink((0, 0, 0), (0, 1, 0), 1),
+        ]
+        assert links[-2:] == [BiLink((1, 3, 3), (2, 3, 3), 0), BiLink((2, 3, 3), (3, 3, 3), 0)]
+        assert (len(nodes), len(links)) == (64, 192)
+        assert (_sha(nodes), _sha(links)) == ("fe02daa5968dffc9", "99127adb520975f5")
+
+    def test_radix2_torus(self):
+        """POS and NEG reach the same node over the same link."""
+        t = Torus(2, 3)
+        nodes, links = list(t.nodes()), list(t.links())
+        assert (len(nodes), len(links)) == (8, 12)
+        assert (_sha(nodes), _sha(links)) == ("024093a35ad12ef4", "f7d57a3173a0bbf6")
