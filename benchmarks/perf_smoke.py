@@ -53,6 +53,15 @@ the same repetition, so the committed number is in legacy
 cycle-equivalents and machine-independent; ``--check`` fails when a cell
 exceeds ``CLASSIFY_REGRESSION_FACTOR`` (125%) of the committed value.
 
+The worker pool is measured per call: milliseconds per ``execute()`` of
+two no-op tasks at ``jobs=2`` through a pool opened and closed by the
+call (what ``Experiment.run`` pays once per sweep) against one kept by
+its owner (what every wave of ``mc.run_plan`` and every job of the
+service pays), back-to-back in each repetition; ``--check`` fails when
+the paired-median ratio reused / fresh exceeds ``POOL_REUSE_CEILING``
+(0.5) — a kept pool that is not at least twice as cheap per call has
+started spawning or tearing something down again.
+
 Finally the smoke gates the observability tracer both ways:
 
 * **disabled** — a run without a tracer attached pays only ``tracer is
@@ -141,6 +150,11 @@ CLASSIFY_CELLS = ((16, 1, 1, "ft"), (16, 4, 10, "ft"), (8, 2, 2, "adaptive"))
 CLASSIFY_PATTERNS = 100
 #: a measured classification cost above this multiple of the baseline fails
 CLASSIFY_REGRESSION_FACTOR = 1.25
+
+#: pool smoke: ``execute()`` calls per variant (each a few ms) and the
+#: ceiling on the paired-median ratio reused / fresh
+POOL_REPETITIONS = 25
+POOL_REUSE_CEILING = 0.5
 
 #: routing-policy indirection smoke: the registry/protocol layer must
 #: add no per-cycle work on the active core — a run whose relation was
@@ -254,7 +268,8 @@ def _classify_cost() -> dict:
     for _ in range(REPETITIONS):
         per_cycle = _steady_cycle_seconds(Simulator(config, core="legacy"))
         for label, cell in cells.items():
-            # a fresh network per repetition, as every MC shard builds one
+            # the per-process network every shard of the cell shares:
+            # repetition one fills its tables, the median reads them warm
             network = cell.network()
             sampler = PatternSampler(
                 network, cell.num_node_faults, cell.num_link_faults,
@@ -276,6 +291,40 @@ def _classify_cost() -> dict:
             }
             for label in cells
         },
+    }
+
+
+class _NoopTask:
+    """Costs nothing to run, so a call through the executor measures the
+    executor."""
+
+    cacheable = False
+
+    def execute(self) -> int:
+        return 0
+
+
+def _pool_cost() -> dict:
+    from repro.exec import WorkerPool, execute
+
+    tasks = [_NoopTask(), _NoopTask()]
+    fresh, reused = [], []
+    with WorkerPool() as pool:
+        execute(tasks, jobs=2, pool=pool)  # spawn outside the timed calls
+        # each repetition times both variants back-to-back; the
+        # per-repetition ratio cancels clock drift
+        for _ in range(POOL_REPETITIONS):
+            start = time.perf_counter()
+            execute(tasks, jobs=2)
+            fresh.append(time.perf_counter() - start)
+            start = time.perf_counter()
+            execute(tasks, jobs=2, pool=pool)
+            reused.append(time.perf_counter() - start)
+    return {
+        "repetitions": POOL_REPETITIONS,
+        "fresh_ms_per_call": round(1e3 * _median(fresh), 3),
+        "reused_ms_per_call": round(1e3 * _median(reused), 3),
+        "reused_over_fresh": round(_median([r / f for r, f in zip(reused, fresh)]), 3),
     }
 
 
@@ -385,6 +434,12 @@ def measure() -> dict:
             f"classify {label}: {cell['ms_per_pattern']:.3f} ms/pattern = "
             f"{cell['cost_cycles']:.4f} legacy cycle-equivalents"
         )
+    pool = _pool_cost()
+    print(
+        f"pool: fresh={pool['fresh_ms_per_call']:.2f} ms/call  "
+        f"reused={pool['reused_ms_per_call']:.2f} ms/call  "
+        f"reused/fresh={pool['reused_over_fresh']:.3f}"
+    )
     tracing = _tracing_cost()
     print(
         f"tracing: disabled={tracing['disabled_cycles_per_sec']:9.1f} c/s  "
@@ -407,6 +462,7 @@ def measure() -> dict:
         "small": {"radix": SMALL_RADIX, "rate": SMALL_RATE, **small},
         "reconfiguration": reconfig,
         "classify": classify,
+        "pool": pool,
         "tracing": tracing,
         "policy": policy,
     }
@@ -432,6 +488,7 @@ def check(measured: dict, baseline: dict) -> int:
     failures += _check_default(measured)
     failures += _check_policy(measured)
     failures += _check_classify(measured, baseline)
+    failures += _check_pool(measured)
     base = baseline.get("reconfiguration")
     if base is None:
         # pre-reconfiguration baseline file: nothing to compare against
@@ -528,6 +585,22 @@ def _check_classify(measured: dict, baseline: dict) -> int:
         if cost > ceiling:
             failures += 1
     return failures
+
+
+def _check_pool(measured: dict) -> int:
+    # same-repetition ratios: needs no baseline entry
+    got = measured.get("pool")
+    if got is None:
+        print("pool: missing from measurement", file=sys.stderr)
+        return 1
+    ratio = got["reused_over_fresh"]
+    verdict = "ok" if ratio <= POOL_REUSE_CEILING else "REGRESSION"
+    print(
+        f"pool: reused {got['reused_ms_per_call']:.2f} ms/call vs fresh "
+        f"{got['fresh_ms_per_call']:.2f} ms/call (x{ratio:.3f}, "
+        f"ceiling x{POOL_REUSE_CEILING}) -> {verdict}"
+    )
+    return 1 if ratio > POOL_REUSE_CEILING else 0
 
 
 def _check_policy(measured: dict) -> int:

@@ -3,7 +3,9 @@
 * :mod:`repro.exec.executor` — fan sweep points, seed replicates and
   campaign replays out across a supervised ``multiprocessing`` worker
   pool with per-worker network reuse, per-task timeouts, bounded
-  deterministic retry, heartbeat watchdog and poison-task quarantine.
+  deterministic retry, heartbeat watchdog and poison-task quarantine;
+  the :class:`WorkerPool` lives as long as whoever holds it (one
+  ``execute`` call, one MC plan, one service).
 * :mod:`repro.exec.store` — memoize :class:`SimulationResult`\\ s on disk
   keyed by a content hash of the canonical configuration plus a
   code-version tag; writes are journaled and crash-safe.
@@ -29,6 +31,7 @@ from .executor import (
     PointTask,
     ProgressEvent,
     TaskFailure,
+    WorkerPool,
     execute,
     resolve_jobs,
     run_configs,
@@ -53,6 +56,7 @@ __all__ = [
     "STORE_ENV",
     "SweepCheckpoint",
     "TaskFailure",
+    "WorkerPool",
     "default_store_root",
     "execute",
     "fsck",

@@ -39,7 +39,7 @@ import tempfile
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
-from .store import CODE_VERSION
+from .store import CODE_VERSION, append_jsonl
 
 MANIFEST_NAME = "manifest.json"
 DONE_NAME = "done.jsonl"
@@ -201,23 +201,7 @@ class SweepCheckpoint:
         return records
 
     def _append(self, record: dict) -> None:
-        self.directory.mkdir(parents=True, exist_ok=True)
-        # heal a torn tail (writer killed mid-append): terminate it so the
-        # new record starts on its own line instead of fusing with — and
-        # thereby losing — the fragment
-        torn = False
-        try:
-            with open(self.done_path, "rb") as tail:
-                tail.seek(-1, os.SEEK_END)
-                torn = tail.read(1) != b"\n"
-        except OSError:
-            pass  # no log yet (or empty): nothing to heal
-        with open(self.done_path, "a", encoding="utf-8") as handle:
-            if torn:
-                handle.write("\n")
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
+        append_jsonl(self.done_path, record)
 
     def mark_ok(self, key: str) -> None:
         self._append({"key": key, "status": "ok"})

@@ -49,6 +49,12 @@ applied to our own fleet layer:
 The heartbeat distinguishes a *stalled process* (blocked in a syscall or
 native code, unable to beat) from a merely slow one; a pure-Python busy
 loop keeps beating and is caught by the wall-clock timeout instead.
+
+**Pool lifetime.**  The workers belong to a :class:`WorkerPool`, and the
+pool to whoever holds it: :func:`execute` opens one per call unless its
+caller passes ``pool=`` — ``mc.run_plan`` keeps one for a plan,
+``CampaignService`` for its life (docs/execution.md, "Pool lifetime and
+ownership").
 """
 
 from __future__ import annotations
@@ -57,10 +63,12 @@ import heapq
 import multiprocessing
 import os
 import queue as queue_mod
+import signal
 import threading
 import time
 import traceback
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -292,6 +300,10 @@ class ExecPolicy:
 DEFAULT_POLICY = ExecPolicy()
 
 
+#: The keys of :meth:`WorkerPool.describe`.
+POOL_COUNTERS = ("workers", "spawned", "respawned", "tasks_run")
+
+
 @dataclass
 class ExecutionStats:
     """Accounting for one :func:`execute` call."""
@@ -316,6 +328,10 @@ class ExecutionStats:
     infra_events: List[Any] = field(default_factory=list)
     #: per-task-kind outcome counters: ``{kind: {"done"|"cached"|"failed": n}}``
     task_kinds: Dict[str, Dict[str, int]] = field(default_factory=dict)
+    #: what this call did to its :class:`WorkerPool` (see
+    #: :meth:`WorkerPool.describe`): ``workers`` alive when it ended and
+    #: the ``spawned`` / ``respawned`` / ``tasks_run`` it added
+    pool: Dict[str, int] = field(default_factory=lambda: dict.fromkeys(POOL_COUNTERS, 0))
 
     def count_task(self, kind: str, outcome: str) -> None:
         """Bump the ``{kind: {outcome: n}}`` counter (outcome is one of
@@ -323,11 +339,30 @@ class ExecutionStats:
         per_kind = self.task_kinds.setdefault(kind, {})
         per_kind[outcome] = per_kind.get(outcome, 0) + 1
 
-    def merge_task_kinds(self, other: "ExecutionStats") -> None:
+    def absorb(self, other: "ExecutionStats") -> None:
+        """Add the accounting of one more :func:`execute` call to this
+        running total (``jobs`` is the total's own and is left alone)."""
+        self.total += other.total
+        self.cache_hits += other.cache_hits
+        self.executed += other.executed
+        self.failed += other.failed
+        self.pool_broken = self.pool_broken or other.pool_broken
+        self.wall_seconds += other.wall_seconds
+        self.failures.extend(other.failures)
+        self.infra_retries += other.infra_retries
+        self.infra_timeouts += other.infra_timeouts
+        self.infra_crashes += other.infra_crashes
+        self.infra_hung += other.infra_hung
+        self.quarantined += other.quarantined
+        self.replayed_failures += other.replayed_failures
+        self.infra_events.extend(other.infra_events)
         for kind, outcomes in other.task_kinds.items():
             per_kind = self.task_kinds.setdefault(kind, {})
             for outcome, count in outcomes.items():
                 per_kind[outcome] = per_kind.get(outcome, 0) + count
+        for name, count in other.pool.items():
+            mine = self.pool[name]
+            self.pool[name] = max(mine, count) if name == "workers" else mine + count
 
     @property
     def cache_misses(self) -> int:
@@ -381,6 +416,7 @@ class ExecutionStats:
             "task_kinds": {
                 kind: dict(outcomes) for kind, outcomes in sorted(self.task_kinds.items())
             },
+            "pool": dict(self.pool),
         }
 
 
@@ -445,13 +481,23 @@ def _task_label(task, index: int) -> str:
 
 def _worker_main(worker_id, task_queue, result_queue, heartbeat_interval) -> None:
     """Worker process body: execute tasks from ``task_queue`` one at a
-    time, posting heartbeats from a daemon thread so the parent can tell
-    a stalled process from a slow one.  If the parent disappears (its
-    pid changes — the parent was SIGKILLed and we were re-parented) the
-    worker exits immediately instead of blocking on the queue forever.
+    time, posting heartbeats from a daemon thread *while a task is in
+    flight* so the parent can tell a stalled process from a slow one
+    (an idle worker posts nothing: between calls nobody reads the
+    queue).  If the parent disappears (its pid changes — the parent was
+    SIGKILLed and we were re-parented) the worker exits immediately
+    instead of blocking on the queue forever.
+
+    A worker is forked from whatever its owner happened to be — a
+    server that routes SIGTERM/SIGINT to a graceful drain, say — so it
+    drops the inherited handlers first: SIGTERM kills it (that is how
+    ``terminate()`` and the exit-time cleanup of ``multiprocessing``
+    stop it), SIGINT is the parent's to act on.
     """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     parent = os.getppid()
-    stop = threading.Event()
+    busy = threading.Event()
 
     def orphaned() -> bool:
         return os.getppid() != parent
@@ -459,13 +505,15 @@ def _worker_main(worker_id, task_queue, result_queue, heartbeat_interval) -> Non
     if heartbeat_interval and heartbeat_interval > 0:
 
         def beat() -> None:
-            while not stop.wait(heartbeat_interval):
+            while True:
+                time.sleep(heartbeat_interval)
                 if orphaned():
                     os._exit(2)
-                try:
-                    result_queue.put(("hb", worker_id, None, None, None))
-                except Exception:
-                    os._exit(2)
+                if busy.is_set():
+                    try:
+                        result_queue.put(("hb", worker_id))
+                    except Exception:
+                        os._exit(2)
 
         threading.Thread(target=beat, daemon=True).start()
 
@@ -479,12 +527,13 @@ def _worker_main(worker_id, task_queue, result_queue, heartbeat_interval) -> Non
         except (EOFError, OSError):
             os._exit(2)
         if item is None:  # shutdown sentinel
-            stop.set()
             return
-        index, attempt, task = item
+        epoch, index, attempt, task = item
+        busy.set()
         outcome = _run_task(task)
+        busy.clear()
         try:
-            result_queue.put(("done", worker_id, index, attempt, outcome))
+            result_queue.put(("done", worker_id, epoch, index, attempt, outcome))
         except Exception:
             os._exit(2)
 
@@ -505,197 +554,285 @@ def _stop_worker(handle: _WorkerHandle) -> None:
     handle.process.join(timeout=1.0)
     try:
         handle.queue.close()
+        # whatever is still buffered for a dead worker has no reader;
+        # never let interpreter exit wait on flushing it
+        handle.queue.cancel_join_thread()
     except Exception:
         pass
 
 
-def _run_supervised(
-    tasks: Sequence[Any],
-    pending: Sequence[int],
-    jobs: int,
-    policy: ExecPolicy,
-    stats: ExecutionStats,
-    deliver: Callable[[int, int, Tuple[str, Any]], None],
-    record_event: Callable[..., None],
-) -> None:
-    """Run ``pending`` task indices on a supervised pool of ``jobs``
-    workers, delivering each outcome (to the store, checkpoint and
-    progress callback) the moment it arrives.
+class WorkerPool:
+    """Supervised worker processes, kept for as long as their owner
+    holds the pool.
 
     Unlike ``concurrent.futures``, every worker has its own task queue,
     so the parent always knows exactly which (task, attempt) a dead,
     hung or overdue worker was running — failures are attributable, and
     only the victim task pays for them.
+
+    **Ownership.**  Lifetime is whoever holds the object: :func:`execute`
+    opens one for a single call when none is passed, ``mc.run_plan``
+    holds one for all waves of a plan, ``CampaignService`` one for its
+    life.  Workers are spawned on demand by :meth:`run` (a pool that
+    never runs parallel work costs nothing) and stay, warm, until
+    :meth:`close`.  A pool serves one :meth:`run` at a time and is not
+    thread-safe.
+
+    **Per call vs per pool.**  Everything parent-side is per call and
+    comes from that call's :class:`ExecPolicy` — ``task_timeout``,
+    ``max_attempts``, backoff, ``heartbeat_grace`` — as do its stats
+    and ExecEvents.  Only the worker-side ``heartbeat_interval`` is
+    fixed when the pool is built.  Every message carries the *epoch* of
+    the call that dispatched it and results of another epoch are
+    dropped, so a late answer to an earlier call can never be delivered
+    into a later one.
     """
-    ctx = multiprocessing.get_context()
-    result_queue = ctx.Queue()
-    workers: Dict[int, _WorkerHandle] = {}
-    next_wid = 0
-    seq = 0  # heap tiebreak
 
-    outstanding = set(pending)
-    current_attempt = {index: 1 for index in pending}
-    ready: List[Tuple[float, int, int, int]] = []  # (ready_time, seq, index, attempt)
-    for index in pending:
-        ready.append((0.0, seq, index, 1))
-        seq += 1
-    heapq.heapify(ready)
+    def __init__(self, *, heartbeat_interval: float = DEFAULT_POLICY.heartbeat_interval):
+        self._ctx = multiprocessing.get_context()
+        self._results = self._ctx.Queue()
+        self._workers: Dict[int, _WorkerHandle] = {}
+        self._heartbeat_interval = heartbeat_interval
+        self._next_wid = 0
+        self._epoch = 0
+        self._lost = 0  # workers gone and not yet replaced
+        self._closed = False
+        self.spawned = 0  #: worker processes started
+        self.respawned = 0  #: ... of which replaced a worker that died or was killed
+        self.tasks_run = 0  #: task attempts handed to a worker
 
-    def spawn() -> None:
-        nonlocal next_wid
-        wid = next_wid
-        next_wid += 1
-        task_queue = ctx.Queue()
-        process = ctx.Process(
+    def __enter__(self) -> "WorkerPool":
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        self.close()
+
+    def describe(self) -> Dict[str, int]:
+        """Result-neutral, timestamp-free counters (``/status`` and the
+        CLI's ``infra-json`` line)."""
+        return {
+            "workers": len(self._workers),
+            "spawned": self.spawned,
+            "respawned": self.respawned,
+            "tasks_run": self.tasks_run,
+        }
+
+    def pids(self) -> List[int]:
+        return sorted(handle.process.pid for handle in self._workers.values())
+
+    # ------------------------------------------------------------------
+    def _spawn(self) -> None:
+        wid = self._next_wid
+        self._next_wid += 1
+        task_queue = self._ctx.Queue()
+        process = self._ctx.Process(
             target=_worker_main,
-            args=(wid, task_queue, result_queue, policy.heartbeat_interval),
+            args=(wid, task_queue, self._results, self._heartbeat_interval),
             daemon=True,
         )
         process.start()
-        workers[wid] = _WorkerHandle(process, task_queue)
+        self._workers[wid] = _WorkerHandle(process, task_queue)
+        self.spawned += 1
+        if self._lost:
+            self._lost -= 1
+            self.respawned += 1
 
-    def pop_ready(now: float) -> Optional[Tuple[int, int]]:
-        while ready:
-            ready_time, _tie, index, attempt = ready[0]
-            if ready_time > now:
-                return None
-            heapq.heappop(ready)
-            # skip entries made stale by a delivered result or a newer attempt
-            if index in outstanding and current_attempt.get(index) == attempt:
-                return index, attempt
-        return None
-
-    def fail_busy(wid: int, kind: str, detail: str) -> None:
-        nonlocal seq
-        handle = workers.pop(wid)
-        index, attempt, _t0 = handle.busy  # type: ignore[misc]
+    def _discard(self, wid: int) -> _WorkerHandle:
+        handle = self._workers.pop(wid)
         _stop_worker(handle)
-        stats.pool_broken = True
-        counter = {
-            "crash": "infra_crashes",
-            "timeout": "infra_timeouts",
-            "hung": "infra_hung",
-        }[kind]
-        setattr(stats, counter, getattr(stats, counter) + 1)
-        record_event(f"task_{kind}", index, attempt, detail)
-        if index not in outstanding:
-            return  # a stale attempt died; the task already delivered
-        label = _task_label(tasks[index], index)
-        if attempt < policy.max_attempts:
-            stats.infra_retries += 1
-            delay = policy.backoff(attempt)
-            record_event(
-                "task_retry",
-                index,
-                attempt + 1,
-                f"retrying after {kind} (backoff {delay:.3f}s)",
-            )
-            current_attempt[index] = attempt + 1
-            heapq.heappush(ready, (time.monotonic() + delay, seq, index, attempt + 1))
-            seq += 1
-        elif kind == "crash" and policy.in_process_fallback:
-            warnings.warn(
-                f"worker pool broke on {label} after {attempt} attempt(s); "
-                "running it in-process",
-                RuntimeWarning,
-                stacklevel=4,
-            )
-            outstanding.discard(index)
-            deliver(index, attempt, _run_task(tasks[index]))
-        else:
-            stats.quarantined += 1
-            record_event("task_quarantine", index, attempt, detail)
-            message = (
-                f"{label} quarantined: {kind} on all {attempt} attempt(s) "
-                f"({detail})"
-            )
-            outstanding.discard(index)
-            deliver(index, attempt, (kind, message))
+        self._lost += 1
+        return handle
 
-    for _ in range(min(jobs, len(outstanding))):
-        spawn()
-
-    try:
-        while outstanding:
-            now = time.monotonic()
-            # --- dispatch ready work to idle workers -------------------
-            for handle in workers.values():
-                if handle.busy is not None:
-                    continue
-                item = pop_ready(now)
-                if item is None:
-                    break
-                index, attempt = item
-                handle.queue.put((index, attempt, tasks[index]))
-                handle.busy = (index, attempt, now)
-                handle.last_beat = now
-            # --- drain results and heartbeats --------------------------
-            message = None
-            try:
-                message = result_queue.get(timeout=0.05)
-            except (queue_mod.Empty, EOFError, OSError):
-                pass
-            while message is not None:
-                if message[0] == "hb":
-                    wid = message[1]
-                    if wid in workers:
-                        workers[wid].last_beat = time.monotonic()
-                elif message[0] == "done":
-                    _, wid, index, attempt, outcome = message
-                    if wid in workers:
-                        workers[wid].busy = None
-                        workers[wid].last_beat = time.monotonic()
-                    if index in outstanding:
-                        outstanding.discard(index)
-                        deliver(index, attempt, outcome)
-                try:
-                    message = result_queue.get_nowait()
-                except (queue_mod.Empty, EOFError, OSError):
-                    message = None
-            # --- supervise ---------------------------------------------
-            now = time.monotonic()
-            for wid in list(workers):
-                handle = workers[wid]
-                if handle.busy is None:
-                    if not handle.process.is_alive():
-                        # an idle worker died; replace it quietly
-                        _stop_worker(workers.pop(wid))
-                    continue
-                _index, _attempt, t0 = handle.busy
-                if not handle.process.is_alive():
-                    fail_busy(
-                        wid, "crash", f"worker exited with code {handle.process.exitcode}"
-                    )
-                elif policy.task_timeout is not None and now - t0 > policy.task_timeout:
-                    fail_busy(
-                        wid,
-                        "timeout",
-                        f"exceeded the {policy.task_timeout:.1f}s wall-clock budget",
-                    )
-                elif (
-                    policy.heartbeat_grace > 0
-                    and now - handle.last_beat > policy.heartbeat_grace
-                ):
-                    fail_busy(
-                        wid, "hung", f"no heartbeat for {policy.heartbeat_grace:.1f}s"
-                    )
-            while outstanding and len(workers) < min(jobs, len(outstanding)):
-                spawn()
-    finally:
-        for handle in workers.values():
+    def close(self) -> None:
+        """Stop every worker — sentinel, a bounded join, then kill — and
+        release the queues.  Idempotent."""
+        if self._closed:
+            return
+        self._closed = True
+        handles = list(self._workers.values())
+        self._workers.clear()
+        # run() leaves no worker busy, so each is waiting on its queue
+        for handle in handles:
             try:
                 handle.queue.put(None)
             except Exception:
                 pass
         deadline = time.monotonic() + 1.0
-        for handle in workers.values():
+        for handle in handles:
             handle.process.join(timeout=max(0.0, deadline - time.monotonic()))
-        for handle in workers.values():
+        for handle in handles:
             _stop_worker(handle)
         try:
-            result_queue.close()
+            self._results.close()
         except Exception:
             pass
+
+    # ------------------------------------------------------------------
+    def run(
+        self,
+        tasks: Sequence[Any],
+        pending: Sequence[int],
+        jobs: int,
+        policy: ExecPolicy,
+        stats: ExecutionStats,
+        deliver: Callable[[int, int, Tuple[str, Any]], None],
+        record_event: Callable[..., None],
+    ) -> None:
+        """Run ``pending`` task indices on at most ``jobs`` workers,
+        delivering each outcome (to the store, checkpoint and progress
+        callback) the moment it arrives.  This is the one supervision
+        loop: dispatch, heartbeat / timeout / crash detection, retry
+        with backoff, quarantine, respawn."""
+        if self._closed:
+            raise RuntimeError("WorkerPool is closed")
+        self._epoch += 1
+        epoch = self._epoch
+        workers = self._workers
+        before = self.describe()
+        seq = 0  # heap tiebreak
+
+        outstanding = set(pending)
+        current_attempt = {index: 1 for index in pending}
+        ready: List[Tuple[float, int, int, int]] = []  # (ready_time, seq, index, attempt)
+        for index in pending:
+            ready.append((0.0, seq, index, 1))
+            seq += 1
+        heapq.heapify(ready)
+
+        def pop_ready(now: float) -> Optional[Tuple[int, int]]:
+            while ready:
+                ready_time, _tie, index, attempt = ready[0]
+                if ready_time > now:
+                    return None
+                heapq.heappop(ready)
+                # skip entries made stale by a delivered result or a newer attempt
+                if index in outstanding and current_attempt.get(index) == attempt:
+                    return index, attempt
+            return None
+
+        def fail_busy(wid: int, kind: str, detail: str) -> None:
+            nonlocal seq
+            index, attempt, _t0 = self._discard(wid).busy  # type: ignore[misc]
+            stats.pool_broken = True
+            counter = {
+                "crash": "infra_crashes",
+                "timeout": "infra_timeouts",
+                "hung": "infra_hung",
+            }[kind]
+            setattr(stats, counter, getattr(stats, counter) + 1)
+            record_event(f"task_{kind}", index, attempt, detail)
+            if index not in outstanding:
+                return  # a stale attempt died; the task already delivered
+            label = _task_label(tasks[index], index)
+            if attempt < policy.max_attempts:
+                stats.infra_retries += 1
+                delay = policy.backoff(attempt)
+                record_event(
+                    "task_retry",
+                    index,
+                    attempt + 1,
+                    f"retrying after {kind} (backoff {delay:.3f}s)",
+                )
+                current_attempt[index] = attempt + 1
+                heapq.heappush(ready, (time.monotonic() + delay, seq, index, attempt + 1))
+                seq += 1
+            elif kind == "crash" and policy.in_process_fallback:
+                warnings.warn(
+                    f"worker pool broke on {label} after {attempt} attempt(s); "
+                    "running it in-process",
+                    RuntimeWarning,
+                    stacklevel=4,
+                )
+                outstanding.discard(index)
+                deliver(index, attempt, _run_task(tasks[index]))
+            else:
+                stats.quarantined += 1
+                record_event("task_quarantine", index, attempt, detail)
+                message = (
+                    f"{label} quarantined: {kind} on all {attempt} attempt(s) "
+                    f"({detail})"
+                )
+                outstanding.discard(index)
+                deliver(index, attempt, (kind, message))
+
+        try:
+            while outstanding:
+                # --- supervise: replace the dead, fail the overdue ---------
+                now = time.monotonic()
+                for wid in list(workers):
+                    handle = workers[wid]
+                    if handle.busy is None:
+                        if not handle.process.is_alive():
+                            # an idle worker died; replace it quietly
+                            self._discard(wid)
+                        continue
+                    _index, _attempt, t0 = handle.busy
+                    if not handle.process.is_alive():
+                        fail_busy(
+                            wid, "crash", f"worker exited with code {handle.process.exitcode}"
+                        )
+                    elif policy.task_timeout is not None and now - t0 > policy.task_timeout:
+                        fail_busy(
+                            wid,
+                            "timeout",
+                            f"exceeded the {policy.task_timeout:.1f}s wall-clock budget",
+                        )
+                    elif (
+                        policy.heartbeat_grace > 0
+                        and now - handle.last_beat > policy.heartbeat_grace
+                    ):
+                        fail_busy(
+                            wid, "hung", f"no heartbeat for {policy.heartbeat_grace:.1f}s"
+                        )
+                if not outstanding:
+                    break  # the last task was settled by the supervisor itself
+                while len(workers) < min(jobs, len(outstanding)):
+                    self._spawn()
+                # --- dispatch ready work to idle workers -------------------
+                now = time.monotonic()
+                idle = [handle for handle in workers.values() if handle.busy is None]
+                # an earlier call may have left more workers than this one asked for
+                for handle in idle[: max(0, jobs - (len(workers) - len(idle)))]:
+                    item = pop_ready(now)
+                    if item is None:
+                        break
+                    index, attempt = item
+                    handle.queue.put((epoch, index, attempt, tasks[index]))
+                    handle.busy = (index, attempt, now)
+                    handle.last_beat = now
+                    self.tasks_run += 1
+                # --- drain results and heartbeats --------------------------
+                message = None
+                try:
+                    message = self._results.get(timeout=0.05)
+                except (queue_mod.Empty, EOFError, OSError):
+                    pass
+                while message is not None:
+                    handle = workers.get(message[1])
+                    if message[0] == "hb":
+                        if handle is not None:
+                            handle.last_beat = time.monotonic()
+                    elif message[2] == epoch:
+                        _, _wid, _epoch, index, attempt, outcome = message
+                        if handle is not None:
+                            handle.busy = None
+                        if index in outstanding:
+                            outstanding.discard(index)
+                            deliver(index, attempt, outcome)
+                    # else: the answer to an earlier call; its worker is gone
+                    try:
+                        message = self._results.get_nowait()
+                    except (queue_mod.Empty, EOFError, OSError):
+                        message = None
+        finally:
+            # a call that leaves by an exception can leave workers mid-task
+            # on work nobody will collect; between calls every worker is idle
+            for wid in [wid for wid, handle in workers.items() if handle.busy is not None]:
+                self._discard(wid)
+            stats.pool = {
+                name: count - (0 if name == "workers" else before[name])
+                for name, count in self.describe().items()
+            }
 
 
 def execute(
@@ -707,6 +844,7 @@ def execute(
     allow_failures: bool = False,
     policy: Optional[ExecPolicy] = None,
     checkpoint: Optional[SweepCheckpoint] = None,
+    pool: Optional[WorkerPool] = None,
 ) -> Tuple[List[Any], ExecutionStats]:
     """Run every task and return ``(payloads, stats)`` in task order.
 
@@ -715,6 +853,12 @@ def execute(
     in-process (keeping the per-process network reuse); ``jobs>1`` uses
     a supervised worker pool; ``jobs in (None, 0)`` sizes the pool to
     the CPU count.
+
+    ``pool`` says who owns the workers: a caller that makes many calls
+    passes its own :class:`WorkerPool` and keeps the workers (warm)
+    between them; with none, a parallel call opens a pool for itself
+    and closes it on the way out.  Either way ``jobs`` bounds how many
+    workers this call uses.
 
     ``policy`` governs timeouts, retries, heartbeats and quarantine for
     the worker pool (see :class:`ExecPolicy`; in-process execution
@@ -844,7 +988,11 @@ def execute(
 
     # --- run the misses ------------------------------------------------
     if pending and stats.jobs > 1:
-        _run_supervised(tasks, pending, stats.jobs, policy, stats, deliver, record_event)
+        # a passed pool is its owner's to close; ours lasts for this call
+        with nullcontext(pool) if pool is not None else WorkerPool(
+            heartbeat_interval=policy.heartbeat_interval
+        ) as workers:
+            workers.run(tasks, pending, stats.jobs, policy, stats, deliver, record_event)
     else:
         for index in pending:
             deliver(index, 1, _run_task(tasks[index]))

@@ -86,6 +86,24 @@ def pid_alive(pid: int) -> bool:
     return True
 
 
+def append_jsonl(path: Path, record: dict) -> None:
+    """Append one fsynced JSON line to an append-only log, healing a
+    torn tail first: if the file does not end in a newline (a writer was
+    killed mid-line) the record starts on a line of its own instead of
+    fusing with — and thereby being lost along with — the fragment.
+    Readers skip the fragment as an unparsable line."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    line = json.dumps(record, sort_keys=True).encode("utf-8") + b"\n"
+    with open(path, "a+b") as handle:  # O_APPEND: writes land at the end
+        if handle.seek(0, os.SEEK_END):
+            handle.seek(-1, os.SEEK_END)
+            if handle.read(1) != b"\n":
+                line = b"\n" + line
+        handle.write(line)
+        handle.flush()
+        os.fsync(handle.fileno())
+
+
 class ResultStore:
     """Content-addressed store of simulation results.
 
@@ -188,11 +206,7 @@ class ResultStore:
     def _journal(self, op: str, key: str, **extra) -> None:
         record = {"op": op, "key": key, "pid": os.getpid(), "time": time.time()}
         record.update(extra)
-        self.root.mkdir(parents=True, exist_ok=True)
-        with open(self.journal_path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
+        append_jsonl(self.journal_path, record)
 
     def journal_entries(self) -> List[dict]:
         """Parsed journal records; a torn tail line (the writer died

@@ -78,19 +78,5 @@ class RunContext:
 
     def fold(self, stats: ExecutionStats) -> None:
         """Accumulate one execute/run's accounting into :attr:`totals`."""
-        self.totals.total += stats.total
-        self.totals.cache_hits += stats.cache_hits
-        self.totals.executed += stats.executed
-        self.totals.failed += stats.failed
-        self.totals.wall_seconds += stats.wall_seconds
-        self.totals.failures.extend(stats.failures)
+        self.totals.absorb(stats)
         self.totals.jobs = stats.jobs
-        self.totals.pool_broken = self.totals.pool_broken or stats.pool_broken
-        self.totals.infra_retries += stats.infra_retries
-        self.totals.infra_timeouts += stats.infra_timeouts
-        self.totals.infra_crashes += stats.infra_crashes
-        self.totals.infra_hung += stats.infra_hung
-        self.totals.quarantined += stats.quarantined
-        self.totals.replayed_failures += stats.replayed_failures
-        self.totals.infra_events.extend(stats.infra_events)
-        self.totals.merge_task_kinds(stats)

@@ -26,12 +26,21 @@ from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.routing_registry import registered_policies
-from ..exec.executor import ExecPolicy, ExecutionStats, execute, resolve_jobs
+from ..exec.executor import (
+    DEFAULT_POLICY,
+    ExecPolicy,
+    ExecutionStats,
+    WorkerPool,
+    execute,
+    resolve_jobs,
+)
 from ..exec.store import CODE_VERSION
 from ..topology import GridNetwork, make_network
 from .classify import classify_pattern
@@ -56,6 +65,17 @@ __all__ = [
 # ----------------------------------------------------------------------
 # the cell and its settings
 # ----------------------------------------------------------------------
+
+
+@lru_cache(maxsize=4)
+def _cell_network(topology: str, radix: int, dims: int) -> GridNetwork:
+    """One network per process and shape: a worker that lives for a
+    plan (or a service) classifies every shard on tables it filled
+    once, instead of re-tabulating adjacency and links per shard.
+    Bounded like the executor's ``_NETWORK_CACHE``; safe to share
+    because nothing mutates a :class:`GridNetwork` after its lazy
+    tables are built (faults live in the ``FaultSet``)."""
+    return make_network(topology, radix, dims)
 
 
 @dataclass(frozen=True)
@@ -90,7 +110,7 @@ class MCCell:
             )
 
     def network(self) -> GridNetwork:
-        return make_network(self.topology, self.radix, self.dims)
+        return _cell_network(self.topology, self.radix, self.dims)
 
     @property
     def total_faults(self) -> int:
@@ -409,21 +429,7 @@ def fold_stats(parts: Sequence[ExecutionStats], *, jobs: int = 1) -> ExecutionSt
     """Sum the counters of several :func:`execute` calls into one."""
     total = ExecutionStats(jobs=jobs)
     for part in parts:
-        total.total += part.total
-        total.cache_hits += part.cache_hits
-        total.executed += part.executed
-        total.failed += part.failed
-        total.pool_broken = total.pool_broken or part.pool_broken
-        total.wall_seconds += part.wall_seconds
-        total.failures.extend(part.failures)
-        total.infra_retries += part.infra_retries
-        total.infra_timeouts += part.infra_timeouts
-        total.infra_crashes += part.infra_crashes
-        total.infra_hung += part.infra_hung
-        total.quarantined += part.quarantined
-        total.replayed_failures += part.replayed_failures
-        total.infra_events.extend(part.infra_events)
-        total.merge_task_kinds(part)
+        total.absorb(part)
     return total
 
 
@@ -495,9 +501,12 @@ def run_cell(
     policy: Optional[ExecPolicy] = None,
     on_wave: Optional[Callable[[int, int, ExecutionStats], None]] = None,
     stats_parts: Optional[List[ExecutionStats]] = None,
+    pool: Optional[WorkerPool] = None,
 ) -> CellEstimate:
     """Estimate one cell, launching shards in waves of ``jobs`` until
-    the stopping rule fires or the budget is exhausted."""
+    the stopping rule fires or the budget is exhausted.  ``pool`` keeps
+    the workers across the waves (and across cells: :func:`run_plan`);
+    without one every wave opens and closes its own."""
     cell.validate()
     settings.validate()
     wave = max(1, resolve_jobs(jobs))
@@ -524,7 +533,7 @@ def run_cell(
                 tasks.append(task)
         payloads: Dict[int, ShardTally] = {}
         if tasks:
-            results, stats = execute(tasks, jobs=jobs, policy=policy)
+            results, stats = execute(tasks, jobs=jobs, policy=policy, pool=pool)
             if stats_parts is not None:
                 stats_parts.append(stats)
             for task, payload in zip(tasks, results):
@@ -553,10 +562,16 @@ def run_plan(
     tally_log: Optional[Union[TallyLog, str, Path]] = None,
     policy: Optional[ExecPolicy] = None,
     progress: Optional[Callable[[MCProgress], None]] = None,
+    pool: Optional[WorkerPool] = None,
 ) -> MCRunResult:
     """Run every cell of a plan.  ``tally_log`` (a path or an open
     :class:`TallyLog`) makes the run crash-resumable: completed shards
-    are served from the log instead of re-executing."""
+    are served from the log instead of re-executing.
+
+    A plan is many small :func:`execute` calls (one per wave), so the
+    workers live as long as the plan: one :class:`WorkerPool` serves
+    every wave of every cell — ``pool`` if the caller owns one (the
+    service), else one opened here and closed on the way out."""
     plan.validate()
     log = (
         tally_log
@@ -567,15 +582,44 @@ def run_plan(
     parts: List[ExecutionStats] = []
     executed = 0
     resumed = 0
-    for cell_index, cell in enumerate(plan.cells):
-        done = {"shards": 0, "samples": 0}
+    # spawns nothing until a wave runs with jobs > 1
+    with nullcontext(pool) if pool is not None else WorkerPool(
+        heartbeat_interval=(policy or DEFAULT_POLICY).heartbeat_interval
+    ) as pool:
+        for cell_index, cell in enumerate(plan.cells):
+            done = {"shards": 0, "samples": 0}
 
-        def on_wave(ran: int, served: int, _stats: ExecutionStats) -> None:
-            nonlocal executed, resumed
-            executed += ran
-            resumed += served
-            done["shards"] += ran + served
-            done["samples"] = done["shards"] * plan.settings.shard_size
+            def on_wave(ran: int, served: int, _stats: ExecutionStats) -> None:
+                nonlocal executed, resumed
+                executed += ran
+                resumed += served
+                done["shards"] += ran + served
+                done["samples"] = done["shards"] * plan.settings.shard_size
+                if progress is not None:
+                    progress(
+                        MCProgress(
+                            cell_key=cell.key(),
+                            cell_index=cell_index,
+                            cells_total=len(plan.cells),
+                            shards_done=done["shards"],
+                            shards_budget=plan.settings.max_shards,
+                            samples=done["samples"],
+                            stopped=False,
+                        )
+                    )
+
+            estimate = run_cell(
+                cell,
+                plan.settings,
+                master_seed=plan.master_seed,
+                jobs=jobs,
+                tally_log=log,
+                policy=policy,
+                on_wave=on_wave,
+                stats_parts=parts,
+                pool=pool,
+            )
+            estimates.append(estimate)
             if progress is not None:
                 progress(
                     MCProgress(
@@ -585,33 +629,9 @@ def run_plan(
                         shards_done=done["shards"],
                         shards_budget=plan.settings.max_shards,
                         samples=done["samples"],
-                        stopped=False,
+                        stopped=True,
                     )
                 )
-
-        estimate = run_cell(
-            cell,
-            plan.settings,
-            master_seed=plan.master_seed,
-            jobs=jobs,
-            tally_log=log,
-            policy=policy,
-            on_wave=on_wave,
-            stats_parts=parts,
-        )
-        estimates.append(estimate)
-        if progress is not None:
-            progress(
-                MCProgress(
-                    cell_key=cell.key(),
-                    cell_index=cell_index,
-                    cells_total=len(plan.cells),
-                    shards_done=done["shards"],
-                    shards_budget=plan.settings.max_shards,
-                    samples=done["samples"],
-                    stopped=True,
-                )
-            )
     return MCRunResult(
         estimates=estimates,
         stats=fold_stats(parts, jobs=max(1, resolve_jobs(jobs))),

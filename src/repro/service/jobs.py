@@ -53,7 +53,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..exec.executor import CampaignTask, ExecPolicy, PointTask
-from ..exec.store import CODE_VERSION
+from ..exec.store import CODE_VERSION, append_jsonl
 from ..sim.config import SimulationConfig
 
 # --- job lifecycle states ---------------------------------------------
@@ -401,25 +401,6 @@ def _atomic_write_text(path: Path, text: str) -> None:
         raise
 
 
-def _append_jsonl(path: Path, record: dict) -> None:
-    """Fsynced append with torn-tail healing (same discipline as the
-    checkpoint completion log)."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    torn = False
-    try:
-        with open(path, "rb") as tail:
-            tail.seek(-1, os.SEEK_END)
-            torn = tail.read(1) != b"\n"
-    except OSError:
-        pass  # no journal yet (or empty): nothing to heal
-    with open(path, "a", encoding="utf-8") as handle:
-        if torn:
-            handle.write("\n")
-        handle.write(json.dumps(record, sort_keys=True) + "\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-
-
 def _read_jsonl(path: Path) -> List[dict]:
     try:
         text = path.read_text(encoding="utf-8")
@@ -477,7 +458,7 @@ class JobStore:
     def journal(self, op: str, job_id: str, **extra) -> None:
         record = {"op": op, "job": job_id, "pid": os.getpid()}
         record.update(extra)
-        _append_jsonl(self.journal_path, record)
+        append_jsonl(self.journal_path, record)
 
     def journal_entries(self) -> List[dict]:
         return _read_jsonl(self.journal_path)

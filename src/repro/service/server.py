@@ -19,7 +19,10 @@ Architecture — three layers, each reusing an existing guarantee:
   directory, and the job's own :class:`~repro.exec.ExecPolicy`
   (timeout/retry/backoff) — so worker crashes, hangs, and poison tasks
   are absorbed by the supervised pool, and every terminal point is
-  durable the moment it lands.
+  durable the moment it lands.  The service owns one
+  :class:`~repro.exec.WorkerPool` for its whole life: workers are
+  spawned at the first parallel job, reused (warm) by every later one,
+  and closed by the runner thread as it exits.
 * **Durability** (:class:`~repro.service.jobs.JobStore`): every state
   transition is journaled (fsynced, torn-tail-healed) *after* the data
   it refers to is safely on disk.  A SIGKILL'd server therefore
@@ -32,7 +35,7 @@ Architecture — three layers, each reusing an existing guarantee:
 SIGTERM (or ``POST /drain``) triggers graceful drain: admission stops
 (503), the in-flight job finishes (its checkpoint makes a later SIGKILL
 safe anyway), queued jobs stay journaled for the next start, exports are
-flushed, and the process exits.
+flushed, the worker pool is closed, and the process exits.
 
 Endpoints (all JSON unless noted)::
 
@@ -43,7 +46,7 @@ Endpoints (all JSON unless noted)::
     GET  /jobs/<id>/events    NDJSON progress stream (?since=N)
     GET  /jobs/<id>/trace     exported obs artifacts as they land
     GET  /jobs/<id>/trace/<name>   one artifact (CSV/JSONL/JSON)
-    GET  /status          ExecutionStats totals + queue/drain state
+    GET  /status          ExecutionStats totals + queue/drain/pool state
     GET  /healthz         liveness
     POST /drain           begin graceful drain
 """
@@ -62,7 +65,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 from urllib.parse import parse_qs, urlparse
 
 from ..exec.checkpoint import SweepCheckpoint
-from ..exec.executor import ExecutionStats, ProgressEvent, execute
+from ..exec.executor import ExecutionStats, ProgressEvent, WorkerPool, execute
 from ..exec.store import CODE_VERSION, ResultStore
 from .jobs import (
     DONE,
@@ -241,6 +244,10 @@ class CampaignService:
         self._draining = False
         self._stopped = False
         self.totals = ExecutionStats(jobs=jobs)
+        #: the workers every job runs on: spawned at the first parallel
+        #: job, kept (warm) for the life of the service, closed by the
+        #: runner thread — their only user — when it exits
+        self.pool = WorkerPool()
         self.records, pending = self.job_store.recover()
         self._queue: List[str] = list(pending)
         self._runner = threading.Thread(
@@ -286,22 +293,28 @@ class CampaignService:
     # the runner
     # ------------------------------------------------------------------
     def _run_loop(self) -> None:
-        while True:
-            with self._lock:
-                while not self._queue and not self._draining and not self._stopped:
-                    self._wakeup.wait(timeout=0.5)
-                if self._draining or self._stopped:
-                    # drain: stop pulling new work; anything still queued
-                    # stays journaled for the next start
-                    return
-                job_id = self._queue.pop(0)
-                record = self.records[job_id]
-                record.state = RUNNING
-                self._progress.notify_all()
-            try:
-                self._run_one(record)
-            except BaseException as exc:  # noqa: BLE001 — runner must survive
-                self._finish(record, FAILED, error=f"{type(exc).__name__}: {exc}")
+        try:
+            while True:
+                with self._lock:
+                    while not self._queue and not self._draining and not self._stopped:
+                        self._wakeup.wait(timeout=0.5)
+                    if self._draining or self._stopped:
+                        # drain: stop pulling new work; anything still queued
+                        # stays journaled for the next start
+                        return
+                    job_id = self._queue.pop(0)
+                    record = self.records[job_id]
+                    record.state = RUNNING
+                    self._progress.notify_all()
+                try:
+                    self._run_one(record)
+                except BaseException as exc:  # noqa: BLE001 — runner must survive
+                    self._finish(record, FAILED, error=f"{type(exc).__name__}: {exc}")
+        finally:
+            # drained or stopped: the workers go before the process does
+            # (sentinel, bounded join, kill) — wait_drained() returning
+            # means no child is left
+            self.pool.close()
 
     def _run_one(self, record: JobRecord) -> None:
         job_id = record.job_id
@@ -348,6 +361,7 @@ class CampaignService:
             allow_failures=True,
             policy=spec.exec_policy(),
             checkpoint=checkpoint,
+            pool=self.pool,
         )
         # durable order: exec events, then the result payload, then the
         # terminal journal record — a crash at any point leaves either a
@@ -359,7 +373,7 @@ class CampaignService:
         self.job_store.write_result(job_id, payload)
         with self._lock:
             record.stats = payload["stats"]
-            self._fold(stats)
+            self.totals.absorb(stats)
         self._finish(record, DONE)
 
     def _run_mc(self, record: JobRecord) -> None:
@@ -400,6 +414,7 @@ class CampaignService:
             tally_log=self.job_store.tally_log_path(job_id),
             policy=spec.exec_policy(),
             progress=on_progress,
+            pool=self.pool,
         )
         from ..obs.export import write_exec_jsonl
 
@@ -410,7 +425,7 @@ class CampaignService:
         self.job_store.write_result(job_id, payload)
         with self._lock:
             record.stats = payload["stats"]
-            self._fold(outcome.stats)
+            self.totals.absorb(outcome.stats)
         self._finish(record, DONE)
 
     def _finish(self, record: JobRecord, state: str, *, error: str = "") -> None:
@@ -424,24 +439,6 @@ class CampaignService:
             if state == DONE:
                 record.completed = record.total
             self._progress.notify_all()
-
-    def _fold(self, stats: ExecutionStats) -> None:
-        totals = self.totals
-        totals.total += stats.total
-        totals.cache_hits += stats.cache_hits
-        totals.executed += stats.executed
-        totals.failed += stats.failed
-        totals.wall_seconds += stats.wall_seconds
-        totals.pool_broken = totals.pool_broken or stats.pool_broken
-        totals.infra_retries += stats.infra_retries
-        totals.infra_timeouts += stats.infra_timeouts
-        totals.infra_crashes += stats.infra_crashes
-        totals.infra_hung += stats.infra_hung
-        totals.quarantined += stats.quarantined
-        totals.replayed_failures += stats.replayed_failures
-        totals.failures.extend(stats.failures)
-        totals.infra_events.extend(stats.infra_events)
-        totals.merge_task_kinds(stats)
 
     # ------------------------------------------------------------------
     # introspection
@@ -464,6 +461,7 @@ class CampaignService:
                 "job_states": states,
                 "job_kinds": kinds,
                 "stats": self.totals.to_dict(),
+                "pool": self.pool.describe(),
             }
 
     def job_summaries(self) -> List[Dict[str, Any]]:

@@ -5,7 +5,9 @@ The synthetic task classes live at module level so the worker-pool tests
 can pickle them.
 """
 
+import multiprocessing
 import os
+import signal
 import time
 from dataclasses import dataclass
 
@@ -16,6 +18,7 @@ from repro.exec import (
     ExecutionError,
     PointTask,
     ResultStore,
+    WorkerPool,
     execute,
     resolve_jobs,
     run_configs,
@@ -122,6 +125,61 @@ class _SleepTask:
     def execute(self):
         time.sleep(self.seconds)
         return "finished-sleeping"
+
+
+@dataclass(frozen=True)
+class _PidTask:
+    """Reports which process ran it."""
+
+    tag: str
+    cacheable = False
+
+    def execute(self):
+        return self.tag, os.getpid()
+
+
+@dataclass(frozen=True)
+class _SigtermOnceTask:
+    """SIGTERMs its own worker once (the first claimant of the marker
+    file), as the exit-time cleanup of ``multiprocessing`` or an
+    operator's ``kill`` would, then outlives any test budget unless the
+    signal really killed it."""
+
+    marker: str
+    cacheable = False
+
+    def execute(self):
+        try:
+            os.rename(self.marker, self.marker + ".claimed")
+        except OSError:
+            return "second-attempt"
+        os.kill(os.getpid(), signal.SIGTERM)
+        time.sleep(30.0)
+        return "survived-sigterm"
+
+
+def _wait_dead(pid, timeout=5.0):
+    """Block until child ``pid`` can be (or has been) reaped.  Not
+    ``/proc/<pid>/stat``: the main thread of a killed worker reads ``Z``
+    while its heartbeat thread is still being torn down, and until that
+    is gone ``waitpid`` — hence ``Process.is_alive()`` — says alive."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        try:
+            if os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT | os.WNOHANG):
+                return
+        except ChildProcessError:
+            return  # already reaped
+        time.sleep(0.01)
+    raise AssertionError(f"pid {pid} still alive after {timeout}s")
+
+
+def _no_children():
+    """True once this process has no live child left (reaps as it looks)."""
+    deadline = time.monotonic() + 5.0
+    while multiprocessing.active_children() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return not multiprocessing.active_children()
 
 
 class TestResolveJobs:
@@ -310,6 +368,194 @@ class TestFaultTolerance:
         policy = ExecPolicy(backoff_base=0.05, backoff_factor=2.0, backoff_cap=2.0)
         assert [policy.backoff(n) for n in (1, 2, 3)] == [0.05, 0.1, 0.2]
         assert policy.backoff(50) == 2.0  # capped
+
+
+class TestWorkerPool:
+    """The pool outlives the call when its owner says so: same workers,
+    same payloads, and nothing of one call can leak into the next."""
+
+    def test_two_calls_on_one_pool_match_two_fresh_pools(self):
+        first, second = sweep_configs()[:2], sweep_configs()[2:]
+        fresh = [run_configs(first, jobs=2)[0], run_configs(second, jobs=2)[0]]
+        with WorkerPool() as pool:
+            tasks = [PointTask(c) for c in first]
+            shared_first, stats_first = execute(tasks, jobs=2, pool=pool)
+            pids = pool.pids()
+            tasks = [PointTask(c) for c in second]
+            shared_second, stats_second = execute(tasks, jobs=2, pool=pool)
+            assert pool.pids() == pids and len(pids) == 2
+            assert pool.describe() == {
+                "workers": 2, "spawned": 2, "respawned": 0, "tasks_run": 4
+            }
+        assert [shared_first, shared_second] == fresh
+        # each call accounts for what *it* did to the pool
+        assert stats_first.pool == {
+            "workers": 2, "spawned": 2, "respawned": 0, "tasks_run": 2
+        }
+        assert stats_second.pool == {
+            "workers": 2, "spawned": 0, "respawned": 0, "tasks_run": 2
+        }
+        assert stats_second.to_dict()["pool"] == stats_second.pool
+
+    def test_jobs_bounds_the_workers_one_call_uses(self):
+        with WorkerPool() as pool:
+            execute([_PidTask(str(i)) for i in range(3)], jobs=3, pool=pool)
+            assert len(pool.pids()) == 3
+            payloads, _ = execute([_PidTask("here")], jobs=1, pool=pool)
+            assert payloads == [("here", os.getpid())]  # jobs=1: in-process
+            started = time.monotonic()
+            execute([_SleepTask(config(), 0.3) for _ in range(3)], jobs=2, pool=pool)
+            # three 0.3 s sleeps on two of the three workers take two rounds
+            assert time.monotonic() - started >= 0.55
+            assert pool.describe()["spawned"] == 3
+
+    def test_idle_worker_killed_between_calls_is_replaced_silently(self):
+        with WorkerPool() as pool:
+            execute([_PidTask("a"), _PidTask("b")], jobs=2, pool=pool)
+            victim = pool.pids()[0]
+            os.kill(victim, signal.SIGKILL)
+            _wait_dead(victim)
+            payloads, stats = execute([_PidTask("c"), _PidTask("d")], jobs=2, pool=pool)
+            assert [tag for tag, _pid in payloads] == ["c", "d"]
+            assert victim not in {pid for _tag, pid in payloads}
+            assert stats.infra_events == [] and stats.infra_failures == 0
+            assert not stats.pool_broken
+            assert pool.describe()["respawned"] == 1 and len(pool.pids()) == 2
+
+    def test_timed_out_task_leaves_nothing_deliverable_in_the_next_call(self):
+        strict = ExecPolicy(task_timeout=1.0, max_attempts=1, in_process_fallback=False)
+        with WorkerPool() as pool:
+            payloads, stats = execute(
+                [_SleepTask(config(), 30.0), _PidTask("ok")],
+                jobs=2,
+                policy=strict,
+                allow_failures=True,
+                pool=pool,
+            )
+            assert payloads[0] is None and payloads[1][0] == "ok"
+            assert stats.infra_timeouts == 1 and stats.quarantined == 1
+            # the answer the killed attempt could have posted a moment
+            # before it was declared overdue: a task index and attempt
+            # the next call also uses, but an older epoch
+            (survivor,) = pool._workers
+            pool._results.put(("done", survivor, pool._epoch, 0, 1, ("ok", "stale")))
+            time.sleep(0.05)  # let the feeder thread put it on the pipe
+            payloads, stats = execute(
+                [_PidTask("fresh-0"), _PidTask("fresh-1")], jobs=2, pool=pool
+            )
+            assert [tag for tag, _pid in payloads] == ["fresh-0", "fresh-1"]
+            assert stats.executed == 2 and stats.infra_events == []
+
+    def test_call_aborted_mid_task_cannot_answer_the_next_call(self):
+        """A call that leaves by an exception while a worker is still
+        computing: the worker is stopped, and whatever it had posted is
+        of a dead epoch."""
+
+        def explode(_event):
+            raise RuntimeError("consumer failed")
+
+        with WorkerPool() as pool:
+            with pytest.raises(RuntimeError, match="consumer failed"):
+                execute(
+                    [_PidTask("quick"), _SleepTask(config(), 0.5)],
+                    jobs=2,
+                    progress=explode,
+                    pool=pool,
+                )
+            assert len(pool.pids()) == 1  # the sleeper was stopped
+            time.sleep(0.6)  # had it lived, its answer would be queued by now
+            payloads, _ = execute([_PidTask("x"), _PidTask("y")], jobs=2, pool=pool)
+            assert [tag for tag, _pid in payloads] == ["x", "y"]
+
+    def test_policy_is_per_call_on_a_shared_pool(self, tmp_path):
+        with WorkerPool() as pool:
+            # call 1: a tight budget and no retries
+            strict = ExecPolicy(
+                task_timeout=0.3, max_attempts=1, in_process_fallback=False
+            )
+            payloads, stats = execute(
+                [_SleepTask(config(), 1.0)],
+                jobs=2,
+                policy=strict,
+                allow_failures=True,
+                pool=pool,
+            )
+            assert payloads == [None] and stats.failures[0].kind == "timeout"
+            # call 2: the same task under a generous budget finishes
+            payloads, stats = execute(
+                [_SleepTask(config(), 1.0)],
+                jobs=2,
+                policy=ExecPolicy(task_timeout=30.0),
+                pool=pool,
+            )
+            assert payloads == ["finished-sleeping"] and stats.infra_failures == 0
+            # call 3: retries allowed, so a crash-once task recovers
+            marker = tmp_path / "crash-once"
+            marker.touch()
+            cfg = config()
+            payloads, stats = execute(
+                [_FlakyCrashTask(cfg, str(marker))],
+                jobs=2,
+                policy=ExecPolicy(
+                    max_attempts=3, backoff_base=0.01, in_process_fallback=False
+                ),
+                pool=pool,
+            )
+            assert payloads == [Simulator(cfg).run()]
+            assert stats.infra_crashes == 1 and stats.infra_retries == 1
+            assert stats.pool["respawned"] == 1
+
+    def test_sigterm_kills_a_worker_whatever_its_parent_handles(self, tmp_path):
+        """Workers are forked from processes that route SIGTERM to a
+        graceful drain (``serve()``); a worker must not inherit that."""
+        marker = tmp_path / "sigterm-once"
+        marker.touch()
+        caught = []
+        previous = signal.signal(signal.SIGTERM, lambda *_args: caught.append(1))
+        try:
+            payloads, stats = execute(
+                [_SigtermOnceTask(str(marker))],
+                jobs=2,
+                policy=ExecPolicy(
+                    task_timeout=5.0,
+                    max_attempts=2,
+                    backoff_base=0.01,
+                    in_process_fallback=False,
+                ),
+            )
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert payloads == ["second-attempt"]
+        assert [e.kind for e in stats.infra_events] == ["task_crash", "task_retry"]
+        assert stats.infra_crashes == 1 and stats.infra_timeouts == 0
+        assert caught == []  # the parent's handler ran nowhere
+
+    def test_close_is_idempotent_and_exit_on_error_leaves_no_child(self):
+        pool = WorkerPool()
+        execute([_PidTask("a"), _PidTask("b")], jobs=2, pool=pool)
+        pids = pool.pids()
+        pool.close()
+        pool.close()
+        assert pool.describe()["workers"] == 0
+        for pid in pids:
+            _wait_dead(pid)
+        with pytest.raises(RuntimeError, match="closed"):
+            execute([_PidTask("a"), _PidTask("b")], jobs=2, pool=pool)
+
+        with pytest.raises(KeyError):
+            with WorkerPool() as pool:
+                execute(
+                    [_PidTask("a"), _SleepTask(config(), 30.0)], jobs=2, pool=pool,
+                    progress=lambda _event: {}["boom"],
+                )
+        assert _no_children()
+
+    def test_pool_opened_by_the_call_is_closed_by_the_call(self):
+        payloads, stats = execute([_PidTask("a"), _PidTask("b")], jobs=2)
+        assert stats.pool["spawned"] == 2
+        for _tag, pid in payloads:
+            _wait_dead(pid)
+        assert _no_children()
 
 
 class TestKillAndResume:

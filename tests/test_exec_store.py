@@ -217,6 +217,34 @@ class TestCrashSafety:
             handle.write('{"op": "beg')
         assert [r["op"] for r in store.journal_entries()] == ["begin", "commit"]
 
+    def test_append_heals_a_tail_torn_at_any_byte(self, tmp_path, result):
+        """A writer killed mid-line leaves a fragment with no newline;
+        the next append must start a line of its own, or the fragment
+        swallows the next *begin* and its *commit* dangles."""
+        store = ResultStore(tmp_path / "results", clean_on_open=False)
+        store.store(config(), result)
+        intact = store.journal_path.read_bytes()
+        plant_begin(store, store.root / "aa" / "x.tmp", dead_pid())
+        whole = store.journal_path.read_bytes()
+        fresh = config(seed=10)
+        # every cut that leaves a partial last record, down to one byte
+        for cut in range(len(intact) + 1, len(whole) - 1):
+            store.journal_path.write_bytes(whole[:cut])
+            store.store(fresh, result)
+            entries = store.journal_entries()
+            assert [r["op"] for r in entries] == ["begin", "commit"] * 2, cut
+            assert entries[2]["key"] == entries[3]["key"] == store.key(fresh)
+            assert entries[2]["tmp"] == entries[3]["tmp"]
+            assert store.pending_writes() == [], cut
+        # cut between the record and its newline: the line is whole, and
+        # healing must keep it so (a dead writer's begin, still pending)
+        store.journal_path.write_bytes(whole[:-1])
+        store.store(fresh, result)
+        assert [r["op"] for r in store.journal_entries()] == [
+            "begin", "commit", "begin", "begin", "commit"
+        ]
+        assert [r["key"] for r in store.pending_writes()] == ["k" * 64]
+
     def test_dead_writers_temp_collected_on_open(self, tmp_path):
         """The self-healing pass: a SIGKILLed writer's journaled temp is
         removed the next time anything opens the store."""

@@ -223,3 +223,73 @@ class TestRunPlan:
         assert second.shards_executed == 0
         assert second.shards_resumed > 0
         assert second.to_payload() == first.to_payload()
+
+    def test_one_pool_serves_every_cell_and_wave(self, tmp_path):
+        """A multi-cell plan at jobs=2 is many waves but spawns exactly
+        two workers, and stays bit-for-bit the serial and the
+        crash-resumed plan."""
+        plan = MCPlan(
+            cells=(
+                MCCell(radix=4, num_node_faults=1, num_link_faults=0),
+                MCCell(radix=4, num_node_faults=0, num_link_faults=1),
+                CELL,
+            ),
+            settings=MCSettings(half_width=0.05, shard_size=30, max_shards=6, min_shards=2),
+            master_seed=7,
+        )
+        serial = run_plan(plan, jobs=1)
+        assert not any(serial.stats.pool.values())  # jobs=1 never touches a pool
+
+        log_path = tmp_path / "t.jsonl"
+        parallel = run_plan(plan, jobs=2, tally_log=log_path)
+        waves = parallel.shards_executed // 2
+        assert waves > len(plan.cells)
+        assert parallel.stats.pool == {
+            "workers": 2,
+            "spawned": 2,
+            "respawned": 0,
+            "tasks_run": parallel.shards_executed,
+        }
+
+        # crash after the first cell: its shards are in the log, the rest re-run
+        lines = log_path.read_text().splitlines(True)
+        log_path.write_text("".join(lines[: serial.estimates[0].shards_used]))
+        resumed = run_plan(plan, jobs=2, tally_log=log_path)
+        assert resumed.shards_resumed == serial.estimates[0].shards_used
+        assert resumed.stats.pool["spawned"] == 2
+
+        digests = [e.digest() for e in serial.estimates]
+        assert [e.digest() for e in parallel.estimates] == digests
+        assert [e.digest() for e in resumed.estimates] == digests
+
+    def test_caller_owned_pool_outlives_the_plan(self):
+        from repro.exec import WorkerPool
+
+        plan = MCPlan(
+            cells=(CELL,),
+            settings=MCSettings(half_width=0.1, shard_size=30, max_shards=4),
+        )
+        with WorkerPool() as pool:
+            first = run_plan(plan, jobs=2, pool=pool)
+            pids = pool.pids()
+            second = run_plan(plan, jobs=2, pool=pool)
+            assert pool.pids() == pids and len(pids) == 2
+        assert second.to_payload() == first.to_payload()
+        assert second.stats.pool["spawned"] == 0
+
+
+class TestCellNetworkMemo:
+    def test_cells_of_one_shape_share_one_network(self):
+        a = MCCell(radix=4, num_node_faults=1)
+        b = MCCell(radix=4, num_link_faults=2, policy="ft")
+        assert a.network() is b.network()
+        assert a.network() is not MCCell(radix=4, topology="mesh").network()
+        assert a.network() is not MCCell(radix=4, dims=3).network()
+
+    def test_memo_is_bounded(self):
+        from repro.mc.engine import _cell_network
+
+        for radix in range(3, 12):
+            MCCell(radix=radix).network()
+        info = _cell_network.cache_info()
+        assert info.currsize <= info.maxsize == 4

@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from repro.exec.store import append_jsonl
 from repro.service import (
     CampaignService,
     Draining,
@@ -20,7 +21,6 @@ from repro.service import (
     SpecError,
     serve,
 )
-from repro.service.jobs import _append_jsonl
 from repro.sim import SimulationConfig
 
 
@@ -196,8 +196,8 @@ class TestJobStoreRecovery:
 
     def test_append_helper_fsyncs_one_record_per_line(self, tmp_path):
         path = tmp_path / "j.jsonl"
-        _append_jsonl(path, {"a": 1})
-        _append_jsonl(path, {"b": 2})
+        append_jsonl(path, {"a": 1})
+        append_jsonl(path, {"b": 2})
         lines = path.read_text().splitlines()
         assert [json.loads(line) for line in lines] == [{"a": 1}, {"b": 2}]
 
@@ -274,6 +274,61 @@ class TestAdmission:
             service.wait_drained(timeout=60)
 
 
+class TestServicePool:
+    def test_jobs_in_a_row_run_on_the_same_workers(self, tmp_path):
+        service = CampaignService(tmp_path, jobs=2)
+        try:
+            assert service.status()["pool"]["spawned"] == 0  # lazy: no job yet
+            pids = []
+            for seed in (1, 2, 3):
+                record, _ = service.submit(sweep_payload(seed=seed))
+                deadline = time.monotonic() + 60
+                while not record.terminal and time.monotonic() < deadline:
+                    time.sleep(0.02)
+                assert record.state == "done"
+                pids.append(service.pool.pids())
+            assert pids[0] == pids[1] == pids[2] and len(pids[0]) == 2
+            status = service.status()
+            assert status["pool"] == {
+                "workers": 2, "spawned": 2, "respawned": 0, "tasks_run": 6
+            }
+            assert status["stats"]["pool"] == status["pool"]
+        finally:
+            service.stop()
+            assert service.wait_drained(timeout=60)
+        # stopped: the runner closed the pool on its way out
+        assert service.pool.describe()["workers"] == 0
+        for pid in pids[0]:
+            assert not _running(pid)
+
+
+def _running(pid):
+    """Whether ``pid`` is a live (not zombie) process."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+def _children(pid):
+    """Pids whose parent is ``pid`` (Linux ``/proc``)."""
+    import os
+
+    found = []
+    for name in os.listdir("/proc"):
+        if not name.isdigit():
+            continue
+        try:
+            with open(f"/proc/{name}/stat") as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if int(fields[1]) == pid:
+            found.append(int(name))
+    return found
+
+
 @pytest.fixture
 def live_server(tmp_path):
     """A real HTTP server on an ephemeral port, drained at teardown."""
@@ -340,6 +395,51 @@ class TestHTTP:
 
 
 class TestServedProcessDrain:
+    def test_sigterm_after_jobs_exits_clean_and_leaves_no_child(self, tmp_path):
+        """Persistent workers are forked after ``serve()`` installed its
+        SIGTERM handler; the server must still stop them and exit 0
+        promptly, not hang in the exit-time join of ``multiprocessing``."""
+        import os
+        import signal
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        env = dict(os.environ)
+        src_root = str(Path(repro.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = src_root + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        root = tmp_path / "svc"
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro.service", "serve", "--root", str(root), "--jobs", "2"],
+            env=env,
+            stderr=subprocess.DEVNULL,
+        )
+        try:
+            deadline = time.monotonic() + 30
+            while not (root / "server.json").is_file():
+                assert server.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+            client = ServiceClient(root, attempts=20)
+            for seed in (1, 2):
+                summary = client.submit(sweep_payload(seed=seed))
+                assert client.wait(summary["job"], timeout=120)["failures"] == []
+            workers = _children(server.pid)
+            assert len(workers) == 2
+            assert client.status()["pool"]["spawned"] == 2
+            started = time.monotonic()
+            server.send_signal(signal.SIGTERM)
+            assert server.wait(timeout=5) == 0
+            assert time.monotonic() - started < 5
+            assert not any(_running(pid) for pid in workers)
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.wait()
+
     def test_idle_drain_answers_before_the_process_exits(self, tmp_path):
         """``POST /drain`` on an idle served process: the drain watcher
         stops the listener at once and handler threads are daemons, so
