@@ -6,6 +6,8 @@
   deterministic retry, heartbeat watchdog and poison-task quarantine;
   the :class:`WorkerPool` lives as long as whoever holds it (one
   ``execute`` call, one MC plan, one service).
+* :mod:`repro.exec.durable` — the atomic file writer and the
+  append-only JSONL log (one torn-tail rule) every durable file uses.
 * :mod:`repro.exec.store` — memoize :class:`SimulationResult`\\ s on disk
   keyed by a content hash of the canonical configuration plus a
   code-version tag; writes are journaled and crash-safe.

@@ -40,10 +40,11 @@ import sys
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
 from ..sim.config import SimulationConfig
-from .checkpoint import SweepCheckpoint, task_key
+from .checkpoint import DONE_NAME, SweepCheckpoint, task_key
+from .durable import atomic_write_text, read_jsonl
 from .executor import ExecPolicy, PointTask, execute
 from .fsck import FsckReport, fsck
 from .store import CODE_VERSION, ResultStore
@@ -60,6 +61,135 @@ DEFAULT_RATES: Tuple[float, ...] = (
     0.014,
     0.016,
 )
+
+
+# ----------------------------------------------------------------------
+# the kill/restart skeleton (shared with repro.service.chaos)
+# ----------------------------------------------------------------------
+
+
+def child_env() -> dict:
+    """The environment for a harness child: the running ``repro``
+    importable, whatever the harness itself was started with."""
+    import repro
+
+    env = dict(os.environ)
+    src_root = str(Path(repro.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = src_root + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    return env
+
+
+class ChildProcess:
+    """One process under a harness's control; every incarnation appends
+    its output to the same log file."""
+
+    def __init__(self, cmd: Sequence[str], log_path: Path):
+        self.cmd = list(cmd)
+        self.log_path = log_path
+        self.proc: Optional[subprocess.Popen] = None
+
+    def start(self, banner: str) -> None:
+        # the child inherits the descriptor; the harness's copy closes here
+        with open(self.log_path, "a", encoding="utf-8") as log:
+            log.write(f"--- {banner} ---\n")
+            log.flush()
+            self.proc = subprocess.Popen(
+                self.cmd, env=child_env(), stdout=log, stderr=log
+            )
+
+    def running(self) -> bool:
+        return self.proc is not None and self.proc.poll() is None
+
+    def kill(self) -> None:
+        if self.running():
+            self.proc.kill()
+            self.proc.wait()
+
+    def wait(self, timeout: float) -> int:
+        """The exit code; a child still alive after ``timeout`` seconds
+        is killed and reported."""
+        try:
+            return self.proc.wait(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            self.kill()
+            raise RuntimeError(
+                f"{' '.join(self.cmd)} still running after {timeout:.0f}s; "
+                f"log tail:\n{self.log_tail()}"
+            ) from None
+
+    def terminate(self, timeout: float) -> int:
+        if self.running():
+            self.proc.terminate()
+        return self.wait(timeout)
+
+    def log_tail(self, lines: int = 20) -> str:
+        try:
+            text = self.log_path.read_text(encoding="utf-8", errors="replace")
+        except OSError:
+            return "<no log>"
+        return "\n".join(text.splitlines()[-lines:])
+
+
+def count_records(paths: Iterable[Path]) -> int:
+    """Durable completions so far: *records* in the given logs — the
+    fragment a kill leaves at a tail is not one."""
+    return sum(len(read_jsonl(path)) for path in paths)
+
+
+def kill_after_completions(
+    child: ChildProcess,
+    rng: random.Random,
+    completions: Callable[[], int],
+    timeout: float,
+    finished: Optional[Callable[[], bool]] = None,
+) -> bool:
+    """SIGKILL ``child`` once a seeded-random 1-3 *more* completions are
+    durable; True when the kill was delivered.  Gives up when the child
+    exits, when ``finished()`` (asked every half second) says there is
+    nothing left to interrupt, or after ``timeout`` seconds."""
+    threshold = completions() + rng.randint(1, 3)
+    deadline = time.monotonic() + timeout
+    ticks = 0
+    while child.running() and time.monotonic() < deadline:
+        if completions() >= threshold:
+            child.kill()
+            return True
+        ticks += 1
+        if finished is not None and ticks % 25 == 0 and finished():
+            break
+        time.sleep(0.02)
+    return False
+
+
+def harness_options(
+    *, radix: int, warmup: int, measure: int, rates: Sequence[float]
+) -> argparse.ArgumentParser:
+    """The argparse parent for the options both harnesses take (the
+    defaults are the harness's own sweep size)."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--workdir", required=True, help="scratch directory")
+    parent.add_argument("--radix", type=int, default=radix)
+    parent.add_argument("--jobs", type=int, default=2, help="executor pool size")
+    parent.add_argument("--seed", type=int, default=1234, help="chaos RNG seed")
+    parent.add_argument("--warmup", type=int, default=warmup)
+    parent.add_argument("--measure", type=int, default=measure)
+    parent.add_argument("--fault-percent", type=int, default=1)
+    parent.add_argument(
+        "--rates",
+        type=lambda text: tuple(float(rate) for rate in text.split(",")),
+        default=tuple(rates),
+        help="comma-separated offered loads",
+    )
+    return parent
+
+
+def harness_kwargs(args: argparse.Namespace) -> dict:
+    """The parsed :func:`harness_options` as the keywords ``run_chaos``
+    and ``run_service_chaos`` share."""
+    names = ("radix", "jobs", "seed", "warmup", "measure", "fault_percent", "rates")
+    return {name: getattr(args, name) for name in names}
 
 
 def build_sweep(
@@ -191,7 +321,6 @@ def run_chaos(
     markers.mkdir(exist_ok=True)
     ckpt_dir = workdir / "ckpt"
     out_path = workdir / "out.json"
-    log_path = workdir / "child.log"
 
     configs = build_sweep(
         radix=radix,
@@ -209,86 +338,61 @@ def run_chaos(
     baseline_payloads, _ = execute([PointTask(c) for c in configs], jobs=1)
     baseline_blob = _results_blob(baseline_payloads)
 
-    import repro
-
-    env = dict(os.environ)
-    src_root = str(Path(repro.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = src_root + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    child = ChildProcess(
+        [
+            sys.executable,
+            "-m",
+            "repro.exec.chaos",
+            "--child",
+            "--workdir",
+            str(workdir),
+            "--radix",
+            str(radix),
+            "--jobs",
+            str(jobs),
+            "--warmup",
+            str(warmup),
+            "--measure",
+            str(measure),
+            "--fault-percent",
+            str(fault_percent),
+            "--task-timeout",
+            str(task_timeout),
+            "--rates",
+            ",".join(repr(rate) for rate in rates),
+        ],
+        workdir / "child.log",
     )
-    cmd = [
-        sys.executable,
-        "-m",
-        "repro.exec.chaos",
-        "--child",
-        "--workdir",
-        str(workdir),
-        "--radix",
-        str(radix),
-        "--jobs",
-        str(jobs),
-        "--warmup",
-        str(warmup),
-        "--measure",
-        str(measure),
-        "--fault-percent",
-        str(fault_percent),
-        "--task-timeout",
-        str(task_timeout),
-        "--rates",
-        ",".join(repr(rate) for rate in rates),
-    ]
 
-    def done_lines() -> int:
-        try:
-            return len((ckpt_dir / "done.jsonl").read_text(encoding="utf-8").splitlines())
-        except OSError:
-            return 0
+    def completions() -> int:
+        return count_records([ckpt_dir / DONE_NAME])
 
     rounds = 0
     killed_parents = 0
-    child_ok = False
-    while rounds < max_rounds:
-        rounds += 1
-        with open(log_path, "a", encoding="utf-8") as log:
-            log.write(f"--- round {rounds} ---\n")
-            log.flush()
-            proc = subprocess.Popen(cmd, env=env, stdout=log, stderr=log)
-            try:
-                interrupted = False
-                if killed_parents < parent_kills:
-                    # SIGKILL the whole child after a randomized number of
-                    # *additional* checkpoint completions
-                    threshold = done_lines() + rng.randint(1, 3)
-                    deadline = time.monotonic() + round_timeout
-                    while proc.poll() is None and time.monotonic() < deadline:
-                        if done_lines() >= threshold:
-                            proc.kill()
-                            interrupted = True
-                            break
-                        time.sleep(0.02)
-                proc.wait(timeout=round_timeout)
-            finally:
-                if proc.poll() is None:
-                    proc.kill()
-                    proc.wait()
-        if interrupted:
-            killed_parents += 1
-            continue
-        if proc.returncode == 0 and out_path.is_file():
-            child_ok = True
-            break
-        tail = ""
-        try:
-            tail = "\n".join(log_path.read_text(encoding="utf-8").splitlines()[-20:])
-        except OSError:
-            pass
-        raise RuntimeError(
-            f"chaos child round {rounds} exited with {proc.returncode} "
-            f"without being killed; log tail:\n{tail}"
-        )
-    if not child_ok:
-        raise RuntimeError(f"chaos run did not converge within {max_rounds} round(s)")
+    try:
+        while rounds < max_rounds:
+            rounds += 1
+            child.start(f"round {rounds}")
+            # SIGKILL the whole child after a randomized number of
+            # *additional* checkpoint completions
+            if killed_parents < parent_kills and kill_after_completions(
+                child, rng, completions, round_timeout
+            ):
+                killed_parents += 1
+                continue
+            code = child.wait(round_timeout)
+            if code == 0 and out_path.is_file():
+                break
+            raise RuntimeError(
+                f"chaos child round {rounds} exited with {code} "
+                f"without being killed; log tail:\n{child.log_tail()}"
+            )
+        else:
+            raise RuntimeError(
+                f"chaos run did not converge within {max_rounds} round(s)"
+            )
+    finally:
+        child.kill()
 
     identical = out_path.read_text(encoding="utf-8") == baseline_blob
     claimed = len(list(markers.glob("*.claimed")))
@@ -314,13 +418,12 @@ def _child_main(args) -> int:
     """One chaos round: the checkpointed, store-backed sweep the harness
     kills.  Must be bit-for-bit deterministic across restarts."""
     workdir = Path(args.workdir)
-    rates = tuple(float(rate) for rate in args.rates.split(","))
     configs = build_sweep(
         radix=args.radix,
         warmup=args.warmup,
         measure=args.measure,
         fault_percent=args.fault_percent,
-        rates=rates,
+        rates=args.rates,
     )
     markers = workdir / "markers"
     tasks = [
@@ -336,10 +439,7 @@ def _child_main(args) -> int:
     payloads, stats = execute(
         tasks, jobs=args.jobs, store=store, checkpoint=checkpoint, policy=policy
     )
-    blob = _results_blob(payloads)
-    tmp = workdir / "out.json.tmp"
-    tmp.write_text(blob, encoding="utf-8")
-    os.replace(tmp, workdir / "out.json")
+    atomic_write_text(workdir / "out.json", _results_blob(payloads))
     print(stats.describe())
     return 0
 
@@ -350,21 +450,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         description="Chaos-test the execution layer: SIGKILL workers and the "
         "sweep parent mid-run, resume from the checkpoint, and verify the "
         "results are bit-for-bit identical to an uninterrupted run.",
+        parents=[
+            harness_options(radix=16, warmup=400, measure=1200, rates=DEFAULT_RATES)
+        ],
     )
-    parser.add_argument("--workdir", required=True, help="scratch directory")
-    parser.add_argument("--radix", type=int, default=16)
-    parser.add_argument("--jobs", type=int, default=2)
-    parser.add_argument("--seed", type=int, default=1234, help="chaos RNG seed")
     parser.add_argument("--worker-kills", type=int, default=2)
     parser.add_argument("--parent-kills", type=int, default=1)
     parser.add_argument("--max-rounds", type=int, default=8)
-    parser.add_argument("--warmup", type=int, default=400)
-    parser.add_argument("--measure", type=int, default=1200)
-    parser.add_argument("--fault-percent", type=int, default=1)
     parser.add_argument("--task-timeout", type=float, default=120.0)
-    parser.add_argument(
-        "--rates", default=",".join(repr(rate) for rate in DEFAULT_RATES)
-    )
     parser.add_argument(
         "--child", action="store_true", help=argparse.SUPPRESS
     )  # internal: one killable sweep round
@@ -373,17 +466,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _child_main(args)
     report = run_chaos(
         args.workdir,
-        radix=args.radix,
-        jobs=args.jobs,
-        seed=args.seed,
         worker_kills=args.worker_kills,
         parent_kills=args.parent_kills,
         max_rounds=args.max_rounds,
-        rates=tuple(float(rate) for rate in args.rates.split(",")),
-        warmup=args.warmup,
-        measure=args.measure,
-        fault_percent=args.fault_percent,
         task_timeout=args.task_timeout,
+        **harness_kwargs(args),
     )
     print(report.describe())
     return 0 if report.ok else 1

@@ -13,10 +13,10 @@ restart exactly where it stopped.  It is two files in one directory:
     a different sweep.
 
 ``done.jsonl``
-    Append-only completion log, one fsynced JSON line per terminal task:
+    Append-only completion log (the one rule of
+    :mod:`repro.exec.durable`), one record per terminal task:
     ``{"key": ..., "status": "ok"}`` or ``{"key": ..., "status":
-    "failed", "kind": ..., "message": ..., "attempts": ...}``.  A torn
-    tail line (the parent died mid-append) is skipped on read, and later
+    "failed", "kind": ..., "message": ..., "attempts": ...}``.  Later
     records override earlier ones, so re-running a previously failed key
     to success upgrades it.
 
@@ -34,12 +34,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
-from .store import CODE_VERSION, append_jsonl
+from .durable import append_jsonl, atomic_write_text, read_jsonl
+from .store import CODE_VERSION
 
 MANIFEST_NAME = "manifest.json"
 DONE_NAME = "done.jsonl"
@@ -62,23 +61,6 @@ def task_key(task: Any, version: str = CODE_VERSION) -> str:
     if keyer is not None:
         return keyer(version)
     return task.config.content_hash(version)
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 class SweepCheckpoint:
@@ -114,7 +96,7 @@ class SweepCheckpoint:
             "total": len(keys),
             "keys": list(keys),
         }
-        _atomic_write(checkpoint.manifest_path, json.dumps(manifest, sort_keys=True))
+        atomic_write_text(checkpoint.manifest_path, json.dumps(manifest, sort_keys=True))
         checkpoint._manifest = manifest
         return checkpoint
 
@@ -183,22 +165,12 @@ class SweepCheckpoint:
     # the completion log
     # ------------------------------------------------------------------
     def completed(self) -> Dict[str, dict]:
-        """``key -> latest terminal record``; torn lines are skipped."""
-        try:
-            text = self.done_path.read_text(encoding="utf-8")
-        except OSError:
-            return {}
-        records: Dict[str, dict] = {}
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue  # torn tail from a killed writer
-            if isinstance(record, dict) and isinstance(record.get("key"), str):
-                records[record["key"]] = record
-        return records
+        """``key -> latest terminal record``."""
+        return {
+            record["key"]: record
+            for record in read_jsonl(self.done_path)
+            if isinstance(record.get("key"), str)
+        }
 
     def _append(self, record: dict) -> None:
         append_jsonl(self.done_path, record)

@@ -16,8 +16,9 @@ Entries are one JSON file per result under ``<root>/<hash[:2]>/<hash>.json``
 (two-level fan-out keeps directories small).
 
 **Crash safety.**  Every write goes temp file → ``fsync`` →
-``os.replace``, bracketed by *begin*/*commit* records appended (and
-fsynced) to a small write-ahead journal at ``<root>/journal.jsonl``.  A
+``os.replace``, bracketed by *begin*/*commit* records appended to a
+small write-ahead journal at ``<root>/journal.jsonl`` (an append-only
+log under the one rule of :mod:`repro.exec.durable`).  A
 reader therefore never sees a torn entry, and after a hard kill
 (SIGKILL, OOM, power loss) the store self-heals: opening it garbage
 collects temp files whose writing process is provably dead (the journal
@@ -38,6 +39,7 @@ from typing import Dict, Iterator, List, Optional, Union
 
 from ..sim.config import SimulationConfig
 from ..sim.metrics import SimulationResult
+from .durable import append_jsonl, read_jsonl
 
 #: Bump whenever a change alters simulation outcomes for an unchanged
 #: configuration (engine semantics, routing decisions, RNG consumption
@@ -84,24 +86,6 @@ def pid_alive(pid: int) -> bool:
     except OSError:
         return False
     return True
-
-
-def append_jsonl(path: Path, record: dict) -> None:
-    """Append one fsynced JSON line to an append-only log, healing a
-    torn tail first: if the file does not end in a newline (a writer was
-    killed mid-line) the record starts on a line of its own instead of
-    fusing with — and thereby being lost along with — the fragment.
-    Readers skip the fragment as an unparsable line."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    line = json.dumps(record, sort_keys=True).encode("utf-8") + b"\n"
-    with open(path, "a+b") as handle:  # O_APPEND: writes land at the end
-        if handle.seek(0, os.SEEK_END):
-            handle.seek(-1, os.SEEK_END)
-            if handle.read(1) != b"\n":
-                line = b"\n" + line
-        handle.write(line)
-        handle.flush()
-        os.fsync(handle.fileno())
 
 
 class ResultStore:
@@ -180,9 +164,9 @@ class ResultStore:
         }
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         tmp_name = os.path.relpath(tmp, self.root)
-        self._journal("begin", key, tmp=tmp_name)
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                self._journal("begin", key, tmp=tmp_name)
                 json.dump(entry, handle, sort_keys=True)
                 handle.flush()
                 os.fsync(handle.fileno())
@@ -209,23 +193,8 @@ class ResultStore:
         append_jsonl(self.journal_path, record)
 
     def journal_entries(self) -> List[dict]:
-        """Parsed journal records; a torn tail line (the writer died
-        mid-append) is skipped rather than fatal."""
-        try:
-            text = self.journal_path.read_text(encoding="utf-8")
-        except OSError:
-            return []
-        records: List[dict] = []
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue
-            if isinstance(record, dict):
-                records.append(record)
-        return records
+        """The journal's records (:func:`repro.exec.durable.read_jsonl`)."""
+        return read_jsonl(self.journal_path)
 
     def pending_writes(self) -> List[dict]:
         """*begin* records with no matching *commit* — writes that were

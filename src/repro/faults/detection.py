@@ -33,7 +33,7 @@ always had.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from ..topology import BiLink, Coord, GridNetwork
 from .fault_model import FaultSet
@@ -132,8 +132,3 @@ class DetectionProcess:
         """Cycles until ``coord`` has complete fault knowledge (0 when it
         already does)."""
         return max(0, self.ready.get(coord, 0) - now)
-
-    def ready_nodes(self, now: int) -> Set[Coord]:
-        """Nodes with complete knowledge at ``now`` among those that ever
-        lacked it."""
-        return {coord for coord, cycle in self.ready.items() if cycle <= now}

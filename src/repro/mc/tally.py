@@ -11,22 +11,20 @@ merges to the identical result, and the reservoir rule ("keep the
 lowest ``cap`` indices") is itself order-independent, which is what
 makes the simulation tier's stratified subsample deterministic.
 
-The :class:`TallyLog` is an append-only fsynced jsonl file keyed by
-shard key (the same data-before-acknowledge discipline as
-``exec/checkpoint.py`` and the service journal): a SIGKILL can lose at
-most the in-flight shard, and a torn final line is healed on reopen by
-truncating to the last healthy newline.
+The :class:`TallyLog` is an append-only log keyed by shard key, under
+the one rule of :mod:`repro.exec.durable` like the checkpoint and the
+service journal: a SIGKILL can lose at most the in-flight shard.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Optional, Tuple, Union
 
+from ..exec.durable import append_jsonl, read_jsonl
 from .classify import CLASS_LABELS, Classification
 
 __all__ = ["ShardTally", "merge_tallies", "TallyLog", "DEFAULT_RESERVOIR"]
@@ -159,47 +157,23 @@ def merge_tallies(tallies: Iterable[ShardTally]) -> ShardTally:
 
 
 class TallyLog:
-    """Append-only fsynced jsonl of ``{key, tally}`` records.
+    """Append-only log of ``{key, tally}`` records.
 
-    The write discipline matches the rest of the fault-tolerant stack:
-    a record is appended and fsynced *before* the shard is considered
-    done, so a crash loses at most the shard being written; a torn tail
-    (partial last line after SIGKILL) is detected on open and truncated
-    away, re-executing only that shard.
+    A record is appended (and fsynced) *before* the shard is considered
+    done, so a crash loses at most the shard being written.  Records
+    are self-contained and keyed by the shard's content hash: one the
+    reader has to skip only sends that shard through classification
+    again, to the same digest.
     """
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
-        self.entries: Dict[str, Dict[str, object]] = {}
-        self.healed = False
-        self._load()
-
-    def _load(self) -> None:
-        if not self.path.exists():
-            return
-        raw = self.path.read_bytes()
-        good = 0
-        for line in raw.split(b"\n"):
-            candidate = good + len(line) + 1
-            stripped = line.strip()
-            if not stripped:
-                if candidate <= len(raw):
-                    good = candidate
-                continue
-            try:
-                record = json.loads(stripped.decode("utf-8"))
-                key = str(record["key"])
-                payload = dict(record["tally"])
-            except (ValueError, KeyError, TypeError):
-                break  # torn or corrupt: drop this line and everything after
-            self.entries[key] = payload
-            good = candidate
-        if good < len(raw):
-            with open(self.path, "r+b") as handle:
-                handle.truncate(good)
-                handle.flush()
-                os.fsync(handle.fileno())
-            self.healed = True
+        self.entries: Dict[str, Dict[str, object]] = {
+            record["key"]: record["tally"]
+            for record in read_jsonl(self.path)
+            if isinstance(record.get("key"), str)
+            and isinstance(record.get("tally"), dict)
+        }
 
     def get(self, key: str) -> Optional[ShardTally]:
         payload = self.entries.get(key)
@@ -209,14 +183,7 @@ class TallyLog:
         if key in self.entries:
             return  # idempotent: resumed runs re-offer completed shards
         payload = tally.to_payload()
-        line = json.dumps(
-            {"key": key, "tally": payload}, sort_keys=True, separators=(",", ":")
-        )
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "ab") as handle:
-            handle.write(line.encode("utf-8") + b"\n")
-            handle.flush()
-            os.fsync(handle.fileno())
+        append_jsonl(self.path, {"key": key, "tally": payload})
         self.entries[key] = payload
 
     def __len__(self) -> int:

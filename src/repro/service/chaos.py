@@ -37,22 +37,35 @@ Run it standalone::
 from __future__ import annotations
 
 import argparse
-import os
 import random
-import subprocess
 import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..exec.chaos import (
+    ChildProcess,
+    build_sweep,
+    count_records,
+    harness_kwargs,
+    harness_options,
+    kill_after_completions,
+)
+from ..exec.checkpoint import DONE_NAME
 from ..exec.executor import execute
 from ..exec.fsck import FsckReport, fsck
 from ..exec.store import CODE_VERSION
 from ..sim.config import SimulationConfig
 from .client import ServiceClient
 from .jobs import TALLY_LOG_NAME, JobSpec
-from .server import STORE_DIR, deterministic_blob, mc_result_payload, result_payload
+from .server import (
+    SERVER_INFO_NAME,
+    STORE_DIR,
+    deterministic_blob,
+    mc_result_payload,
+    result_payload,
+)
 
 DEFAULT_RATES: Tuple[float, ...] = (0.004, 0.008, 0.012)
 
@@ -70,16 +83,14 @@ def build_specs(
     point sweep, one (non-cacheable, re-executed-on-resume) campaign
     replay, and one Monte-Carlo reliability job (tally-log recovery) —
     together they cover every recovery path the service has."""
-    base = SimulationConfig(
-        topology="torus",
+    base = build_sweep(
         radix=radix,
-        dims=2,
-        rate=rates[0],
-        warmup_cycles=warmup,
-        measure_cycles=measure,
+        warmup=warmup,
+        measure=measure,
         fault_percent=fault_percent,
-        seed=sim_seed,
-    )
+        sim_seed=sim_seed,
+        rates=rates,
+    )[0]
     sweep = JobSpec(
         kind="sweep",
         config=base.to_canonical(),
@@ -189,101 +200,26 @@ class ServiceChaosReport:
         return "\n".join(lines)
 
 
-class _ServerHandle:
-    """One server process under the harness's control."""
-
-    def __init__(self, root: Path, *, jobs: int, log_path: Path):
-        self.root = root
-        self.jobs = jobs
-        self.log_path = log_path
-        self.proc: Optional[subprocess.Popen] = None
-
-    def start(self) -> None:
-        import repro
-
-        env = dict(os.environ)
-        src_root = str(Path(repro.__file__).resolve().parent.parent)
-        env["PYTHONPATH"] = src_root + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-        )
-        # stale server.json from a killed round must not be mistaken for
-        # a live server: remove it before the new process binds
-        try:
-            (self.root / "server.json").unlink()
-        except OSError:
-            pass
-        log = open(self.log_path, "a", encoding="utf-8")
-        log.write(f"--- server start (pid pending) ---\n")
-        log.flush()
-        self.proc = subprocess.Popen(
-            [
-                sys.executable,
-                "-m",
-                "repro.service",
-                "serve",
-                "--root",
-                str(self.root),
-                "--jobs",
-                str(self.jobs),
-            ],
-            env=env,
-            stdout=log,
-            stderr=log,
-        )
-
-    def wait_ready(self, timeout: float = 30.0) -> None:
-        deadline = time.monotonic() + timeout
-        info_path = self.root / "server.json"
-        while time.monotonic() < deadline:
-            if self.proc is not None and self.proc.poll() is not None:
-                raise RuntimeError(
-                    f"server exited with {self.proc.returncode} before binding; "
-                    f"log tail:\n{self._log_tail()}"
-                )
-            if info_path.is_file():
-                return
-            time.sleep(0.02)
-        raise RuntimeError(f"server did not bind within {timeout:.0f}s")
-
-    def kill(self) -> None:
-        if self.proc is not None and self.proc.poll() is None:
-            self.proc.kill()
-            self.proc.wait()
-
-    def terminate(self, timeout: float = 60.0) -> int:
-        assert self.proc is not None
-        if self.proc.poll() is None:
-            self.proc.terminate()
-        try:
-            return self.proc.wait(timeout=timeout)
-        except subprocess.TimeoutExpired:
-            self.proc.kill()
-            self.proc.wait()
+def _start_server(server: ChildProcess, root: Path, timeout: float = 30.0) -> None:
+    """(Re)start the server and wait until it has bound its port."""
+    info_path = root / SERVER_INFO_NAME
+    # stale server.json from a killed round must not be mistaken for
+    # a live server: remove it before the new process binds
+    try:
+        info_path.unlink()
+    except OSError:
+        pass
+    server.start("server start")
+    deadline = time.monotonic() + timeout
+    while not info_path.is_file():
+        if not server.running():
             raise RuntimeError(
-                f"server ignored SIGTERM for {timeout:.0f}s; "
-                f"log tail:\n{self._log_tail()}"
+                f"server exited with {server.proc.returncode} before binding; "
+                f"log tail:\n{server.log_tail()}"
             )
-
-    def _log_tail(self, lines: int = 20) -> str:
-        try:
-            return "\n".join(
-                self.log_path.read_text(encoding="utf-8").splitlines()[-lines:]
-            )
-        except OSError:
-            return "<no log>"
-
-
-def _done_lines(root: Path) -> int:
-    """Durable completions across every recovery substrate: checkpoint
-    marks for sweep/campaign jobs, tally-log shards for mc jobs."""
-    total = 0
-    for pattern in ("*/ckpt/*/done.jsonl", f"*/{TALLY_LOG_NAME}"):
-        for path in (root / "jobs").glob(pattern):
-            try:
-                total += len(path.read_text(encoding="utf-8").splitlines())
-            except OSError:
-                pass
-    return total
+        if time.monotonic() > deadline:
+            raise RuntimeError(f"server did not bind within {timeout:.0f}s")
+        time.sleep(0.02)
 
 
 def run_service_chaos(
@@ -304,7 +240,6 @@ def run_service_chaos(
     workdir = Path(workdir)
     root = workdir / "svc"
     root.mkdir(parents=True, exist_ok=True)
-    log_path = workdir / "server.log"
 
     specs = build_specs(
         radix=radix,
@@ -317,57 +252,68 @@ def run_service_chaos(
     baselines = baseline_blobs(specs)
 
     rng = random.Random(seed)
-    server = _ServerHandle(root, jobs=jobs, log_path=log_path)
+    server = ChildProcess(
+        [
+            sys.executable,
+            "-m",
+            "repro.service",
+            "serve",
+            "--root",
+            str(root),
+            "--jobs",
+            str(jobs),
+        ],
+        workdir / "server.log",
+    )
     client = ServiceClient(root, attempts=20, timeout=30.0)
 
-    rounds = 0
+    def submit_all() -> int:
+        for spec in specs:
+            summary = client.submit(spec.to_canonical())
+            assert summary["job"] in job_ids, summary
+        return len(specs)
+
+    def completions() -> int:
+        """Durable completions across every recovery substrate:
+        checkpoint marks for sweep/campaign jobs, tally-log shards for
+        mc jobs."""
+        return count_records(
+            path
+            for pattern in (f"*/ckpt/*/{DONE_NAME}", f"*/{TALLY_LOG_NAME}")
+            for path in (root / "jobs").glob(pattern)
+        )
+
+    def all_terminal() -> bool:
+        """Everything finished before the next kill could land."""
+        return all(
+            client.job(job_id).get("state") in ("done", "failed")
+            for job_id in job_ids
+        )
+
+    rounds = 1
     killed = 0
     resubmissions = 0
-    server.start()
-    server.wait_ready()
-    rounds += 1
-    for spec in specs:
-        summary = client.submit(spec.to_canonical())
-        assert summary["job"] in job_ids, summary
-
     try:
-        while killed < kills:
-            threshold = _done_lines(root) + rng.randint(1, 3)
-            deadline = time.monotonic() + progress_timeout
-            fired = False
-            ticks = 0
-            while time.monotonic() < deadline:
-                if _done_lines(root) >= threshold:
-                    server.kill()
-                    killed += 1
-                    fired = True
-                    break
-                ticks += 1
-                if ticks % 25 == 0 and all(
-                    client.job(job_id).get("state") in ("done", "failed")
-                    for job_id in job_ids
-                ):
-                    break  # everything finished before this kill could land
-                time.sleep(0.02)
-            if not fired:
-                break
-            server.start()
-            server.wait_ready()
+        _start_server(server, root)
+        submit_all()
+        while killed < kills and kill_after_completions(
+            server, rng, completions, progress_timeout, finished=all_terminal
+        ):
+            killed += 1
+            _start_server(server, root)
             rounds += 1
             # the client's whole point: blind resubmission after a crash
             # must dedupe against the journal, never fork duplicate work
-            for spec in specs:
-                summary = client.submit(spec.to_canonical())
-                assert summary["job"] in job_ids, summary
-                resubmissions += 1
+            resubmissions += submit_all()
 
-        results: Dict[str, Dict[str, Any]] = {}
-        for job_id in job_ids:
-            results[job_id] = client.wait(job_id, timeout=converge_timeout)
-        code = server.terminate()
+        results: Dict[str, Dict[str, Any]] = {
+            job_id: client.wait(job_id, timeout=converge_timeout)
+            for job_id in job_ids
+        }
+        code = server.terminate(60.0)
         if code != 0:
             raise RuntimeError(
-                f"server drain exited with {code}; log tail:\n{server._log_tail()}"
+                f"server drain exited with {code}; log tail:\n{server.log_tail()}"
             )
     finally:
         server.kill()
@@ -407,32 +353,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         description="Chaos-test the campaign service: SIGKILL the server "
         "mid-campaign, restart it, retry the clients, and verify every job "
         "converges bit-for-bit identical to an uninterrupted jobs=1 run.",
+        parents=[
+            harness_options(radix=8, warmup=200, measure=600, rates=DEFAULT_RATES)
+        ],
     )
-    parser.add_argument("--workdir", required=True)
-    parser.add_argument("--radix", type=int, default=8)
-    parser.add_argument("--jobs", type=int, default=2, help="executor pool size")
     parser.add_argument("--kills", type=int, default=2)
-    parser.add_argument("--seed", type=int, default=1234)
-    parser.add_argument("--warmup", type=int, default=200)
-    parser.add_argument("--measure", type=int, default=600)
-    parser.add_argument("--fault-percent", type=int, default=1)
-    parser.add_argument(
-        "--rates",
-        default=",".join(repr(rate) for rate in DEFAULT_RATES),
-        help="comma-separated offered loads for the sweep job",
-    )
     args = parser.parse_args(argv)
-    report = run_service_chaos(
-        args.workdir,
-        radix=args.radix,
-        jobs=args.jobs,
-        seed=args.seed,
-        kills=args.kills,
-        warmup=args.warmup,
-        measure=args.measure,
-        fault_percent=args.fault_percent,
-        rates=tuple(float(rate) for rate in args.rates.split(",")),
-    )
+    report = run_service_chaos(args.workdir, kills=args.kills, **harness_kwargs(args))
     print(report.describe())
     return 0 if report.ok else 1
 

@@ -31,8 +31,8 @@ directory ``<root>/jobs/<id>/`` holding
     obs exports (events / time-series windows / Chrome traces) for
     traced jobs, appearing file by file as points complete.
 
-The service journal at ``<root>/service.jsonl`` is an append-only,
-fsynced, torn-tail-healing log of job state transitions
+The service journal at ``<root>/service.jsonl`` is an append-only log
+(the one rule of :mod:`repro.exec.durable`) of job state transitions
 (``submit``/``start``/``done``/``failed``).  :meth:`JobStore.recover`
 replays it after a restart: terminal jobs keep their recorded state
 (with the payload re-verified on disk), anything else re-enters the run
@@ -47,13 +47,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..exec.executor import CampaignTask, ExecPolicy, PointTask
-from ..exec.store import CODE_VERSION, append_jsonl
+from ..exec.durable import append_jsonl, atomic_write_text, read_jsonl
+from ..exec.store import CODE_VERSION
 from ..sim.config import SimulationConfig
 
 # --- job lifecycle states ---------------------------------------------
@@ -384,41 +384,6 @@ _SPEC_FIELDS = tuple(JobSpec.__dataclass_fields__.values())
 # ----------------------------------------------------------------------
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
-def _read_jsonl(path: Path) -> List[dict]:
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError:
-        return []
-    records: List[dict] = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except ValueError:
-            continue  # torn tail from a killed writer
-        if isinstance(record, dict):
-            records.append(record)
-    return records
-
-
 class JobStore:
     """The service's durable side: per-job directories plus the
     append-only state journal (see the module docstring)."""
@@ -461,11 +426,11 @@ class JobStore:
         append_jsonl(self.journal_path, record)
 
     def journal_entries(self) -> List[dict]:
-        return _read_jsonl(self.journal_path)
+        return read_jsonl(self.journal_path)
 
     # --- specs / results ----------------------------------------------
     def write_spec(self, job_id: str, spec: JobSpec) -> None:
-        _atomic_write_text(
+        atomic_write_text(
             self.spec_path(job_id), json.dumps(spec.to_canonical(), sort_keys=True)
         )
 
@@ -477,7 +442,7 @@ class JobStore:
             return None
 
     def write_result(self, job_id: str, payload: Dict[str, Any]) -> None:
-        _atomic_write_text(
+        atomic_write_text(
             self.result_path(job_id), json.dumps(payload, sort_keys=True)
         )
 

@@ -65,6 +65,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 from urllib.parse import parse_qs, urlparse
 
 from ..exec.checkpoint import SweepCheckpoint
+from ..exec.durable import atomic_write_text
 from ..exec.executor import ExecutionStats, ProgressEvent, WorkerPool, execute
 from ..exec.store import CODE_VERSION, ResultStore
 from .jobs import (
@@ -717,10 +718,8 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 def write_server_info(root: Path, host: str, port: int) -> Path:
-    from .jobs import _atomic_write_text
-
     path = Path(root) / SERVER_INFO_NAME
-    _atomic_write_text(
+    atomic_write_text(
         path,
         json.dumps(
             {

@@ -7,8 +7,8 @@ parent-kill property lives in tests/test_exec_executor.py
 
 import os
 
-from repro.exec import PointTask, task_key
-from repro.exec.chaos import ChaosTask, build_sweep, run_chaos
+from repro.exec import PointTask, SweepCheckpoint, task_key
+from repro.exec.chaos import ChaosTask, build_sweep, count_records, run_chaos
 from repro.sim import Simulator
 
 
@@ -48,6 +48,22 @@ class TestChaosTask:
     def test_no_marker_disables_the_kill(self):
         cfg = build_sweep(radix=6, warmup=100, measure=300)[0]
         assert ChaosTask(PointTask(cfg)).execute() == Simulator(cfg).run()
+
+
+class TestCompletionCounter:
+    def test_the_fragment_a_kill_leaves_is_not_a_completion(self, tmp_path):
+        """Both harnesses kill after N *more* durable completions; the
+        torn line their previous kill left must not count towards N."""
+        keys = [task_key(PointTask(c)) for c in build_sweep(radix=8)]
+        checkpoint = SweepCheckpoint.create(tmp_path / "ckpt", keys)
+        assert count_records([checkpoint.done_path]) == 0  # no log yet
+        checkpoint.mark_ok(keys[0])
+        with open(checkpoint.done_path, "ab") as handle:
+            handle.write(b'{"key": "' + keys[1][:20].encode())  # SIGKILL mid-append
+        assert len(checkpoint.done_path.read_bytes().splitlines()) == 2
+        assert count_records([checkpoint.done_path]) == 1
+        checkpoint.mark_ok(keys[1])
+        assert count_records([checkpoint.done_path, tmp_path / "absent"]) == 2
 
 
 class TestRunChaos:

@@ -302,3 +302,21 @@ class TestCrashSafety:
         assert store.load(config()) == result
         (pending,) = store.pending_writes()  # begin with no commit
         assert pending["pid"] == os.getpid()
+
+    def test_unjournalable_begin_leaks_neither_descriptor_nor_temp(
+        self, tmp_path, result
+    ):
+        """The *begin* record is written inside the block that closes
+        the temp file's descriptor and unlinks it: a journal that cannot
+        be appended to (ENOSPC, read-only root — here: a directory in
+        its place) must not leave an open fd and an unattributable temp
+        behind on every attempt."""
+        store = ResultStore(tmp_path / "results")
+        store.journal_path.mkdir(parents=True)
+        open_fds = len(os.listdir("/proc/self/fd"))
+        for _ in range(3):
+            with pytest.raises(OSError):
+                store.store(config(), result)
+        assert store.temp_files() == []
+        assert len(os.listdir("/proc/self/fd")) == open_fds
+        assert config() not in store
