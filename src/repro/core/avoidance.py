@@ -36,7 +36,7 @@ from ..faults import FaultRingIndex, FaultScenario, FaultSet, LocalFaultView
 from ..topology import Coord, Direction, GridNetwork
 from .ecube import ecube_hop
 from .ft_routing import Decision
-from .message_types import MessageRoute, RoutingError
+from .message_types import MessageRoute, RoutingError, walk_route
 
 
 class AvoidRoute(MessageRoute):
@@ -199,16 +199,7 @@ class AvoidFaultyRouting:
     ) -> List[Coord]:
         if max_hops is None:
             max_hops = self._max_hops()
-        state = self.initial_state(src, dst)
-        path = [src]
-        current = src
-        for _ in range(max_hops):
-            decision = self.next_hop(state, current)
-            if decision.consume:
-                return path
-            current = self.commit_hop(state, current, decision)
-            path.append(current)
-        raise RoutingError(f"message {src}->{dst} exceeded {max_hops} hops (livelock?)")
+        return walk_route(lambda _coord: self, self.initial_state(src, dst), src, max_hops)
 
     # ------------------------------------------------------------------
     # episode management
@@ -296,21 +287,14 @@ class AvoidFaultyRouting:
         reason = self._unroutable.get(key)
         if reason is not None:
             raise RoutingError(reason)
-        state = self._fresh_state(src, dst)
-        current = src
         try:
-            for _ in range(self._max_hops()):
-                decision = self.next_hop(state, current)
-                if decision.consume:
-                    self._routable.add(key)
-                    return
-                current = self.commit_hop(state, current, decision)
-            raise RoutingError(
-                f"message {src}->{dst} exceeded {self._max_hops()} hops (livelock?)"
+            walk_route(
+                lambda _coord: self, self._fresh_state(src, dst), src, self._max_hops()
             )
         except RoutingError as error:
             self._unroutable[key] = str(error)
             raise
+        self._routable.add(key)
 
     def coverage(self) -> float:
         """Fraction of healthy ordered pairs the heuristic delivers within

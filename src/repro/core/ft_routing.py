@@ -31,7 +31,7 @@ from typing import List, Optional
 from ..faults import FaultRingIndex, FaultScenario, FaultSet, LocalFaultView
 from ..topology import Coord, Direction, GridNetwork
 from .ecube import ecube_hop, next_ecube_dim
-from .message_types import MessageRoute, MisroutePhase, MisrouteState, RoutingError
+from .message_types import MessageRoute, MisroutePhase, MisrouteState, RoutingError, walk_route
 from .vc_allocation import (
     is_three_sided,
     misroute_dim_of,
@@ -194,16 +194,7 @@ class FaultTolerantRouting:
                 for ring in self.ring_index.rings
             )
             max_hops = self.network.dims * self.network.radix + 2 * ring_budget + 4
-        state = self.initial_state(src, dst)
-        path = [src]
-        current = src
-        for _ in range(max_hops):
-            decision = self.next_hop(state, current)
-            if decision.consume:
-                return path
-            current = self.commit_hop(state, current, decision)
-            path.append(current)
-        raise RoutingError(f"message {src}->{dst} exceeded {max_hops} hops (livelock?)")
+        return walk_route(lambda _coord: self, self.initial_state(src, dst), src, max_hops)
 
     # ------------------------------------------------------------------
     # phase normalization
@@ -415,16 +406,7 @@ class StagedRoutingView:
         budget = max_hops if max_hops is not None else (
             8 * self.network.dims * self.network.radix + 64
         )
-        path = [src]
-        current = src
-        for _ in range(budget):
-            relation = self._relation_at(current)
-            decision = relation.next_hop(state, current)
-            if decision.consume:
-                return path
-            current = relation.commit_hop(state, current, decision)
-            path.append(current)
-        raise RoutingError(f"message {src}->{dst} exceeded {budget} hops (livelock?)")
+        return walk_route(self._relation_at, state, src, budget)
 
     # -- structural queries: the pre-fault world ------------------------
     @property

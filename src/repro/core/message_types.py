@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import List, Optional
 
 from ..faults import FaultRing
 from ..topology import Coord, Direction
@@ -99,3 +99,23 @@ class MessageRoute:
 class RoutingError(RuntimeError):
     """Raised when the routing logic reaches a state its invariants forbid
     (indicates a bug or an unsupported fault pattern, never normal flow)."""
+
+
+def walk_route(relation_at, state: MessageRoute, src: Coord, max_hops: int) -> List[Coord]:
+    """The node sequence a header steered by ``state`` visits from
+    ``src``: ask the relation for the ``next_hop``, stop when it says
+    consume, ``commit_hop`` otherwise.  ``relation_at(coord)`` names the
+    routing relation in force at ``coord`` — the policy itself, except
+    inside a transition window, where each node routes on its own
+    knowledge.  Every policy's ``route_path`` is this loop under the
+    policy's own ``max_hops`` bound."""
+    path = [src]
+    current = src
+    for _ in range(max_hops):
+        relation = relation_at(current)
+        decision = relation.next_hop(state, current)
+        if decision.consume:
+            return path
+        current = relation.commit_hop(state, current, decision)
+        path.append(current)
+    raise RoutingError(f"message {src}->{state.dst} exceeded {max_hops} hops (livelock?)")

@@ -37,7 +37,7 @@ from ..faults import FaultRingIndex, FaultScenario, FaultSet, LocalFaultView
 from ..topology import Coord, GridNetwork
 from .ecube import ecube_hop, next_ecube_dim
 from .ft_routing import Decision
-from .message_types import MessageRoute, RoutingError
+from .message_types import MessageRoute, RoutingError, walk_route
 
 
 class TableRoutingError(RoutingError):
@@ -211,13 +211,4 @@ class TableRouting:
     def route_path(self, src: Coord, dst: Coord, *, max_hops: Optional[int] = None) -> List[Coord]:
         if max_hops is None:
             max_hops = 4 * self.network.dims * self.network.radix + 8
-        state = self.initial_state(src, dst)
-        path = [src]
-        current = src
-        for _ in range(max_hops):
-            decision = self.next_hop(state, current)
-            if decision.consume:
-                return path
-            current = self.commit_hop(state, current, decision)
-            path.append(current)
-        raise RoutingError(f"table route {src}->{dst} exceeded {max_hops} hops")
+        return walk_route(lambda _coord: self, self.initial_state(src, dst), src, max_hops)

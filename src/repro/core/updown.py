@@ -54,7 +54,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 from ..faults import FaultRingIndex, FaultScenario, FaultSet, LocalFaultView
 from ..topology import Coord, Direction, GridNetwork
 from .ft_routing import Decision
-from .message_types import MessageRoute, RoutingError
+from .message_types import MessageRoute, RoutingError, walk_route
 from .vc_allocation import num_classes
 
 #: one (dim, direction) hop of a precomputed path
@@ -303,16 +303,7 @@ class _UpDownBase:
         return nxt
 
     def _walk(self, src: Coord, dst: Coord, max_hops: int) -> List[Coord]:
-        state = self.initial_state(src, dst)
-        path = [src]
-        current = src
-        for _ in range(max_hops):
-            decision = self.next_hop(state, current)
-            if decision.consume:
-                return path
-            current = self.commit_hop(state, current, decision)
-            path.append(current)
-        raise RoutingError(f"message {src}->{dst} exceeded {max_hops} hops (livelock?)")
+        return walk_route(lambda _coord: self, self.initial_state(src, dst), src, max_hops)
 
     def _default_max_hops(self) -> int:
         # a phase-constrained walk visits each (node, phase) state at most

@@ -73,6 +73,7 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..canonical import canonical_digest
 from ..sim.config import SimulationConfig
 from ..sim.deadlock import DeadlockError
 from ..sim.engine import Simulator
@@ -137,8 +138,6 @@ class CampaignTask:
     kind = "campaign"
 
     def checkpoint_key(self, version: str = CODE_VERSION) -> str:
-        import hashlib
-        import json
         from dataclasses import asdict
 
         payload = {
@@ -150,8 +149,7 @@ class CampaignTask:
             "drain": self.drain,
             "version": version,
         }
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        return canonical_digest(payload)
 
     def execute(self) -> "CampaignReplay":
         from ..reliability.campaign import replay_campaign

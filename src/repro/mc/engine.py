@@ -24,14 +24,13 @@ land and served without re-execution on resume.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from ..canonical import canonical_digest
 from ..core.routing_registry import registered_policies
 from ..exec.executor import (
     DEFAULT_POLICY,
@@ -246,8 +245,7 @@ class MCShardTask:
             "reservoir_cap": self.reservoir_cap,
             "version": version,
         }
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        return canonical_digest(payload)
 
     def execute(self) -> Dict[str, Any]:
         """Returns the shard's :class:`ShardTally` as a payload dict
@@ -343,8 +341,7 @@ class CellEstimate:
         }
 
     def digest(self) -> str:
-        blob = json.dumps(self.to_payload(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        return canonical_digest(self.to_payload())
 
 
 @dataclass
@@ -416,8 +413,7 @@ class MCPlan:
         )
 
     def plan_key(self) -> str:
-        blob = json.dumps(self.to_payload(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+        return canonical_digest(self.to_payload())[:16]
 
 
 # ----------------------------------------------------------------------
@@ -587,26 +583,28 @@ def run_plan(
         heartbeat_interval=(policy or DEFAULT_POLICY).heartbeat_interval
     ) as pool:
         for cell_index, cell in enumerate(plan.cells):
-            done = {"shards": 0, "samples": 0}
+            shards_done = 0
 
-            def on_wave(ran: int, served: int, _stats: ExecutionStats) -> None:
-                nonlocal executed, resumed
-                executed += ran
-                resumed += served
-                done["shards"] += ran + served
-                done["samples"] = done["shards"] * plan.settings.shard_size
+            def report(stopped: bool) -> None:
                 if progress is not None:
                     progress(
                         MCProgress(
                             cell_key=cell.key(),
                             cell_index=cell_index,
                             cells_total=len(plan.cells),
-                            shards_done=done["shards"],
+                            shards_done=shards_done,
                             shards_budget=plan.settings.max_shards,
-                            samples=done["samples"],
-                            stopped=False,
+                            samples=shards_done * plan.settings.shard_size,
+                            stopped=stopped,
                         )
                     )
+
+            def on_wave(ran: int, served: int, _stats: ExecutionStats) -> None:
+                nonlocal executed, resumed, shards_done
+                executed += ran
+                resumed += served
+                shards_done += ran + served
+                report(False)
 
             estimate = run_cell(
                 cell,
@@ -620,18 +618,7 @@ def run_plan(
                 pool=pool,
             )
             estimates.append(estimate)
-            if progress is not None:
-                progress(
-                    MCProgress(
-                        cell_key=cell.key(),
-                        cell_index=cell_index,
-                        cells_total=len(plan.cells),
-                        shards_done=done["shards"],
-                        shards_budget=plan.settings.max_shards,
-                        samples=done["samples"],
-                        stopped=True,
-                    )
-                )
+            report(True)
     return MCRunResult(
         estimates=estimates,
         stats=fold_stats(parts, jobs=max(1, resolve_jobs(jobs))),

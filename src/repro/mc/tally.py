@@ -18,12 +18,11 @@ service journal: a SIGKILL can lose at most the in-flight shard.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Optional, Tuple, Union
 
+from ..canonical import canonical_digest
 from ..exec.durable import append_jsonl, read_jsonl
 from .classify import CLASS_LABELS, Classification
 
@@ -142,8 +141,7 @@ class ShardTally:
     def digest(self) -> str:
         """Content hash of the canonical payload — the bit-for-bit
         determinism witness used by tests and the mc-smoke CI job."""
-        blob = json.dumps(self.to_payload(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        return canonical_digest(self.to_payload())
 
 
 def merge_tallies(tallies: Iterable[ShardTally]) -> ShardTally:

@@ -138,13 +138,11 @@ def _check_type(value: Any, spec: Dict[str, Any]) -> Optional[str]:
     return None
 
 
-def validate_event(data: Dict[str, Any]) -> List[str]:
-    """Validate one event dict against :data:`EVENT_SCHEMA`; returns a
-    list of problems (empty = valid)."""
+def _validate(data: Any, schema: Dict[str, Dict[str, Any]]) -> List[str]:
     errors: List[str] = []
     if not isinstance(data, dict):
         return [f"event is not an object: {type(data).__name__}"]
-    for name, spec in EVENT_SCHEMA.items():
+    for name, spec in schema.items():
         if name not in data or data[name] is None:
             if spec["required"]:
                 errors.append(f"missing required field {name!r}")
@@ -153,9 +151,15 @@ def validate_event(data: Dict[str, Any]) -> List[str]:
         if problem is not None:
             errors.append(f"field {name!r}: {problem}")
     for name in data:
-        if name not in EVENT_SCHEMA:
+        if name not in schema:
             errors.append(f"unknown field {name!r}")
     return errors
+
+
+def validate_event(data: Dict[str, Any]) -> List[str]:
+    """Validate one event dict against :data:`EVENT_SCHEMA`; returns a
+    list of problems (empty = valid)."""
+    return _validate(data, EVENT_SCHEMA)
 
 
 # ----------------------------------------------------------------------
@@ -219,18 +223,4 @@ assert set(EXEC_EVENT_SCHEMA) == _EXEC_EVENT_FIELDS, "schema drifted from ExecEv
 def validate_exec_event(data: Dict[str, Any]) -> List[str]:
     """Validate one exec-event dict against :data:`EXEC_EVENT_SCHEMA`;
     returns a list of problems (empty = valid)."""
-    errors: List[str] = []
-    if not isinstance(data, dict):
-        return [f"event is not an object: {type(data).__name__}"]
-    for name, spec in EXEC_EVENT_SCHEMA.items():
-        if name not in data or data[name] is None:
-            if spec["required"]:
-                errors.append(f"missing required field {name!r}")
-            continue
-        problem = _check_type(data[name], spec)
-        if problem is not None:
-            errors.append(f"field {name!r}: {problem}")
-    for name in data:
-        if name not in EXEC_EVENT_SCHEMA:
-            errors.append(f"unknown field {name!r}")
-    return errors
+    return _validate(data, EXEC_EVENT_SCHEMA)

@@ -31,13 +31,12 @@ faults) are re-drawn.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import random
 import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+from ..canonical import canonical_digest
 from ..faults import (
     FaultGenerationError,
     FaultSet,
@@ -132,12 +131,7 @@ class FaultCampaign:
         """Stable hash of the canonical timeline (plus an optional
         code-version tag), mirroring
         :meth:`~repro.sim.config.SimulationConfig.content_hash`."""
-        payload = json.dumps(
-            {"campaign": self.to_canonical(), "version": version_tag},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return canonical_digest({"campaign": self.to_canonical(), "version": version_tag})
 
     # ------------------------------------------------------------------
     # seeded generators

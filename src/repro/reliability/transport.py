@@ -231,22 +231,50 @@ class ReliableTransport:
     def on_fault(self, report, dead_nodes, killed) -> None:
         """A runtime fault event truncated worms / dropped queued
         messages: abort unrecoverable flows, fast-retransmit the rest."""
-        now = self.sim.now
         self.stats.killed_in_flight += report.dropped_in_flight
         self.stats.killed_queued += report.dropped_queued
+        self.fault_events.append(FaultRecoveryTrack(cycle=report.cycle, killed_flows=0))
+        self._recover(killed, dead_nodes)
 
-        track = FaultRecoveryTrack(cycle=report.cycle, killed_flows=0)
+    def on_window_loss(self, message) -> None:
+        """A worm was truncated *during* a reconfiguration transition
+        window: a node routing on stale fault knowledge steered it at a
+        component that was already dead.  Fast-retransmit it and charge
+        the loss to the window's fault event."""
+        self.stats.window_losses += 1
+        self.stats.killed_in_flight += 1
+        self._recover([message])
+
+    def on_window_closed(
+        self, dead_nodes, killed, *, dropped_in_flight: int = 0, dropped_queued: int = 0
+    ) -> None:
+        """A transition window finalized: the condemned components went
+        dead and their worms/queues were truncated.  The kills belong to
+        the window's last fault event (its ``on_fault`` ran at the event
+        cycle, before these losses existed), so they are folded into that
+        event's recovery track instead of opening a new one."""
+        self.stats.killed_in_flight += dropped_in_flight
+        self.stats.killed_queued += dropped_queued
+        self._recover(killed, dead_nodes)
+
+    def _recover(self, killed, dead_nodes=()) -> None:
+        """The one kill handler behind the three entry points above:
+        charge the killed flows to the latest fault event's recovery
+        track, abort what cannot be recovered, fast-retransmit the rest."""
+        now = self.sim.now
+        keys: Set[FlowKey] = set()
         for message in killed:
             if message.ack_for is not None:
                 self.stats.acks_killed += 1
-                continue
-            if message.seq is None:
-                continue
-            key = (message.src, message.seq)
-            if key in self._pending:
-                track.pending_keys.add(key)
-        track.killed_flows = len(track.pending_keys)
-        self.fault_events.append(track)
+            elif message.seq is not None and (message.src, message.seq) in self._pending:
+                keys.add((message.src, message.seq))
+        track = self.fault_events[-1] if self.fault_events else None
+        if track is not None:
+            new_keys = keys - track.pending_keys
+            if new_keys:
+                track.pending_keys |= new_keys
+                track.killed_flows += len(new_keys)
+                track.recovered_cycle = None
 
         # flows touching dead endpoints are unrecoverable, whether or not
         # a copy of theirs was in flight just now
@@ -257,7 +285,7 @@ class ReliableTransport:
         # surviving killed flows: retransmit quickly instead of waiting
         # out the full ACK timeout (the kill notification is this model's
         # stand-in for the fault-status signals of Section 3)
-        for key in sorted(track.pending_keys):
+        for key in sorted(keys):
             flow = self._pending.get(key)
             if flow is None:
                 continue  # aborted above
@@ -265,84 +293,8 @@ class ReliableTransport:
             flow.fault_kick = True
             heapq.heappush(self._timers, (flow.deadline, key))
 
-        if not track.pending_keys:
-            track.recovered_cycle = track.cycle
-
-    def on_window_loss(self, message) -> None:
-        """A worm was truncated *during* a reconfiguration transition
-        window: a node routing on stale fault knowledge steered it at a
-        component that was already dead.  Fast-retransmit it and charge
-        the loss to the window's fault event."""
-        now = self.sim.now
-        self.stats.window_losses += 1
-        self.stats.killed_in_flight += 1
-        if message.ack_for is not None:
-            self.stats.acks_killed += 1
-            return
-        if message.seq is None:
-            return
-        key = (message.src, message.seq)
-        flow = self._pending.get(key)
-        if flow is None:
-            return
-        if self.fault_events:
-            track = self.fault_events[-1]
-            if key not in track.pending_keys:
-                track.pending_keys.add(key)
-                track.killed_flows += 1
-                track.recovered_cycle = None
-        flow.deadline = now + self.config.retransmit_delay
-        flow.fault_kick = True
-        heapq.heappush(self._timers, (flow.deadline, key))
-
-    def on_window_closed(
-        self, dead_nodes, killed, *, dropped_in_flight: int = 0, dropped_queued: int = 0
-    ) -> None:
-        """A transition window finalized: the condemned components went
-        dead and their worms/queues were truncated.  The kills belong to
-        the window's last fault event (its ``on_fault`` ran at the event
-        cycle, before these losses existed), so fold them into that
-        event's recovery track instead of opening a new one."""
-        now = self.sim.now
-        self.stats.killed_in_flight += dropped_in_flight
-        self.stats.killed_queued += dropped_queued
-
-        fresh_keys: Set[FlowKey] = set()
-        for message in killed:
-            if message.ack_for is not None:
-                self.stats.acks_killed += 1
-                continue
-            if message.seq is None:
-                continue
-            key = (message.src, message.seq)
-            if key in self._pending:
-                fresh_keys.add(key)
-        if self.fault_events and fresh_keys:
-            track = self.fault_events[-1]
-            new_keys = fresh_keys - track.pending_keys
-            if new_keys:
-                track.pending_keys |= new_keys
-                track.killed_flows += len(new_keys)
-                track.recovered_cycle = None
-
-        # flows touching now-dead endpoints are unrecoverable
-        for key, flow in list(self._pending.items()):
-            if flow.src in dead_nodes or flow.dst in dead_nodes:
-                self._abort(key, now)
-
-        # surviving killed flows: retransmit quickly
-        for key in sorted(fresh_keys):
-            flow = self._pending.get(key)
-            if flow is None:
-                continue  # aborted above
-            flow.deadline = now + self.config.retransmit_delay
-            flow.fault_kick = True
-            heapq.heappush(self._timers, (flow.deadline, key))
-
-        if self.fault_events:
-            track = self.fault_events[-1]
-            if not track.pending_keys and track.recovered_cycle is None:
-                track.recovered_cycle = now
+        if track is not None and not track.pending_keys and track.recovered_cycle is None:
+            track.recovered_cycle = now
 
     # ------------------------------------------------------------------
     def _ack_protocol(self) -> int:

@@ -44,13 +44,13 @@ uninterrupted run.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
+from ..canonical import canonical_digest
 from ..exec.executor import CampaignTask, ExecPolicy, PointTask
 from ..exec.durable import append_jsonl, atomic_write_text, read_jsonl
 from ..exec.store import CODE_VERSION
@@ -252,12 +252,7 @@ class JobSpec:
     def job_id(self, version: str = CODE_VERSION) -> str:
         identity = self.to_canonical()
         identity.pop("label", None)  # cosmetic
-        payload = json.dumps(
-            {"spec": identity, "version": version},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return canonical_digest({"spec": identity, "version": version})
 
     # ------------------------------------------------------------------
     # execution material

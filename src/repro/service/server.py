@@ -364,18 +364,7 @@ class CampaignService:
             checkpoint=checkpoint,
             pool=self.pool,
         )
-        # durable order: exec events, then the result payload, then the
-        # terminal journal record — a crash at any point leaves either a
-        # re-runnable job or a fully-recorded one, never a half-truth
-        from ..obs.export import write_exec_jsonl
-
-        write_exec_jsonl(stats.infra_events, self.job_store.exec_events_path(job_id))
-        payload = result_payload(job_id, payloads, stats)
-        self.job_store.write_result(job_id, payload)
-        with self._lock:
-            record.stats = payload["stats"]
-            self.totals.absorb(stats)
-        self._finish(record, DONE)
+        self._persist(record, result_payload(job_id, payloads, stats), stats)
 
     def _run_mc(self, record: JobRecord) -> None:
         """Run one Monte-Carlo reliability plan.  Durability comes from
@@ -417,16 +406,21 @@ class CampaignService:
             progress=on_progress,
             pool=self.pool,
         )
+        self._persist(record, mc_result_payload(job_id, outcome), outcome.stats)
+
+    def _persist(self, record: JobRecord, payload: Dict[str, Any], stats) -> None:
+        """The durable tail of every finished job.  The order is the
+        contract: exec events, then the result payload, then the terminal
+        journal record — a crash at any point leaves either a re-runnable
+        job or a fully-recorded one, never a half-truth."""
         from ..obs.export import write_exec_jsonl
 
-        write_exec_jsonl(
-            outcome.stats.infra_events, self.job_store.exec_events_path(job_id)
-        )
-        payload = mc_result_payload(job_id, outcome)
+        job_id = record.job_id
+        write_exec_jsonl(stats.infra_events, self.job_store.exec_events_path(job_id))
         self.job_store.write_result(job_id, payload)
         with self._lock:
             record.stats = payload["stats"]
-            self.totals.absorb(outcome.stats)
+            self.totals.absorb(stats)
         self._finish(record, DONE)
 
     def _finish(self, record: JobRecord, state: str, *, error: str = "") -> None:

@@ -9,12 +9,11 @@ injection limit of two outstanding messages per node.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import warnings
 from dataclasses import dataclass, fields, replace
 from typing import Any, Dict, Optional
 
+from ..canonical import canonical_digest
 from ..core.routing_registry import policy_spec
 from ..faults import FaultSet
 from ..router.timing import PIPELINED, RouterTiming
@@ -238,12 +237,7 @@ class SimulationConfig:
         """Stable hex digest of the canonical form, optionally salted with
         a code-version tag so simulator-semantics changes invalidate
         memoized results (see :mod:`repro.exec.store`)."""
-        payload = json.dumps(
-            {"config": self.to_canonical(), "version": version_tag},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return canonical_digest({"config": self.to_canonical(), "version": version_tag})
 
     def network_signature(self) -> str:
         """Hash over only the fields that determine the built

@@ -244,26 +244,48 @@ class Simulator:
     # ------------------------------------------------------------------
     # message entry points
     # ------------------------------------------------------------------
-    def inject_message(self, src: Coord, dst: Coord) -> Message:
-        """Queue one explicit message (used by tests and examples that
-        drive the simulator without a stochastic traffic pattern)."""
+    def _queue_message(
+        self,
+        src: Coord,
+        dst: Coord,
+        *,
+        length: Optional[int] = None,
+        protocol: int = 0,
+        tracked: bool = True,
+        seq: Optional[int] = None,
+        ack_for=None,
+        attempt: int = 0,
+    ) -> Message:
+        """The one way a message enters a source queue: number it, build
+        it, queue it, wake the source, and tell the transport (``tracked``
+        messages only — fresh flows, not its own ACKs and retransmissions)
+        and the tracer."""
         self._msg_counter += 1
         message = Message(
             self._msg_counter,
             src,
             dst,
-            self.config.message_length,
+            length if length is not None else self.config.message_length,
             self.net.routing.initial_state(src, dst),
             self.now,
             is_bisection_message(src, dst, self.net.topology),
+            protocol=protocol,
         )
+        message.seq = seq
+        message.ack_for = ack_for
+        message.attempt = attempt
         self.queues[src].append(message)
         self._active_sources.add(src)
-        if self.reliability is not None:
+        if tracked and self.reliability is not None:
             self.reliability.on_generated(message)
         if self.tracer is not None:
             self.tracer.on_generate(self.now, message)
         return message
+
+    def inject_message(self, src: Coord, dst: Coord) -> Message:
+        """Queue one explicit message (used by tests and examples that
+        drive the simulator without a stochastic traffic pattern)."""
+        return self._queue_message(src, dst)
 
     def enqueue_message(
         self,
@@ -282,25 +304,16 @@ class Simulator:
         counted as generated traffic."""
         if src not in self.queues:
             raise ValueError(f"cannot enqueue at faulty node {src}")
-        self._msg_counter += 1
-        message = Message(
-            self._msg_counter,
+        return self._queue_message(
             src,
             dst,
-            length if length is not None else self.config.message_length,
-            self.net.routing.initial_state(src, dst),
-            self.now,
-            is_bisection_message(src, dst, self.net.topology),
+            length=length,
             protocol=protocol,
+            tracked=False,
+            seq=seq,
+            ack_for=ack_for,
+            attempt=attempt,
         )
-        message.seq = seq
-        message.ack_for = ack_for
-        message.attempt = attempt
-        self.queues[src].append(message)
-        self._active_sources.add(src)
-        if self.tracer is not None:
-            self.tracer.on_generate(self.now, message)
-        return message
 
     # ------------------------------------------------------------------
     # delivery
@@ -325,23 +338,7 @@ class Simulator:
     def _send_reply(self, request: Message) -> None:
         """Request-reply protocol: the consumer answers on the reply bank
         (protocol class 1), mirroring the T3D's two message classes."""
-        self._msg_counter += 1
-        reply = Message(
-            self._msg_counter,
-            request.dst,
-            request.src,
-            self.config.message_length,
-            self.net.routing.initial_state(request.dst, request.src),
-            self.now,
-            is_bisection_message(request.dst, request.src, self.net.topology),
-            protocol=1,
-        )
-        self.queues[request.dst].append(reply)
-        self._active_sources.add(request.dst)
-        if self.reliability is not None:
-            self.reliability.on_generated(reply)
-        if self.tracer is not None:
-            self.tracer.on_generate(self.now, reply)
+        self._queue_message(request.dst, request.src, protocol=1)
         if self.stats.measuring:
             self.stats.generated += 1
 

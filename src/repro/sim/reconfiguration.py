@@ -41,7 +41,7 @@ touched, so a rejected event leaves the simulation unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..core import StagedRoutingView
 from ..core.routing_registry import build_routing, policy_spec
@@ -146,76 +146,119 @@ def _resolve_target(simulator, merged: FaultSet):
 
 
 # ----------------------------------------------------------------------
-# instantaneous path (detection_latency == 0): the historical behavior
+# the one fault-event sequence
 # ----------------------------------------------------------------------
-def _apply_instant(simulator, scenario, info, routing) -> ReconfigurationReport:
+def _retire(
+    simulator, *, unwired, dead_links, doomed, include_misrouted: bool, install=None
+) -> Tuple[List[Message], List[Message], int]:
+    """Retire components from a live simulator — the one copy of the
+    fault-event sequence, in its one safe order: pick the victims,
+    truncate them, drop the orphaned queue entries, install the target
+    ``(scenario, routing)`` if one is given, unwire, rebuild the transfer
+    work-list, forget cached resolutions, and drop the arbitration state
+    of removed modules.
+
+    The callers differ only in *scope*: ``unwired`` nodes and
+    ``dead_links`` leave the network now; traffic to or from a ``doomed``
+    node is lost (a superset of ``unwired`` at a window close, whose
+    explicitly failed nodes were unwired at their event cycle);
+    ``include_misrouted`` also takes every worm caught mid-misroute (its
+    f-ring may have changed under it).  docs/simulator.md tabulates the
+    three scopes.
+
+    Returns ``(victims, dropped, channels_removed)``; victims are killed
+    and returned in ``msg_id`` order, so the TRUNCATE events of one fault
+    event never depend on where the heap put the ``Message`` objects."""
     net = simulator.net
-    topology = net.topology
-
-    old_nodes = net.scenario.faults.node_faults
-    dead_nodes = scenario.faults.node_faults - old_nodes
-    old_links = net.scenario.faults.all_faulty_links(topology)
-    dead_links = scenario.faults.all_faulty_links(topology) - old_links
-
-    dying_channels = _dying_channels(net, dead_nodes, dead_links)
-
-    victims = _pick_victims(net, dying_channels, dead_nodes, include_misrouted=True)
-    lost_ids = sorted(m.msg_id for m in victims)
+    dying_channels = _dying_channels(net, unwired, dead_links)
+    victims = _pick_victims(net, dying_channels, doomed, include_misrouted=include_misrouted)
     for message in victims:
         _kill_worm(simulator, message)
-
-    dropped_messages = _drop_queued(simulator, dead_nodes)
-    dropped_queued = len(dropped_messages)
-
-    _install_scenario(simulator, scenario, routing)
-    _unwire(net, dying_channels, dead_nodes)
+    dropped = _drop_queued(simulator, doomed)
+    if install is not None:
+        _install_scenario(simulator, *install)
+    _unwire(net, dying_channels, unwired)
     # dying channels left the channel list and killed worms freed their
     # VCs wholesale: rebuild the transfer work-list from scratch
     simulator.transfer.resync()
     _clear_cached_resolutions(net)
-
-    # the traffic pattern must stop targeting dead nodes
-    simulator.traffic.retarget(net.healthy)
-
     # drop stale arbitration state owned by removed modules (dict, not
     # set: arbitration order must stay insertion-ordered / deterministic)
     simulator._modules_waiting = {
         module: None
         for module in simulator._modules_waiting
-        if module.waiting and module.node_coord not in dead_nodes
+        if module.waiting and module.node_coord not in doomed
     }
+    return victims, dropped, len(dying_channels)
 
+
+def _open_report(
+    simulator, dead_nodes, dead_links, retired, info, *, latency: int, completed_cycle
+) -> ReconfigurationReport:
+    """The report of one fault event, from what :func:`_retire` returned."""
+    victims, dropped, channels_removed = retired
+    lost_ids = [message.msg_id for message in victims]
     report = ReconfigurationReport(
         cycle=simulator.now,
         new_node_faults=tuple(sorted(dead_nodes)),
-        new_link_faults=tuple(sorted(dead_links - _incident_links(topology, dead_nodes))),
+        new_link_faults=tuple(
+            sorted(dead_links - _incident_links(simulator.net.topology, dead_nodes))
+        ),
         dropped_in_flight=len(victims),
-        dropped_queued=dropped_queued,
-        channels_removed=len(dying_channels),
+        dropped_queued=len(dropped),
+        channels_removed=channels_removed,
         lost_message_ids=lost_ids,
         degraded_nodes=info.degraded_nodes,
         convexify_steps=info.convexify_steps,
-        detection_latency=0,
-        completed_cycle=simulator.now,
+        detection_latency=latency,
+        completed_cycle=completed_cycle,
     )
     _record_trace_tail(simulator, report, lost_ids)
+    return report
 
-    # ------------------------------------------------------------------
-    # report the damage to the survivability accounting and any recovery
-    # layer (the paper leaves retransmission to "higher-level protocols";
-    # repro.reliability is that protocol)
-    # ------------------------------------------------------------------
+
+def _account_event(simulator, report, info, dead_nodes, retired) -> None:
+    """Report one event's damage to the survivability accounting and any
+    recovery layer (the paper leaves retransmission to "higher-level
+    protocols"; repro.reliability is that protocol)."""
+    victims, dropped, _channels_removed = retired
     simulator.fault_events += 1
     simulator.killed_in_flight += len(victims)
-    simulator.killed_queued += dropped_queued
+    simulator.killed_queued += len(dropped)
     simulator.degraded_nodes_total += len(info.degraded_nodes)
     simulator.convexify_steps_total += info.convexify_steps
-    killed = sorted(victims, key=lambda m: m.msg_id) + dropped_messages
+    killed = victims + dropped
     if simulator.reliability is not None:
         simulator.reliability.on_fault(report, dead_nodes, killed)
     for hook in simulator.fault_hooks:
         hook(report, dead_nodes, killed)
 
+
+# ----------------------------------------------------------------------
+# instantaneous path (detection_latency == 0): the historical behavior
+# ----------------------------------------------------------------------
+def _apply_instant(simulator, scenario, info, routing) -> ReconfigurationReport:
+    net = simulator.net
+    topology = net.topology
+    old = net.scenario.faults
+    dead_nodes = scenario.faults.node_faults - old.node_faults
+    dead_links = scenario.faults.all_faulty_links(topology) - old.all_faulty_links(topology)
+
+    retired = _retire(
+        simulator,
+        unwired=dead_nodes,
+        dead_links=dead_links,
+        doomed=dead_nodes,
+        include_misrouted=True,
+        install=(scenario, routing),
+    )
+    # the traffic pattern must stop targeting dead nodes
+    simulator.traffic.retarget(net.healthy)
+
+    report = _open_report(
+        simulator, dead_nodes, dead_links, retired, info, latency=0, completed_cycle=simulator.now
+    )
+    _account_event(simulator, report, info, dead_nodes, retired)
     _strict_check(simulator)
     return report
 
@@ -307,52 +350,42 @@ class TransitionWindow:
         stale_faults = net.scenario.faults
 
         all_dead = scenario.faults.node_faults - stale_faults.node_faults
-        remaining_nodes = all_dead - self.unwired_nodes
         dead_links = scenario.faults.all_faulty_links(topology) - stale_faults.all_faulty_links(
             topology
         )
-        dying_channels = _dying_channels(net, remaining_nodes, dead_links)
-
-        victims = _pick_victims(net, dying_channels, all_dead, include_misrouted=True)
-        lost_ids = sorted(m.msg_id for m in victims)
-        for message in victims:
-            _kill_worm(sim, message)
-        dropped_messages = _drop_queued(sim, all_dead)
-
-        _install_scenario(sim, scenario, self.target_routing)
-        _unwire(net, dying_channels, remaining_nodes)
-        sim.transfer.resync()
-        _clear_cached_resolutions(net)
+        victims, dropped, _channels_removed = _retire(
+            sim,
+            unwired=all_dead - self.unwired_nodes,
+            dead_links=dead_links,
+            doomed=all_dead,
+            include_misrouted=True,
+            install=(scenario, self.target_routing),
+        )
         sim.traffic.retarget(net.healthy)
-        sim._modules_waiting = {
-            module: None
-            for module in sim._modules_waiting
-            if module.waiting and module.node_coord not in all_dead
-        }
 
         # fold the closing kills into the window's last report; every id
         # is counted exactly once (_kill_worm marks and _pick_victims
         # skips already-killed worms)
+        lost_ids = [message.msg_id for message in victims]
         report = self.reports[-1]
         report.dropped_in_flight += len(victims)
-        report.dropped_queued += len(dropped_messages)
+        report.dropped_queued += len(dropped)
         report.lost_message_ids.extend(lost_ids)
         _record_trace_tail(sim, report, lost_ids)
         for open_report in self.reports:
             open_report.completed_cycle = now
 
         sim.killed_in_flight += len(victims)
-        sim.killed_queued += len(dropped_messages)
+        sim.killed_queued += len(dropped)
         sim.detection_cycles.append(now - self.started)
         sim.reconfig = None
 
-        killed = sorted(victims, key=lambda m: m.msg_id) + dropped_messages
         if sim.reliability is not None:
             sim.reliability.on_window_closed(
                 all_dead,
-                killed,
+                victims + dropped,
                 dropped_in_flight=len(victims),
-                dropped_queued=len(dropped_messages),
+                dropped_queued=len(dropped),
             )
         _strict_check(sim)
 
@@ -362,7 +395,6 @@ def _stage_event(
 ) -> ReconfigurationReport:
     net = simulator.net
     topology = net.topology
-    now = simulator.now
 
     window = simulator.reconfig
     fresh = window is None
@@ -377,16 +409,13 @@ def _stage_event(
         addition.node_faults - net.scenario.faults.node_faults - window.unwired_nodes
     )
     explicit_links = addition.all_faulty_links(topology)
-    dying_channels = _dying_channels(net, explicit_nodes, explicit_links)
-
-    victims = _pick_victims(net, dying_channels, explicit_nodes, include_misrouted=False)
-    lost_ids = sorted(m.msg_id for m in victims)
-    for message in victims:
-        _kill_worm(simulator, message)
-    dropped_messages = _drop_queued(simulator, explicit_nodes)
-    dropped_queued = len(dropped_messages)
-
-    _unwire(net, dying_channels, explicit_nodes)
+    retired = _retire(
+        simulator,
+        unwired=explicit_nodes,
+        dead_links=explicit_links,
+        doomed=explicit_nodes,
+        include_misrouted=False,
+    )
     window.unwired_nodes |= explicit_nodes
     window.unwired_links |= explicit_links | _incident_links(topology, explicit_nodes)
     net.healthy = [c for c in net.healthy if c not in explicit_nodes]
@@ -394,27 +423,16 @@ def _stage_event(
         topology,
         net.scenario.faults.all_faulty_links(topology) | window.unwired_links,
     )
-    simulator.transfer.resync()
-    _clear_cached_resolutions(net)
     # the workload stops addressing doomed nodes at fault time (placement
     # is an application-level decision); *routing* knowledge stays stale
     simulator.traffic.retarget(
         [c for c in net.healthy if c not in scenario.faults.node_faults]
     )
-    simulator._modules_waiting = {
-        module: None
-        for module in simulator._modules_waiting
-        if module.waiting and module.node_coord not in explicit_nodes
-    }
 
     # ------------------------------------------------------------------
     # point the window at the (possibly revised) target and schedule the
     # knowledge wavefront of this event
     # ------------------------------------------------------------------
-    event_dead_nodes = scenario.faults.node_faults - base.node_faults
-    event_dead_links = scenario.faults.all_faulty_links(topology) - base.all_faulty_links(
-        topology
-    )
     window.scenario = scenario
     window.target_routing = routing
     if fresh:
@@ -425,7 +443,7 @@ def _stage_event(
         window.view.target = routing
 
     converge = window.detection.announce(
-        now,
+        simulator.now,
         explicit_nodes=explicit_nodes,
         explicit_links=addition.link_faults,
         condemned_rounds=info.condemned_rounds,
@@ -433,35 +451,17 @@ def _stage_event(
     )
     window.finalize_cycle = max(window.finalize_cycle, converge)
 
-    report = ReconfigurationReport(
-        cycle=now,
-        new_node_faults=tuple(sorted(event_dead_nodes)),
-        new_link_faults=tuple(
-            sorted(event_dead_links - _incident_links(topology, event_dead_nodes))
-        ),
-        dropped_in_flight=len(victims),
-        dropped_queued=dropped_queued,
-        channels_removed=len(dying_channels),
-        lost_message_ids=lost_ids,
-        degraded_nodes=info.degraded_nodes,
-        convexify_steps=info.convexify_steps,
-        detection_latency=latency,
+    report = _open_report(
+        simulator,
+        scenario.faults.node_faults - base.node_faults,
+        scenario.faults.all_faulty_links(topology) - base.all_faulty_links(topology),
+        retired,
+        info,
+        latency=latency,
         completed_cycle=None,
     )
-    _record_trace_tail(simulator, report, lost_ids)
     window.reports.append(report)
-
-    simulator.fault_events += 1
-    simulator.killed_in_flight += len(victims)
-    simulator.killed_queued += dropped_queued
-    simulator.degraded_nodes_total += len(info.degraded_nodes)
-    simulator.convexify_steps_total += info.convexify_steps
-    killed = sorted(victims, key=lambda m: m.msg_id) + dropped_messages
-    if simulator.reliability is not None:
-        simulator.reliability.on_fault(report, frozenset(explicit_nodes), killed)
-    for hook in simulator.fault_hooks:
-        hook(report, frozenset(explicit_nodes), killed)
-
+    _account_event(simulator, report, info, frozenset(explicit_nodes), retired)
     return report
 
 
@@ -486,32 +486,34 @@ def _dying_channels(net, dead_nodes, dead_links) -> List[PhysicalChannel]:
     return dying
 
 
-def _pick_victims(net, dying_channels, dead_nodes, *, include_misrouted: bool) -> Set[Message]:
-    """Worms truncated by a (partial) reconfiguration: everything holding
-    a virtual channel on a dying channel, everything to or from a dead
-    node, and — for full reconfigurations — everything caught
-    mid-misroute (its f-ring may have changed under it).  Worms an
-    earlier event in the same window already killed are never
-    re-selected (exactly-once loss accounting)."""
-    victims: Set[Message] = set()
+def _pick_victims(net, dying_channels, dead_nodes, *, include_misrouted: bool) -> List[Message]:
+    """Worms truncated by a (partial) reconfiguration, in ``msg_id``
+    order: everything holding a virtual channel on a dying channel,
+    everything to or from a dead node, and — for full reconfigurations —
+    everything caught mid-misroute (its f-ring may have changed under
+    it).  Worms an earlier event in the same window already killed are
+    never re-selected (exactly-once loss accounting)."""
+    # keyed by id, never a set of Messages: those hash by address, and the
+    # kill order (hence the trace) would follow the heap
+    victims: Dict[int, Message] = {}
     for channel in dying_channels:
         for vc in list(channel.busy):
             message = vc.message
             if message is not None and not message.killed:
-                victims.add(message)
+                victims[message.msg_id] = message
     for channel in net.channels:
         for vc in channel.busy:
             message = vc.message
             if message is None or message.killed:
                 continue
             if message.dst in dead_nodes or message.src in dead_nodes:
-                victims.add(message)
+                victims[message.msg_id] = message
             elif include_misrouted and message.route.is_misrouted:
                 # conservative: its f-ring may have merged with the new
                 # region; restart-from-scratch semantics are simplest and
                 # match a fail-stop truncation
-                victims.add(message)
-    return victims
+                victims[message.msg_id] = message
+    return [victims[msg_id] for msg_id in sorted(victims)]
 
 
 def _install_scenario(simulator, scenario, routing) -> None:

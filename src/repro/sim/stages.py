@@ -40,9 +40,7 @@ from bisect import insort
 from typing import TYPE_CHECKING, List
 
 from ..router.channels import ChannelKind, PhysicalChannel, VirtualChannel
-from ..router.messages import Message
 from ..router.modules import Module
-from ..topology import is_bisection_message
 from .sampling import GeometricSampler
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import cycle guard
@@ -79,35 +77,20 @@ class GenerationStage:
         if self.sampler is not None:
             hits = self.sampler.next_cycle(len(healthy), rate)
             for index in hits:
-                self._generate_at(healthy[index], now)
+                self._generate_at(healthy[index])
         else:
             rng_random = sim.gen_rng.random
             for coord in healthy:
                 if rng_random() >= rate:
                     continue
-                self._generate_at(coord, now)
+                self._generate_at(coord)
 
-    def _generate_at(self, coord, now: int) -> None:
+    def _generate_at(self, coord) -> None:
         sim = self.sim
         dst = sim.traffic.destination(coord)
         if dst is None:
             return
-        sim._msg_counter += 1
-        message = Message(
-            sim._msg_counter,
-            coord,
-            dst,
-            sim.config.message_length,
-            sim.net.routing.initial_state(coord, dst),
-            now,
-            is_bisection_message(coord, dst, sim.net.topology),
-        )
-        sim.queues[coord].append(message)
-        sim._active_sources.add(coord)
-        if sim.reliability is not None:
-            sim.reliability.on_generated(message)
-        if sim.tracer is not None:
-            sim.tracer.on_generate(now, message)
+        sim._queue_message(coord, dst)
         if sim.stats.measuring:
             sim.stats.generated += 1
 

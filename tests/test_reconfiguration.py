@@ -199,3 +199,66 @@ class TestRuntimeFaultEdgeCases:
         assert result.fault_events == 1
         assert not result.reliability_enabled
         assert result.lost_messages == result.killed_in_flight + result.killed_queued
+
+
+class TestTraceDeterminism:
+    """Same run, same event stream — whatever the heap looks like and
+    whichever process ran it.  The kills of one fault event commute, so
+    results never showed it, but the victims used to be walked as a set
+    of ``Message`` objects (hashed by address) and the TRUNCATE events
+    came out in heap order."""
+
+    @staticmethod
+    def traced_fault_run(latency):
+        from repro.obs import Tracer
+
+        sim = running_sim(rate=0.02, cycles=0, seed=11, detection_latency=latency)
+        tracer = Tracer(sim)
+        for _ in range(400):
+            sim.step()
+        report = sim.inject_runtime_fault(nodes=[(3, 3), (3, 4)])
+        while sim.reconfig is not None:
+            sim.step()
+        for _ in range(50):
+            sim.step()
+        return tracer.events, report
+
+    @pytest.mark.parametrize("latency", [0, 4])
+    def test_truncate_order_independent_of_heap(self, latency):
+        events, report = self.traced_fault_run(latency)
+        # move every later allocation somewhere else
+        ballast = [object() for _ in range(5000)] + [[i] for i in range(3000)]
+        events_again, report_again = self.traced_fault_run(latency)
+        assert len(ballast) == 8000
+        assert report.dropped_in_flight >= 2
+        # the staged run was followed through its window close
+        assert (report.completed_cycle > report.cycle) == bool(latency)
+        assert events == events_again
+        assert report.lost_message_ids == report_again.lost_message_ids
+        assert report.trace_tail == report_again.trace_tail
+        if latency == 0:
+            truncated = [
+                e.msg_id for e in events if e.kind == "truncate" and e.cycle == report.cycle
+            ]
+            assert truncated == sorted(truncated) == report.lost_message_ids
+
+    def test_exports_identical_in_process_and_in_worker(self, tmp_path):
+        from repro import Experiment
+        from repro.obs import TraceConfig
+        from repro.reliability import FaultCampaign, FaultEvent, ReliabilityConfig
+
+        config = SimulationConfig(
+            topology="torus", radix=8, dims=2, rate=0.02, seed=11,
+            warmup_cycles=0, measure_cycles=10, detection_latency=4,
+        )
+        campaign = FaultCampaign([FaultEvent(cycle=400, nodes=((3, 3), (3, 4)))])
+        exported = {}
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
+            Experiment.campaign(
+                config, campaign, reliability=ReliabilityConfig(), settle_cycles=100,
+                trace=TraceConfig(out_dir=str(out)),
+            ).run(jobs=jobs, cache=False)
+            exported[jobs] = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+        assert any(name.endswith(".events.jsonl") for name in exported[1])
+        assert exported[1] == exported[2]
