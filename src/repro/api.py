@@ -295,14 +295,14 @@ class Experiment:
             checkpoint=checkpoint,
         )
         if self.trace is not None and stats.infra_events:
-            from .obs.export import write_exec_jsonl
+            from .obs.export import write_jsonl
 
             stem = "".join(
                 ch if ch.isalnum() or ch in "-_" else "-" for ch in self.label
             ) or "experiment"
             out = Path(self.trace.out_dir)
             out.mkdir(parents=True, exist_ok=True)
-            write_exec_jsonl(stats.infra_events, out / f"{stem}.exec.jsonl")
+            write_jsonl(stats.infra_events, out / f"{stem}.exec.jsonl")
         results: List[SimulationResult] = []
         outcomes: List[Any] = []
         descriptions: List[str] = []

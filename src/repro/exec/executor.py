@@ -73,7 +73,7 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..canonical import canonical_digest
+from ..canonical import canonical_digest, to_data
 from ..sim.config import SimulationConfig
 from ..sim.deadlock import DeadlockError
 from ..sim.engine import Simulator
@@ -138,13 +138,13 @@ class CampaignTask:
     kind = "campaign"
 
     def checkpoint_key(self, version: str = CODE_VERSION) -> str:
-        from dataclasses import asdict
-
+        """Spelled out, not ``to_data(self)``: ``trace`` says where the
+        exports go, which is not part of what the task computes."""
         payload = {
             "kind": "campaign",
-            "config": self.config.to_canonical(),
+            "config": to_data(self.config),
             "campaign": self.campaign.to_canonical(),
-            "reliability": asdict(self.reliability) if self.reliability is not None else None,
+            "reliability": to_data(self.reliability),
             "settle_cycles": self.settle_cycles,
             "drain": self.drain,
             "version": version,
@@ -393,29 +393,16 @@ class ExecutionStats:
         schema behind the CLI's ``[repro] infra-json:`` line and the
         service's ``/status`` payload — counters only, JSON-safe, with
         the derived ratios precomputed so consumers don't re-implement
-        them."""
-        return {
-            "total": self.total,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "hit_ratio": self.hit_ratio,
-            "executed": self.executed,
-            "failed": self.failed,
-            "jobs": self.jobs,
-            "pool_broken": self.pool_broken,
-            "wall_seconds": self.wall_seconds,
-            "infra_retries": self.infra_retries,
-            "infra_timeouts": self.infra_timeouts,
-            "infra_crashes": self.infra_crashes,
-            "infra_hung": self.infra_hung,
-            "infra_failures": self.infra_failures,
-            "quarantined": self.quarantined,
-            "replayed_failures": self.replayed_failures,
-            "task_kinds": {
-                kind: dict(outcomes) for kind, outcomes in sorted(self.task_kinds.items())
-            },
-            "pool": dict(self.pool),
-        }
+        them (which is why it is not ``to_data`` alone); the failure and
+        event lists have their own exports."""
+        data = to_data(self)
+        del data["failures"], data["infra_events"]
+        data.update(
+            cache_misses=self.cache_misses,
+            hit_ratio=self.hit_ratio,
+            infra_failures=self.infra_failures,
+        )
+        return data
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Tuple, Union
 
+from ..canonical import from_data
 from ..sim.config import SimulationConfig
 from ..sim.metrics import SimulationResult
 from .store import QUARANTINE_DIR, ResultStore, pid_alive
@@ -105,7 +106,7 @@ def _verify_entry(path: Path) -> Optional[Tuple[str, str]]:
     except Exception as exc:  # any shape problem means the payload is unusable
         return ("bad-result", f"result does not rebuild: {exc}")
     try:
-        config = SimulationConfig.from_canonical(entry["config"])
+        config = from_data(SimulationConfig, entry["config"])
     except Exception as exc:
         return ("bad-config", f"config does not rebuild: {exc}")
     if config.content_hash(entry["version"]) != key:

@@ -37,6 +37,7 @@ import time
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Union
 
+from ..canonical import to_data
 from ..sim.config import SimulationConfig
 from ..sim.metrics import SimulationResult
 from .durable import append_jsonl, read_jsonl
@@ -159,7 +160,7 @@ class ResultStore:
         entry = {
             "key": key,
             "version": self.version,
-            "config": config.to_canonical(),
+            "config": to_data(config),
             "result": result.to_dict(),
         }
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")

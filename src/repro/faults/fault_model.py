@@ -15,9 +15,10 @@ only about hops adjacent to the current node).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, Optional, Set, Tuple
 from weakref import WeakKeyDictionary
 
+from ..canonical import from_data, to_data
 from ..topology import BiLink, Coord, Direction, GridNetwork
 
 #: ``network -> {fault set -> all_faulty_links}``.  Keyed weakly on the
@@ -104,6 +105,28 @@ class FaultSet:
 
     def with_nodes(self, nodes: Iterable[Coord]) -> "FaultSet":
         return FaultSet(self.node_faults | frozenset(nodes), self.link_faults)
+
+    # the codec hooks (repro.canonical): this form, not the two field
+    # names, is inside every result-store key of a faulty config
+    def to_data(self) -> Dict[str, Any]:
+        """``{"nodes": [coord...], "links": [[u, v, dim]...]}``, sorted."""
+        return {
+            "nodes": to_data(sorted(self.node_faults)),
+            "links": to_data(sorted(self.link_faults)),
+        }
+
+    @classmethod
+    def from_data(cls, data: Any) -> "FaultSet":
+        form = from_data(_Listed, data)
+        return cls(frozenset(form.nodes), frozenset(BiLink(*link) for link in form.links))
+
+
+@dataclass(frozen=True)
+class _Listed:
+    """:meth:`FaultSet.to_data`'s form, as the codec reads it back."""
+
+    nodes: Tuple[Coord, ...]
+    links: Tuple[Tuple[Coord, Coord, int], ...]
 
 
 @dataclass

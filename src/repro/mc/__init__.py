@@ -34,7 +34,6 @@ from .engine import (
     MCRunResult,
     MCSettings,
     MCShardTask,
-    fold_stats,
     run_cell,
     run_plan,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "MCRunResult",
     "MCSettings",
     "MCShardTask",
-    "fold_stats",
     "run_cell",
     "run_plan",
     "INTERVAL_METHODS",

@@ -30,7 +30,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..canonical import canonical_digest
+from ..canonical import canonical_digest, from_data, to_data
 from ..core.routing_registry import registered_policies
 from ..exec.executor import (
     DEFAULT_POLICY,
@@ -57,7 +57,6 @@ __all__ = [
     "MCProgress",
     "run_cell",
     "run_plan",
-    "fold_stats",
 ]
 
 
@@ -124,31 +123,6 @@ class MCCell:
             f":ov{int(self.allow_overlapping_rings)}:cdg{int(self.check_cdg)}"
         )
 
-    def to_payload(self) -> Dict[str, Any]:
-        return {
-            "topology": self.topology,
-            "radix": self.radix,
-            "dims": self.dims,
-            "num_node_faults": self.num_node_faults,
-            "num_link_faults": self.num_link_faults,
-            "policy": self.policy,
-            "allow_overlapping_rings": self.allow_overlapping_rings,
-            "check_cdg": self.check_cdg,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "MCCell":
-        return cls(
-            topology=str(payload.get("topology", "torus")),
-            radix=int(payload.get("radix", 8)),
-            dims=int(payload.get("dims", 2)),
-            num_node_faults=int(payload.get("num_node_faults", 0)),
-            num_link_faults=int(payload.get("num_link_faults", 0)),
-            policy=str(payload.get("policy", "")),
-            allow_overlapping_rings=bool(payload.get("allow_overlapping_rings", False)),
-            check_cdg=bool(payload.get("check_cdg", False)),
-        )
-
 
 @dataclass(frozen=True)
 class MCSettings:
@@ -184,30 +158,6 @@ class MCSettings:
     def max_samples(self) -> int:
         return self.shard_size * self.max_shards
 
-    def to_payload(self) -> Dict[str, Any]:
-        return {
-            "confidence": self.confidence,
-            "half_width": self.half_width,
-            "shard_size": self.shard_size,
-            "max_shards": self.max_shards,
-            "min_shards": self.min_shards,
-            "method": self.method,
-            "reservoir": self.reservoir,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "MCSettings":
-        base = cls()
-        return cls(
-            confidence=float(payload.get("confidence", base.confidence)),
-            half_width=float(payload.get("half_width", base.half_width)),
-            shard_size=int(payload.get("shard_size", base.shard_size)),
-            max_shards=int(payload.get("max_shards", base.max_shards)),
-            min_shards=int(payload.get("min_shards", base.min_shards)),
-            method=str(payload.get("method", base.method)),
-            reservoir=int(payload.get("reservoir", base.reservoir)),
-        )
-
 
 # ----------------------------------------------------------------------
 # the executor task
@@ -236,21 +186,12 @@ class MCShardTask:
         return self.shard_index * self.shard_size
 
     def checkpoint_key(self, version: str = CODE_VERSION) -> str:
-        payload = {
-            "kind": "mc-shard",
-            "cell": self.cell.to_payload(),
-            "master_seed": self.master_seed,
-            "shard_index": self.shard_index,
-            "shard_size": self.shard_size,
-            "reservoir_cap": self.reservoir_cap,
-            "version": version,
-        }
-        return canonical_digest(payload)
+        return canonical_digest({**to_data(self), "kind": self.kind, "version": version})
 
     def execute(self) -> Dict[str, Any]:
-        """Returns the shard's :class:`ShardTally` as a payload dict
-        (plain JSON-safe data, so worker transport never pickles
-        scenario object graphs)."""
+        """Returns the shard's :class:`ShardTally` as ``to_data`` (plain
+        JSON-safe data, so worker transport never pickles scenario
+        object graphs)."""
         network = self.cell.network()
         sampler = PatternSampler(
             network,
@@ -273,7 +214,7 @@ class MCShardTask:
                 check_cdg=self.cell.check_cdg,
             )
             tally.record(index, verdict)
-        return tally.to_payload()
+        return to_data(tally)
 
 
 # ----------------------------------------------------------------------
@@ -316,29 +257,14 @@ class CellEstimate:
         return (self.hi - self.lo) / 2.0
 
     def to_payload(self) -> Dict[str, Any]:
-        return {
-            "cell": self.cell.to_payload(),
-            "cell_key": self.cell.key(),
-            "n": self.n,
-            "counts": {label: self.counts[label] for label in sorted(self.counts)},
-            "reasons": {r: self.reasons[r] for r in sorted(self.reasons)},
-            "sacrificed": self.sacrificed,
-            "survivors": self.survivors,
-            "p_survive": self.p_survive,
-            "interval": [self.lo, self.hi],
-            "p_routable": self.p_routable,
-            "routable_interval": [self.routable_lo, self.routable_hi],
-            "shards_used": self.shards_used,
-            "early_stopped": self.early_stopped,
-            "reservoirs": {
-                label: list(self.reservoirs[label])
-                for label in sorted(self.reservoirs)
-            },
-            "method": self.method,
-            "confidence": self.confidence,
-            "target_half_width": self.target_half_width,
-            "budget": self.budget,
-        }
+        """``to_data`` reshaped: the bounds as ``interval`` /
+        ``routable_interval`` pairs, plus ``cell_key`` — the shape under
+        every pinned MC digest."""
+        data = to_data(self)
+        data["interval"] = [data.pop("lo"), data.pop("hi")]
+        data["routable_interval"] = [data.pop("routable_lo"), data.pop("routable_hi")]
+        data["cell_key"] = self.cell.key()
+        return data
 
     def digest(self) -> str:
         return canonical_digest(self.to_payload())
@@ -354,7 +280,9 @@ class MCRunResult:
     shards_resumed: int = 0  #: shards served from the TallyLog
 
     def to_payload(self) -> Dict[str, Any]:
-        """Deterministic result payload (see CellEstimate.to_payload)."""
+        """Deterministic result payload: the cells'
+        :meth:`CellEstimate.to_payload`, not ``to_data`` (the stats are
+        execution-shaped)."""
         return {"cells": [estimate.to_payload() for estimate in self.estimates]}
 
 
@@ -395,38 +323,13 @@ class MCPlan:
                 raise ValueError(f"duplicate cell {cell.key()!r} in plan")
             seen.add(cell.key())
 
-    def to_payload(self) -> Dict[str, Any]:
-        return {
-            "cells": [cell.to_payload() for cell in self.cells],
-            "settings": self.settings.to_payload(),
-            "master_seed": self.master_seed,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "MCPlan":
-        return cls(
-            cells=tuple(
-                MCCell.from_payload(cell) for cell in payload.get("cells", [])
-            ),
-            settings=MCSettings.from_payload(dict(payload.get("settings", {}))),
-            master_seed=int(payload.get("master_seed", 7)),
-        )
-
     def plan_key(self) -> str:
-        return canonical_digest(self.to_payload())[:16]
+        return canonical_digest(to_data(self))[:16]
 
 
 # ----------------------------------------------------------------------
 # the early-stopping loop
 # ----------------------------------------------------------------------
-
-
-def fold_stats(parts: Sequence[ExecutionStats], *, jobs: int = 1) -> ExecutionStats:
-    """Sum the counters of several :func:`execute` calls into one."""
-    total = ExecutionStats(jobs=jobs)
-    for part in parts:
-        total.absorb(part)
-    return total
 
 
 def _stop_index(
@@ -533,7 +436,7 @@ def run_cell(
             if stats_parts is not None:
                 stats_parts.append(stats)
             for task, payload in zip(tasks, results):
-                tally = ShardTally.from_payload(payload)
+                tally = from_data(ShardTally, payload)
                 if tally_log is not None:
                     tally_log.append(task.checkpoint_key(), tally)
                 payloads[task.shard_index] = tally
@@ -575,7 +478,7 @@ def run_plan(
         else TallyLog(tally_log)
     )
     estimates: List[CellEstimate] = []
-    parts: List[ExecutionStats] = []
+    stats = ExecutionStats(jobs=max(1, resolve_jobs(jobs)))
     executed = 0
     resumed = 0
     # spawns nothing until a wave runs with jobs > 1
@@ -599,11 +502,12 @@ def run_plan(
                         )
                     )
 
-            def on_wave(ran: int, served: int, _stats: ExecutionStats) -> None:
+            def on_wave(ran: int, served: int, wave_stats: ExecutionStats) -> None:
                 nonlocal executed, resumed, shards_done
                 executed += ran
                 resumed += served
                 shards_done += ran + served
+                stats.absorb(wave_stats)
                 report(False)
 
             estimate = run_cell(
@@ -614,14 +518,13 @@ def run_plan(
                 tally_log=log,
                 policy=policy,
                 on_wave=on_wave,
-                stats_parts=parts,
                 pool=pool,
             )
             estimates.append(estimate)
             report(True)
     return MCRunResult(
         estimates=estimates,
-        stats=fold_stats(parts, jobs=max(1, resolve_jobs(jobs))),
+        stats=stats,
         shards_executed=executed,
         shards_resumed=resumed,
     )

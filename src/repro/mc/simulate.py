@@ -23,7 +23,7 @@ from ..exec.executor import ExecPolicy, ExecutionStats, PointTask, execute
 from ..exec.store import ResultStore
 from ..sim.config import SimulationConfig
 from .classify import DEGRADED, ROUTABLE
-from .engine import CellEstimate, fold_stats
+from .engine import CellEstimate
 from .sampler import PatternSampler
 
 __all__ = ["SimTierRow", "simulation_configs", "run_simulation_tier"]
@@ -43,17 +43,6 @@ class SimTierRow:
     avg_latency: float
     throughput_ratio: float  #: vs the cell's fault-free baseline
     latency_ratio: float
-
-    def to_payload(self) -> Dict[str, Any]:
-        return {
-            "cell_key": self.cell_key,
-            "label": self.label,
-            "pattern_index": self.pattern_index,
-            "throughput": self.throughput,
-            "avg_latency": self.avg_latency,
-            "throughput_ratio": self.throughput_ratio,
-            "latency_ratio": self.latency_ratio,
-        }
 
 
 def _base_config(estimate: CellEstimate, **overrides: Any) -> SimulationConfig:
@@ -158,4 +147,4 @@ def run_simulation_tier(
                 latency_ratio=result.avg_latency / base_lat,
             )
         )
-    return rows, fold_stats([stats], jobs=stats.jobs)
+    return rows, stats

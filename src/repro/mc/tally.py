@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Optional, Tuple, Union
 
-from ..canonical import canonical_digest
+from ..canonical import DecodeError, canonical_digest, from_data, to_data
 from ..exec.durable import append_jsonl, read_jsonl
-from .classify import CLASS_LABELS, Classification
+from .classify import Classification
 
 __all__ = ["ShardTally", "merge_tallies", "TallyLog", "DEFAULT_RESERVOIR"]
 
@@ -103,45 +103,10 @@ class ShardTally:
         """The R(k) numerator: routable + degraded."""
         return sum(n for label, n in self.counts.items() if label != "fatal")
 
-    # -- serialization --------------------------------------------------
-
-    def to_payload(self) -> Dict[str, object]:
-        return {
-            "cell_key": self.cell_key,
-            "start": self.start,
-            "count": self.count,
-            "shards": self.shards,
-            "counts": {label: self.counts[label] for label in sorted(self.counts)},
-            "reasons": {r: self.reasons[r] for r in sorted(self.reasons)},
-            "sacrificed": self.sacrificed,
-            "reservoirs": {
-                label: list(self.reservoirs[label])
-                for label in sorted(self.reservoirs)
-            },
-            "reservoir_cap": self.reservoir_cap,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, object]) -> "ShardTally":
-        return cls(
-            cell_key=str(payload["cell_key"]),
-            start=int(payload["start"]),  # type: ignore[arg-type]
-            count=int(payload["count"]),  # type: ignore[arg-type]
-            shards=int(payload.get("shards", 1)),  # type: ignore[arg-type]
-            counts={str(k): int(v) for k, v in dict(payload["counts"]).items()},
-            reasons={str(k): int(v) for k, v in dict(payload["reasons"]).items()},
-            sacrificed=int(payload["sacrificed"]),  # type: ignore[arg-type]
-            reservoirs={
-                str(k): tuple(int(i) for i in v)
-                for k, v in dict(payload["reservoirs"]).items()
-            },
-            reservoir_cap=int(payload.get("reservoir_cap", DEFAULT_RESERVOIR)),  # type: ignore[arg-type]
-        )
-
     def digest(self) -> str:
         """Content hash of the canonical payload — the bit-for-bit
         determinism witness used by tests and the mc-smoke CI job."""
-        return canonical_digest(self.to_payload())
+        return canonical_digest(to_data(self))
 
 
 def merge_tallies(tallies: Iterable[ShardTally]) -> ShardTally:
@@ -160,29 +125,29 @@ class TallyLog:
     A record is appended (and fsynced) *before* the shard is considered
     done, so a crash loses at most the shard being written.  Records
     are self-contained and keyed by the shard's content hash: one the
-    reader has to skip only sends that shard through classification
-    again, to the same digest.
+    reader has to skip — torn, or a tally that does not decode — only
+    sends that shard through classification again, to the same digest.
     """
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
-        self.entries: Dict[str, Dict[str, object]] = {
-            record["key"]: record["tally"]
-            for record in read_jsonl(self.path)
-            if isinstance(record.get("key"), str)
-            and isinstance(record.get("tally"), dict)
-        }
+        self.entries: Dict[str, ShardTally] = {}
+        for record in read_jsonl(self.path):
+            key = record.get("key")
+            if isinstance(key, str):
+                try:
+                    self.entries[key] = from_data(ShardTally, record.get("tally"))
+                except DecodeError:
+                    pass  # not a record: the shard is classified again
 
     def get(self, key: str) -> Optional[ShardTally]:
-        payload = self.entries.get(key)
-        return None if payload is None else ShardTally.from_payload(payload)
+        return self.entries.get(key)
 
     def append(self, key: str, tally: ShardTally) -> None:
         if key in self.entries:
             return  # idempotent: resumed runs re-offer completed shards
-        payload = tally.to_payload()
-        append_jsonl(self.path, {"key": key, "tally": payload})
-        self.entries[key] = payload
+        append_jsonl(self.path, {"key": key, "tally": to_data(tally)})
+        self.entries[key] = tally
 
     def __len__(self) -> int:
         return len(self.entries)

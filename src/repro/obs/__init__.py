@@ -27,16 +27,13 @@ from .events import (
 )
 from .export import (
     events_to_jsonl,
-    exec_events_to_jsonl,
     export_trace,
-    read_exec_jsonl,
     read_jsonl,
     series_to_csv,
     to_chrome_trace,
     validate_chrome_trace,
     write_chrome_trace,
     write_csv,
-    write_exec_jsonl,
     write_jsonl,
 )
 from .timeseries import TimeSeries, WindowSample
@@ -65,9 +62,7 @@ __all__ = [
     "Tracer",
     "WindowSample",
     "events_to_jsonl",
-    "exec_events_to_jsonl",
     "export_trace",
-    "read_exec_jsonl",
     "read_jsonl",
     "series_to_csv",
     "to_chrome_trace",
@@ -76,6 +71,5 @@ __all__ = [
     "validate_exec_event",
     "write_chrome_trace",
     "write_csv",
-    "write_exec_jsonl",
     "write_jsonl",
 ]

@@ -9,14 +9,15 @@ fault ring, a truncation, a retransmission.
 
 One event is one :class:`TraceEvent`: a flat, JSON-safe record with a
 ``kind`` from :data:`EVENT_KINDS` and a fixed field set described by
-:data:`EVENT_SCHEMA`.  Exporters (:mod:`repro.obs.export`) never invent
-fields of their own, so anything they write round-trips through
-:meth:`TraceEvent.from_dict` and validates with :func:`validate_event`.
+:data:`EVENT_SCHEMA`.  Exporters (:mod:`repro.obs.export`) write
+``repro.canonical.to_data`` and never invent fields of their own, so
+anything they write reads back with ``from_data`` and validates with
+:func:`validate_event`.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Any, Dict, List, Optional, Tuple
 
 # ----------------------------------------------------------------------
@@ -76,23 +77,6 @@ class TraceEvent:
     channel: Optional[str] = None
     vc_class: Optional[int] = None
     attempt: int = 0
-
-    def to_dict(self) -> Dict[str, Any]:
-        data = asdict(self)
-        data["src"] = list(self.src)
-        data["dst"] = list(self.dst)
-        if self.node is not None:
-            data["node"] = list(self.node)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "TraceEvent":
-        kwargs = dict(data)
-        kwargs["src"] = tuple(kwargs["src"])
-        kwargs["dst"] = tuple(kwargs["dst"])
-        if kwargs.get("node") is not None:
-            kwargs["node"] = tuple(kwargs["node"])
-        return cls(**kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -199,13 +183,6 @@ class ExecEvent:
     attempt: int
     key: str = ""
     detail: str = ""
-
-    def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ExecEvent":
-        return cls(**data)
 
 
 EXEC_EVENT_SCHEMA: Dict[str, Dict[str, Any]] = {

@@ -4,8 +4,9 @@ JSON for ``chrome://tracing`` / Perfetto.
 Formats:
 
 * **JSONL** — one :class:`~repro.obs.events.TraceEvent` dict per line
-  (schema: :data:`repro.obs.events.EVENT_SCHEMA`).  Streams into
-  ``jq``/pandas; round-trips through :func:`read_jsonl`.
+  (schema: :data:`repro.obs.events.EVENT_SCHEMA`; ``*.exec.jsonl``
+  files hold :class:`~repro.obs.events.ExecEvent`\\ s instead).  Streams
+  into ``jq``/pandas; round-trips through :func:`read_jsonl`.
 * **CSV** — one row per :class:`~repro.obs.timeseries.WindowSample`,
   with one ``c<i>_busy`` column per virtual channel class.
 * **Chrome trace JSON** — the ``traceEvents`` array format.  Message
@@ -25,6 +26,7 @@ import json
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional
 
+from ..canonical import from_data, to_data
 from .events import (
     EVENT_KINDS,
     TERMINAL_KINDS,
@@ -42,58 +44,37 @@ from .tracer import Tracer
 # ----------------------------------------------------------------------
 
 
-def events_to_jsonl(events: Iterable[TraceEvent]) -> str:
-    return "".join(json.dumps(e.to_dict(), sort_keys=True) + "\n" for e in events)
+def events_to_jsonl(events: Iterable[Any]) -> str:
+    return "".join(json.dumps(to_data(e), sort_keys=True) + "\n" for e in events)
 
 
-def write_jsonl(events: Iterable[TraceEvent], path) -> Path:
+def write_jsonl(events: Iterable[Any], path) -> Path:
+    """Write trace events, or executor infra events (retry / timeout /
+    crash / hung / quarantine) to a ``<stem>.exec.jsonl`` path — the
+    suffix :func:`read_jsonl` and the validator route on."""
     path = Path(path)
     path.write_text(events_to_jsonl(events))
     return path
 
 
-def read_jsonl(path) -> List[TraceEvent]:
-    """Parse a JSONL export back into events (validating each line)."""
-    events: List[TraceEvent] = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        data = json.loads(line)
-        problems = validate_event(data)
-        if problems:
-            raise ValueError(f"{path}:{lineno}: {'; '.join(problems)}")
-        events.append(TraceEvent.from_dict(data))
-    return events
-
-
-# ----------------------------------------------------------------------
-# JSONL executor-infrastructure events
-# ----------------------------------------------------------------------
-
-
-def exec_events_to_jsonl(events: Iterable[ExecEvent]) -> str:
-    return "".join(json.dumps(e.to_dict(), sort_keys=True) + "\n" for e in events)
-
-
-def write_exec_jsonl(events: Iterable[ExecEvent], path) -> Path:
-    """Write executor infra events (retry/timeout/crash/hung/quarantine)
-    as ``<stem>.exec.jsonl`` — the suffix the validator routes on."""
+def read_jsonl(path) -> List[Any]:
+    """Parse a JSONL export back into events, validating each line:
+    :class:`ExecEvent`\\ s from a ``.exec.jsonl`` file, else
+    :class:`TraceEvent`\\ s."""
     path = Path(path)
-    path.write_text(exec_events_to_jsonl(events))
-    return path
-
-
-def read_exec_jsonl(path) -> List[ExecEvent]:
-    """Parse an exec-event export back (validating each line)."""
-    events: List[ExecEvent] = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    if path.name.endswith(".exec.jsonl"):
+        cls, validate = ExecEvent, validate_exec_event
+    else:
+        cls, validate = TraceEvent, validate_event
+    events: List[Any] = []
+    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         if not line.strip():
             continue
         data = json.loads(line)
-        problems = validate_exec_event(data)
+        problems = validate(data)
         if problems:
             raise ValueError(f"{path}:{lineno}: {'; '.join(problems)}")
-        events.append(ExecEvent.from_dict(data))
+        events.append(from_data(cls, data))
     return events
 
 

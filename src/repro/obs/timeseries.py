@@ -44,19 +44,6 @@ class WindowSample:
     #: messages in flight at the window boundary
     active_worms: int
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "cycle": self.cycle,
-            "window": self.window,
-            "utilization": self.utilization,
-            "ring_utilization": self.ring_utilization,
-            "other_utilization": self.other_utilization,
-            "ring_channels": self.ring_channels,
-            "other_channels": self.other_channels,
-            "vc_occupancy": list(self.vc_occupancy),
-            "active_worms": self.active_worms,
-        }
-
 
 @dataclass
 class TimeSeries:

@@ -34,9 +34,9 @@ from __future__ import annotations
 import random
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from ..canonical import canonical_digest
+from ..canonical import canonical_digest, from_data, to_data
 from ..faults import (
     FaultGenerationError,
     FaultSet,
@@ -74,28 +74,6 @@ class FaultEvent:
             parts.append("links " + ", ".join(map(str, self.links)))
         return "; ".join(parts)
 
-    def to_dict(self) -> dict:
-        """JSON-safe form (tuples become lists), for canonical hashing
-        and checkpoint manifests."""
-        return {
-            "cycle": self.cycle,
-            "nodes": [list(coord) for coord in self.nodes],
-            "links": [[list(coord), dim, direction] for coord, dim, direction in self.links],
-            "label": self.label,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultEvent":
-        return cls(
-            cycle=int(data["cycle"]),
-            nodes=tuple(tuple(coord) for coord in data.get("nodes", [])),
-            links=tuple(
-                (tuple(coord), int(dim), int(direction))
-                for coord, dim, direction in data.get("links", [])
-            ),
-            label=data.get("label", ""),
-        )
-
 
 class FaultCampaign:
     """An ordered timeline of fault events (cycles relative to the cycle
@@ -118,14 +96,15 @@ class FaultCampaign:
     # ------------------------------------------------------------------
     # canonical identity
     # ------------------------------------------------------------------
+    # a campaign is not a dataclass, so it spells its canonical form out
     def to_canonical(self) -> dict:
         """A JSON-safe dict that uniquely identifies this campaign's
         timeline — the basis of checkpoint task keys."""
-        return {"events": [event.to_dict() for event in self.events]}
+        return {"events": to_data(self.events)}
 
     @classmethod
     def from_canonical(cls, data: dict) -> "FaultCampaign":
-        return cls(FaultEvent.from_dict(entry) for entry in data.get("events", []))
+        return cls(from_data(Dict[str, Tuple[FaultEvent, ...]], data).get("events", ()))
 
     def content_hash(self, version_tag: str = "") -> str:
         """Stable hash of the canonical timeline (plus an optional

@@ -190,9 +190,6 @@ class NodeModel:
             return "off"
         return share_idle
 
-    def _all_classes(self) -> Tuple[int, ...]:
-        return tuple(range(self.num_classes))
-
     def _bank(self, message: Message, classes: Tuple[int, ...]) -> Tuple[int, ...]:
         """Map base-relative classes into the message's protocol bank."""
         offset = message.protocol * self.base_classes

@@ -44,6 +44,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..canonical import to_data
 from ..exec.chaos import (
     ChildProcess,
     build_sweep,
@@ -93,7 +94,7 @@ def build_specs(
     )[0]
     sweep = JobSpec(
         kind="sweep",
-        config=base.to_canonical(),
+        config=to_data(base),
         rates=tuple(rates),
         label="chaos sweep",
     )
@@ -122,7 +123,7 @@ def build_specs(
     )
     campaign_spec = JobSpec(
         kind="campaign",
-        config=campaign_config.to_canonical(),
+        config=to_data(campaign_config),
         campaign=campaign.to_canonical(),
         settle_cycles=interval,
         label="chaos campaign",
@@ -141,7 +142,7 @@ def build_specs(
         ),
         master_seed=sim_seed,
     )
-    mc_spec = JobSpec(kind="mc", mc=plan.to_payload(), label="chaos mc")
+    mc_spec = JobSpec(kind="mc", mc=to_data(plan), label="chaos mc")
 
     for spec in (sweep, campaign_spec, mc_spec):
         spec.validate()
@@ -269,7 +270,7 @@ def run_service_chaos(
 
     def submit_all() -> int:
         for spec in specs:
-            summary = client.submit(spec.to_canonical())
+            summary = client.submit(to_data(spec))
             assert summary["job"] in job_ids, summary
         return len(specs)
 

@@ -46,11 +46,11 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from ..canonical import canonical_digest
+from ..canonical import canonical_digest, from_data, to_data
 from ..exec.executor import CampaignTask, ExecPolicy, PointTask
 from ..exec.durable import append_jsonl, atomic_write_text, read_jsonl
 from ..exec.store import CODE_VERSION
@@ -84,8 +84,8 @@ class SpecError(ValueError):
 class JobSpec:
     """One submission, as canonical data.
 
-    ``config`` is a canonical :class:`SimulationConfig` dict (see
-    :meth:`SimulationConfig.to_canonical`).  For sweeps, ``rates`` (and
+    ``config`` is a :class:`SimulationConfig` as
+    :func:`repro.canonical.to_data` writes it.  For sweeps, ``rates`` (and
     optionally ``seeds``) expand it rate-major exactly like
     :meth:`repro.api.Experiment.sweep`; an empty ``rates`` runs the base
     config as a single point.  For campaigns, ``campaign`` is the
@@ -104,7 +104,7 @@ class JobSpec:
     seeds: Tuple[int, ...] = ()
     campaign: Optional[Dict[str, Any]] = None
     reliability: Optional[Dict[str, Any]] = None
-    #: canonical :class:`repro.mc.MCPlan` payload (kind ``mc`` only)
+    #: :class:`repro.mc.MCPlan` as ``to_data`` writes it (kind ``mc`` only)
     mc: Optional[Dict[str, Any]] = None
     settle_cycles: int = 1_000
     drain: bool = True
@@ -123,48 +123,23 @@ class JobSpec:
     @classmethod
     def from_payload(cls, payload: Any) -> "JobSpec":
         """Parse and validate a client submission; raises
-        :class:`SpecError` with a client-presentable message."""
+        :class:`SpecError` with a client-presentable message that names
+        the field.  ``from_data`` plus :meth:`validate`, kept as one
+        method because the frozen benchmark suite calls it."""
         if not isinstance(payload, dict):
             raise SpecError("job spec must be a JSON object")
-        unknown = set(payload) - {spec.name for spec in _SPEC_FIELDS}
-        if unknown:
-            raise SpecError(f"unknown spec field(s): {', '.join(sorted(unknown))}")
-        kind = payload.get("kind")
-        if kind not in ("sweep", "campaign", "mc"):
-            raise SpecError("spec kind must be 'sweep', 'campaign' or 'mc'")
-        config = payload.get("config")
-        if kind == "mc":
-            config = config if config is not None else {}
-        if not isinstance(config, dict):
-            raise SpecError("spec needs a 'config' object (canonical SimulationConfig)")
-        spec = cls(
-            kind=kind,
-            config=dict(config),
-            mc=payload.get("mc"),
-            rates=tuple(float(r) for r in payload.get("rates", ())),
-            seeds=tuple(int(s) for s in payload.get("seeds", ())),
-            campaign=payload.get("campaign"),
-            reliability=payload.get("reliability"),
-            settle_cycles=int(payload.get("settle_cycles", 1_000)),
-            drain=bool(payload.get("drain", True)),
-            task_timeout=(
-                float(payload["task_timeout"])
-                if payload.get("task_timeout") is not None
-                else None
-            ),
-            retries=(
-                int(payload["retries"]) if payload.get("retries") is not None else None
-            ),
-            trace=bool(payload.get("trace", False)),
-            trace_window=int(payload.get("trace_window", 100)),
-            label=str(payload.get("label", "")),
-        )
+        try:
+            spec = from_data(cls, payload)
+        except ValueError as exc:
+            raise SpecError(str(exc)) from exc
         spec.validate()
         return spec
 
     def validate(self) -> None:
         """Re-build every object the spec names so malformed submissions
         fail at admission, not inside a worker."""
+        if self.kind not in ("sweep", "campaign", "mc"):
+            raise SpecError("spec kind must be 'sweep', 'campaign' or 'mc'")
         if self.kind == "mc":
             if self.config:
                 raise SpecError("mc jobs take an 'mc' plan, not a 'config'")
@@ -184,9 +159,11 @@ class JobSpec:
             return
         if self.mc is not None:
             raise SpecError("only mc jobs may carry an 'mc' plan section")
+        if not self.config:
+            raise SpecError("spec needs a 'config' object (canonical SimulationConfig)")
         try:
-            base = SimulationConfig.from_canonical(self.config)
-        except (TypeError, ValueError, KeyError) as exc:
+            base = from_data(SimulationConfig, self.config)
+        except ValueError as exc:
             raise SpecError(f"bad config: {exc}") from exc
         if self.kind == "campaign":
             if not isinstance(self.campaign, dict):
@@ -195,7 +172,7 @@ class JobSpec:
                 from ..reliability import FaultCampaign
 
                 FaultCampaign.from_canonical(self.campaign)
-            except (TypeError, ValueError, KeyError) as exc:
+            except ValueError as exc:
                 raise SpecError(f"bad campaign timeline: {exc}") from exc
             if self.rates or self.seeds:
                 raise SpecError("campaign jobs take a single config (no rates/seeds)")
@@ -205,8 +182,8 @@ class JobSpec:
             try:
                 from ..reliability import ReliabilityConfig
 
-                ReliabilityConfig(**self.reliability)
-            except (TypeError, ValueError) as exc:
+                from_data(ReliabilityConfig, self.reliability)
+            except ValueError as exc:
                 raise SpecError(f"bad reliability config: {exc}") from exc
         for rate in self.rates:
             try:
@@ -229,28 +206,12 @@ class JobSpec:
         """The validated :class:`repro.mc.MCPlan` an ``mc`` job runs."""
         from ..mc import MCPlan
 
-        plan = MCPlan.from_payload(self.mc or {})
+        plan = from_data(MCPlan, self.mc)
         plan.validate()
         return plan
 
-    # ------------------------------------------------------------------
-    # identity
-    # ------------------------------------------------------------------
-    def to_canonical(self) -> Dict[str, Any]:
-        data = asdict(self)
-        data["rates"] = list(self.rates)
-        data["seeds"] = list(self.seeds)
-        return data
-
-    @classmethod
-    def from_canonical(cls, data: Dict[str, Any]) -> "JobSpec":
-        kwargs = dict(data)
-        kwargs["rates"] = tuple(kwargs.get("rates", ()))
-        kwargs["seeds"] = tuple(kwargs.get("seeds", ()))
-        return cls(**kwargs)
-
     def job_id(self, version: str = CODE_VERSION) -> str:
-        identity = self.to_canonical()
+        identity = to_data(self)
         identity.pop("label", None)  # cosmetic
         return canonical_digest({"spec": identity, "version": version})
 
@@ -258,7 +219,7 @@ class JobSpec:
     # execution material
     # ------------------------------------------------------------------
     def configs(self) -> List[SimulationConfig]:
-        base = SimulationConfig.from_canonical(self.config)
+        base = from_data(SimulationConfig, self.config)
         if self.kind == "campaign" or not self.rates:
             return [base]
         configs: List[SimulationConfig] = []
@@ -286,13 +247,9 @@ class JobSpec:
 
             return [
                 CampaignTask(
-                    config=SimulationConfig.from_canonical(self.config),
+                    config=from_data(SimulationConfig, self.config),
                     campaign=FaultCampaign.from_canonical(self.campaign or {}),
-                    reliability=(
-                        ReliabilityConfig(**self.reliability)
-                        if self.reliability is not None
-                        else None
-                    ),
+                    reliability=from_data(Optional[ReliabilityConfig], self.reliability),
                     settle_cycles=self.settle_cycles,
                     drain=self.drain,
                     trace=trace_config,
@@ -371,9 +328,6 @@ class JobRecord:
         }
 
 
-_SPEC_FIELDS = tuple(JobSpec.__dataclass_fields__.values())
-
-
 # ----------------------------------------------------------------------
 # durable storage
 # ----------------------------------------------------------------------
@@ -425,15 +379,13 @@ class JobStore:
 
     # --- specs / results ----------------------------------------------
     def write_spec(self, job_id: str, spec: JobSpec) -> None:
-        atomic_write_text(
-            self.spec_path(job_id), json.dumps(spec.to_canonical(), sort_keys=True)
-        )
+        atomic_write_text(self.spec_path(job_id), json.dumps(to_data(spec), sort_keys=True))
 
     def load_spec(self, job_id: str) -> Optional[JobSpec]:
         try:
             data = json.loads(self.spec_path(job_id).read_text(encoding="utf-8"))
-            return JobSpec.from_canonical(data)
-        except (OSError, ValueError, TypeError, KeyError):
+            return from_data(JobSpec, data)
+        except (OSError, ValueError):
             return None
 
     def write_result(self, job_id: str, payload: Dict[str, Any]) -> None:

@@ -58,12 +58,12 @@ import os
 import signal
 import sys
 import threading
-from dataclasses import asdict, is_dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 from urllib.parse import parse_qs, urlparse
 
+from ..canonical import to_data
 from ..exec.checkpoint import SweepCheckpoint
 from ..exec.durable import atomic_write_text
 from ..exec.executor import ExecutionStats, ProgressEvent, WorkerPool, execute
@@ -80,6 +80,8 @@ from .jobs import (
 
 SERVER_INFO_NAME = "server.json"
 STORE_DIR = "store"
+#: the largest request body the server reads (a job spec is a few KiB)
+MAX_BODY_BYTES = 1 << 20
 
 
 class QueueFull(RuntimeError):
@@ -94,6 +96,14 @@ class Draining(RuntimeError):
     """Admission refused: the server is draining for shutdown."""
 
 
+class _Refused(Exception):
+    """A request answered with ``status`` before its body is read."""
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
+
+
 # ----------------------------------------------------------------------
 # result payload serialization
 # ----------------------------------------------------------------------
@@ -102,14 +112,7 @@ class Draining(RuntimeError):
 def _epoch_dict(epoch: Any) -> Optional[Dict[str, Any]]:
     if epoch is None:
         return None
-    return {
-        "label": epoch.label,
-        "start_cycle": epoch.start_cycle,
-        "cycles": epoch.cycles,
-        "delivered": epoch.delivered,
-        "avg_latency": epoch.avg_latency,
-        "throughput": epoch.throughput,
-    }
+    return {**to_data(epoch), "throughput": epoch.throughput}
 
 
 def payload_to_json(payload: Any) -> Optional[Dict[str, Any]]:
@@ -118,8 +121,9 @@ def payload_to_json(payload: Any) -> Optional[Dict[str, Any]]:
     :class:`~repro.sim.metrics.SimulationResult` round-trips through its
     own ``to_dict`` (the store's on-disk form, already proven exact by
     the exec chaos harness).  :class:`~repro.exec.executor.CampaignReplay`
-    has no stable store form, so the service defines one here: the final
-    simulation metrics plus a scalar summary of every injection record —
+    has no stable store form, so the service defines one here — a view,
+    not ``to_data``: the final simulation metrics plus a scalar summary
+    of every injection record (its reconfiguration report left out) —
     all fields deterministic given the spec, which is what lets the
     service chaos harness compare campaign jobs bit-for-bit.
     """
@@ -138,13 +142,11 @@ def payload_to_json(payload: Any) -> Optional[Dict[str, Any]]:
             "applied_events": outcome.applied_events,
             "degraded_throughput_ratio": outcome.degraded_throughput_ratio,
             "baseline": _epoch_dict(outcome.baseline),
-            "transport": asdict(outcome.stats)
-            if is_dataclass(outcome.stats) and outcome.stats is not None
-            else None,
+            "transport": to_data(outcome.stats),
             "records": [
                 {
                     "index": record.index,
-                    "event": record.event.to_dict(),
+                    "event": to_data(record.event),
                     "applied": record.applied,
                     "cycle": record.cycle,
                     "error": record.error,
@@ -157,19 +159,6 @@ def payload_to_json(payload: Any) -> Optional[Dict[str, Any]]:
     }
 
 
-def _failure_dicts(stats: ExecutionStats) -> List[Dict[str, Any]]:
-    return [
-        {
-            "index": f.index,
-            "kind": f.kind,
-            "message": f.message,
-            "cycle": f.cycle,
-            "attempts": f.attempts,
-        }
-        for f in stats.failures
-    ]
-
-
 def result_payload(
     job_id: str, payloads: List[Any], stats: ExecutionStats
 ) -> Dict[str, Any]:
@@ -180,7 +169,7 @@ def result_payload(
     return {
         "job": job_id,
         "results": [payload_to_json(p) for p in payloads],
-        "failures": _failure_dicts(stats),
+        "failures": to_data(stats.failures),
         "stats": stats.to_dict(),
     }
 
@@ -195,7 +184,7 @@ def mc_result_payload(job_id: str, outcome: Any) -> Dict[str, Any]:
     return {
         "job": job_id,
         "results": outcome.to_payload()["cells"],
-        "failures": _failure_dicts(outcome.stats),
+        "failures": to_data(outcome.stats.failures),
         "stats": outcome.stats.to_dict(),
     }
 
@@ -413,10 +402,10 @@ class CampaignService:
         contract: exec events, then the result payload, then the terminal
         journal record — a crash at any point leaves either a re-runnable
         job or a fully-recorded one, never a half-truth."""
-        from ..obs.export import write_exec_jsonl
+        from ..obs.export import write_jsonl
 
         job_id = record.job_id
-        write_exec_jsonl(stats.infra_events, self.job_store.exec_events_path(job_id))
+        write_jsonl(stats.infra_events, self.job_store.exec_events_path(job_id))
         self.job_store.write_result(job_id, payload)
         with self._lock:
             record.stats = payload["stats"]
@@ -565,7 +554,16 @@ class _Handler(BaseHTTPRequestHandler):
         self._json(code, {"error": message, **extra}, headers=headers)
 
     def _read_body(self) -> Any:
-        length = int(self.headers.get("Content-Length") or 0)
+        """The request's JSON body.  ``Content-Length`` is client input
+        too: one that is not a non-negative integer, or one above
+        :data:`MAX_BODY_BYTES`, is refused before any body byte is read
+        (``rfile.read(-1)`` would block until the client hangs up)."""
+        header = self.headers.get("Content-Length") or "0"
+        if not (header.isascii() and header.isdigit()):
+            raise _Refused(400, f"bad Content-Length {header[:40]!r}")
+        length = int(header)
+        if length > MAX_BODY_BYTES:
+            raise _Refused(413, f"request body over {MAX_BODY_BYTES} bytes")
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise SpecError("empty request body")
@@ -685,6 +683,10 @@ class _Handler(BaseHTTPRequestHandler):
                     record, created = service.submit(payload)
                 except SpecError as exc:
                     self._error(400, str(exc))
+                    return
+                except _Refused as exc:
+                    # the unread body must not be parsed as a next request
+                    self._json(exc.status, {"error": str(exc)}, headers={"Connection": "close"})
                     return
                 except QueueFull as exc:
                     self._error(429, str(exc), retry_after=exc.retry_after)

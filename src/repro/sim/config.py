@@ -10,14 +10,13 @@ injection limit of two outstanding messages per node.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional
 
-from ..canonical import canonical_digest
+from ..canonical import canonical_digest, to_data
 from ..core.routing_registry import policy_spec
 from ..faults import FaultSet
 from ..router.timing import PIPELINED, RouterTiming
-from ..topology import BiLink
 
 #: config fields that do not influence :class:`~repro.sim.network.SimNetwork`
 #: construction — only the simulator's dynamic state.  Used by
@@ -187,57 +186,19 @@ class SimulationConfig:
         return policy_spec(self.effective_routing).required_vcs(torus=self.is_torus)
 
     # ------------------------------------------------------------------
-    # canonical serialization and content hashing (the result store's key)
+    # content hashing (the result store's key)
     # ------------------------------------------------------------------
     def to_canonical(self) -> Dict[str, Any]:
-        """A JSON-safe dict that captures every configuration field, with
-        deterministic ordering for the nested structures.
-
-        Iterates the dataclass fields so a newly added knob automatically
-        enters the representation (and therefore the content hash — a new
-        field can never silently alias two different configurations)."""
-        data: Dict[str, Any] = {}
-        for spec in fields(self):
-            value = getattr(self, spec.name)
-            if spec.name == "timing":
-                value = {
-                    "name": value.name,
-                    "header_delay": value.header_delay,
-                    "data_delay": value.data_delay,
-                    "clock_scale": value.clock_scale,
-                }
-            elif spec.name == "faults" and value is not None:
-                value = {
-                    "nodes": sorted(list(c) for c in value.node_faults),
-                    "links": sorted(
-                        [list(l.u), list(l.v), l.dim] for l in value.link_faults
-                    ),
-                }
-            data[spec.name] = value
-        return data
-
-    @classmethod
-    def from_canonical(cls, data: Dict[str, Any]) -> "SimulationConfig":
-        """Inverse of :meth:`to_canonical`."""
-        kwargs = dict(data)
-        timing = kwargs.get("timing")
-        if isinstance(timing, dict):
-            kwargs["timing"] = RouterTiming(**timing)
-        faults = kwargs.get("faults")
-        if isinstance(faults, dict):
-            kwargs["faults"] = FaultSet(
-                node_faults=frozenset(tuple(c) for c in faults["nodes"]),
-                link_faults=frozenset(
-                    BiLink(tuple(u), tuple(v), dim) for u, v, dim in faults["links"]
-                ),
-            )
-        return cls(**kwargs)
+        """``repro.canonical.to_data(self)``: every field, so a new knob
+        enters the content hash.  Kept as a method because the frozen
+        benchmark suite calls it; read back with ``from_data``."""
+        return to_data(self)
 
     def content_hash(self, version_tag: str = "") -> str:
         """Stable hex digest of the canonical form, optionally salted with
         a code-version tag so simulator-semantics changes invalidate
         memoized results (see :mod:`repro.exec.store`)."""
-        return canonical_digest({"config": self.to_canonical(), "version": version_tag})
+        return canonical_digest({"config": to_data(self), "version": version_tag})
 
     def network_signature(self) -> str:
         """Hash over only the fields that determine the built

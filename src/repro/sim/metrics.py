@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import List, Sequence, Tuple
+
+from ..canonical import to_data
 
 # two-sided 97.5% Student-t quantiles for small degrees of freedom
 _T_975 = {
@@ -189,9 +191,9 @@ class SimulationResult:
         return self.avg_latency * clock_scale
 
     def to_dict(self) -> dict:
-        """JSON-friendly dict: all fields plus the derived metrics (for
-        plotting pipelines downstream of the harness)."""
-        data = asdict(self)
+        """JSON-friendly dict: ``to_data(self)`` plus the derived
+        metrics (for plotting pipelines downstream of the harness)."""
+        data = to_data(self)
         data.update(
             applied_load_flits_per_node=self.applied_load_flits_per_node,
             throughput_flits_per_cycle=self.throughput_flits_per_cycle,

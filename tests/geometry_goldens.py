@@ -23,6 +23,7 @@ import sys
 from pathlib import Path
 from typing import Dict, Iterator, Tuple
 
+from repro.canonical import from_data
 from repro.faults import FaultSet, degrade_fault_pattern, paper_fault_scenario
 from repro.mc import FATAL_EXCEPTIONS, MCCell, MCShardTask, PatternSampler, ShardTally
 from repro.topology import GridNetwork, make_network
@@ -58,7 +59,7 @@ GOLDEN_PATTERNS = 200
 def shard_digest(cell: MCCell) -> str:
     """``ShardTally.digest()`` of shard 0 of ``cell``."""
     payload = MCShardTask(cell, PINNED_SEED, 0, PINNED_SHARD).execute()
-    return ShardTally.from_payload(payload).digest()
+    return from_data(ShardTally, payload).digest()
 
 
 def golden_patterns(name: str) -> Iterator[Tuple[GridNetwork, FaultSet, bool]]:

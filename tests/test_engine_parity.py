@@ -17,6 +17,7 @@ import random
 
 import pytest
 
+from repro.canonical import to_data
 from repro.sim import SimulationConfig, Simulator
 
 try:
@@ -300,8 +301,8 @@ class TestTracerNeutrality:
         assert_results_identical(legacy, other)
         assert len(legacy_tracer.events) == len(other_tracer.events)
         assert legacy_tracer.events == other_tracer.events
-        legacy_series = [s.to_dict() for s in legacy_tracer.series.samples]
-        other_series = [s.to_dict() for s in other_tracer.series.samples]
+        legacy_series = [to_data(s) for s in legacy_tracer.series.samples]
+        other_series = [to_data(s) for s in other_tracer.series.samples]
         assert legacy_series == other_series
 
 

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.canonical import to_data
 from repro.exec import ResultStore, SweepCheckpoint
 from repro.exec.durable import append_jsonl, atomic_write_text, read_jsonl
 from repro.exec.fsck import main as fsck_main
@@ -269,7 +270,7 @@ class TestPreviousLayoutsAreRead:
             job_dir = tmp_path / "jobs" / spec.job_id()
             job_dir.mkdir(parents=True)
             (job_dir / "spec.json").write_text(
-                json.dumps(spec.to_canonical(), sort_keys=True)
+                json.dumps(to_data(spec), sort_keys=True)
             )
         (tmp_path / "jobs" / finished / "result.json").write_bytes(
             b'{"failures": [], "results": [], "stats": {"executed": 1}}'

@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from repro.canonical import from_data, to_data
 from repro.exec.store import CODE_VERSION, ResultStore, default_store_root, pid_alive
 from repro.faults import FaultSet
 from repro.router import UNPIPELINED
@@ -35,14 +36,14 @@ def config(**kwargs):
 class TestCanonicalForm:
     def test_round_trip(self):
         original = config(timing=UNPIPELINED, fault_percent=1, fault_seed=3)
-        rebuilt = SimulationConfig.from_canonical(original.to_canonical())
+        rebuilt = from_data(SimulationConfig, to_data(original))
         assert rebuilt == original
 
     def test_round_trip_with_explicit_faults(self):
         torus = Torus(6, 2)
         faults = FaultSet.of(torus, nodes=[(2, 2)], links=[((0, 0), 0, 1)])
         original = config(faults=faults)
-        rebuilt = SimulationConfig.from_canonical(original.to_canonical())
+        rebuilt = from_data(SimulationConfig, to_data(original))
         assert rebuilt.content_hash() == original.content_hash()
 
     def test_canonical_is_json_serializable(self):

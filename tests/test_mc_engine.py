@@ -8,6 +8,7 @@ serially, in parallel waves, or across a crash/resume boundary.
 
 import pytest
 
+from repro.canonical import from_data, to_data
 from repro.mc import (
     MCCell,
     MCPlan,
@@ -29,7 +30,7 @@ class TestCellAndPlan:
         assert CELL.key() == "torus4d2:n1:l1:p=-:ov0:cdg0"
 
     def test_cell_payload_roundtrip(self):
-        assert MCCell.from_payload(CELL.to_payload()) == CELL
+        assert from_data(MCCell, to_data(CELL)) == CELL
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
@@ -57,7 +58,7 @@ class TestCellAndPlan:
 
     def test_plan_payload_roundtrip(self):
         plan = MCPlan(cells=(CELL,), settings=SETTINGS, master_seed=3)
-        again = MCPlan.from_payload(plan.to_payload())
+        again = from_data(MCPlan, to_data(plan))
         assert again == plan
         assert again.plan_key() == plan.plan_key()
 
@@ -105,7 +106,7 @@ class TestDeterminism:
                 reservoir_cap=SETTINGS.reservoir,
             )
             partial.append(
-                task.checkpoint_key(), ShardTally.from_payload(task.execute())
+                task.checkpoint_key(), from_data(ShardTally, task.execute())
             )
 
         resumed = run_cell(

@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from repro.canonical import from_data, to_data
 from repro.mc import MCCell, MCPlan, MCSettings, run_plan
 from repro.service import (
     CampaignService,
@@ -36,7 +37,26 @@ def small_plan(**overrides):
 
 
 def mc_payload(label="mc-test", **overrides):
-    return {"kind": "mc", "mc": small_plan(**overrides).to_payload(), "label": label}
+    return {"kind": "mc", "mc": to_data(small_plan(**overrides)), "label": label}
+
+
+#: ``(mutation of mc_payload(), what the SpecError must say)``
+BAD_MC_PAYLOADS = [
+    (lambda p: p.pop("mc"), "mc"),
+    (lambda p: p.update(mc="not-a-dict"), "mc"),
+    (lambda p: p.update(rates=[0.004]), "rates"),
+    (lambda p: p.update(config={"radix": 8}), "config"),
+    (
+        lambda p: p.update(campaign={"events": []}),
+        "campaign",
+    ),
+    (lambda p: p.update(trace=True), "trace"),
+    # the plan is decoded, not coerced, and its unknown keys are refused
+    (lambda p: p["mc"].update(cells="abc"), "bad mc plan: cells: expected list, got str"),
+    (lambda p: p["mc"]["cells"][0].update(radix=8.9), r"cells\[0\]\.radix: expected int, got float"),
+    (lambda p: p["mc"]["cells"][0].update(bogus=1), r"cells\[0\]\.bogus: unknown field"),
+    (lambda p: p["mc"]["settings"].update(bogus=1), r"settings\.bogus: unknown field"),
+]
 
 
 def wait_terminal(record, timeout=120):
@@ -49,7 +69,7 @@ def wait_terminal(record, timeout=120):
 class TestMCSpec:
     def test_round_trip_and_stable_id(self):
         spec = JobSpec.from_payload(mc_payload())
-        again = JobSpec.from_canonical(spec.to_canonical())
+        again = from_data(JobSpec, to_data(spec))
         assert again == spec
         assert again.job_id() == spec.job_id()
 
@@ -62,20 +82,7 @@ class TestMCSpec:
     def test_describe_names_the_cells(self):
         assert "2 cell(s)" in JobSpec.from_payload(mc_payload()).describe()
 
-    @pytest.mark.parametrize(
-        "mutate, message",
-        [
-            (lambda p: p.pop("mc"), "mc"),
-            (lambda p: p.update(mc="not-a-dict"), "mc"),
-            (lambda p: p.update(rates=[0.004]), "rates"),
-            (lambda p: p.update(config={"radix": 8}), "config"),
-            (
-                lambda p: p.update(campaign={"events": []}),
-                "campaign",
-            ),
-            (lambda p: p.update(trace=True), "trace"),
-        ],
-    )
+    @pytest.mark.parametrize("mutate, message", BAD_MC_PAYLOADS)
     def test_bad_mc_payloads_raise_spec_error(self, mutate, message):
         payload = mc_payload()
         mutate(payload)
@@ -100,7 +107,7 @@ class TestMCSpec:
                 topology="torus", radix=6, dims=2, rate=0.004
             ).to_canonical(),
             "rates": [0.004],
-            "mc": small_plan().to_payload(),
+            "mc": to_data(small_plan()),
         }
         with pytest.raises(SpecError, match="only mc jobs"):
             JobSpec.from_payload(payload)

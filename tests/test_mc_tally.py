@@ -5,7 +5,18 @@ import random
 
 import pytest
 
-from repro.mc import Classification, ShardTally, TallyLog, merge_tallies
+from repro.canonical import from_data, to_data
+from repro.exec.durable import read_jsonl
+from repro.mc import (
+    Classification,
+    MCCell,
+    MCPlan,
+    MCSettings,
+    ShardTally,
+    TallyLog,
+    merge_tallies,
+    run_plan,
+)
 from repro.mc.classify import DEGRADED, FATAL, ROUTABLE
 
 
@@ -97,11 +108,11 @@ class TestMergeAlgebra:
 class TestSerialization:
     def test_roundtrip(self):
         tally = tally_from([(0, ROUTABLE), (1, FATAL), (5, DEGRADED)])
-        again = ShardTally.from_payload(tally.to_payload())
+        again = from_data(ShardTally, to_data(tally))
         assert again.digest() == tally.digest()
 
     def test_payload_is_json_safe(self):
-        payload = tally_from([(0, ROUTABLE)]).to_payload()
+        payload = to_data(tally_from([(0, ROUTABLE)]))
         assert json.loads(json.dumps(payload)) == payload
 
 
@@ -152,6 +163,25 @@ class TestTallyLog:
         fresh = TallyLog(path)
         assert fresh.get("k1") is not None
         assert fresh.get("k2").digest() == healed.get("k2").digest()
+
+    def test_undecodable_tally_is_not_a_record(self, tmp_path):
+        """A line that parses as JSON but whose tally does not decode is
+        skipped like a torn one: that shard is classified again, to the
+        same digest, and nothing else is."""
+        plan = MCPlan(
+            cells=(MCCell(radix=4, num_node_faults=1, num_link_faults=1),),
+            settings=MCSettings(half_width=0.05, shard_size=20, max_shards=4, min_shards=2),
+            master_seed=3,
+        )
+        path = tmp_path / "t.jsonl"
+        first = run_plan(plan, tally_log=path)
+        records = read_jsonl(path)
+        assert first.shards_executed == len(records) >= 2
+        records[0] = {"key": records[0]["key"], "tally": {}}
+        path.write_text("".join(json.dumps(record) + "\n" for record in records))
+        again = run_plan(plan, tally_log=path)
+        assert again.shards_executed == 1
+        assert [e.digest() for e in again.estimates] == [e.digest() for e in first.estimates]
 
     def test_garbage_line_drops_suffix(self, tmp_path):
         """The name is historical: a corrupt line hides only itself.

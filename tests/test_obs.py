@@ -11,6 +11,7 @@ import json
 import pytest
 
 from repro.analysis import deadlock_report, hotspot_report
+from repro.canonical import from_data, to_data
 from repro.api import Experiment
 from repro.obs import (
     BLOCKED,
@@ -31,14 +32,12 @@ from repro.obs import (
     Tracer,
     events_to_jsonl,
     export_trace,
-    read_exec_jsonl,
     read_jsonl,
     series_to_csv,
     to_chrome_trace,
     validate_chrome_trace,
     validate_event,
     validate_exec_event,
-    write_exec_jsonl,
     write_jsonl,
 )
 from repro.reliability import ReliabilityConfig, ReliableTransport
@@ -91,7 +90,7 @@ class TestEventEmission:
     def test_events_validate_against_schema(self, traced_faulty_run):
         _, tracer, _ = traced_faulty_run
         for event in tracer.events[:500]:
-            assert validate_event(event.to_dict()) == []
+            assert validate_event(to_data(event)) == []
 
     def test_deliver_follows_inject_per_message(self, traced_faulty_run):
         _, tracer, _ = traced_faulty_run
@@ -446,7 +445,7 @@ class TestTaxonomy:
         } == EVENT_KINDS
 
     def test_validate_event_rejects_unknown_fields(self):
-        data = TraceEvent(1, DELIVER, 2, (0, 0), (1, 1)).to_dict()
+        data = to_data(TraceEvent(1, DELIVER, 2, (0, 0), (1, 1)))
         data["color"] = "red"
         assert any("unknown field" in p for p in validate_event(data))
 
@@ -481,37 +480,37 @@ class TestExecEvents:
 
     def test_dict_round_trip_validates(self):
         for event in self.exec_events():
-            data = event.to_dict()
+            data = to_data(event)
             assert validate_exec_event(data) == []
-            assert ExecEvent.from_dict(data) == event
+            assert from_data(ExecEvent, data) == event
 
     def test_validation_rejects_bad_events(self):
         assert validate_exec_event({"kind": "task_crash"})  # missing fields
-        bad_kind = ExecEvent(kind="task_warp", task_index=0, attempt=1).to_dict()
+        bad_kind = to_data(ExecEvent(kind="task_warp", task_index=0, attempt=1))
         assert validate_exec_event(bad_kind)
-        extra = self.exec_events()[0].to_dict()
+        extra = to_data(self.exec_events()[0])
         extra["when"] = 12345  # wall-clock time would break determinism
         assert any("unknown field" in p for p in validate_exec_event(extra))
 
     def test_jsonl_round_trip(self, tmp_path):
         events = self.exec_events()
-        path = write_exec_jsonl(events, tmp_path / "sweep.exec.jsonl")
-        assert read_exec_jsonl(path) == events
+        path = write_jsonl(events, tmp_path / "sweep.exec.jsonl")
+        assert read_jsonl(path) == events
 
     def test_read_rejects_corrupt_line(self, tmp_path):
         path = tmp_path / "bad.exec.jsonl"
-        write_exec_jsonl(self.exec_events(), path)
+        write_jsonl(self.exec_events(), path)
         with open(path, "a") as handle:
             handle.write('{"kind": "task_warp", "task_index": 0, "attempt": 1}\n')
         with pytest.raises(ValueError, match="bad.exec.jsonl:4"):
-            read_exec_jsonl(path)
+            read_jsonl(path)
 
     def test_validator_cli_routes_on_double_suffix(self, tmp_path):
         """python -m repro.obs.validate must apply the exec schema to
         *.exec.jsonl and the lifecycle schema to every other *.jsonl."""
         from repro.obs.validate import validate_jsonl_file
 
-        exec_path = write_exec_jsonl(
+        exec_path = write_jsonl(
             self.exec_events(), tmp_path / "sweep.exec.jsonl"
         )
         assert validate_jsonl_file(exec_path) == []
@@ -523,7 +522,7 @@ class TestExecEvents:
     def test_validator_main_accepts_exec_exports(self, tmp_path, capsys):
         from repro.obs.validate import main as validate_main
 
-        path = write_exec_jsonl(self.exec_events(), tmp_path / "s.exec.jsonl")
+        path = write_jsonl(self.exec_events(), tmp_path / "s.exec.jsonl")
         assert validate_main([str(path)]) == 0
         assert "ok" in capsys.readouterr().out
 
@@ -550,4 +549,4 @@ class TestExecEvents:
         trace = TraceConfig(out_dir=str(tmp_path / "traces"))
         Experiment.point(config, trace=trace).run(jobs=1, cache=False)
         (path,) = (tmp_path / "traces").glob("*.exec.jsonl")
-        assert len(read_exec_jsonl(path)) == 3
+        assert len(read_jsonl(path)) == 3

@@ -5,11 +5,14 @@ tests/test_service_chaos.py.
 """
 
 import json
+import re
+import socket
 import threading
 import time
 
 import pytest
 
+from repro.canonical import from_data, to_data
 from repro.exec.store import append_jsonl
 from repro.service import (
     CampaignService,
@@ -19,8 +22,10 @@ from repro.service import (
     QueueFull,
     ServiceClient,
     SpecError,
+    read_server_info,
     serve,
 )
+from repro.service.server import MAX_BODY_BYTES
 from repro.sim import SimulationConfig
 
 
@@ -47,10 +52,44 @@ def sweep_payload(rates=(0.004, 0.008), label="t", **overrides):
     }
 
 
+#: ``(mutation of sweep_payload(), what the SpecError must say)``; every
+#: message names the offending field
+BAD_PAYLOADS = [
+    (lambda p: p.pop("kind"), "kind"),
+    (lambda p: p.update(kind="banana"), "kind"),
+    (lambda p: p.update(config="not-a-dict"), "config"),
+    pytest.param(lambda p: p.update(bogus=1), "bogus: unknown field", id="<lambda>-unknown spec field"),
+    (lambda p: p.update(rates=[9.0]), "rate"),
+    (lambda p: p.update(settle_cycles=-1), "settle_cycles"),
+    (lambda p: p.update(task_timeout=0), "task_timeout"),
+    (lambda p: p.update(retries=0), "retries"),
+    (lambda p: p.update(campaign={"events": []}), "campaign"),
+    # a wrong JSON type is refused, never coerced
+    (lambda p: p.update(rates=["x"]), r"rates\[0\]: expected float, got str"),
+    (lambda p: p.update(rates=5), "rates: expected list, got int"),
+    (lambda p: p.update(settle_cycles="abc"), "settle_cycles: expected int, got str"),
+    (lambda p: p.update(retries=[]), "retries: expected int, got list"),
+    (lambda p: p.update(trace="yes"), "trace: expected bool, got str"),
+    (lambda p: p.update(task_timeout=float("nan")), "task_timeout: expected a finite number"),
+    # nested objects are decoded at admission, not inside a worker
+    (lambda p: p.update(config={"radix": "x"}), "bad config: radix: expected int, got str"),
+    (lambda p: p.update(config={"timing": 5}), "bad config: timing: expected object, got int"),
+    # an unknown key inside a nested object is refused like a top-level one
+    (
+        lambda p: p.update(
+            kind="campaign",
+            rates=[],
+            campaign={"events": [{"cycle": 10, "nodes": [[1, 1]], "bogus": 1}]},
+        ),
+        r"events\[0\]\.bogus: unknown field",
+    ),
+]
+
+
 class TestJobSpec:
     def test_round_trip_and_stable_id(self):
         spec = JobSpec.from_payload(sweep_payload())
-        again = JobSpec.from_canonical(spec.to_canonical())
+        again = from_data(JobSpec, to_data(spec))
         assert again == spec
         assert again.job_id() == spec.job_id()
 
@@ -79,20 +118,7 @@ class TestJobSpec:
         ]
         assert len(spec.build_tasks()) == 4
 
-    @pytest.mark.parametrize(
-        "mutate, message",
-        [
-            (lambda p: p.pop("kind"), "kind"),
-            (lambda p: p.update(kind="banana"), "kind"),
-            (lambda p: p.update(config="not-a-dict"), "config"),
-            (lambda p: p.update(bogus=1), "unknown spec field"),
-            (lambda p: p.update(rates=[9.0]), "rate"),
-            (lambda p: p.update(settle_cycles=-1), "settle_cycles"),
-            (lambda p: p.update(task_timeout=0), "task_timeout"),
-            (lambda p: p.update(retries=0), "retries"),
-            (lambda p: p.update(campaign={"events": []}), "campaign"),
-        ],
-    )
+    @pytest.mark.parametrize("mutate, message", BAD_PAYLOADS)
     def test_bad_payloads_raise_spec_error(self, mutate, message):
         payload = sweep_payload()
         mutate(payload)
@@ -380,6 +406,44 @@ class TestHTTP:
         with pytest.raises(ClientError) as excinfo:
             live_server.submit({"kind": "nope"})
         assert excinfo.value.status == 400
+
+    def test_malformed_specs_get_400_naming_the_field(self, live_server):
+        """One attempt each: a refusal is a 400 that says what is wrong,
+        not a dropped connection the client retries until it gives up."""
+        from repro.service import ClientError
+
+        from .test_mc_service import BAD_MC_PAYLOADS, mc_payload
+
+        client = ServiceClient(live_server.root, attempts=1)
+        cases = [(sweep_payload, case) for case in BAD_PAYLOADS]
+        cases += [(mc_payload, case) for case in BAD_MC_PAYLOADS]
+        for make, case in cases:
+            mutate, message = getattr(case, "values", case)
+            payload = make()
+            mutate(payload)
+            with pytest.raises(ClientError) as excinfo:
+                client.submit(payload)
+            assert excinfo.value.status == 400, message
+            assert re.search(message, str(excinfo.value)), (message, str(excinfo.value))
+
+    @pytest.mark.parametrize(
+        "length, status",
+        [("abc", 400), ("-5", 400), ("-1", 400), (str(MAX_BODY_BYTES + 1), 413)],
+    )
+    def test_content_length_is_client_input(self, live_server, length, status):
+        """Answered from the header alone, within a second — ``-1`` must
+        never reach ``rfile.read(-1)``, which blocks until the client
+        hangs up — and the server takes the next request."""
+        info = read_server_info(live_server.root)
+        with socket.create_connection((info["host"], info["port"]), timeout=1) as sock:
+            sock.sendall(
+                b"POST /jobs HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Type: application/json\r\n"
+                b"Content-Length: " + length.encode() + b"\r\n\r\n"
+            )
+            status_line = sock.makefile("rb").readline()
+        assert status_line.split()[1] == str(status).encode()
+        assert ServiceClient(live_server.root, attempts=1).status()["max_queue"] == 4
 
     def test_unknown_job_404s(self, live_server):
         from repro.service import ClientError

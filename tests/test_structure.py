@@ -80,6 +80,38 @@ def test_one_route_walk_loop_in_core():
     assert walkers == [("message_types.py", "walk_route")]
 
 
+def test_one_codec_in_src():
+    """Values cross files and sockets through ``repro.canonical.to_data``
+    / ``from_data``; a hand-written converter is one of these, each
+    keeping a reason in its docstring, or a copy coming back."""
+    survivors = {
+        ("sim/config.py", "SimulationConfig", "to_canonical"),
+        ("service/jobs.py", "JobSpec", "from_payload"),
+        ("sim/metrics.py", "SimulationResult", "to_dict"),
+        ("sim/metrics.py", "SimulationResult", "from_dict"),
+        ("exec/executor.py", "ExecutionStats", "to_dict"),
+        ("mc/engine.py", "CellEstimate", "to_payload"),
+        ("mc/engine.py", "MCRunResult", "to_payload"),
+        ("reliability/campaign.py", "FaultCampaign", "to_canonical"),
+        ("reliability/campaign.py", "FaultCampaign", "from_canonical"),
+    }
+    names = {"to_payload", "from_payload", "to_dict", "from_dict", "to_canonical", "from_canonical"}
+    converters = set()
+    asdict_calls = []
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        for owner in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(owner, ast.ClassDef):
+                converters.update(
+                    (rel, owner.name, node.name)
+                    for node in owner.body
+                    if isinstance(node, ast.FunctionDef) and node.name in names
+                )
+        asdict_calls += [(rel, holder) for holder, callee, _d, _n in call_sites(path) if callee == "asdict"]
+    assert converters == survivors
+    assert asdict_calls == []
+
+
 def test_one_canonical_json_hash_in_src():
     compact_dumps = set()
     sha256 = set()
