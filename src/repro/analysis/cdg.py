@@ -24,8 +24,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
-import networkx as nx
-
 from ..core import RoutingError
 from ..router.channels import ChannelKind, PhysicalChannel
 from ..router.messages import Message
@@ -34,6 +32,10 @@ from ..topology import Coord
 
 #: A CDG vertex: (physical channel, virtual channel class).
 Vertex = Tuple[PhysicalChannel, int]
+#: The CDG as an adjacency dict: every vertex (sinks included) maps to
+#: its successors, both in insertion order (a dict of ``None`` values is
+#: an ordered set).
+Graph = Dict[Vertex, Dict[Vertex, None]]
 
 
 def channel_walk(
@@ -68,12 +70,12 @@ def build_cdg(
     *,
     include_sharing=False,
     pairs: Optional[Iterable[Tuple[Coord, Coord]]] = None,
-) -> "nx.DiGraph":
+) -> Graph:
     """Dependency graph over all (or the given) source/destination pairs.
 
     ``include_sharing`` may be a bool (legacy: True = 'rank') or one of
     the sharing modes ``'off'``/``'rank'``/``'all'``."""
-    graph = nx.DiGraph()
+    graph: Graph = {}
     if pairs is None:
         healthy = net.healthy
         pairs = ((s, d) for s in healthy for d in healthy if s != d)
@@ -85,8 +87,37 @@ def build_cdg(
                 classes_b = classes_b[:1]
             for class_a in classes_a:
                 for class_b in classes_b:
-                    graph.add_edge((id(ch_a), class_a), (id(ch_b), class_b))
+                    graph.setdefault((ch_a, class_a), {})[(ch_b, class_b)] = None
+                    graph.setdefault((ch_b, class_b), {})
     return graph
+
+
+def _find_cycle(graph: Graph) -> Optional[List[Vertex]]:
+    """The first cycle an iterative depth-first search meets (roots and
+    successors in insertion order), from the vertex it re-enters on;
+    ``None`` if the graph is acyclic.  White vertices are absent from
+    ``colour``; a grey one is on ``path``, a black one is finished.
+    ``successors[i]`` iterates ``path[i - 1]``'s successors, and
+    ``successors[0]`` the roots."""
+    grey, black = 1, 2
+    colour: Dict[Vertex, int] = {}
+    path: List[Vertex] = []
+    successors = [iter(graph)]
+    while successors:
+        for vertex in successors[-1]:
+            state = colour.get(vertex)
+            if state is None:
+                colour[vertex] = grey
+                path.append(vertex)
+                successors.append(iter(graph[vertex]))
+                break
+            if state == grey:
+                return path[path.index(vertex):]
+        else:
+            successors.pop()
+            if path:
+                colour[path.pop()] = black
+    return None
 
 
 def routable_pairs(net: SimNetwork) -> List[Tuple[Coord, Coord]]:
@@ -118,12 +149,7 @@ def find_dependency_cycle(
 ) -> Optional[List[Vertex]]:
     """``None`` if the CDG is acyclic (deadlock-free allocation), else one
     witness cycle."""
-    graph = build_cdg(net, include_sharing=include_sharing, pairs=pairs)
-    try:
-        cycle_edges = nx.find_cycle(graph, orientation="original")
-    except nx.NetworkXNoCycle:
-        return None
-    return [edge[0] for edge in cycle_edges]
+    return _find_cycle(build_cdg(net, include_sharing=include_sharing, pairs=pairs))
 
 
 def assert_deadlock_free(
@@ -136,10 +162,11 @@ def assert_deadlock_free(
     checked (handy for reporting).  ``pairs`` restricts the walk (pass
     :func:`routable_pairs` for partial-coverage policies)."""
     graph = build_cdg(net, include_sharing=include_sharing, pairs=pairs)
-    if not nx.is_directed_acyclic_graph(graph):
-        cycle = nx.find_cycle(graph)
-        raise AssertionError(f"channel dependency cycle found: {cycle}")
-    return graph.number_of_nodes()
+    cycle = _find_cycle(graph)
+    if cycle is not None:
+        witness = ", ".join(f"{channel.name} c{vc_class}" for channel, vc_class in cycle)
+        raise AssertionError(f"channel dependency cycle found: [{witness}]")
+    return len(graph)
 
 
 def misroute_statistics(net: SimNetwork) -> Dict[str, float]:

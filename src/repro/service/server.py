@@ -56,6 +56,7 @@ from __future__ import annotations
 import json
 import os
 import signal
+import socket
 import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -82,6 +83,9 @@ SERVER_INFO_NAME = "server.json"
 STORE_DIR = "store"
 #: the largest request body the server reads (a job spec is a few KiB)
 MAX_BODY_BYTES = 1 << 20
+#: seconds a connection may stall on one socket read or write; a body
+#: that stops short of its ``Content-Length`` is answered 408
+REQUEST_TIMEOUT_S = 10.0
 
 
 class QueueFull(RuntimeError):
@@ -97,7 +101,8 @@ class Draining(RuntimeError):
 
 
 class _Refused(Exception):
-    """A request answered with ``status`` before its body is read."""
+    """A request answered with ``status`` and a closed connection: its
+    body is unread or incomplete."""
 
     def __init__(self, status: int, message: str):
         super().__init__(message)
@@ -504,6 +509,12 @@ class CampaignService:
             self._progress.notify_all()
 
 
+def _natural(text: str) -> Optional[int]:
+    """``text`` as a non-negative integer, else ``None``: ASCII digits
+    only, so no sign, no point, no blank."""
+    return int(text) if text.isascii() and text.isdigit() else None
+
+
 def _monotonic() -> float:
     import time
 
@@ -526,6 +537,10 @@ class _Handler(BaseHTTPRequestHandler):
     server: ServiceHTTPServer
 
     # --- plumbing ------------------------------------------------------
+    @property
+    def timeout(self) -> float:  # applied to the socket by setup()
+        return REQUEST_TIMEOUT_S
+
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         sys.stderr.write(
             "[repro-service] %s %s\n" % (self.address_string(), format % args)
@@ -557,14 +572,18 @@ class _Handler(BaseHTTPRequestHandler):
         """The request's JSON body.  ``Content-Length`` is client input
         too: one that is not a non-negative integer, or one above
         :data:`MAX_BODY_BYTES`, is refused before any body byte is read
-        (``rfile.read(-1)`` would block until the client hangs up)."""
+        (``rfile.read(-1)`` would block until the client hangs up), and
+        a body that stalls :data:`REQUEST_TIMEOUT_S` short of it is 408."""
         header = self.headers.get("Content-Length") or "0"
-        if not (header.isascii() and header.isdigit()):
+        length = _natural(header)
+        if length is None:
             raise _Refused(400, f"bad Content-Length {header[:40]!r}")
-        length = int(header)
         if length > MAX_BODY_BYTES:
             raise _Refused(413, f"request body over {MAX_BODY_BYTES} bytes")
-        raw = self.rfile.read(length) if length else b""
+        try:
+            raw = self.rfile.read(length) if length else b""
+        except socket.timeout:
+            raise _Refused(408, f"request body stopped short of {length} bytes") from None
         if not raw:
             raise SpecError("empty request body")
         try:
@@ -624,8 +643,11 @@ class _Handler(BaseHTTPRequestHandler):
     def _stream_events(self, service: CampaignService, record: JobRecord, url) -> None:
         """NDJSON long-poll stream: every progress event from ``?since=N``
         onward, then a terminal summary line, then EOF."""
-        query = parse_qs(url.query)
-        since = int(query.get("since", ["0"])[0])
+        raw = parse_qs(url.query).get("since", ["0"])[0]
+        since = _natural(raw)
+        if since is None:
+            self._error(400, f"bad since {raw[:40]!r}: expected a non-negative integer")
+            return
         self.send_response(200)
         self.send_header("Content-Type", "application/x-ndjson")
         self.send_header("Connection", "close")

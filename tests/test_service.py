@@ -25,6 +25,7 @@ from repro.service import (
     read_server_info,
     serve,
 )
+from repro.service import server as server_module
 from repro.service.server import MAX_BODY_BYTES
 from repro.sim import SimulationConfig
 
@@ -377,6 +378,19 @@ def live_server(tmp_path):
     thread.join(timeout=60)
 
 
+def raw_request(root, head, body=b""):
+    """One request on a fresh socket, sent as raw bytes with
+    ``Connection: close``: the status code and the body, read to EOF.
+    The client-side timeout turns a server that never answers into a
+    failure, not a hang."""
+    info = read_server_info(root)
+    with socket.create_connection((info["host"], info["port"]), timeout=5) as sock:
+        sock.sendall(f"{head}\r\nHost: test\r\nConnection: close\r\n\r\n".encode() + body)
+        data = sock.makefile("rb").read()
+    status_line, _, rest = data.partition(b"\r\n")
+    return int(status_line.split()[1]), rest.partition(b"\r\n\r\n")[2]
+
+
 class TestHTTP:
     def test_submit_wait_result_and_idempotency(self, live_server):
         client = live_server
@@ -443,6 +457,38 @@ class TestHTTP:
             )
             status_line = sock.makefile("rb").readline()
         assert status_line.split()[1] == str(status).encode()
+        assert ServiceClient(live_server.root, attempts=1).status()["max_queue"] == 4
+
+    def test_events_since_is_client_input(self, live_server):
+        """``since`` that is not a non-negative integer is a 400 naming
+        it, never a dropped connection (``abc``) or a stream that repeats
+        events (``-1``); ``since=0`` streams every event once."""
+        job = live_server.submit(sweep_payload())["job"]
+        live_server.wait(job, timeout=120)
+        for since in ("abc", "-1", "1.5"):
+            status, body = raw_request(
+                live_server.root, f"GET /jobs/{job}/events?since={since} HTTP/1.1"
+            )
+            assert status == 400, since
+            assert "since" in json.loads(body)["error"], since
+        status, body = raw_request(live_server.root, f"GET /jobs/{job}/events?since=0 HTTP/1.1")
+        events = [json.loads(line) for line in body.splitlines()]
+        assert status == 200
+        assert [e["completed"] for e in events[:-1]] == [1, 2]
+        assert events[-1]["state"] == "done"
+
+    def test_short_body_times_out_with_408(self, live_server, monkeypatch):
+        """A body that stops short of its ``Content-Length`` is answered
+        408 once the socket timeout passes, not left blocking its handler
+        in ``rfile.read``, and the server takes the next request."""
+        monkeypatch.setattr(server_module, "REQUEST_TIMEOUT_S", 0.5)
+        started = time.monotonic()
+        status, body = raw_request(
+            live_server.root, "POST /jobs HTTP/1.1\r\nContent-Length: 100", b"{" * 10
+        )
+        assert status == 408
+        assert "stopped short" in json.loads(body)["error"]
+        assert time.monotonic() - started < 4
         assert ServiceClient(live_server.root, attempts=1).status()["max_queue"] == 4
 
     def test_unknown_job_404s(self, live_server):

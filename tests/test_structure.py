@@ -7,7 +7,12 @@ comes back.  ``ast``, not text search: comments and docstrings may name
 these functions freely."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import repro
 
@@ -130,3 +135,53 @@ def test_one_canonical_json_hash_in_src():
         ("mc/sampler.py", "pattern_seed"),
         ("exec/checkpoint.py", "for_tasks"),
     }
+
+
+@pytest.mark.skipif(not hasattr(sys, "stdlib_module_names"), reason="needs Python >= 3.10")
+def test_src_imports_stdlib_and_optional_numpy_only():
+    """``pip install .`` pulls in no dependency: every absolute import is
+    the standard library, ``repro`` itself or numpy (``repro[fast]``),
+    and numpy only in the simulation cores, which gate it."""
+    foreign = []
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                tops = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                tops = [node.module.split(".")[0]]
+            else:
+                continue
+            foreign += [
+                (rel, top)
+                for top in tops
+                if top not in sys.stdlib_module_names
+                and top != "repro"
+                and not (top == "numpy" and rel.startswith("sim/"))
+            ]
+    assert foreign == []
+
+
+@pytest.mark.skipif(not hasattr(sys, "stdlib_module_names"), reason="needs Python >= 3.10")
+def test_cli_runs_on_the_standard_library_alone(tmp_path):
+    """As after a clean ``pip install .``: with every import outside the
+    standard library refused, the MC report imports and
+    ``repro-experiments tables`` runs its Lemma 1 check."""
+    code = (
+        "import sys\n"
+        "class StdlibOnly:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        top = name.partition('.')[0]\n"
+        "        if top not in sys.stdlib_module_names and top != 'repro':\n"
+        "            raise ModuleNotFoundError(f'not installed: {name}', name=name)\n"
+        "sys.meta_path.insert(0, StdlibOnly())\n"
+        "import repro.mc.report\n"
+        "from repro.experiments.cli import main\n"
+        "main(['tables', '--no-cache'])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent), "REPRO_RESULT_STORE": str(tmp_path)}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    assert "Lemma 1 evidence: channel dependency graphs are acyclic" in done.stdout

@@ -7,7 +7,7 @@ to the same dateline rank, which the CDG analysis proves deadlock-free.
 
 import pytest
 
-from repro.analysis import find_dependency_cycle
+from repro.analysis import assert_deadlock_free, build_cdg, find_dependency_cycle
 from repro.router import sharing_set
 from repro.sim import SimulationConfig, SimNetwork, Simulator
 
@@ -48,7 +48,19 @@ class TestCdgPredictsTheDifference:
 
     def test_torus_all_mode_has_cycle(self):
         net = SimNetwork(SimulationConfig(topology="torus", radix=6, dims=2))
-        assert find_dependency_cycle(net, include_sharing="all") is not None
+        cycle = find_dependency_cycle(net, include_sharing="all")
+        by_name = {channel.name: channel for channel in net.channels}
+        ring = [f"(1, {j})->DIM1+" for j in (1, 2, 3, 4, 5, 0)]
+        assert cycle == [(by_name[name], c) for name, c in zip(ring, (2, 2, 2, 2, 3, 3))]
+        graph = build_cdg(net, include_sharing="all")
+        for tail, head in zip(cycle, cycle[1:] + cycle[:1]):
+            assert head in graph[tail]
+        with pytest.raises(AssertionError) as excinfo:
+            assert_deadlock_free(net, include_sharing="all")
+        assert str(excinfo.value) == (
+            "channel dependency cycle found: [(1, 1)->DIM1+ c2, (1, 2)->DIM1+ c2, "
+            "(1, 3)->DIM1+ c2, (1, 4)->DIM1+ c2, (1, 5)->DIM1+ c3, (1, 0)->DIM1+ c3]"
+        )
 
     def test_torus_rank_mode_acyclic(self):
         net = SimNetwork(SimulationConfig(topology="torus", radix=6, dims=2))
