@@ -32,10 +32,11 @@ hand.  The vector core additionally carries an *absolute* floor at the
 saturated rate (``VECTOR_SPEEDUP_FLOOR``) and a soft target
 (``VECTOR_SPEEDUP_TARGET``) that only warns: the batched hot path was
 specified at >=5x over legacy, but the measured median on the
-development box is ~2.5-2.8x — the per-cycle numpy kernel-launch floor
-(~100 array ops against legacy's ~3.6 ms/cycle of Python scanning)
-bounds the achievable ratio well below 5x at this network size, so the
-hard gate is set beneath the honest measurement instead of at the
+development box is ~1.3-1.7x — the per-cycle numpy kernel-launch floor
+(~100 array ops) bounds the achievable ratio well below 5x at this
+network size, and the legacy oracle runs the same SoA-indexed scalar
+loops as the ``active`` branch (~2.4 ms/cycle at rate 0.02), so the hard
+gate is set beneath the honest measurement instead of at the
 aspirational target.
 
 The smoke also measures the cost of a staged runtime reconfiguration (a
@@ -108,8 +109,8 @@ BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_engine.json"
 #: saturated region where the vector core's batched hot path pays off
 RATES = (0.0002, 0.002, 0.01, 0.02)
 RADIX = 16
-#: the row astride the adaptive cutoff: an 8x8 torus at this rate has
-#: 34-90 busy channels, so the default core keeps switching branches
+#: the 8x8 row: 27-94 busy channels at this rate, below the adaptive
+#: cutoff, so the default core must match the scalar branch here
 SMALL_RADIX = 8
 SMALL_RATE = 0.005
 WARMUP_CYCLES = 300
@@ -125,10 +126,13 @@ DEFAULT_VS_BEST_FLOOR = 0.90
 SATURATED_RATE = 0.02
 #: hard floor for the vector core's paired-median speedup over legacy at
 #: the saturated rate.  Set beneath the honest measured median on the
-#: development box (2.46x at rate 0.01, 2.79x at 0.02) so machine noise
-#: does not flake CI, while still failing on any real regression of the
-#: batched transfer/allocation paths.
-VECTOR_SPEEDUP_FLOOR = 2.0
+#: development box so machine noise does not flake CI, while still
+#: failing on any real regression of the batched transfer/allocation
+#: paths.  It was 2.0 against a measured 2.79x at 0.02 (72%); once the
+#: scalar loops indexed the SoA buffers the oracle ran ~2x faster and
+#: four runs measured 1.26-1.73x (median 1.41x), so the floor is the
+#: same 72% of that: 1.0.
+VECTOR_SPEEDUP_FLOOR = 1.0
 #: the originally specified target; below it the check *warns* but does
 #: not fail (see the module docstring for why it is unreachable here)
 VECTOR_SPEEDUP_TARGET = 5.0

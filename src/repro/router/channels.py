@@ -23,10 +23,10 @@ message move in order and a VC buffers flits of at most one message.
 Since the struct-of-arrays refactor, none of this state lives on the
 objects themselves: every dynamic field is a slot in the simulation's
 :class:`~repro.sim.soa.SoAState` buffers, and the classes below are thin
-views over those buffers (the ``vector`` core processes the same buffers
-as batched numpy ops).  Channels built outside a network (unit tests)
-get a private single-channel store, so the classes stay usable
-standalone.
+views over those buffers (the engine's allocation and transfer loops,
+scalar and batched, index the buffers themselves).  Channels built
+outside a network (unit tests) get a private single-channel store, so
+the classes stay usable standalone.
 """
 
 from __future__ import annotations
@@ -386,8 +386,9 @@ class PhysicalChannel:
         self._vb = store.vbase[self.index]
         self.vcs: List[VirtualChannel] = [VirtualChannel(self, c) for c in range(num_classes)]
         #: virtual channels currently allocated to a message (receivers);
-        #: mirrored in the store's busy_slots for the vector core — use
-        #: busy_add/release, never mutate directly in engine code
+        #: mirrored in the store's busy_slots, which the transfer loops
+        #: walk — use busy_add/release, never mutate directly in engine
+        #: code
         self.busy: List[VirtualChannel] = []
 
     # -- SoA-backed counters --------------------------------------------

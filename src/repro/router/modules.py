@@ -133,7 +133,7 @@ class Resolution:
     ):
         self.channel = channel
         self.classes = classes
-        #: bitmask over ``classes`` — lets the vector core reject a fully
+        #: bitmask over ``classes`` — lets allocation reject a fully
         #: occupied channel against ``free_mask`` without iterating
         mask = 0
         for c in classes:

@@ -3,16 +3,17 @@
 Every quantity the engine mutates per cycle — virtual-channel flit
 counts, eligibility times, wormhole links, round-robin arbiter counters,
 per-channel transfer counters — lives here in flat, index-addressed
-buffers (stdlib ``array.array``, one array per field).  The object layer
+buffers (stdlib ``array.array``, one array per field).  Both branches of
+phases 3 and 4 index these buffers directly: the scalar loops of
+:mod:`repro.sim.stages` through local bindings, the adaptive core's
+batched pass (:mod:`repro.sim.vector`) through zero-copy numpy views of
+the same buffers.  The object layer
 (:class:`~repro.router.channels.VirtualChannel`,
 :class:`~repro.router.channels.PhysicalChannel`,
 :class:`~repro.router.channels.MessageSource`,
-:class:`~repro.router.modules.Module`) is a set of thin views over these
-buffers, so every existing caller — the scalar stages, reconfiguration,
-the obs tracer, the deadlock detector, metrics — keeps working
-unchanged, while the adaptive core's batched pass (:mod:`repro.sim.vector`)
-maps the same buffers as zero-copy numpy arrays and processes the busy set
-with batched array ops.
+:class:`~repro.router.modules.Module`) is a set of thin views over them
+that serves everything else — injection, reconfiguration, the obs
+tracer, the deadlock detector, metrics and tests.
 
 Id assignment
 -------------

@@ -24,6 +24,10 @@ oracle (``Simulator(core=...)``):
   ``"adaptive"`` core (:class:`AdaptiveAllocationStage` /
   :class:`AdaptiveTransferStage`) picks one per cycle from the number of
   busy channels; ``"vector"`` is the same pair pinned to always batch.
+  Both branches index the :class:`~repro.sim.soa.SoAState` buffers
+  directly; Python objects (messages, VC views, modules) are fetched
+  only where an event needs them — a header wake-up, a tail, a
+  delivery, a release, the tracer.
 * ``"legacy"`` — the seed engine's full-scan algorithm, kept as the
   oracle: every healthy node draws inline and every physical channel is
   visited every cycle.
@@ -39,9 +43,10 @@ from __future__ import annotations
 from bisect import insort
 from typing import TYPE_CHECKING, List
 
-from ..router.channels import ChannelKind, PhysicalChannel, VirtualChannel
+from ..router.channels import PhysicalChannel
 from ..router.modules import Module
 from .sampling import GeometricSampler
+from .soa import BIG, KIND_CONSUMPTION, KIND_INTERNODE
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import cycle guard
     from .engine import Simulator
@@ -174,12 +179,22 @@ class AllocationStage:
         waiting_set = sim._modules_waiting
         if not waiting_set:
             return False
-        routing = sim.net.routing
+        net = sim.net
+        routing = net.routing
         share_idle = sim.config.effective_sharing
-        nodes = sim.net.nodes
+        nodes = net.nodes
         activate = self.transfer.activate
         reconfig = sim.reconfig
         tracer = sim.tracer
+        store = net.store
+        head_time = store.head_time
+        free_mask = store.free_mask
+        res = store.res
+        msg = store.msg
+        msg_len = store.msg_len
+        upstream = store.upstream
+        waiting_route = store.waiting_route
+        module_rr = store.module_rr
         progress = False
         finished: List[Module] = []
         for module in waiting_set:
@@ -187,16 +202,20 @@ class AllocationStage:
             if not waiting:
                 finished.append(module)
                 continue
+            mid = module._mid
             count = len(waiting)
-            start = module.rr % count
+            start = module_rr[mid] % count
             for offset in range(count):
                 vc = waiting[(start + offset) % count]
-                eligible = vc.eligible
-                if not eligible or eligible[0] > now:
+                vid = vc._vid
+                # the header is the ring head while the VC waits for a
+                # route, so its eligibility is one load
+                if head_time[vid] > now:
                     continue
-                resolution = vc.cached_resolution
+                message = msg[vid]
+                resolution = res[vid]
                 fresh = resolution is None
-                if resolution is None:
+                if fresh:
                     node = nodes[module.node_coord]
                     if reconfig is not None:
                         # transition window: a stale node may steer the
@@ -208,33 +227,41 @@ class AllocationStage:
                         if resolution is None:
                             # the kill mutated module.waiting under us;
                             # rr points at the slot the removal vacated
-                            module.rr = start + offset
+                            module_rr[mid] = start + offset
                             progress = True
                             break
                     else:
-                        resolution = node.resolve(module, vc.message, routing, share_idle)
-                    vc.cached_resolution = resolution
-                downstream = resolution.channel.free_vc(resolution.classes)
+                        resolution = node.resolve(module, message, routing, share_idle)
+                    res[vid] = resolution
+                channel = resolution.channel
+                ci = channel.index
+                if free_mask[ci] & resolution.class_mask:
+                    downstream = channel.free_vc(resolution.classes)
+                else:
+                    downstream = None
                 if downstream is None:
                     if fresh and tracer is not None:
                         # only the header's first failed attempt at this
                         # node: later retries find the cached resolution
-                        tracer.on_blocked(now, vc.message, module, resolution.channel)
+                        tracer.on_blocked(now, message, module, channel)
                     continue
                 if resolution.commit_decision is not None:
                     routing.commit_hop(
-                        vc.message.route, module.node_coord, resolution.commit_decision
+                        message.route, module.node_coord, resolution.commit_decision
                     )
-                downstream.message = vc.message
-                downstream.upstream = vc
-                resolution.channel.busy_add(downstream)
-                activate(resolution.channel)
+                # extend the worm: the downstream VC is free, so no
+                # message source is bound to it
+                down = downstream._vid
+                msg[down] = message
+                msg_len[down] = message.length
+                free_mask[ci] &= ~(1 << downstream.vc_class)
+                upstream[down] = vid
+                channel.busy_add(downstream)
+                activate(channel)
                 if tracer is not None:
-                    tracer.on_vc_alloc(
-                        now, vc.message, module, resolution.channel, downstream
-                    )
-                vc.waiting_route = False
-                vc.cached_resolution = None
+                    tracer.on_vc_alloc(now, message, module, channel, downstream)
+                waiting_route[vid] = 0
+                res[vid] = None
                 waiting.remove(vc)
                 # Bounded by construction: start < count and offset < count,
                 # so rr <= 2*count - 1 (tests/test_router_modules.py asserts
@@ -243,7 +270,7 @@ class AllocationStage:
                 # rr % count changes which header is served when the list has
                 # shrunk or grown in between — empirically enough to push one
                 # fault-campaign scenario into a watchdog deadlock.
-                module.rr = start + offset + 1
+                module_rr[mid] = start + offset + 1
                 progress = True
                 break  # one header per module per cycle
             if not waiting:
@@ -302,88 +329,126 @@ class TransferStage:
         sim = self.sim
         compact = self.active_set
         channels = self._active if compact else sim.net.channels
-        progress = False
+        store = sim.net.store
+        received = store.received
+        sent = store.sent
+        head_time = store.head_time
+        upstream = store.upstream
+        msg_len = store.msg_len
+        elig = store.elig
+        elig_head = store.elig_head
+        elig_count = store.elig_count
+        ring_base = store.ring_base
+        chan_of = store.chan_of
+        is_real = store.is_real
+        depth = store.depth
+        kind_code = store.kind_code
+        rr = store.rr
+        transfers = store.transfers
+        busy_count = store.busy_count
+        busy_slots = store.busy_slots
+        waiting_route = store.waiting_route
+        msg = store.msg
+        vc_obj = store.vc_obj
+        K = store.num_classes
         timing = sim.config.timing
         header_delay = timing.header_delay
         data_delay = timing.data_delay
-        internode = ChannelKind.INTERNODE
-        consumption = ChannelKind.CONSUMPTION
         waiting_set = sim._modules_waiting
         on_consumed = sim._on_consumed
         outstanding = sim.outstanding
         active_sources = sim._active_sources
         tracer = sim.tracer
+        progress = False
         write = 0
         for channel in channels:
-            busy = channel.busy
-            if not busy:
+            # the busy list mirrors busy_count; its truth test is the
+            # cheaper emptiness check on the legacy full scan
+            if not channel.busy:
                 if compact:
                     channel.active = False
                 continue
             if compact:
                 channels[write] = channel
                 write += 1
-            count = len(busy)
-            start = channel.rr % count
+            ci = channel.index
+            count = busy_count[ci]
+            base = ci * K
+            start = rr[ci] % count
             for offset in range(count):
-                vc = busy[(start + offset) % count]
-                message = vc.message
-                if vc.received >= message.length:
+                slot = start + offset
+                if slot >= count:
+                    slot -= count
+                vid = busy_slots[base + slot]
+                got = received[vid]
+                length = msg_len[vid]
+                if got >= length:
                     # Whole worm already received; the VC is only draining
-                    # downstream.  Its upstream reference is stale (that VC
-                    # may have been released and re-allocated), so it must
-                    # not pull again.
+                    # downstream.  Its upstream link is stale (that VC may
+                    # have been released and re-allocated), so it must not
+                    # pull again.
                     continue
-                # eligibility + pop inlined (this is the hottest loop in
-                # the simulator; the method-call forms are
-                # has_eligible_flit / pop_flit on VirtualChannel and
-                # MessageSource)
-                upstream = vc.upstream
-                from_vc = type(upstream) is VirtualChannel
-                if from_vc:
-                    upstream_flits = upstream.eligible
-                    if not upstream_flits or upstream_flits[0] > now:
-                        continue
-                elif upstream.sent >= upstream.length:
+                # one pull check for both suppliers: a VC's head_time is
+                # its ring head, a source's shadow slot is -1 while it
+                # still has flits (soa.py)
+                src = upstream[vid]
+                if head_time[src] > now:
                     continue
-                kind = channel.kind
-                if kind is consumption:
-                    if from_vc:
-                        upstream_flits.popleft()
-                    upstream.sent += 1
-                    vc.received += 1
-                    vc.sent += 1
-                    if vc.received == message.length:
+                kind = kind_code[ci]
+                consume = kind == KIND_CONSUMPTION
+                if not consume and got - sent[vid] >= depth[ci]:
+                    continue
+                # pop the upstream flit
+                pulled = sent[src] + 1
+                sent[src] = pulled
+                real = is_real[src]
+                if real:
+                    left = elig_count[src] - 1
+                    head = elig_head[src] + 1
+                    if head == depth[chan_of[src]]:
+                        head = 0
+                    elig_head[src] = head
+                    elig_count[src] = left
+                    head_time[src] = elig[ring_base[src] + head] if left else BIG
+                elif pulled >= msg_len[src]:
+                    head_time[src] = BIG  # the source is exhausted
+                got += 1
+                received[vid] = got
+                if consume:
+                    sent[vid] += 1
+                    if got == length:
+                        message = msg[vid]
                         message.consumed_cycle = now
                         on_consumed(message)
-                        channel.release(vc)
+                        channel.release(vc_obj[vid])
                 else:
-                    if vc.received - vc.sent >= channel.buffer_depth:
-                        continue
-                    if from_vc:
-                        upstream_flits.popleft()
-                    upstream.sent += 1
-                    is_header = vc.received == 0
-                    vc.received += 1
-                    vc.eligible.append(now + (header_delay if is_header else data_delay))
-                    if is_header:
+                    # push onto this VC's eligibility ring
+                    when = now + (header_delay if got == 1 else data_delay)
+                    held = elig_count[vid]
+                    elig[ring_base[vid] + (elig_head[vid] + held) % depth[ci]] = when
+                    elig_count[vid] = held + 1
+                    if not held:
+                        head_time[vid] = when
+                    if got == 1:
                         module = channel.dst_module
                         if module is not None:
-                            module.waiting.append(vc)
-                            vc.waiting_route = True
+                            module.waiting.append(vc_obj[vid])
+                            waiting_route[vid] = 1
                             waiting_set[module] = None
-                    if vc.received == message.length:
+                    if got == length:
                         # the tail finished crossing this channel (hop done)
-                        if not message.exited_source and kind is internode:
+                        message = msg[vid]
+                        if not message.exited_source and kind == KIND_INTERNODE:
                             message.exited_source = True
                             outstanding[message.src] -= 1
                             active_sources.add(message.src)
                         if tracer is not None:
-                            tracer.on_transfer(now, message, channel, vc)
-                if from_vc and upstream.sent == message.length:
-                    upstream.channel.release(upstream)
-                channel.transfers += 1
-                channel.rr = (start + offset + 1) % count
+                            tracer.on_transfer(now, message, channel, vc_obj[vid])
+                if real and pulled == length:
+                    drained = vc_obj[src]
+                    drained.channel.release(drained)
+                transfers[ci] += 1
+                rr[ci] = (start + offset + 1) % count
                 progress = True
                 break  # one flit per physical channel per cycle
         if compact:
@@ -395,19 +460,21 @@ class TransferStage:
 #: batched pass (``BATCH_ENTER``) and below which a batched cycle hands
 #: back (``BATCH_LEAVE``; the gap keeps a network hovering at the cutoff
 #: from paying the work-list rebuild every cycle).  Measured, not
-#: configurable.  Milliseconds per run, best of 3, enter/leave:
+#: configurable.  Milliseconds per run, median of 7, enter/leave:
 #:
-#:   run (busy channels p5-p95)       never 32/24 64/48 96/72 128/96 always
-#:   4x4   rate 0.06    (69-85)         858   946   955   855    859    951
-#:   8x8   rate 0.005   (28-86)         687   785   725   684    689    793
-#:   16x16 rate 0.0002  (0-26)          189   196   190   191    190    410
-#:   16x16 rate 0.002   (87-193)       1761  1128  1130  1144   1194   1154
-#:   16x16 5% faults, rate 0.014 (~930) 2701  932   930   964    936    918
+#:   run (busy channels p5-p95)        active  vector   96/72 192/144 320/240 512/384
+#:   4x4   rate 0.06 (69-84)              910    1610     883     894     897     871
+#:   8x8   1%, rate 0.012 (139-213)       399     505     450     470     383     379
+#:   16x16 rate 0.002 (88-200)           1283    1652    1632    1293    1098    1172
+#:   16x16 rate 0.004 (216-371)          1750    1516    1521    1407    1466    1720
+#:   16x16 rate 0.01 (790-871)           1575    1403    1422    1196    1166    1566
+#:   16x16 5%, rate 0.014 (861-1040)     1865    1209    1171    1326    1189    1226
 #:
-#: The full sweep and the busy-channel distributions are in
-#: docs/architecture.md ("Choosing the branch").
-BATCH_ENTER = 96
-BATCH_LEAVE = 72
+#: The scalar and batched branches cross between ~260 and ~350 busy
+#: channels; the full sweep, the per-cycle costs and the busy-channel
+#: distributions are in docs/architecture.md ("Choosing the branch").
+BATCH_ENTER = 320
+BATCH_LEAVE = 240
 
 
 class AdaptiveTransferStage(TransferStage):

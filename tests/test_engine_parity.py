@@ -17,7 +17,7 @@ import random
 
 import pytest
 
-from repro.canonical import to_data
+from repro.canonical import canonical_digest, to_data
 from repro.sim import SimulationConfig, Simulator
 
 try:
@@ -84,11 +84,51 @@ GOLDEN_CONFIGS = {
     "sharing-all": dict(topology="torus", radix=8, dims=2, rate=0.012,
                         vc_sharing_mode="all", warmup_cycles=200, measure_cycles=1000,
                         seed=10, fault_percent=1),
-    # sits astride the adaptive cutoff: 34-90 busy channels, so the
-    # default core keeps switching branches (TestAdaptiveSwitching)
+    # 27-94 busy channels: below the default cutoff, so TestAdaptiveSwitching
+    # sets one inside that range to keep the default core switching
     "crossing": dict(topology="torus", radix=8, dims=2, rate=0.005,
                      warmup_cycles=300, measure_cycles=1500, seed=3),
 }
+
+
+# Absolute pins on the oracle's own output.  Cross-core parity cannot see
+# a change in code every core shares (the scalar allocation loop runs on
+# every core, the scalar transfer loop on every run that never batches),
+# so the legacy results those tests compute anyway are also held to the
+# digests below: ``canonical_digest(result.to_dict())[:16]``.  A change
+# that moves one of them changes simulation results.
+GOLDEN_DIGESTS = {
+    "3d": "54128e3503bfc92b",
+    "adaptive-f5": "6d7752429ddf626a",
+    "adaptive-mesh": "8f394e7c93e3258b",
+    "avoid": "e395fa325c4ee0e6",
+    "crossbar": "7c06bb41b2feb885",
+    "crossing": "79f06acb035101dc",
+    "ecube": "c1425574fe759795",
+    "fashion": "9ae7f662e02e40be",
+    "fashion-f5": "0adc4b60ac163e29",
+    "hotspot-latencies": "a020f344f8473a0b",
+    "int-f0": "8208e79e1604f38d",
+    "int-f1": "b78401544119856c",
+    "int-f5": "75fc6f8a028f4d06",
+    "mesh-f5": "bbef2bd3edebdb51",
+    "reqrep": "4af0788a89b1c97b",
+    "saturated": "2aec4c5fd6a3a966",
+    "sharing-all": "282d31ca43f25216",
+    "table": "20b8ea65d2313678",
+    "uneven-batches": "2ec36eed5581f07c",
+}
+
+# the legacy tracer's event stream, ``canonical_digest`` of the events'
+# ``to_data`` list
+TRACE_DIGESTS = {
+    "reqrep": "836c21712d806f2b",
+    "crossing": "12443af7922dde5c",
+}
+
+
+def result_digest(result):
+    return canonical_digest(result.to_dict())[:16]
 
 
 def run_core(core, kwargs, *, drain=False, fault=None):
@@ -120,6 +160,7 @@ class TestGoldenParity:
     @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
     def test_cores_agree(self, name, core):
         _, legacy = run_core("legacy", GOLDEN_CONFIGS[name])
+        assert result_digest(legacy) == GOLDEN_DIGESTS[name]
         _, other = run_core(core, GOLDEN_CONFIGS[name])
         assert_results_identical(legacy, other)
 
@@ -224,6 +265,8 @@ class TestRuntimeFaultParity:
                       warmup_cycles=300, measure_cycles=1200, seed=21,
                       detection_latency=2)
         legacy_sim, legacy = run_core("legacy", kwargs, drain=True, fault=self.FAULT)
+        assert result_digest(legacy) == "f2482b7aa38015e1"
+        assert legacy_sim.now == 1624
         other_sim, other = run_core(core, kwargs, drain=True, fault=self.FAULT)
         assert_results_identical(legacy, other)
         assert legacy_sim.now == other_sim.now
@@ -297,6 +340,9 @@ class TestTracerNeutrality:
     @pytest.mark.parametrize("name", TRACED_CONFIGS)
     def test_cores_emit_identical_event_streams(self, name, core):
         legacy_tracer, legacy = self.run_traced("legacy", GOLDEN_CONFIGS[name])
+        if name in TRACE_DIGESTS:
+            stream = canonical_digest([to_data(e) for e in legacy_tracer.events])
+            assert stream[:16] == TRACE_DIGESTS[name]
         other_tracer, other = self.run_traced(core, GOLDEN_CONFIGS[name])
         assert_results_identical(legacy, other)
         assert len(legacy_tracer.events) == len(other_tracer.events)
@@ -312,13 +358,18 @@ class TestAdaptiveSwitching:
     directions, and reconfigurations landing on either branch."""
 
     INF = float("inf")
+    #: (enter, leave) inside the ``crossing`` config's busy-channel range;
+    #: the default cutoff (BATCH_ENTER / BATCH_LEAVE) sits above it
+    CUTOFF = (64, 48)
 
     def test_crosses_the_cutoff_in_both_directions(self):
         kwargs = GOLDEN_CONFIGS["crossing"]
         _, legacy = run_core("legacy", kwargs)
-        sim, adaptive = run_core("adaptive", kwargs)
-        assert_results_identical(legacy, adaptive)
+        sim = Simulator(SimulationConfig(**kwargs), core="adaptive")
         transfer = sim.transfer
+        transfer.enter, transfer.leave = self.CUTOFF
+        adaptive = sim.run()
+        assert_results_identical(legacy, adaptive)
         cycles = kwargs["warmup_cycles"] + kwargs["measure_cycles"]
         assert 0 < transfer.batched_cycles < cycles  # both branches ran
         assert transfer.switches >= 2  # up, and back down
@@ -336,7 +387,7 @@ class TestAdaptiveSwitching:
 
         sim = Simulator(SimulationConfig(**kwargs), core="adaptive")
         transfer = sim.transfer
-        cutoff = (transfer.enter, transfer.leave)
+        transfer.enter, transfer.leave = cutoff = self.CUTOFF
         landed = []
 
         def pin_then_bomb(now):

@@ -137,6 +137,40 @@ def test_one_canonical_json_hash_in_src():
     }
 
 
+def test_scalar_loops_index_the_soa_buffers():
+    """The scalar allocation and transfer loops read the struct-of-arrays
+    buffers through local bindings (``received = store.received``), as
+    the batched pass does; the property views on virtual and physical
+    channels serve reconfiguration, the tracer, metrics and tests, never
+    these two loops."""
+    views = {
+        "eligible",
+        "received",
+        "sent",
+        "upstream",
+        "message",
+        "cached_resolution",
+        "waiting_route",
+        "transfers",
+    }
+    tree = ast.parse((SRC / "sim" / "stages.py").read_text(encoding="utf-8"))
+    checked = []
+    for owner in tree.body:
+        if isinstance(owner, ast.ClassDef) and owner.name in ("AllocationStage", "TransferStage"):
+            for method in owner.body:
+                if isinstance(method, ast.FunctionDef) and method.name == "run":
+                    checked.append(owner.name)
+                    used = {
+                        node.attr
+                        for node in ast.walk(method)
+                        if isinstance(node, ast.Attribute)
+                        and node.attr in views
+                        and not (isinstance(node.value, ast.Name) and node.value.id == "store")
+                    }
+                    assert not used, (owner.name, sorted(used))
+    assert sorted(checked) == ["AllocationStage", "TransferStage"]
+
+
 @pytest.mark.skipif(not hasattr(sys, "stdlib_module_names"), reason="needs Python >= 3.10")
 def test_src_imports_stdlib_and_optional_numpy_only():
     """``pip install .`` pulls in no dependency: every absolute import is
