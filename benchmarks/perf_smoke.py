@@ -1,14 +1,14 @@
 """Engine performance smoke: cycles/second for the simulation cores.
 
-Measures the paper-scale configuration (16x16 torus) at four offered
-loads — near-idle through saturated — plus one 8x8 row that sits astride
-the adaptive cutoff, for the legacy full-scan oracle, the two pinned
-branches (``active``: scalar work-lists, ``vector``: batched numpy pass,
-when numpy is present) and the adaptive default that chooses between
-them per cycle, and writes ``BENCH_engine.json``.  The regression check
-compares *ratios* (one core over another on the same machine and the
-same run), which are machine-independent, rather than absolute
-cycles/second, which are not.
+Measures the paper-scale configuration (16x16 torus) at five offered
+loads — near-idle through saturated, one of them astride the adaptive
+cutoff — plus one 8x8 row below it, for the legacy full-scan oracle,
+the two pinned branches (``active``: scalar work-lists, ``vector``:
+batched numpy pass, when numpy is present) and the adaptive default
+that chooses between them per cycle, and writes ``BENCH_engine.json``.
+The regression check compares *ratios* (one core over another on the
+same machine and the same run), which are machine-independent, rather
+than absolute cycles/second, which are not.
 
 Speedups are computed from **paired per-repetition ratios**: each
 repetition runs every core back-to-back and contributes one ratio, and
@@ -105,9 +105,12 @@ BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_engine.json"
 
 #: offered loads (messages/node/cycle): near-idle (where the active-set
 #: scheduling wins outright), the low-load region where the paper's
-#: latency curves live, moderate load approaching saturation, and the
-#: saturated region where the vector core's batched hot path pays off
-RATES = (0.0002, 0.002, 0.01, 0.02)
+#: latency curves live, the branch crossover (216-371 busy channels at
+#: 0.004, astride BATCH_ENTER / BATCH_LEAVE = 320 / 240, so the default
+#: core switches branches within the run), moderate load approaching
+#: saturation, and the saturated region where the vector core's batched
+#: hot path pays off
+RATES = (0.0002, 0.002, 0.004, 0.01, 0.02)
 RADIX = 16
 #: the 8x8 row: 27-94 busy channels at this rate, below the adaptive
 #: cutoff, so the default core must match the scalar branch here
@@ -127,8 +130,8 @@ SATURATED_RATE = 0.02
 #: hard floor for the vector core's paired-median speedup over legacy at
 #: the saturated rate.  Set beneath the honest measured median on the
 #: development box so machine noise does not flake CI, while still
-#: failing on any real regression of the batched transfer/allocation
-#: paths.  It was 2.0 against a measured 2.79x at 0.02 (72%); once the
+#: failing on any real regression of the batched transfer path.
+#: It was 2.0 against a measured 2.79x at 0.02 (72%); once the
 #: scalar loops indexed the SoA buffers the oracle ran ~2x faster and
 #: four runs measured 1.26-1.73x (median 1.41x), so the floor is the
 #: same 72% of that: 1.0.

@@ -30,10 +30,10 @@ core, two pinned spellings of it, and one oracle**:
 
 * ``Simulator(config)`` runs the *adaptive* core: sources, modules and
   channels with pending work sit on work-lists, and every cycle the
-  allocation/transfer pair chooses between the scalar work-list service
-  (few busy channels) and the batched numpy pass over the busy set (many
-  — see :mod:`repro.sim.stages` for the measured cutoff).  Without numpy
-  the scalar branch runs alone.
+  transfer stage chooses between the scalar work-list service (few busy
+  channels) and the batched numpy pass over the busy set (many — see
+  :mod:`repro.sim.stages` for the measured cutoff); allocation is one
+  loop for both.  Without numpy the scalar branch runs alone.
 * ``core="active"`` / ``core="vector"`` pin that choice to never / always
   batch — the parity matrix forces the batched branch onto networks too
   small to reach the cutoff, numpy-free installs need the scalar one.
@@ -63,7 +63,6 @@ from .deadlock import DeadlockError, stuck_worm_snapshot
 from .metrics import SimulationResult, batch_means_ci, percentile
 from .network import SimNetwork
 from .stages import (
-    AdaptiveAllocationStage,
     AdaptiveTransferStage,
     AllocationStage,
     GenerationStage,
@@ -192,10 +191,9 @@ class Simulator:
         work_lists = core != "legacy"
         if core in ("adaptive", "vector"):
             self.transfer = AdaptiveTransferStage(self, always_batch=core == "vector")
-            self.allocation = AdaptiveAllocationStage(self, self.transfer)
         else:
             self.transfer = TransferStage(self, work_list=work_lists)
-            self.allocation = AllocationStage(self, self.transfer)
+        self.allocation = AllocationStage(self, self.transfer)
         self.injection = InjectionStage(self, self.transfer)
         self.generation = GenerationStage(self, block_sampling=work_lists)
 

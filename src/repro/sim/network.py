@@ -63,7 +63,7 @@ class SimNetwork:
         #: state; the channel/module objects are views over it
         self.store = SoAState()
         #: ``(routing, sharing mode, table)``: header resolutions the
-        #: batched pass memoized for exactly that routing object.  They
+        #: allocation stage memoized for exactly that routing object.  They
         #: depend on static structure only, so the table outlives
         #: ``reset()`` and serves every run that reuses this network
         self.resolution_memo = (None, None, None)

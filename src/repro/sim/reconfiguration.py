@@ -155,8 +155,8 @@ def _retire(
     fault-event sequence, in its one safe order: pick the victims,
     truncate them, drop the orphaned queue entries, install the target
     ``(scenario, routing)`` if one is given, unwire, rebuild the transfer
-    work-list, forget cached resolutions, and drop the arbitration state
-    of removed modules.
+    work-list, wake every parked module, forget cached resolutions, and
+    drop the arbitration state of removed modules.
 
     The callers differ only in *scope*: ``unwired`` nodes and
     ``dead_links`` leave the network now; traffic to or from a ``doomed``
@@ -179,8 +179,10 @@ def _retire(
         _install_scenario(simulator, *install)
     _unwire(net, dying_channels, unwired)
     # dying channels left the channel list and killed worms freed their
-    # VCs wholesale: rebuild the transfer work-list from scratch
+    # VCs wholesale: rebuild the transfer work-list from scratch, and
+    # wake every parked module (those releases bypassed the wake hook)
     simulator.transfer.resync()
+    simulator.allocation.flush()
     _clear_cached_resolutions(net)
     # drop stale arbitration state owned by removed modules (dict, not
     # set: arbitration order must stay insertion-ordered / deterministic)

@@ -18,16 +18,19 @@ oracle (``Simulator(core=...)``):
   transfer work-list only while a virtual channel is busy on them, and
   generation skips idle sources through the
   :class:`~repro.sim.sampling.GeometricSampler` block stream.
-* **two branches for phases 3 and 4** — the scalar loops of
-  :class:`AllocationStage` / :class:`TransferStage` (all of ``"active"``),
-  and the batched numpy pass of :mod:`repro.sim.vector`.  The default
-  ``"adaptive"`` core (:class:`AdaptiveAllocationStage` /
-  :class:`AdaptiveTransferStage`) picks one per cycle from the number of
-  busy channels; ``"vector"`` is the same pair pinned to always batch.
-  Both branches index the :class:`~repro.sim.soa.SoAState` buffers
-  directly; Python objects (messages, VC views, modules) are fetched
-  only where an event needs them — a header wake-up, a tail, a
-  delivery, a release, the tracer.
+* **one allocation loop, two transfer branches** — phase 3 is one
+  loop, :meth:`AllocationStage.run`, on every core and every cycle; it
+  memoizes header resolutions and parks modules that cannot grant
+  (everywhere but the oracle and transition windows).  Phase 4 has two
+  branches: the scalar loop of :class:`TransferStage` (all of
+  ``"active"``) and the batched numpy pass of :mod:`repro.sim.vector`.
+  The default ``"adaptive"`` core (:class:`AdaptiveTransferStage`) picks
+  one per cycle from the number of busy channels; ``"vector"`` is the
+  same stage pinned to always batch.  Both branches index the
+  :class:`~repro.sim.soa.SoAState` buffers directly and wake parked
+  modules through :meth:`AllocationStage.wake`; Python objects
+  (messages, VC views, modules) are fetched only where an event needs
+  them — a header wake-up, a tail, a delivery, a release, the tracer.
 * ``"legacy"`` — the seed engine's full-scan algorithm, kept as the
   oracle: every healthy node draws inline and every physical channel is
   visited every cycle.
@@ -41,8 +44,10 @@ docs/architecture.md for the ordering argument).
 from __future__ import annotations
 
 from bisect import insort
-from typing import TYPE_CHECKING, List
+from heapq import heappop, heappush
+from typing import TYPE_CHECKING, Dict, List
 
+from ..core.ecube import next_ecube_dim
 from ..router.channels import PhysicalChannel
 from ..router.modules import Module
 from .sampling import GeometricSampler
@@ -54,6 +59,10 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import cycle guard
 
 def _channel_index(channel: PhysicalChannel) -> int:
     return channel.index
+
+
+#: what the oracle and transition windows consult instead of the parked set
+_NOT_PARKED = frozenset()
 
 
 class GenerationStage:
@@ -160,19 +169,72 @@ class AllocationStage:
     (round-robin among its input virtual channels holding an eligible
     header): the routing logic picks the output channel and the
     admissible virtual channel classes; the header is allocated the
-    first free one, extending the worm.
+    first free one, extending the worm.  This is the one header
+    arbitration loop: every core and both transfer branches use it.
 
     Modules wake only when a header arrives: the engine's
     ``_modules_waiting`` insertion-ordered dict (a set of Modules would
     iterate in ``id()`` order, which varies run to run and breaks
     bit-for-bit determinism when two modules race for one downstream
-    VC)."""
+    VC).
 
-    __slots__ = ("sim", "transfer")
+    Outside the oracle (``core="legacy"``) and transition windows
+    (``sim.reconfig``, whose stale/target resolution is stateful), two
+    fast paths ride on the loop.  A fresh header of a routing policy
+    that declares ``cacheable_decisions`` resolves through the memo on
+    the network (``SimNetwork.resolution_memo``: decisions keyed by the
+    e-cube hop and the exact mutable route fields they read; misroute
+    entries mutate state and are never cached).  And a module whose
+    scan grants nothing **parks**.
+
+    Parking argument: a module whose scan ends without a grant changed
+    nothing observable (``rr`` untouched, resolutions cached,
+    ``on_blocked`` fires only on the fresh resolve), so skipping the
+    rescan is invisible as long as the module is rescanned no later
+    than the first cycle it *could* grant.  Every waiting VC is blocked
+    on exactly one of two conditions, each with an exact wake event:
+
+    * its header is not yet eligible — the head time is a fixed future
+      cycle (the ring cannot empty or advance while the header waits
+      for a route, and pushes never touch a non-empty ring's head), so
+      a timer at that cycle is exact;
+    * its resolved output channel has no free VC in the admissible
+      classes — free bits are set only by ``channel.release``, and every
+      release in either transfer branch calls :meth:`wake` for the
+      channel's subscribers.
+
+    A header arriving at a parked module unparks it.  Releases outside
+    the transfer stage (worms killed by a reconfiguration) go through
+    ``reconfiguration._retire``, which calls :meth:`flush`; spurious
+    wakes are always safe (a rescan that cannot grant has no observable
+    effect)."""
+
+    __slots__ = ("sim", "transfer", "plain", "_parked", "_subs", "_timers", "_tseq")
 
     def __init__(self, sim: "Simulator", transfer: "TransferStage"):
         self.sim = sim
         self.transfer = transfer
+        #: the oracle resolves every fresh header and never parks, so the
+        #: parity matrix checks the memo and parking against neither
+        self.plain = sim.core == "legacy"
+        self._parked: Dict[Module, None] = {}
+        self._subs: Dict[int, List[Module]] = {}
+        self._timers: List[tuple] = []
+        self._tseq = 0
+
+    def flush(self) -> None:
+        """Wake every parked module and forget every wake source."""
+        self._parked.clear()
+        self._subs.clear()
+        self._timers.clear()
+
+    def wake(self, ci: int) -> None:
+        """Channel ``ci`` released a VC: wake the modules blocked on it."""
+        woken = self._subs.pop(ci, None)
+        if woken:
+            parked = self._parked
+            for module in woken:
+                parked.pop(module, None)
 
     def run(self, now: int) -> bool:
         sim = self.sim
@@ -195,13 +257,34 @@ class AllocationStage:
         upstream = store.upstream
         waiting_route = store.waiting_route
         module_rr = store.module_rr
+        park = not self.plain and reconfig is None
+        cache = None
+        parked = self._parked if park else _NOT_PARKED
+        if park:
+            memo_routing, memo_sharing, cache = net.resolution_memo
+            if routing is not memo_routing or share_idle != memo_sharing:
+                # routing objects are replaced, never mutated, on
+                # reconfiguration — identity tracks fault-view freshness;
+                # a reused network hands the next run a warm table
+                cache = {} if getattr(routing, "cacheable_decisions", False) else None
+                net.resolution_memo = (routing, share_idle, cache)
+            timers = self._timers
+            while timers and timers[0][0] <= now:
+                parked.pop(heappop(timers)[2], None)
+            if cache is not None:
+                min_dir = routing.network.minimal_direction
         progress = False
         finished: List[Module] = []
         for module in waiting_set:
+            if module in parked:
+                continue
             waiting = module.waiting
             if not waiting:
                 finished.append(module)
                 continue
+            granted = False
+            wake_time = BIG
+            wake_chans: List[int] = []
             mid = module._mid
             count = len(waiting)
             start = module_rr[mid] % count
@@ -210,13 +293,17 @@ class AllocationStage:
                 vid = vc._vid
                 # the header is the ring head while the VC waits for a
                 # route, so its eligibility is one load
-                if head_time[vid] > now:
+                ht = head_time[vid]
+                if ht > now:
+                    if ht < wake_time:
+                        wake_time = ht
                     continue
                 message = msg[vid]
                 resolution = res[vid]
                 fresh = resolution is None
                 if fresh:
                     node = nodes[module.node_coord]
+                    route = message.route
                     if reconfig is not None:
                         # transition window: a stale node may steer the
                         # worm at a dead component — the window truncates
@@ -230,6 +317,38 @@ class AllocationStage:
                             module_rr[mid] = start + offset
                             progress = True
                             break
+                    elif cache is not None and route.misroute is None:
+                        # replicate next_hop's _normalize (idempotent:
+                        # resolve re-runs it on a cache miss)
+                        coord = module.node_coord
+                        dst = route.dst
+                        dim = next_ecube_dim(coord, dst)
+                        if dim is None:
+                            hop = None
+                        else:
+                            route.advance_role(dim)
+                            # the e-cube hop carries everything the
+                            # decision reads from dst, so keying on it
+                            # (instead of dst itself) collapses the key
+                            # space from num-nodes to a handful per module
+                            hop = (dim, min_dir(coord[dim], dst[dim]))
+                        key = (
+                            module,
+                            hop,
+                            route.msg_dim,
+                            route.wrapped,
+                            message.protocol,
+                            route.resume_direct,
+                            route.last_dim,
+                            route.last_vc_class,
+                        )
+                        resolution = cache.get(key)
+                        if resolution is None:
+                            resolution = node.resolve(module, message, routing, share_idle)
+                            if route.misroute is None:
+                                # blocked decisions enter a misroute and
+                                # mutate route state — never cacheable
+                                cache[key] = resolution
                     else:
                         resolution = node.resolve(module, message, routing, share_idle)
                     res[vid] = resolution
@@ -244,6 +363,7 @@ class AllocationStage:
                         # only the header's first failed attempt at this
                         # node: later retries find the cached resolution
                         tracer.on_blocked(now, message, module, channel)
+                    wake_chans.append(ci)
                     continue
                 if resolution.commit_decision is not None:
                     routing.commit_hop(
@@ -272,9 +392,25 @@ class AllocationStage:
                 # fault-campaign scenario into a watchdog deadlock.
                 module_rr[mid] = start + offset + 1
                 progress = True
+                granted = True
                 break  # one header per module per cycle
             if not waiting:
                 finished.append(module)
+            elif park and not granted:
+                # every waiting VC contributed a wake source; stale
+                # subscriptions from an earlier parking only cause a
+                # spurious (safe) rescan
+                parked[module] = None
+                subs = self._subs
+                for ci in wake_chans:
+                    lst = subs.get(ci)
+                    if lst is None:
+                        subs[ci] = [module]
+                    else:
+                        lst.append(module)
+                if wake_time < BIG:
+                    self._tseq += 1
+                    heappush(self._timers, (wake_time, self._tseq, module))
         for module in finished:
             waiting_set.pop(module, None)
         return progress
@@ -359,6 +495,8 @@ class TransferStage:
         outstanding = sim.outstanding
         active_sources = sim._active_sources
         tracer = sim.tracer
+        wake = sim.allocation.wake
+        parked = sim.allocation._parked
         progress = False
         write = 0
         for channel in channels:
@@ -421,6 +559,7 @@ class TransferStage:
                         message.consumed_cycle = now
                         on_consumed(message)
                         channel.release(vc_obj[vid])
+                        wake(ci)
                 else:
                     # push onto this VC's eligibility ring
                     when = now + (header_delay if got == 1 else data_delay)
@@ -435,6 +574,7 @@ class TransferStage:
                             module.waiting.append(vc_obj[vid])
                             waiting_route[vid] = 1
                             waiting_set[module] = None
+                            parked.pop(module, None)
                     if got == length:
                         # the tail finished crossing this channel (hop done)
                         message = msg[vid]
@@ -447,6 +587,7 @@ class TransferStage:
                 if real and pulled == length:
                     drained = vc_obj[src]
                     drained.channel.release(drained)
+                    wake(chan_of[src])
                 transfers[ci] += 1
                 rr[ci] = (start + offset + 1) % count
                 progress = True
@@ -487,15 +628,15 @@ class AdaptiveTransferStage(TransferStage):
     batched ones, so neither branch pays for the other's bookkeeping
     (and a run that never reaches the cutoff never loads the batched
     module at all).  Both branches map a cycle-start state to the same
-    cycle-end state, so a switch only refreshes what the idle branch let
-    go stale: the work-list is rebuilt on the way down, the batched
-    pass's parked modules are flushed on the way up."""
+    cycle-end state and wake parked modules the same way, so a switch
+    only refreshes the one thing the idle branch let go stale: the
+    work-list, rebuilt on the way down."""
 
     __slots__ = ("batched", "enter", "leave", "batched_cycles", "switches")
 
     def __init__(self, sim: "Simulator", *, always_batch: bool):
         super().__init__(sim, work_list=True)
-        #: the :class:`~repro.sim.vector.BatchedPass`, built on first use
+        #: :func:`repro.sim.vector.transfer`, imported on first use
         self.batched = None
         timing = sim.config.timing
         if timing.header_delay < 1 or timing.data_delay < 1:
@@ -515,27 +656,16 @@ class AdaptiveTransferStage(TransferStage):
         exactly those on which the work-list is not maintained."""
         return not self.active_set
 
-    def resync(self) -> None:
-        # reconfiguration killed worms and rebuilt routing outside the
-        # stages: besides the work-list, every parked allocation
-        # decision and recorded wake source is stale
-        TransferStage.resync(self)
-        if self.batched is not None:
-            self.batched.flush()
-
     def _switch(self, batching: bool) -> None:
         self.active_set = not batching
         self.switches += 1
         if not batching:
             # batched cycles do not maintain the work-list
-            TransferStage.resync(self)
+            self.resync()
         elif self.batched is None:
-            from .vector import BatchedPass
+            from .vector import transfer
 
-            self.batched = BatchedPass(self.sim)
-        else:
-            # scalar cycles release channels without waking parked modules
-            self.batched.flush()
+            self.batched = transfer
 
     def run(self, now: int) -> bool:
         if self.batching:
@@ -544,24 +674,9 @@ class AdaptiveTransferStage(TransferStage):
         elif len(self._active) >= self.enter and self.sim.reconfig is None:
             self._switch(True)
         if self.batching:
-            progress = self.batched.transfer(now, self.leave)
+            progress = self.batched(self.sim, now, self.leave)
             if progress is not None:
                 self.batched_cycles += 1
                 return progress
             self._switch(False)  # fewer than ``leave`` channels busy
         return TransferStage.run(self, now)
-
-
-class AdaptiveAllocationStage(AllocationStage):
-    """Phase 3 of the adaptive core: the inherited arbitration loop on
-    scalar cycles (and in reconfiguration windows, whose stale/target
-    resolution is stateful), the batched pass's parked/cached variant of
-    it while the transfer stage is batching."""
-
-    __slots__ = ()
-
-    def run(self, now: int) -> bool:
-        transfer = self.transfer
-        if transfer.batching and self.sim.reconfig is None:
-            return transfer.batched.allocate(now)
-        return AllocationStage.run(self, now)

@@ -131,7 +131,25 @@ def result_digest(result):
     return canonical_digest(result.to_dict())[:16]
 
 
+# one oracle run per (kind, config, drain, fault) for the whole pytest
+# run: every alternative core is compared against the same cached legacy run
+_ORACLE_RUNS = {}
+
+
+def oracle(kind, kwargs, *rest, run):
+    key = repr((kind, sorted(kwargs.items()), *rest))
+    if key not in _ORACLE_RUNS:
+        _ORACLE_RUNS[key] = run()
+    return _ORACLE_RUNS[key]
+
+
 def run_core(core, kwargs, *, drain=False, fault=None):
+    if core == "legacy":
+        return oracle("run", kwargs, drain, fault, run=lambda: _run_core(core, kwargs, drain, fault))
+    return _run_core(core, kwargs, drain, fault)
+
+
+def _run_core(core, kwargs, drain, fault):
     config = SimulationConfig(**kwargs)
     sim = Simulator(config, core=core)
     if fault is not None:
@@ -323,11 +341,12 @@ class TestTracerNeutrality:
     def run_traced(core, kwargs):
         from repro.obs import TraceConfig, Tracer
 
-        config = SimulationConfig(**kwargs)
-        sim = Simulator(config, core=core)
-        tracer = Tracer(sim, TraceConfig(window=100))
-        result = sim.run()
-        return tracer, result
+        def run():
+            sim = Simulator(SimulationConfig(**kwargs), core=core)
+            tracer = Tracer(sim, TraceConfig(window=100))
+            return tracer, sim.run()
+
+        return oracle("traced", kwargs, run=run) if core == "legacy" else run()
 
     @pytest.mark.parametrize("name", TRACED_CONFIGS)
     @pytest.mark.parametrize("core", ["legacy", *ALT_CORES])
@@ -350,6 +369,70 @@ class TestTracerNeutrality:
         legacy_series = [to_data(s) for s in legacy_tracer.series.samples]
         other_series = [to_data(s) for s in other_tracer.series.samples]
         assert legacy_series == other_series
+
+
+# The parking scenario: a long worm holds the only admissible VC of
+# (1,0)'s +x output; a second header arrives behind it and its module
+# parks, subscribed to that channel's release.
+PARKING_CONFIG = dict(topology="torus", radix=8, dims=2, rate=0.0, message_length=32,
+                      share_idle_vcs=False, warmup_cycles=0, measure_cycles=10)
+
+
+def parking_start(core):
+    sim = Simulator(SimulationConfig(**PARKING_CONFIG), core=core)
+    first = sim.inject_message((0, 0), (4, 0))
+    for _ in range(12):
+        sim.step()
+    second = sim.inject_message((1, 0), (4, 0))
+    return sim, first, second
+
+
+def parking_grant_cycle(sim, second):
+    # the second header waits for a route in (1,0)'s injection VC
+    injection = sim.net.nodes[(1, 0)].injection_channel
+    while not (injection.busy and injection.busy[0].waiting_route):
+        sim.step()
+    while injection.busy[0].waiting_route:
+        sim.step()
+    assert injection.busy[0].message is second
+    return sim.now
+
+
+def parking_oracle():
+    """The legacy grant cycle and the two consumption cycles."""
+    sim, first, second = parking_start("legacy")
+    granted_at = parking_grant_cycle(sim, second)
+    while sim.in_flight:
+        sim.step()
+    return granted_at, (first.consumed_cycle, second.consumed_cycle)
+
+
+def park_behind_first_worm(sim, granted_at):
+    """Step until (1,0)'s injection module parks on a blocked channel;
+    return the module and the channels it waits on."""
+    allocation = sim.allocation
+    module = sim.net.nodes[(1, 0)].injection_channel.dst_module
+    # (it parks on a timer first, until the header becomes eligible)
+    while not any(module in woken for woken in allocation._subs.values()):
+        sim.step()
+        assert sim.now < granted_at
+    assert module in allocation._parked
+    channels = sim.net.store.channels
+    return module, [channels[ci] for ci, woken in allocation._subs.items() if module in woken]
+
+
+def release_wakes(sim, module, blocked_on, first):
+    """Step until the first worm lets go of the blocked channel: the
+    module stays parked until then and is awake the cycle it happens."""
+    parked = sim.allocation._parked
+
+    def held():
+        return any(vc.message is first for channel in blocked_on for vc in channel.busy)
+
+    while held():
+        assert module in parked
+        sim.step()
+    assert module not in parked
 
 
 @needs_numpy
@@ -408,64 +491,60 @@ class TestAdaptiveSwitching:
         assert 0 < transfer.batched_cycles < sim.now
 
     def test_release_on_a_scalar_cycle_reaches_a_module_parked_while_batching(self):
-        # The one interaction the merge creates.  A long worm holds the
-        # only admissible VC of (1,0)'s +x output; a second header
-        # arrives behind it and its module parks, subscribed to that
-        # channel's release.  The release then happens on a scalar
-        # cycle, which has no wake hook — the module must still be
-        # rescanned the very cycle the oracle grants it, and the stale
-        # parked entry must not survive the switch back up.
-        kwargs = dict(topology="torus", radix=8, dims=2, rate=0.0, message_length=32,
-                      share_idle_vcs=False, warmup_cycles=0, measure_cycles=10)
-
-        def start(core):
-            sim = Simulator(SimulationConfig(**kwargs), core=core)
-            first = sim.inject_message((0, 0), (4, 0))
-            for _ in range(12):
-                sim.step()
-            second = sim.inject_message((1, 0), (4, 0))
-            return sim, first, second
-
-        def step_until_granted(sim, second):
-            # the second header waits for a route in (1,0)'s injection VC
-            injection = sim.net.nodes[(1, 0)].injection_channel
-            while not (injection.busy and injection.busy[0].waiting_route):
-                sim.step()
-            while injection.busy[0].waiting_route:
-                sim.step()
-            assert injection.busy[0].message is second
-            return sim.now
-
-        legacy_sim, legacy_first, legacy_second = start("legacy")
-        granted_at = step_until_granted(legacy_sim, legacy_second)
-        while legacy_sim.in_flight:
-            legacy_sim.step()
-
-        sim, first, second = start("adaptive")
+        # A module parks on a batched cycle, subscribed to its blocked
+        # output channel; the release then happens on a scalar cycle.
+        # The scalar loop's wake hook must take the module off the
+        # parked set that same cycle, so it grants when the oracle does.
+        granted_at, oracle_consumed = parking_oracle()
+        sim, first, second = parking_start("adaptive")
         transfer = sim.transfer
         transfer.enter = transfer.leave = 0  # batch from the first cycle
-        sim.step()
-        parked, subscribers = transfer.batched._parked, transfer.batched._subs
-        module = sim.net.nodes[(1, 0)].injection_channel.dst_module
-        # (it parks on a timer first, until the header becomes eligible)
-        while not any(module in woken for woken in subscribers.values()):
-            sim.step()
-            assert sim.now < granted_at
-        assert module in parked
+        module, blocked_on = park_behind_first_worm(sim, granted_at)
+        assert transfer.batching
 
         transfer.enter = transfer.leave = self.INF  # drop to the scalar branch
-        sim.step()
-        assert not transfer.batching and module in parked  # stale, never consulted
-        assert step_until_granted(sim, second) == granted_at
-
-        transfer.enter = transfer.leave = 0  # and back up: the flush
-        sim.step()
-        assert transfer.batching and not parked
+        release_wakes(sim, module, blocked_on, first)
+        assert not transfer.batching
+        assert parking_grant_cycle(sim, second) == granted_at
         while sim.in_flight:
             sim.step()
-        assert (first.consumed_cycle, second.consumed_cycle) == (
-            legacy_first.consumed_cycle, legacy_second.consumed_cycle
-        )
+        assert (first.consumed_cycle, second.consumed_cycle) == oracle_consumed
+
+
+class TestParking:
+    """Resolution memo and module parking run on every core but the
+    oracle, on scalar cycles as on batched ones."""
+
+    def test_scalar_release_wakes_a_module_parked_on_a_scalar_cycle(self):
+        granted_at, oracle_consumed = parking_oracle()
+        sim, first, second = parking_start("active")
+        module, blocked_on = park_behind_first_worm(sim, granted_at)
+        release_wakes(sim, module, blocked_on, first)
+        assert parking_grant_cycle(sim, second) == granted_at
+        while sim.in_flight:
+            sim.step()
+        assert (first.consumed_cycle, second.consumed_cycle) == oracle_consumed
+
+    def test_the_oracle_never_parks_and_never_memoizes(self):
+        kwargs = dict(GOLDEN_CONFIGS["int-f1"], warmup_cycles=100, measure_cycles=400)
+        parked_cycles = {}
+        for core in ("legacy", "active"):
+            sim = Simulator(SimulationConfig(**kwargs), core=core)
+            allocation = sim.allocation
+
+            def count(now, allocation=allocation, core=core):
+                parked_cycles[core] = parked_cycles.get(core, 0) + bool(allocation._parked)
+
+            sim.cycle_hooks.append(count)
+            sim.run()
+            if core == "legacy":
+                assert sim.net.resolution_memo == (None, None, None)
+                assert not (allocation._parked or allocation._subs or allocation._timers)
+            else:
+                routing, _sharing, table = sim.net.resolution_memo
+                assert routing is sim.net.routing and table
+        assert parked_cycles["legacy"] == 0
+        assert parked_cycles["active"] > 0
 
 
 class TestBatchNormalization:

@@ -171,6 +171,35 @@ def test_scalar_loops_index_the_soa_buffers():
     assert sorted(checked) == ["AllocationStage", "TransferStage"]
 
 
+def test_one_header_arbitration_loop_in_sim():
+    """Header arbitration — resolve, memoize, grant, park — is one loop,
+    ``AllocationStage.run``, on every core and both transfer branches:
+    nothing else in ``repro.sim`` commits a hop or consults the
+    resolution memo, which only ``SimNetwork.__init__`` sets up
+    besides."""
+    commits, reads, writes = set(), set(), set()
+
+    def visit(node, rel, holder):
+        if isinstance(node, ast.ClassDef):
+            holder = node.name
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            holder = f"{holder}.{node.name}" if holder else node.name
+        elif isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Attribute) and node.func.attr == "commit_hop":
+                commits.add((rel, holder))
+        elif isinstance(node, ast.Attribute) and node.attr == "resolution_memo":
+            (writes if isinstance(node.ctx, ast.Store) else reads).add((rel, holder))
+        for child in ast.iter_child_nodes(node):
+            visit(child, rel, holder)
+
+    for path in sorted((SRC / "sim").glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.name, "")
+    loop = ("stages.py", "AllocationStage.run")
+    assert commits == {loop}
+    assert reads == {loop}
+    assert writes == {loop, ("network.py", "SimNetwork.__init__")}
+
+
 @pytest.mark.skipif(not hasattr(sys, "stdlib_module_names"), reason="needs Python >= 3.10")
 def test_src_imports_stdlib_and_optional_numpy_only():
     """``pip install .`` pulls in no dependency: every absolute import is
