@@ -32,10 +32,10 @@ hand.  The vector core additionally carries an *absolute* floor at the
 saturated rate (``VECTOR_SPEEDUP_FLOOR``) and a soft target
 (``VECTOR_SPEEDUP_TARGET``) that only warns: the batched hot path was
 specified at >=5x over legacy, but the measured median on the
-development box is ~1.3-1.7x — the per-cycle numpy kernel-launch floor
+development box is ~1.4-1.8x — the per-cycle numpy kernel-launch floor
 (~100 array ops) bounds the achievable ratio well below 5x at this
-network size, and the legacy oracle runs the same SoA-indexed scalar
-loops as the ``active`` branch (~2.4 ms/cycle at rate 0.02), so the hard
+network size, and the legacy oracle runs the same list-backed scalar
+loops as the ``active`` branch (~4-6 ms/cycle at rate 0.02), so the hard
 gate is set beneath the honest measurement instead of at the
 aspirational target.
 
@@ -81,6 +81,12 @@ active-core run whose relation came through
 :mod:`repro.core.routing_registry` must stay within
 ``POLICY_INDIRECTION_LIMIT`` (2%) of one whose relation was constructed
 directly.
+
+The three gates that compare identical code — tracing disabled, policy
+indirection and the 8x8 default-vs-best row — take the median ratio of
+``SAME_CODE_REPETITIONS`` (7) paired repetitions instead of
+``REPETITIONS`` (3): their true ratio is 1.0, so with three repetitions
+one noisy pair decided them.
 """
 
 from __future__ import annotations
@@ -105,11 +111,10 @@ BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_engine.json"
 
 #: offered loads (messages/node/cycle): near-idle (where the active-set
 #: scheduling wins outright), the low-load region where the paper's
-#: latency curves live, the branch crossover (216-371 busy channels at
-#: 0.004, astride BATCH_ENTER / BATCH_LEAVE = 320 / 240, so the default
-#: core switches branches within the run), moderate load approaching
-#: saturation, and the saturated region where the vector core's batched
-#: hot path pays off
+#: latency curves live, 0.004 (216-371 busy channels), moderate load
+#: approaching saturation (790-886 busy at 0.01, the most loaded row
+#: below BATCH_ENTER = 960, so the default core runs it scalar), and the
+#: saturated region (1067-1272 busy at 0.02) where it batches
 RATES = (0.0002, 0.002, 0.004, 0.01, 0.02)
 RADIX = 16
 #: the 8x8 row: 27-94 busy channels at this rate, below the adaptive
@@ -119,6 +124,10 @@ SMALL_RATE = 0.005
 WARMUP_CYCLES = 300
 MEASURE_CYCLES = 1200
 REPETITIONS = 3
+#: paired repetitions (median taken) for the three gates that compare
+#: identical code (module docstring): their limits sit within 2-10% of
+#: a true ratio of 1.0
+SAME_CODE_REPETITIONS = 7
 #: a measured speedup below this fraction of the baseline speedup fails
 REGRESSION_FRACTION = 0.75
 #: the default core's paired-median cycles/second over the better of the
@@ -186,7 +195,9 @@ def _median(values) -> float:
     return sorted(values)[len(values) // 2]
 
 
-def _measure_rate(rate: float, cores: tuple, radix: int = RADIX) -> dict:
+def _measure_rate(
+    rate: float, cores: tuple, radix: int = RADIX, repetitions: int = REPETITIONS
+) -> dict:
     config = SimulationConfig(
         topology="torus", radix=radix, dims=2, rate=rate,
         warmup_cycles=0, measure_cycles=10, seed=42,
@@ -194,7 +205,7 @@ def _measure_rate(rate: float, cores: tuple, radix: int = RADIX) -> dict:
     samples: dict = {core: [] for core in cores}
     # every repetition runs all cores back-to-back so clock drift between
     # repetitions cancels out of the per-repetition ratios
-    for _ in range(REPETITIONS):
+    for _ in range(repetitions):
         for core in cores:
             sim = Simulator(config, core=None if core == "default" else core)
             for _ in range(WARMUP_CYCLES):  # reach steady occupancy first
@@ -342,12 +353,12 @@ def _policy_indirection_cost() -> dict:
         topology="torus", radix=RADIX, dims=2, rate=POLICY_RATE,
         warmup_cycles=0, measure_cycles=10, seed=42, fault_percent=1,
     )
-    best = {"direct": 0.0, "registry": 0.0}
+    samples: dict = {"direct": [], "registry": []}
     # interleaved like the tracing gate: "registry" is the normal path
     # (SimNetwork asks the routing registry for the relation), "direct"
     # swaps in a relation constructed the pre-registry way; any per-call
     # wrapper the registry ever grows shows up only in "registry"
-    for _ in range(REPETITIONS):
+    for _ in range(SAME_CODE_REPETITIONS):
         for variant in ("direct", "registry"):
             sim = Simulator(config, core="active")
             if variant == "direct":
@@ -359,13 +370,15 @@ def _policy_indirection_cost() -> dict:
             start = time.perf_counter()
             for _ in range(MEASURE_CYCLES):
                 sim.step()
-            cps = MEASURE_CYCLES / (time.perf_counter() - start)
-            best[variant] = max(best[variant], cps)
+            samples[variant].append(MEASURE_CYCLES / (time.perf_counter() - start))
     return {
         "rate": POLICY_RATE,
-        "direct_cycles_per_sec": round(best["direct"], 1),
-        "registry_cycles_per_sec": round(best["registry"], 1),
-        "indirection_overhead": round(best["direct"] / best["registry"], 3),
+        "repetitions": SAME_CODE_REPETITIONS,
+        "direct_cycles_per_sec": round(max(samples["direct"]), 1),
+        "registry_cycles_per_sec": round(max(samples["registry"]), 1),
+        "indirection_overhead": round(
+            _median([d / r for d, r in zip(samples["direct"], samples["registry"])]), 3
+        ),
     }
 
 
@@ -376,11 +389,11 @@ def _tracing_cost() -> dict:
         topology="torus", radix=RADIX, dims=2, rate=TRACING_RATE,
         warmup_cycles=0, measure_cycles=10, seed=42,
     )
-    best = {"plain": 0.0, "disabled": 0.0, "enabled": 0.0}
+    samples: dict = {"plain": [], "disabled": [], "enabled": []}
     # interleave the variants so clock drift hits all of them equally;
     # "plain" and "disabled" are both tracer-less runs measured
     # back-to-back, which is what the no-op contract promises
-    for _ in range(REPETITIONS):
+    for _ in range(SAME_CODE_REPETITIONS):
         for variant in ("plain", "disabled", "enabled"):
             sim = Simulator(config)
             if variant == "enabled":
@@ -390,14 +403,17 @@ def _tracing_cost() -> dict:
             start = time.perf_counter()
             for _ in range(MEASURE_CYCLES):
                 sim.step()
-            cps = MEASURE_CYCLES / (time.perf_counter() - start)
-            best[variant] = max(best[variant], cps)
+            samples[variant].append(MEASURE_CYCLES / (time.perf_counter() - start))
+    best = {variant: max(values) for variant, values in samples.items()}
     return {
         "rate": TRACING_RATE,
+        "repetitions": SAME_CODE_REPETITIONS,
         "plain_cycles_per_sec": round(best["plain"], 1),
         "disabled_cycles_per_sec": round(best["disabled"], 1),
         "enabled_cycles_per_sec": round(best["enabled"], 1),
-        "disabled_overhead": round(best["plain"] / best["disabled"], 3),
+        "disabled_overhead": round(
+            _median([p / d for p, d in zip(samples["plain"], samples["disabled"])]), 3
+        ),
         "enabled_overhead": round(best["disabled"] / best["enabled"], 3),
     }
 
@@ -427,7 +443,7 @@ def measure() -> dict:
     for rate in RATES:
         points[str(rate)] = _measure_rate(rate, cores)
         print(_describe(f"rate={rate}", points[str(rate)]))
-    small = _measure_rate(SMALL_RATE, cores, SMALL_RADIX)
+    small = _measure_rate(SMALL_RATE, cores, SMALL_RADIX, SAME_CODE_REPETITIONS)
     print(_describe(f"{SMALL_RADIX}x{SMALL_RADIX} rate={SMALL_RATE}", small))
     reconfig = _reconfiguration_cost()
     print(
@@ -466,7 +482,10 @@ def measure() -> dict:
             "repetitions": REPETITIONS,
         },
         "rates": points,
-        "small": {"radix": SMALL_RADIX, "rate": SMALL_RATE, **small},
+        "small": {
+            "radix": SMALL_RADIX, "rate": SMALL_RATE,
+            "repetitions": SAME_CODE_REPETITIONS, **small,
+        },
         "reconfiguration": reconfig,
         "classify": classify,
         "pool": pool,

@@ -16,9 +16,12 @@ all.  Two implementation paths:
   state into a ``numpy.random.RandomState`` (both are MT19937 and both
   derive doubles from the same two-word construction, so the streams are
   bit-identical), draws a whole block at C speed, extracts hits with
-  ``flatnonzero``, and remembers the end-of-block state.  The geometric
-  gaps between hits are skipped inside the block instead of being
-  simulated draw by draw.
+  ``flatnonzero``, and keeps the generator, whose end state is copied
+  back only once the block is exhausted.  The geometric gaps between
+  hits are skipped inside the block instead of being simulated draw by
+  draw.  A sampler's first block spans 32 cycles and each new one twice
+  as many, up to ``_BLOCK_TARGET`` draws, so a short run draws little
+  more than it consumes.
 * **pure-Python fallback** — when numpy is unavailable the sampler
   degrades to a tight per-cycle comprehension with the same consumption
   order.
@@ -48,6 +51,10 @@ except ImportError:  # pragma: no cover - exercised on numpy-free installs
 #: draw) and the cost of a mid-block rewind (a rewind re-materializes at
 #: most one block's worth of consumed draws)
 _BLOCK_TARGET = 32_768
+#: cycles in a sampler's first block; each new block doubles the span up
+#: to the ``_BLOCK_TARGET`` draws, so a run of a few dozen cycles draws
+#: little more than it consumes
+_FIRST_BLOCK_CYCLES = 32
 
 
 def _to_numpy_state(state):
@@ -57,15 +64,15 @@ def _to_numpy_state(state):
 
 def _from_numpy_state(ns):
     """``RandomState.get_state()`` -> ``random.Random.setstate`` tuple."""
-    return (3, tuple(int(word) for word in ns[1]) + (int(ns[2]),), None)
+    return (3, tuple(ns[1].tolist()) + (int(ns[2]),), None)
 
 
 class _Block:
     """One materialized span of the generation stream."""
 
-    __slots__ = ("nodes", "rate", "cycles", "used", "hits", "start_state", "end_state")
+    __slots__ = ("nodes", "rate", "cycles", "used", "hits", "start_state")
 
-    def __init__(self, nodes: int, rate: float, cycles: int, hits, start_state, end_state):
+    def __init__(self, nodes: int, rate: float, cycles: int, hits, start_state):
         self.nodes = nodes
         self.rate = rate
         self.cycles = cycles
@@ -75,8 +82,6 @@ class _Block:
         self.hits: Dict[int, List[int]] = hits
         #: python-rng state at the first draw of the block (rewind anchor)
         self.start_state = start_state
-        #: python-rng state after the whole block (committed on exhaustion)
-        self.end_state = end_state
 
 
 class GeometricSampler:
@@ -92,6 +97,13 @@ class GeometricSampler:
     def __init__(self, rng: random.Random):
         self.rng = rng
         self._block: Optional[_Block] = None
+        #: cycles the next block spans (before the per-node cap)
+        self._span = _FIRST_BLOCK_CYCLES
+        #: the numpy generator every block draws from (made on first use)
+        self._rs = None
+        #: the ``rng`` state ``_rs`` was last copied into, while the two
+        #: are still in step (no block drawn since); else None
+        self._in_step = None
 
     # ------------------------------------------------------------------
     def next_cycle(self, nodes: int, rate: float) -> List[int]:
@@ -109,7 +121,7 @@ class GeometricSampler:
         hits = block.hits.pop(block.used, _EMPTY)
         block.used += 1
         if block.used == block.cycles:
-            self.rng.setstate(block.end_state)
+            self._commit()
             self._block = None
         return hits
 
@@ -121,19 +133,28 @@ class GeometricSampler:
 
     # ------------------------------------------------------------------
     def _draw(self, nodes: int, rate: float) -> _Block:
-        cycles = max(1, _BLOCK_TARGET // nodes)
+        cycles = min(self._span, max(1, _BLOCK_TARGET // nodes))
+        self._span = 2 * cycles
         start_state = self.rng.getstate()
-        rs = _np.random.RandomState()
-        rs.set_state(_to_numpy_state(start_state))
+        rs = self._rs
+        if rs is None:
+            rs = self._rs = _np.random.RandomState()
+        if start_state != self._in_step:
+            rs.set_state(_to_numpy_state(start_state))
+        self._in_step = None
         draws = rs.random_sample(nodes * cycles)
         hits: Dict[int, List[int]] = {}
         for flat in _np.flatnonzero(draws < rate).tolist():
             hits.setdefault(flat // nodes, []).append(flat % nodes)
-        block = _Block(
-            nodes, rate, cycles, hits, start_state, _from_numpy_state(rs.get_state())
-        )
+        block = _Block(nodes, rate, cycles, hits, start_state)
         self._block = block
         return block
+
+    def _commit(self) -> None:
+        """Copy the numpy generator's position into ``rng``."""
+        state = _from_numpy_state(self._rs.get_state())
+        self.rng.setstate(state)
+        self._in_step = state
 
     def _rewind(self) -> None:
         """Reposition ``rng`` at the first unconsumed draw of the current
@@ -142,10 +163,9 @@ class GeometricSampler:
         self._block = None
         if block is None or block.used == 0:
             return
-        rs = _np.random.RandomState()
-        rs.set_state(_to_numpy_state(block.start_state))
-        rs.random_sample(block.used * block.nodes)
-        self.rng.setstate(_from_numpy_state(rs.get_state()))
+        self._rs.set_state(_to_numpy_state(block.start_state))
+        self._rs.random_sample(block.used * block.nodes)
+        self._commit()
 
 
 _EMPTY: List[int] = []

@@ -3,17 +3,31 @@
 Every quantity the engine mutates per cycle — virtual-channel flit
 counts, eligibility times, wormhole links, round-robin arbiter counters,
 per-channel transfer counters — lives here in flat, index-addressed
-buffers (stdlib ``array.array``, one array per field).  Both branches of
-phases 3 and 4 index these buffers directly: the scalar loops of
-:mod:`repro.sim.stages` through local bindings, the adaptive core's
-batched pass (:mod:`repro.sim.vector`) through zero-copy numpy views of
-the same buffers.  The object layer
+buffers, one per field.  The allocation loop and both branches of
+phase 4 index these buffers directly.  The object layer
 (:class:`~repro.router.channels.VirtualChannel`,
 :class:`~repro.router.channels.PhysicalChannel`,
 :class:`~repro.router.channels.MessageSource`,
 :class:`~repro.router.modules.Module`) is a set of thin views over them
 that serves everything else — injection, reconfiguration, the obs
 tracer, the deadlock detector, metrics and tests.
+
+Two representations, one copy
+-----------------------------
+
+The numeric fields are plain Python lists: the scalar loops of
+:mod:`repro.sim.stages` run on them, and indexing a list costs about
+half as much as indexing an ``array.array``, which boxes every value it
+hands out.  Array buffers exist only while the adaptive core's batched
+pass (:mod:`repro.sim.vector`) runs: :meth:`SoAState.numpy_views` is
+the one way in — it rebinds every numeric field to an ``array("q")`` /
+``array("b")`` holding the same values and wraps those buffers
+zero-copy — and :meth:`SoAState.to_lists` is the one way out (the
+adaptive stage calls it on every switch down, :meth:`reset_dynamic`
+before clearing).  Either way each field has exactly one copy at any
+time.  Readers fetch a field from the store at the start of each stage
+call and the representation changes only between stage calls, so both
+representations serve the same code.
 
 Id assignment
 -------------
@@ -80,6 +94,32 @@ KIND_INJECTION = 2
 KIND_CONSUMPTION = 3
 
 
+#: every numeric field with the ``array`` typecode it takes in array mode
+_NUMERIC_FIELDS = tuple(
+    (name, "q")
+    for name in (
+        "received",
+        "sent",
+        "elig",
+        "elig_head",
+        "elig_count",
+        "head_time",
+        "upstream",
+        "msg_len",
+        "ring_base",
+        "chan_of",
+        "rr",
+        "transfers",
+        "busy_count",
+        "busy_slots",
+        "depth",
+        "free_mask",
+        "vbase",
+        "module_rr",
+    )
+) + tuple((name, "b") for name in ("waiting_route", "is_real", "kind_code"))
+
+
 class SoAState:
     """Flat buffers for one network's dynamic state (or one standalone
     channel's, when tests build a :class:`PhysicalChannel` without a
@@ -119,34 +159,31 @@ class SoAState:
         "module_rr",
         # bookkeeping
         "num_classes",
-        "version",
         "_np_cache",
-        "_np_version",
     )
 
     def __init__(self) -> None:
-        q = "q"
-        self.received = array(q, [0])  # slot 0 = sentinel
-        self.sent = array(q, [0])
-        self.elig = array(q)
-        self.elig_head = array(q, [0])
-        self.elig_count = array(q, [0])
-        self.head_time = array(q, [BIG])
-        self.upstream = array(q, [0])
-        self.msg_len = array(q, [0])
-        self.waiting_route = array("b", [0])
-        self.ring_base = array(q, [0])
-        self.chan_of = array(q, [-1])
-        self.is_real = array("b", [0])
+        self.received = [0]  # slot 0 = sentinel
+        self.sent = [0]
+        self.elig = []
+        self.elig_head = [0]
+        self.elig_count = [0]
+        self.head_time = [BIG]
+        self.upstream = [0]
+        self.msg_len = [0]
+        self.waiting_route = [0]
+        self.ring_base = [0]
+        self.chan_of = [-1]
+        self.is_real = [0]
 
-        self.rr = array(q)
-        self.transfers = array(q)
-        self.busy_count = array(q)
-        self.busy_slots = array(q)
-        self.depth = array(q)
-        self.kind_code = array("b")
-        self.free_mask = array(q)
-        self.vbase = array(q)
+        self.rr = []
+        self.transfers = []
+        self.busy_count = []
+        self.busy_slots = []
+        self.depth = []
+        self.kind_code = []
+        self.free_mask = []
+        self.vbase = []
 
         self.msg: List[Optional[object]] = [None]
         self.res: List[Optional[object]] = [None]
@@ -154,15 +191,13 @@ class SoAState:
         self.vc_obj: List[Optional[object]] = [None]
         self.channels: List[object] = []
 
-        self.module_rr = array(q)
+        self.module_rr = []
 
         #: virtual channels per physical channel (uniform within a store;
         #: fixed by the first channel added)
         self.num_classes = 0
-        #: bumped on every structural change so numpy views rebuild
-        self.version = 0
+        #: the numpy views while the store is in array mode, else None
         self._np_cache = None
-        self._np_version = -1
 
     # ------------------------------------------------------------------
     # structural registration
@@ -210,7 +245,6 @@ class SoAState:
         self.kind_code.append(kind_code)
         self.free_mask.append((1 << num_classes) - 1)
         self.vbase.append(vbase)
-        self.version += 1
         return index
 
     def add_module(self) -> int:
@@ -218,7 +252,6 @@ class SoAState:
         round-robin arbiter counter lives in ``module_rr``)."""
         mid = len(self.module_rr)
         self.module_rr.append(0)
-        self.version += 1
         return mid
 
     # ------------------------------------------------------------------
@@ -268,7 +301,9 @@ class SoAState:
 
     def reset_dynamic(self) -> None:
         """Clear every dynamic field (network reuse across runs); static
-        layout (rings, kinds, depths, vbase) survives."""
+        layout (rings, kinds, depths, vbase) survives.  The store comes
+        out in list mode."""
+        self.to_lists()
         # unbind sources first so in-flight injection counts are written
         # back to their MessageSource objects (legacy reset kept them)
         for i, src in enumerate(self.src_bind):
@@ -276,36 +311,40 @@ class SoAState:
                 src._unbind()
                 self.src_bind[i] = None
         nv = len(self.received)
-        zero_q = array("q", bytes(8 * nv))
-        self.received = array("q", zero_q)
-        self.sent = array("q", zero_q)
-        self.elig_head = array("q", zero_q)
-        self.elig_count = array("q", zero_q)
-        self.upstream = array("q", zero_q)
-        self.msg_len = array("q", zero_q)
-        self.head_time = array("q", [BIG] * nv)
-        self.waiting_route = array("b", bytes(nv))
+        self.received = [0] * nv
+        self.sent = [0] * nv
+        self.elig_head = [0] * nv
+        self.elig_count = [0] * nv
+        self.upstream = [0] * nv
+        self.msg_len = [0] * nv
+        self.head_time = [BIG] * nv
+        self.waiting_route = [0] * nv
         nc = len(self.channels)
-        self.rr = array("q", bytes(8 * nc))
-        self.transfers = array("q", bytes(8 * nc))
-        self.busy_count = array("q", bytes(8 * nc))
+        self.rr = [0] * nc
+        self.transfers = [0] * nc
+        self.busy_count = [0] * nc
         full = (1 << self.num_classes) - 1 if self.num_classes else 0
-        self.free_mask = array("q", [full] * nc)
-        self.module_rr = array("q", bytes(8 * len(self.module_rr)))
+        self.free_mask = [full] * nc
+        self.module_rr = [0] * len(self.module_rr)
         self.msg = [None] * nv
         self.res = [None] * nv
-        # rebinding replaced the buffers: force numpy views to rebuild
-        self.version += 1
 
     # ------------------------------------------------------------------
-    # numpy mapping (batched pass)
+    # representation switch (batched pass)
     # ------------------------------------------------------------------
     def numpy_views(self):
-        """Zero-copy numpy views over the buffers, cached until the next
-        structural change.  Raises ImportError when numpy is missing."""
-        if self._np_cache is not None and self._np_version == self.version:
-            return self._np_cache
+        """Enter array mode and return zero-copy numpy views over the
+        buffers.  The first call rebinds every numeric field to an
+        ``array`` holding the same values; later calls return the same
+        views until :meth:`to_lists`.  Raises ImportError when numpy is
+        missing, leaving the store in list mode."""
+        views = self._np_cache
+        if views is not None:
+            return views
         import numpy as np
+
+        for name, code in _NUMERIC_FIELDS:
+            setattr(self, name, array(code, getattr(self, name)))
 
         def q(a):
             return np.frombuffer(a, dtype=np.int64) if len(a) else np.empty(0, np.int64)
@@ -334,5 +373,15 @@ class SoAState:
             "vbase": q(self.vbase),
         }
         self._np_cache = views
-        self._np_version = self.version
         return views
+
+    def to_lists(self) -> None:
+        """Leave array mode: drop the numpy views and rebind every
+        numeric field to a list holding the same values (a no-op in
+        list mode)."""
+        if self._np_cache is None:
+            return
+        self._np_cache = None
+        for name, _ in _NUMERIC_FIELDS:
+            setattr(self, name, getattr(self, name).tolist())
+

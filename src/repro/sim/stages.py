@@ -600,22 +600,24 @@ class TransferStage:
 #: Busy physical channels at which a scalar cycle hands over to the
 #: batched pass (``BATCH_ENTER``) and below which a batched cycle hands
 #: back (``BATCH_LEAVE``; the gap keeps a network hovering at the cutoff
-#: from paying the work-list rebuild every cycle).  Measured, not
-#: configurable.  Milliseconds per run, median of 7, enter/leave:
+#: from paying the work-list rebuild and the store conversion every
+#: cycle).  Measured, not configurable.  Milliseconds per run, median of
+#: 7, enter/leave:
 #:
-#:   run (busy channels p5-p95)        active  vector   96/72 192/144 320/240 512/384
-#:   4x4   rate 0.06 (69-84)              910    1610     883     894     897     871
-#:   8x8   1%, rate 0.012 (139-213)       399     505     450     470     383     379
-#:   16x16 rate 0.002 (88-200)           1283    1652    1632    1293    1098    1172
-#:   16x16 rate 0.004 (216-371)          1750    1516    1521    1407    1466    1720
-#:   16x16 rate 0.01 (790-871)           1575    1403    1422    1196    1166    1566
-#:   16x16 5%, rate 0.014 (861-1040)     1865    1209    1171    1326    1189    1226
+#:   run (busy channels p5-p95)        active  vector  320/240 640/480 960/720 1152/864
+#:   8x8   rate 0.005 (28-86)             497    1234      447     428     402      420
+#:   16x16 rate 0.004 (217-370)          1016    1131     1179     841     955      983
+#:   16x16 rate 0.006 (387-543)          1165    1575     1200     876     891     1106
+#:   16x16 rate 0.01 (790-871)           1572    1639     1462    1774    1449     1405
+#:   16x16 5%, rate 0.014 (861-1040)     1353    1298     1224    1192    1212     1210
+#:   16x16 rate 0.02 (1067-1252)         1253    1552     1382    1385    1304     1222
 #:
-#: The scalar and batched branches cross between ~260 and ~350 busy
-#: channels; the full sweep, the per-cycle costs and the busy-channel
+#: On lists the scalar branch costs less per cycle than the batched
+#: pass up to ~1000 busy channels, and the two are within noise of each
+#: other above; the full sweep, the per-cycle costs and the busy-channel
 #: distributions are in docs/architecture.md ("Choosing the branch").
-BATCH_ENTER = 320
-BATCH_LEAVE = 240
+BATCH_ENTER = 960
+BATCH_LEAVE = 720
 
 
 class AdaptiveTransferStage(TransferStage):
@@ -630,7 +632,9 @@ class AdaptiveTransferStage(TransferStage):
     module at all).  Both branches map a cycle-start state to the same
     cycle-end state and wake parked modules the same way, so a switch
     only refreshes the one thing the idle branch let go stale: the
-    work-list, rebuilt on the way down."""
+    work-list, rebuilt on the way down.  The way down also returns the
+    store to its list representation (the batched pass switched it to
+    array buffers on the way up; :mod:`repro.sim.soa`)."""
 
     __slots__ = ("batched", "enter", "leave", "batched_cycles", "switches")
 
@@ -660,8 +664,10 @@ class AdaptiveTransferStage(TransferStage):
         self.active_set = not batching
         self.switches += 1
         if not batching:
-            # batched cycles do not maintain the work-list
+            # batched cycles do not maintain the work-list, and the
+            # scalar loop runs on the store's list representation
             self.resync()
+            self.sim.net.store.to_lists()
         elif self.batched is None:
             from .vector import transfer
 

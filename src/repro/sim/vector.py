@@ -3,7 +3,8 @@
 At saturation nearly every physical channel is busy every cycle, so the
 work-list service degenerates to the legacy full scan — the win has to
 come from the *representation*, not the work-list.  :func:`transfer`
-maps the :class:`~repro.sim.soa.SoAState` buffers as numpy arrays and
+switches the :class:`~repro.sim.soa.SoAState` store to array mode (a
+no-op while it stays there), maps its buffers as numpy arrays and
 evaluates the transfer stage's per-channel decision (drain guard,
 upstream eligibility, buffer space, round-robin arbitration) for every
 busy channel at once, falling back to scalar code only for the rare

@@ -38,6 +38,15 @@ def run_tiny(**kwargs):
     return arena("quick", **kwargs)
 
 
+@pytest.fixture(scope="module")
+def default_roster_result():
+    """The default-roster tournament over the fault-free and 1% rows,
+    run once for the tests that only read it."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(arena_module, "get_scale", lambda name="": TINY)
+        return run_tiny(fault_percents=(0, 1), policies=None)
+
+
 class TestArena:
     def test_table_renders(self, tiny_scale):
         result = run_tiny()
@@ -49,8 +58,8 @@ class TestArena:
         assert "ft" in text and "ecube" in text
         assert "rho_b %" in text
 
-    def test_cells_and_sweeps_consistent(self, tiny_scale):
-        result = run_tiny(fault_percents=(0, 1), policies=None)
+    def test_cells_and_sweeps_consistent(self, default_roster_result):
+        result = default_roster_result
         assert result.cells, "tournament produced no cells"
         for cell in result.cells:
             assert cell.swept == (cell.coverage == 1.0)
@@ -70,8 +79,8 @@ class TestArena:
         second = run_tiny().render()
         assert first == second
 
-    def test_partial_coverage_cells_are_noted(self, tiny_scale):
-        result = run_tiny(fault_percents=(0, 1), policies=None)
+    def test_partial_coverage_cells_are_noted(self, default_roster_result):
+        result = default_roster_result
         skipped = [cell for cell in result.cells if not cell.swept]
         for cell in skipped:
             assert any(cell.label in note for note in result.notes)

@@ -147,6 +147,9 @@ class TestMemoHygiene:
         for coord in t.nodes():
             FaultSet(frozenset({coord})).all_faulty_links(t)
             assert len(fault_model._faulty_links[t]) <= fault_model.FAULTY_LINKS_MEMO
+        # networks that earlier tests left in reference cycles must not
+        # be collected inside the measured window below
+        gc.collect()
         tracked = len(fault_model._faulty_links)
         del t
         gc.collect()

@@ -93,6 +93,39 @@ class TestMidBlockChanges:
             inline_rng.random() for _ in range(32)
         ]
 
+    def test_run_shorter_than_first_block(self):
+        # a 20-cycle run draws one first-size block and leaves it
+        # partially consumed; the flush folds back exactly 20 cycles
+        pytest.importorskip("numpy")
+        rng = random.Random(SEED)
+        sampler = GeometricSampler(rng)
+        inline_rng = random.Random(SEED)
+        for _ in range(20):
+            assert sampler.next_cycle(16, 0.1) == inline_cycle(inline_rng, 16, 0.1)
+        block = sampler._block
+        assert (block.cycles, block.used) == (sampling._FIRST_BLOCK_CYCLES, 20)
+        sampler.flush()
+        assert rng.getstate() == inline_rng.getstate()
+
+    def test_flush_mid_grown_block(self):
+        # blocks of 32 and 64 cycles are exhausted, the third (128
+        # cycles) is flushed after 10; the stream then resumes exactly
+        pytest.importorskip("numpy")
+        first = sampling._FIRST_BLOCK_CYCLES
+        sampler_rng = random.Random(SEED)
+        inline_rng = random.Random(SEED)
+        sampler = GeometricSampler(sampler_rng)
+        for _ in range(3 * first + 10):
+            assert sampler.next_cycle(5, 0.3) == inline_cycle(inline_rng, 5, 0.3)
+        block = sampler._block
+        assert (block.cycles, block.used) == (4 * first, 10)
+        sampler.flush()
+        assert sampler_rng.getstate() == inline_rng.getstate()
+        for _ in range(first + 7):
+            assert sampler.next_cycle(5, 0.3) == inline_cycle(inline_rng, 5, 0.3)
+        sampler.flush()
+        assert sampler_rng.getstate() == inline_rng.getstate()
+
     def test_block_exhaustion_commits_end_state(self):
         # 4096 nodes -> _BLOCK_TARGET//4096 = 8 cycles per block: cross
         # several block boundaries and keep exactness throughout

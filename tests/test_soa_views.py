@@ -2,12 +2,18 @@
 
 The struct-of-arrays refactor promises there is exactly ONE copy of the
 dynamic state: the `VirtualChannel` / `PhysicalChannel` /
-`MessageSource` objects are views over `SoAState` buffers, and
-`numpy_views()` wraps the same buffers zero-copy for the vector core.
-These tests pin that aliasing contract from both sides — a write through
-either layer must be visible through the other without any sync step —
-plus the id-assignment invariants the vector core's gathers rely on.
+`MessageSource` objects are views over `SoAState` buffers.  The numeric
+fields are lists until `numpy_views()` switches the store to array mode
+for the batched pass; while it is in array mode the views wrap the same
+buffers zero-copy, and `to_lists()` switches it back.  These tests pin
+the representation switch and the aliasing contract from both sides — a
+write through either layer must be visible through the other without
+any sync step — plus the id-assignment invariants the vector core's
+gathers rely on.
 """
+
+import sys
+from array import array
 
 import pytest
 
@@ -17,7 +23,31 @@ from repro.router.channels import (
     MessageSource,
     PhysicalChannel,
 )
+from repro.sim import SimulationConfig, Simulator
 from repro.sim.soa import BIG, KIND_CONSUMPTION, KIND_INTERNODE, SoAState
+
+#: the numeric fields: int64 buffers, then int8 ones, in array mode
+INT64_FIELDS = (
+    "received",
+    "sent",
+    "elig",
+    "elig_head",
+    "elig_count",
+    "head_time",
+    "upstream",
+    "msg_len",
+    "ring_base",
+    "chan_of",
+    "rr",
+    "transfers",
+    "busy_count",
+    "busy_slots",
+    "depth",
+    "free_mask",
+    "vbase",
+    "module_rr",
+)
+INT8_FIELDS = ("waiting_route", "is_real", "kind_code")
 
 
 class FakeMessage:
@@ -27,6 +57,27 @@ class FakeMessage:
 
 def make_channel(store=None, num_classes=2, kind=ChannelKind.INTERNODE):
     return PhysicalChannel(kind, num_classes, name="t", store=store)
+
+
+def field_types(store):
+    return {type(getattr(store, name)) for name in INT64_FIELDS + INT8_FIELDS}
+
+
+def busy_store():
+    """A two-channel store with a worm in flight, so the dynamic fields
+    hold values other than their reset ones."""
+    st = SoAState()
+    a = make_channel(st)
+    make_channel(st, kind=ChannelKind.CONSUMPTION)
+    vc = a.vcs[1]
+    vc.message = FakeMessage(3)
+    a.busy_add(vc)
+    vc.received = 2
+    vc.sent = 1
+    vc.eligible.append(7)
+    vc.waiting_route = True
+    a.rr = 5
+    return st
 
 
 class TestObjectLayerInvariants:
@@ -115,6 +166,91 @@ class TestObjectLayerInvariants:
         b = make_channel(st, kind=ChannelKind.CONSUMPTION)
         assert st.kind_code[a.index] == KIND_INTERNODE
         assert st.kind_code[b.index] == KIND_CONSUMPTION
+
+
+class TestRepresentationSwitch:
+    """Lists for the scalar loops, array buffers only while batching."""
+
+    def test_list_backed_after_construction(self):
+        st = busy_store()
+        assert field_types(st) == {list}
+        # every list slot but the object mirrors is a numeric field
+        mirrors = {"msg", "res", "src_bind", "vc_obj", "channels"}
+        lists = {
+            name
+            for name in SoAState.__slots__
+            if isinstance(getattr(st, name, None), list) and name not in mirrors
+        }
+        assert lists == set(INT64_FIELDS + INT8_FIELDS)
+
+    def test_list_backed_after_reset(self):
+        st = busy_store()
+        st.reset_dynamic()
+        assert field_types(st) == {list}
+        assert st.received == [0] * len(st.received)
+        assert st.head_time == [BIG] * len(st.head_time)
+
+    def test_reset_from_array_mode_leaves_list_mode(self):
+        pytest.importorskip("numpy")
+        st = busy_store()
+        st.numpy_views()
+        st.reset_dynamic()
+        assert field_types(st) == {list}
+        # the views were dropped with the buffers: the next wrap is fresh
+        assert st.numpy_views()["received"].sum() == 0
+
+    def test_numpy_free_store_stays_in_list_mode(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "numpy", None)  # import fails
+        st = busy_store()
+        with pytest.raises(ImportError):
+            st.numpy_views()
+        assert field_types(st) == {list}
+
+    def test_numpy_views_rebinds_every_field_to_an_array(self):
+        pytest.importorskip("numpy")
+        st = busy_store()
+        before = {name: list(getattr(st, name)) for name in INT64_FIELDS + INT8_FIELDS}
+        st.numpy_views()
+        for name in INT64_FIELDS:
+            buf = getattr(st, name)
+            assert isinstance(buf, array) and buf.typecode == "q", name
+        for name in INT8_FIELDS:
+            buf = getattr(st, name)
+            assert isinstance(buf, array) and buf.typecode == "b", name
+        assert {name: list(getattr(st, name)) for name in before} == before
+
+    def test_to_lists_round_trips_every_field(self):
+        pytest.importorskip("numpy")
+        st = busy_store()
+        before = {name: list(getattr(st, name)) for name in INT64_FIELDS + INT8_FIELDS}
+        V = st.numpy_views()
+        V["received"][st.vbase[0] + 1] = 3  # a write in array mode survives
+        before["received"][st.vbase[0] + 1] = 3
+        st.to_lists()
+        assert field_types(st) == {list}
+        after = {name: getattr(st, name) for name in before}
+        assert after == before
+        assert all(type(v) is int for values in after.values() for v in values)
+        st.to_lists()  # a no-op in list mode
+        assert {name: getattr(st, name) for name in before} == before
+
+    def test_adaptive_run_switching_down_is_list_backed(self):
+        pytest.importorskip("numpy")
+        config = SimulationConfig(
+            topology="torus", radix=8, dims=2, rate=0.005,
+            warmup_cycles=0, measure_cycles=10, seed=3,
+        )
+        sim = Simulator(config, core="adaptive")
+        transfer = sim.transfer
+        transfer.enter, transfer.leave = 64, 48  # inside this run's range
+        store = sim.net.store
+        modes = set()
+        while transfer.switches < 2 or transfer.batching:
+            sim.step()
+            assert sim.now < 2000, "the run never switched up and back down"
+            # array mode is exactly the batched branch's cycles
+            modes.add((transfer.batching, frozenset(field_types(store))))
+        assert modes == {(False, frozenset({list})), (True, frozenset({array}))}
 
 
 class TestNumpyViews:

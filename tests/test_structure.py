@@ -171,6 +171,23 @@ def test_scalar_loops_index_the_soa_buffers():
     assert sorted(checked) == ["AllocationStage", "TransferStage"]
 
 
+def test_one_way_into_and_out_of_array_mode():
+    """The store's numeric fields are lists except while the batched pass
+    runs: only ``repro/sim/vector.py`` switches it to array buffers
+    (``numpy_views``), and only the adaptive stage's switch down and
+    ``reset_dynamic`` switch it back (``to_lists``)."""
+    enters, leaves = set(), set()
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        for holder, callee, _dotted, _node in call_sites(path):
+            if callee == "numpy_views":
+                enters.add(rel)
+            elif callee == "to_lists":
+                leaves.add((rel, holder))
+    assert enters == {"sim/vector.py"}
+    assert leaves == {("sim/stages.py", "_switch"), ("sim/soa.py", "reset_dynamic")}
+
+
 def test_one_header_arbitration_loop_in_sim():
     """Header arbitration — resolve, memoize, grant, park — is one loop,
     ``AllocationStage.run``, on every core and both transfer branches:
