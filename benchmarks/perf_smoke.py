@@ -1,11 +1,9 @@
 """Engine performance smoke: cycles/second for the simulation cores.
 
 Measures the paper-scale configuration (16x16 torus) at five offered
-loads — near-idle through saturated, one of them astride the adaptive
-cutoff — plus one 8x8 row below it, for the legacy full-scan oracle,
-the two pinned branches (``active``: scalar work-lists, ``vector``:
-batched numpy pass, when numpy is present) and the adaptive default
-that chooses between them per cycle, and writes ``BENCH_engine.json``.
+loads — near-idle through saturated — for the legacy full-scan oracle
+and the work-list core (``active``, the default), and writes
+``BENCH_engine.json``.
 The regression check compares *ratios* (one core over another on the
 same machine and the same run), which are machine-independent, rather
 than absolute cycles/second, which are not.
@@ -24,20 +22,7 @@ Usage::
     python benchmarks/perf_smoke.py --check          # fail on regression
 
 ``--check`` fails when any rate's measured speedup drops below
-``REGRESSION_FRACTION`` (75%) of the committed baseline speedup, or when
-on any row the default core falls below ``DEFAULT_VS_BEST_FLOOR`` (90%)
-of the better pinned branch in the same repetition — the adaptive
-choice must never cost more than a tenth of picking the right branch by
-hand.  The vector core additionally carries an *absolute* floor at the
-saturated rate (``VECTOR_SPEEDUP_FLOOR``) and a soft target
-(``VECTOR_SPEEDUP_TARGET``) that only warns: the batched hot path was
-specified at >=5x over legacy, but the measured median on the
-development box is ~1.4-1.8x — the per-cycle numpy kernel-launch floor
-(~100 array ops) bounds the achievable ratio well below 5x at this
-network size, and the legacy oracle runs the same list-backed scalar
-loops as the ``active`` branch (~4-6 ms/cycle at rate 0.02), so the hard
-gate is set beneath the honest measurement instead of at the
-aspirational target.
+``REGRESSION_FRACTION`` (75%) of the committed baseline speedup.
 
 The smoke also measures the cost of a staged runtime reconfiguration (a
 non-convex pattern injected with hop-by-hop detection, stepped until the
@@ -82,11 +67,10 @@ active-core run whose relation came through
 ``POLICY_INDIRECTION_LIMIT`` (2%) of one whose relation was constructed
 directly.
 
-The three gates that compare identical code — tracing disabled, policy
-indirection and the 8x8 default-vs-best row — take the median ratio of
-``SAME_CODE_REPETITIONS`` (7) paired repetitions instead of
-``REPETITIONS`` (3): their true ratio is 1.0, so with three repetitions
-one noisy pair decided them.
+The two gates that compare identical code — tracing disabled and
+policy indirection — take the median ratio of ``SAME_CODE_REPETITIONS``
+(7) paired repetitions instead of ``REPETITIONS`` (3): their true ratio
+is 1.0, so with three repetitions one noisy pair decided them.
 """
 
 from __future__ import annotations
@@ -100,54 +84,24 @@ from pathlib import Path
 
 from repro.sim import SimulationConfig, Simulator
 
-try:
-    import numpy  # noqa: F401  (presence check only)
-
-    HAVE_NUMPY = True
-except ImportError:
-    HAVE_NUMPY = False
-
 BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_engine.json"
 
 #: offered loads (messages/node/cycle): near-idle (where the active-set
 #: scheduling wins outright), the low-load region where the paper's
 #: latency curves live, 0.004 (216-371 busy channels), moderate load
-#: approaching saturation (790-886 busy at 0.01, the most loaded row
-#: below BATCH_ENTER = 960, so the default core runs it scalar), and the
-#: saturated region (1067-1272 busy at 0.02) where it batches
+#: approaching saturation (790-886 busy at 0.01), and the saturated
+#: region (1067-1272 busy at 0.02)
 RATES = (0.0002, 0.002, 0.004, 0.01, 0.02)
 RADIX = 16
-#: the 8x8 row: 27-94 busy channels at this rate, below the adaptive
-#: cutoff, so the default core must match the scalar branch here
-SMALL_RADIX = 8
-SMALL_RATE = 0.005
 WARMUP_CYCLES = 300
 MEASURE_CYCLES = 1200
 REPETITIONS = 3
-#: paired repetitions (median taken) for the three gates that compare
-#: identical code (module docstring): their limits sit within 2-10% of
-#: a true ratio of 1.0
+#: paired repetitions (median taken) for the two gates that compare
+#: identical code (module docstring): their limits sit within 2% of a
+#: true ratio of 1.0
 SAME_CODE_REPETITIONS = 7
 #: a measured speedup below this fraction of the baseline speedup fails
 REGRESSION_FRACTION = 0.75
-#: the default core's paired-median cycles/second over the better of the
-#: two pinned branches must stay above this on every row
-DEFAULT_VS_BEST_FLOOR = 0.90
-
-#: the saturated rate where the vector core's absolute gate applies
-SATURATED_RATE = 0.02
-#: hard floor for the vector core's paired-median speedup over legacy at
-#: the saturated rate.  Set beneath the honest measured median on the
-#: development box so machine noise does not flake CI, while still
-#: failing on any real regression of the batched transfer path.
-#: It was 2.0 against a measured 2.79x at 0.02 (72%); once the
-#: scalar loops indexed the SoA buffers the oracle ran ~2x faster and
-#: four runs measured 1.26-1.73x (median 1.41x), so the floor is the
-#: same 72% of that: 1.0.
-VECTOR_SPEEDUP_FLOOR = 1.0
-#: the originally specified target; below it the check *warns* but does
-#: not fail (see the module docstring for why it is unreachable here)
-VECTOR_SPEEDUP_TARGET = 5.0
 
 #: staged-reconfiguration smoke: a non-convex two-node pattern (the pair
 #: merges into one block, so the degrade pipeline runs) injected at
@@ -195,19 +149,18 @@ def _median(values) -> float:
     return sorted(values)[len(values) // 2]
 
 
-def _measure_rate(
-    rate: float, cores: tuple, radix: int = RADIX, repetitions: int = REPETITIONS
-) -> dict:
+def _measure_rate(rate: float) -> dict:
     config = SimulationConfig(
-        topology="torus", radix=radix, dims=2, rate=rate,
+        topology="torus", radix=RADIX, dims=2, rate=rate,
         warmup_cycles=0, measure_cycles=10, seed=42,
     )
+    cores = ("legacy", "active")
     samples: dict = {core: [] for core in cores}
-    # every repetition runs all cores back-to-back so clock drift between
+    # every repetition runs both cores back-to-back so clock drift between
     # repetitions cancels out of the per-repetition ratios
-    for _ in range(repetitions):
+    for _ in range(REPETITIONS):
         for core in cores:
-            sim = Simulator(config, core=None if core == "default" else core)
+            sim = Simulator(config, core=core)
             for _ in range(WARMUP_CYCLES):  # reach steady occupancy first
                 sim.step()
             start = time.perf_counter()
@@ -215,18 +168,9 @@ def _measure_rate(
                 sim.step()
             elapsed = time.perf_counter() - start
             samples[core].append(MEASURE_CYCLES / elapsed)
-    point = {}
-    for core in cores:
-        point[f"{core}_cycles_per_sec"] = round(max(samples[core]), 1)
-    for core in cores:
-        if core == "legacy":
-            continue
-        median = _median([c / l for c, l in zip(samples[core], samples["legacy"])])
-        key = "speedup" if core == "active" else f"{core}_speedup"
-        point[key] = round(median, 3)
-    pinned = [samples[core] for core in ("active", "vector") if core in samples]
-    point["default_vs_best"] = round(
-        _median([d / max(best) for d, best in zip(samples["default"], zip(*pinned))]), 3
+    point = {f"{core}_cycles_per_sec": round(max(samples[core]), 1) for core in cores}
+    point["speedup"] = round(
+        _median([a / l for a, l in zip(samples["active"], samples["legacy"])]), 3
     )
     return point
 
@@ -418,33 +362,17 @@ def _tracing_cost() -> dict:
     }
 
 
-def _describe(label: str, point: dict) -> str:
-    line = (
-        f"{label}: legacy={point['legacy_cycles_per_sec']:9.1f} c/s  "
-        f"active={point['active_cycles_per_sec']:9.1f} c/s  "
-        f"speedup={point['speedup']:.2f}x"
-    )
-    if "vector_speedup" in point:
-        line += (
-            f"  vector={point['vector_cycles_per_sec']:9.1f} c/s  "
-            f"vector_speedup={point['vector_speedup']:.2f}x"
-        )
-    return line + (
-        f"  default={point['default_cycles_per_sec']:9.1f} c/s  "
-        f"default/best={point['default_vs_best']:.2f}"
-    )
-
-
 def measure() -> dict:
     if "REPRO_SIM_CORE" in os.environ:
         raise SystemExit("unset REPRO_SIM_CORE: it replaces the default core being measured")
-    cores = ("legacy", "active") + (("vector",) if HAVE_NUMPY else ()) + ("default",)
     points = {}
     for rate in RATES:
-        points[str(rate)] = _measure_rate(rate, cores)
-        print(_describe(f"rate={rate}", points[str(rate)]))
-    small = _measure_rate(SMALL_RATE, cores, SMALL_RADIX, SAME_CODE_REPETITIONS)
-    print(_describe(f"{SMALL_RADIX}x{SMALL_RADIX} rate={SMALL_RATE}", small))
+        point = points[str(rate)] = _measure_rate(rate)
+        print(
+            f"rate={rate}: legacy={point['legacy_cycles_per_sec']:9.1f} c/s  "
+            f"active={point['active_cycles_per_sec']:9.1f} c/s  "
+            f"speedup={point['speedup']:.2f}x"
+        )
     reconfig = _reconfiguration_cost()
     print(
         f"reconfiguration: {reconfig['cost_cycles']:.1f} cycle-equivalents "
@@ -482,10 +410,6 @@ def measure() -> dict:
             "repetitions": REPETITIONS,
         },
         "rates": points,
-        "small": {
-            "radix": SMALL_RADIX, "rate": SMALL_RATE,
-            "repetitions": SAME_CODE_REPETITIONS, **small,
-        },
         "reconfiguration": reconfig,
         "classify": classify,
         "pool": pool,
@@ -510,8 +434,6 @@ def check(measured: dict, baseline: dict) -> int:
         )
         if got["speedup"] < floor:
             failures += 1
-        failures += _check_vector_rate(rate, point, got)
-    failures += _check_default(measured)
     failures += _check_policy(measured)
     failures += _check_classify(measured, baseline)
     failures += _check_pool(measured)
@@ -533,60 +455,6 @@ def check(measured: dict, baseline: dict) -> int:
     if got["cost_cycles"] > ceiling:
         failures += 1
     failures += _check_tracing(measured, baseline)
-    return failures
-
-
-def _check_vector_rate(rate: str, base_point: dict, got: dict) -> int:
-    if "vector_speedup" not in base_point:
-        return 0
-    if "vector_speedup" not in got:
-        if not HAVE_NUMPY:
-            print(f"rate {rate}: vector core skipped (numpy unavailable)")
-            return 0
-        print(f"rate {rate}: vector speedup missing from measurement", file=sys.stderr)
-        return 1
-    failures = 0
-    speedup = got["vector_speedup"]
-    floor = REGRESSION_FRACTION * base_point["vector_speedup"]
-    verdict = "ok" if speedup >= floor else "REGRESSION"
-    print(
-        f"rate {rate}: vector speedup {speedup:.2f}x vs baseline "
-        f"{base_point['vector_speedup']:.2f}x (floor {floor:.2f}x) -> {verdict}"
-    )
-    if speedup < floor:
-        failures += 1
-    if float(rate) == SATURATED_RATE:
-        verdict = "ok" if speedup >= VECTOR_SPEEDUP_FLOOR else "REGRESSION"
-        print(
-            f"rate {rate}: vector speedup {speedup:.2f}x vs hard floor "
-            f"{VECTOR_SPEEDUP_FLOOR:.2f}x -> {verdict}"
-        )
-        if speedup < VECTOR_SPEEDUP_FLOOR:
-            failures += 1
-        elif speedup < VECTOR_SPEEDUP_TARGET:
-            print(
-                f"rate {rate}: WARNING vector speedup {speedup:.2f}x is below "
-                f"the {VECTOR_SPEEDUP_TARGET:.0f}x design target (known "
-                f"shortfall; see the module docstring)"
-            )
-    return failures
-
-
-def _check_default(measured: dict) -> int:
-    # same-repetition ratios: needs no baseline entry
-    rows = {f"rate {rate}": point for rate, point in measured["rates"].items()}
-    small = measured["small"]
-    rows[f"{small['radix']}x{small['radix']} rate {small['rate']}"] = small
-    failures = 0
-    for label, point in rows.items():
-        ratio = point["default_vs_best"]
-        verdict = "ok" if ratio >= DEFAULT_VS_BEST_FLOOR else "REGRESSION"
-        print(
-            f"{label}: default core at {ratio:.2f} of the better pinned branch "
-            f"(floor {DEFAULT_VS_BEST_FLOOR:.2f}) -> {verdict}"
-        )
-        if ratio < DEFAULT_VS_BEST_FLOOR:
-            failures += 1
     return failures
 
 

@@ -8,8 +8,6 @@ sweeps run thousands of cycles per point).
 
 import time
 
-import pytest
-
 from repro.sim import SimulationConfig, Simulator
 
 
@@ -88,38 +86,11 @@ class TestEngineSpeed:
             f"(active={active:.0f} c/s, legacy={legacy:.0f} c/s)"
         )
 
-    def test_vector_core_speedup_at_saturation(self):
-        """The vector core's acceptance bar on the paper-scale 16x16
-        torus at saturated load, where the active core's event-driven
-        win has collapsed.  Measured paired per-repetition (clock drift
-        between repetitions on a shared machine dwarfs within-repetition
-        drift) with the median ratio against a bar set beneath the honest
-        measurement so noise cannot flake it; perf_smoke.py carries the
-        tighter gate.  The bar was 1.5x against a measured ~2.5-3x
-        (2.79x); since the legacy oracle's scalar loops index the SoA
-        buffers it runs ~2x faster, the ratio measures 1.2-1.4x (median
-        1.3x over two runs of this test's method), and the bar is the
-        same ~54% of that: 0.7x — it catches a collapse of the batched
-        path, not a lead over the oracle."""
-        pytest.importorskip("numpy")
-        load = 0.02
-        ratios = []
-        for _ in range(3):
-            legacy = cycles_per_second("legacy", load, radix=16, seed=42,
-                                       cycles=600, repetitions=1)
-            vector = cycles_per_second("vector", load, radix=16, seed=42,
-                                       cycles=600, repetitions=1)
-            ratios.append(vector / legacy)
-        median = sorted(ratios)[1]
-        assert median >= 0.7, (
-            f"vector-core speedup {median:.2f}x below the 0.7x bar "
-            f"(per-repetition ratios: {[f'{r:.2f}' for r in ratios]})"
-        )
-
     def test_cores_identical_results_at_speed(self):
         """Speed must not cost correctness: the benchmark configuration
-        itself delivers identical results on the oracle, the scalar
-        branch and the default core (which batches at this load)."""
+        itself (16x16 at rate 0.002, ~134 busy channels) delivers
+        identical results on the oracle, the work-list core and the
+        default core."""
         config = dict(
             topology="torus", radix=16, dims=2, rate=0.002,
             warmup_cycles=200, measure_cycles=600, seed=42,

@@ -87,8 +87,8 @@ class FaultTolerantRouting:
     #: (module, dst, msg_dim, wrapped, protocol, resume_direct, last_dim,
     #: last_vc_class) — ``next_hop`` mutates state only through the
     #: idempotent ``_advance_role`` while ``misroute is None``, and the
-    #: fault view is frozen per routing object.  The vector core's
-    #: allocation stage exploits this to memoize resolutions.
+    #: fault view is frozen per routing object.  The allocation stage
+    #: exploits this to memoize resolutions on every core but the oracle.
     cacheable_decisions = True
 
     def __init__(

@@ -23,8 +23,8 @@ message move in order and a VC buffers flits of at most one message.
 Since the struct-of-arrays refactor, none of this state lives on the
 objects themselves: every dynamic field is a slot in the simulation's
 :class:`~repro.sim.soa.SoAState` buffers, and the classes below are thin
-views over those buffers (the engine's allocation and transfer loops,
-scalar and batched, index the buffers themselves).  Channels built
+views over those buffers (the engine's allocation and transfer loops
+index the buffers themselves).  Channels built
 outside a network (unit tests) get a private single-channel store, so
 the classes stay usable standalone.
 """

@@ -25,20 +25,15 @@ Each cycle has four phases, one stage object per phase (see
    entering a consumption channel are delivered.
 
 The :class:`Simulator` is a thin façade over the stages plus a
-:class:`~repro.sim.stats.StatsCollector`.  There is **one adaptive
-core, two pinned spellings of it, and one oracle**:
+:class:`~repro.sim.stats.StatsCollector`.  There is **one production
+core and one oracle**:
 
-* ``Simulator(config)`` runs the *adaptive* core: sources, modules and
-  channels with pending work sit on work-lists, and every cycle the
-  transfer stage chooses between the scalar work-list service (few busy
-  channels) and the batched numpy pass over the busy set (many — see
-  :mod:`repro.sim.stages` for the measured cutoff); allocation is one
-  loop for both.  Without numpy the scalar branch runs alone.
-* ``core="active"`` / ``core="vector"`` pin that choice to never / always
-  batch — the parity matrix forces the batched branch onto networks too
-  small to reach the cutoff, numpy-free installs need the scalar one.
+* ``Simulator(config)`` runs the *work-list* core (``sim.core ==
+  "active"``): sources, modules and channels with pending work sit on
+  work-lists, and each stage services only those.  ``"adaptive"`` and
+  ``"vector"`` are accepted as older names of the same core.
 * ``core="legacy"`` is the executable reference: the original full-scan
-  loops, kept as the oracle every other spelling must match bit for bit
+  loops, kept as the oracle the work-list core must match bit for bit
   (``tests/test_engine_parity.py``).
 
 ``REPRO_SIM_CORE`` sets the default for a whole process.
@@ -62,29 +57,23 @@ from .config import SimulationConfig
 from .deadlock import DeadlockError, stuck_worm_snapshot
 from .metrics import SimulationResult, batch_means_ci, percentile
 from .network import SimNetwork
-from .stages import (
-    AdaptiveTransferStage,
-    AllocationStage,
-    GenerationStage,
-    InjectionStage,
-    TransferStage,
-)
+from .stages import AllocationStage, GenerationStage, InjectionStage, TransferStage
 from .stats import StatsCollector
 from .traffic import make_traffic
 
 #: environment override for the default simulation core
 _CORE_ENV = "REPRO_SIM_CORE"
-_CORES = ("adaptive", "active", "vector", "legacy")
+_CORES = ("active", "legacy")
+#: older names of the work-list core, kept for existing callers
+_ALIASES = {"adaptive": "active", "vector": "active"}
 
 
 class Simulator:
     """One simulation run over a static network and fault scenario.
 
-    ``core`` selects the scheduling strategy: ``"adaptive"`` (default)
-    picks, per cycle, the scalar work-list service or the batched numpy
-    pass; ``"active"`` / ``"vector"`` pin that choice; ``"legacy"`` is the
-    full-scan oracle.  All are result-identical; ``REPRO_SIM_CORE`` sets
-    the default, and without numpy ``"adaptive"`` runs as ``"active"``.
+    ``core`` selects the scheduling strategy: ``"active"`` (default) is
+    the work-list core, ``"legacy"`` the full-scan oracle; both are
+    result-identical.  ``REPRO_SIM_CORE`` sets the default.
     """
 
     def __init__(
@@ -95,19 +84,10 @@ class Simulator:
         core: Optional[str] = None,
     ):
         if core is None:
-            core = os.environ.get(_CORE_ENV, "adaptive")
+            core = os.environ.get(_CORE_ENV, "active")
+        core = _ALIASES.get(core, core)
         if core not in _CORES:
             raise ValueError(f"unknown simulation core {core!r}; expected one of {_CORES}")
-        if core in ("adaptive", "vector"):
-            try:
-                import numpy  # noqa: F401
-            except ImportError:
-                if core == "vector":
-                    raise ImportError(
-                        'core="vector" needs numpy; install the optional extra '
-                        "with `pip install repro[fast]` (or pick core=\"active\")"
-                    ) from None
-                core = "active"  # the scalar branch alone; same results
         self.core = core
         self.config = config
         if network is not None:
@@ -189,10 +169,7 @@ class Simulator:
         # the pipeline; transfer first so the upstream stages can register
         # channels on its work-list
         work_lists = core != "legacy"
-        if core in ("adaptive", "vector"):
-            self.transfer = AdaptiveTransferStage(self, always_batch=core == "vector")
-        else:
-            self.transfer = TransferStage(self, work_list=work_lists)
+        self.transfer = TransferStage(self, work_list=work_lists)
         self.allocation = AllocationStage(self, self.transfer)
         self.injection = InjectionStage(self, self.transfer)
         self.generation = GenerationStage(self, block_sampling=work_lists)

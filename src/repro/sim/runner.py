@@ -19,7 +19,7 @@ keeps the amortized-build economics by caching one network per signature
 inside each worker (:func:`repro.exec.executor._shared_network`).
 
 Either way each point runs on whatever simulation core is configured
-(``REPRO_SIM_CORE``; the adaptive core by default) — every spelling is
+(``REPRO_SIM_CORE``; the work-list core by default) — both cores are
 bit-for-bit result-identical, so sweep outputs and cache keys are
 core-independent (see docs/architecture.md).
 

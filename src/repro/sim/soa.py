@@ -3,8 +3,8 @@
 Every quantity the engine mutates per cycle — virtual-channel flit
 counts, eligibility times, wormhole links, round-robin arbiter counters,
 per-channel transfer counters — lives here in flat, index-addressed
-buffers, one per field.  The allocation loop and both branches of
-phase 4 index these buffers directly.  The object layer
+buffers, one per field.  The allocation and transfer loops index
+these buffers directly.  The object layer
 (:class:`~repro.router.channels.VirtualChannel`,
 :class:`~repro.router.channels.PhysicalChannel`,
 :class:`~repro.router.channels.MessageSource`,
@@ -12,22 +12,15 @@ phase 4 index these buffers directly.  The object layer
 that serves everything else — injection, reconfiguration, the obs
 tracer, the deadlock detector, metrics and tests.
 
-Two representations, one copy
------------------------------
+Plain lists, one copy
+---------------------
 
-The numeric fields are plain Python lists: the scalar loops of
-:mod:`repro.sim.stages` run on them, and indexing a list costs about
-half as much as indexing an ``array.array``, which boxes every value it
-hands out.  Array buffers exist only while the adaptive core's batched
-pass (:mod:`repro.sim.vector`) runs: :meth:`SoAState.numpy_views` is
-the one way in — it rebinds every numeric field to an ``array("q")`` /
-``array("b")`` holding the same values and wraps those buffers
-zero-copy — and :meth:`SoAState.to_lists` is the one way out (the
-adaptive stage calls it on every switch down, :meth:`reset_dynamic`
-before clearing).  Either way each field has exactly one copy at any
-time.  Readers fetch a field from the store at the start of each stage
-call and the representation changes only between stage calls, so both
-representations serve the same code.
+The numeric fields are plain Python lists for the store's whole life:
+the loops of :mod:`repro.sim.stages` index them directly, and indexing
+a list costs about half as much as indexing an
+``array.array``, which boxes every value it hands out.  Readers fetch a
+field from the store at the start of each stage call; only
+:meth:`SoAState.reset_dynamic` rebinds the fields, between runs.
 
 Id assignment
 -------------
@@ -80,44 +73,17 @@ lists indexed the same way.
 
 from __future__ import annotations
 
-from array import array
 from typing import List, Optional
 
 #: sentinel eligibility time: "no flit will ever be ready here"
 BIG = 1 << 60
 
 #: channel-kind codes mirrored into ``kind_code`` (ChannelKind is an
-#: Enum; the batched pass needs plain integers)
+#: Enum; the transfer loop compares plain integers)
 KIND_INTERNODE = 0
 KIND_INTERCHIP = 1
 KIND_INJECTION = 2
 KIND_CONSUMPTION = 3
-
-
-#: every numeric field with the ``array`` typecode it takes in array mode
-_NUMERIC_FIELDS = tuple(
-    (name, "q")
-    for name in (
-        "received",
-        "sent",
-        "elig",
-        "elig_head",
-        "elig_count",
-        "head_time",
-        "upstream",
-        "msg_len",
-        "ring_base",
-        "chan_of",
-        "rr",
-        "transfers",
-        "busy_count",
-        "busy_slots",
-        "depth",
-        "free_mask",
-        "vbase",
-        "module_rr",
-    )
-) + tuple((name, "b") for name in ("waiting_route", "is_real", "kind_code"))
 
 
 class SoAState:
@@ -159,7 +125,6 @@ class SoAState:
         "module_rr",
         # bookkeeping
         "num_classes",
-        "_np_cache",
     )
 
     def __init__(self) -> None:
@@ -196,8 +161,6 @@ class SoAState:
         #: virtual channels per physical channel (uniform within a store;
         #: fixed by the first channel added)
         self.num_classes = 0
-        #: the numpy views while the store is in array mode, else None
-        self._np_cache = None
 
     # ------------------------------------------------------------------
     # structural registration
@@ -256,7 +219,7 @@ class SoAState:
 
     # ------------------------------------------------------------------
     # dynamic-state primitives (shared by the object views and the
-    # batched pass's event replay)
+    # engine's release paths)
     # ------------------------------------------------------------------
     def reset_vc(self, vid: int) -> None:
         """Equivalent of the old ``VirtualChannel.reset``."""
@@ -301,9 +264,7 @@ class SoAState:
 
     def reset_dynamic(self) -> None:
         """Clear every dynamic field (network reuse across runs); static
-        layout (rings, kinds, depths, vbase) survives.  The store comes
-        out in list mode."""
-        self.to_lists()
+        layout (rings, kinds, depths, vbase) survives."""
         # unbind sources first so in-flight injection counts are written
         # back to their MessageSource objects (legacy reset kept them)
         for i, src in enumerate(self.src_bind):
@@ -328,60 +289,3 @@ class SoAState:
         self.module_rr = [0] * len(self.module_rr)
         self.msg = [None] * nv
         self.res = [None] * nv
-
-    # ------------------------------------------------------------------
-    # representation switch (batched pass)
-    # ------------------------------------------------------------------
-    def numpy_views(self):
-        """Enter array mode and return zero-copy numpy views over the
-        buffers.  The first call rebinds every numeric field to an
-        ``array`` holding the same values; later calls return the same
-        views until :meth:`to_lists`.  Raises ImportError when numpy is
-        missing, leaving the store in list mode."""
-        views = self._np_cache
-        if views is not None:
-            return views
-        import numpy as np
-
-        for name, code in _NUMERIC_FIELDS:
-            setattr(self, name, array(code, getattr(self, name)))
-
-        def q(a):
-            return np.frombuffer(a, dtype=np.int64) if len(a) else np.empty(0, np.int64)
-
-        def b(a):
-            return np.frombuffer(a, dtype=np.int8) if len(a) else np.empty(0, np.int8)
-
-        views = {
-            "received": q(self.received),
-            "sent": q(self.sent),
-            "elig": q(self.elig),
-            "elig_head": q(self.elig_head),
-            "elig_count": q(self.elig_count),
-            "head_time": q(self.head_time),
-            "upstream": q(self.upstream),
-            "msg_len": q(self.msg_len),
-            "ring_base": q(self.ring_base),
-            "chan_of": q(self.chan_of),
-            "is_real": b(self.is_real),
-            "rr": q(self.rr),
-            "transfers": q(self.transfers),
-            "busy_count": q(self.busy_count),
-            "busy_slots": q(self.busy_slots),
-            "depth": q(self.depth),
-            "kind_code": b(self.kind_code),
-            "vbase": q(self.vbase),
-        }
-        self._np_cache = views
-        return views
-
-    def to_lists(self) -> None:
-        """Leave array mode: drop the numpy views and rebind every
-        numeric field to a list holding the same values (a no-op in
-        list mode)."""
-        if self._np_cache is None:
-            return
-        self._np_cache = None
-        for name, _ in _NUMERIC_FIELDS:
-            setattr(self, name, getattr(self, name).tolist())
-

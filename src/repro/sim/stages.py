@@ -8,37 +8,31 @@ dynamic state (source queues, outstanding counts, the waiting-module
 set, in-flight accounting) stays on the simulator, which every stage
 holds a reference to.
 
-The stages serve one adaptive core, its two pinned spellings and the
-oracle (``Simulator(core=...)``):
+The stages serve the work-list core and the oracle
+(``Simulator(core=...)``):
 
-* **work-lists** (every core but ``"legacy"``) — sources enter the
+* **work-lists** (``"active"``, the default) — sources enter the
   injection work-list only when they hold queued messages, modules enter
   the allocation work-list only when a header arrives (the engine's
   long-standing ``_modules_waiting`` pattern), channels enter the
   transfer work-list only while a virtual channel is busy on them, and
   generation skips idle sources through the
-  :class:`~repro.sim.sampling.GeometricSampler` block stream.
-* **one allocation loop, two transfer branches** — phase 3 is one
-  loop, :meth:`AllocationStage.run`, on every core and every cycle; it
-  memoizes header resolutions and parks modules that cannot grant
-  (everywhere but the oracle and transition windows).  Phase 4 has two
-  branches: the scalar loop of :class:`TransferStage` (all of
-  ``"active"``) and the batched numpy pass of :mod:`repro.sim.vector`.
-  The default ``"adaptive"`` core (:class:`AdaptiveTransferStage`) picks
-  one per cycle from the number of busy channels; ``"vector"`` is the
-  same stage pinned to always batch.  Both branches index the
-  :class:`~repro.sim.soa.SoAState` buffers directly and wake parked
-  modules through :meth:`AllocationStage.wake`; Python objects
+  :class:`~repro.sim.sampling.GeometricSampler` block stream.  Phase 3
+  is one loop, :meth:`AllocationStage.run`; it memoizes header
+  resolutions and parks modules that cannot grant (everywhere but the
+  oracle and transition windows).  Phase 4 is one loop,
+  :meth:`TransferStage.run`.  Both index the
+  :class:`~repro.sim.soa.SoAState` lists directly; Python objects
   (messages, VC views, modules) are fetched only where an event needs
   them — a header wake-up, a tail, a delivery, a release, the tracer.
 * ``"legacy"`` — the seed engine's full-scan algorithm, kept as the
   oracle: every healthy node draws inline and every physical channel is
   visited every cycle.
 
-Every spelling executes the *same* per-node / per-channel decisions in
-the same order, so results are bit-for-bit identical — the parity
-guarantee ``tests/test_engine_parity.py`` enforces (see
-docs/architecture.md for the ordering argument).
+Both execute the *same* per-node / per-channel decisions in the same
+order, so results are bit-for-bit identical — the parity guarantee
+``tests/test_engine_parity.py`` enforces (see docs/architecture.md for
+the ordering argument).
 """
 
 from __future__ import annotations
@@ -170,7 +164,7 @@ class AllocationStage:
     header): the routing logic picks the output channel and the
     admissible virtual channel classes; the header is allocated the
     first free one, extending the worm.  This is the one header
-    arbitration loop: every core and both transfer branches use it.
+    arbitration loop: both cores use it.
 
     Modules wake only when a header arrives: the engine's
     ``_modules_waiting`` insertion-ordered dict (a set of Modules would
@@ -200,8 +194,8 @@ class AllocationStage:
       a timer at that cycle is exact;
     * its resolved output channel has no free VC in the admissible
       classes — free bits are set only by ``channel.release``, and every
-      release in either transfer branch calls :meth:`wake` for the
-      channel's subscribers.
+      release in the transfer loop calls :meth:`wake` for the channel's
+      subscribers.
 
     A header arriving at a parked module unparks it.  Releases outside
     the transfer stage (worms killed by a reconfiguration) go through
@@ -435,7 +429,7 @@ class TransferStage:
 
     def __init__(self, sim: "Simulator", *, work_list: bool):
         self.sim = sim
-        #: True while channels register on (and are served from) the
+        #: True when channels register on (and are served from) the
         #: work-list; False full-scans ``net.channels`` (legacy oracle)
         self.active_set = work_list
         self._active: List[PhysicalChannel] = []
@@ -595,94 +589,3 @@ class TransferStage:
         if compact:
             del channels[write:]
         return progress
-
-
-#: Busy physical channels at which a scalar cycle hands over to the
-#: batched pass (``BATCH_ENTER``) and below which a batched cycle hands
-#: back (``BATCH_LEAVE``; the gap keeps a network hovering at the cutoff
-#: from paying the work-list rebuild and the store conversion every
-#: cycle).  Measured, not configurable.  Milliseconds per run, median of
-#: 7, enter/leave:
-#:
-#:   run (busy channels p5-p95)        active  vector  320/240 640/480 960/720 1152/864
-#:   8x8   rate 0.005 (28-86)             497    1234      447     428     402      420
-#:   16x16 rate 0.004 (217-370)          1016    1131     1179     841     955      983
-#:   16x16 rate 0.006 (387-543)          1165    1575     1200     876     891     1106
-#:   16x16 rate 0.01 (790-871)           1572    1639     1462    1774    1449     1405
-#:   16x16 5%, rate 0.014 (861-1040)     1353    1298     1224    1192    1212     1210
-#:   16x16 rate 0.02 (1067-1252)         1253    1552     1382    1385    1304     1222
-#:
-#: On lists the scalar branch costs less per cycle than the batched
-#: pass up to ~1000 busy channels, and the two are within noise of each
-#: other above; the full sweep, the per-cycle costs and the busy-channel
-#: distributions are in docs/architecture.md ("Choosing the branch").
-BATCH_ENTER = 960
-BATCH_LEAVE = 720
-
-
-class AdaptiveTransferStage(TransferStage):
-    """Phase 4 of the adaptive core: each cycle takes one of two branches
-    over the same SoA state — the inherited scalar loop over the
-    work-list, or the batched numpy pass of :mod:`repro.sim.vector`.
-
-    The choice follows the number of physical channels with a busy VC:
-    the work-list's own length on scalar cycles, the busy set's size on
-    batched ones, so neither branch pays for the other's bookkeeping
-    (and a run that never reaches the cutoff never loads the batched
-    module at all).  Both branches map a cycle-start state to the same
-    cycle-end state and wake parked modules the same way, so a switch
-    only refreshes the one thing the idle branch let go stale: the
-    work-list, rebuilt on the way down.  The way down also returns the
-    store to its list representation (the batched pass switched it to
-    array buffers on the way up; :mod:`repro.sim.soa`)."""
-
-    __slots__ = ("batched", "enter", "leave", "batched_cycles", "switches")
-
-    def __init__(self, sim: "Simulator", *, always_batch: bool):
-        super().__init__(sim, work_list=True)
-        #: :func:`repro.sim.vector.transfer`, imported on first use
-        self.batched = None
-        timing = sim.config.timing
-        if timing.header_delay < 1 or timing.data_delay < 1:
-            # batching needs pushed flits to never be same-cycle eligible
-            self.enter, self.leave = float("inf"), 0
-        elif always_batch:
-            self.enter = self.leave = 0
-        else:
-            self.enter, self.leave = BATCH_ENTER, BATCH_LEAVE
-        #: branch accounting (the parity tests assert both branches ran)
-        self.batched_cycles = 0
-        self.switches = 0
-
-    @property
-    def batching(self) -> bool:
-        """The branch the next stage call takes: batched cycles are
-        exactly those on which the work-list is not maintained."""
-        return not self.active_set
-
-    def _switch(self, batching: bool) -> None:
-        self.active_set = not batching
-        self.switches += 1
-        if not batching:
-            # batched cycles do not maintain the work-list, and the
-            # scalar loop runs on the store's list representation
-            self.resync()
-            self.sim.net.store.to_lists()
-        elif self.batched is None:
-            from .vector import transfer
-
-            self.batched = transfer
-
-    def run(self, now: int) -> bool:
-        if self.batching:
-            if self.sim.reconfig is not None:
-                self._switch(False)  # transition windows are scalar-only
-        elif len(self._active) >= self.enter and self.sim.reconfig is None:
-            self._switch(True)
-        if self.batching:
-            progress = self.batched(self.sim, now, self.leave)
-            if progress is not None:
-                self.batched_cycles += 1
-                return progress
-            self._switch(False)  # fewer than ``leave`` channels busy
-        return TransferStage.run(self, now)

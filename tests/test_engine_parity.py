@@ -1,16 +1,15 @@
-"""Cross-engine parity: the adaptive core and its two pinned spellings
-must be bit-for-bit result-identical to the legacy full-scan oracle.
+"""Cross-engine parity: the work-list core must be bit-for-bit
+result-identical to the legacy full-scan oracle.
 
-The adaptive core chooses per cycle between the scalar work-list service
-(``core="active"`` pins it) and the batched array evaluation over the
-struct-of-arrays state (``core="vector"`` pins that).  Most configs here
-are too small to reach the cutoff on their own, so the pinned columns
-are what drives each branch everywhere; the ``adaptive`` column and
-``TestAdaptiveSwitching`` cover the switches between them.  Everything
-observable — every counter, every batch statistic, every latency sample
-— must match exactly; any drift means bookkeeping skipped or reordered
-work.  See docs/architecture.md ("Determinism and the engine-parity
-guarantee", "Choosing the branch" and "SoA state layout").
+The work-list core (``core="active"``, the default) services only the
+sources, modules and channels with pending work; the oracle
+(``core="legacy"``) scans everything every cycle.  ``"vector"`` and
+``"adaptive"`` are older names of the work-list core and keep their own
+columns here.  Everything observable — every counter, every batch
+statistic, every latency sample — must match exactly; any drift means
+bookkeeping skipped or reordered work.  See docs/architecture.md
+("Determinism and the engine-parity guarantee" and "SoA state
+layout").
 """
 
 import random
@@ -20,22 +19,9 @@ import pytest
 from repro.canonical import canonical_digest, to_data
 from repro.sim import SimulationConfig, Simulator
 
-try:
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - exercised in the numpy-free CI job
-    HAVE_NUMPY = False
-
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="the batched branch needs numpy")
-
-# every non-reference core, compared against "legacy" as the baseline
-# (without numpy "adaptive" *is* "active", so that column is skipped too)
-ALT_CORES = [
-    "active",
-    pytest.param("vector", marks=needs_numpy),
-    pytest.param("adaptive", marks=needs_numpy),
-]
+# every spelling of the work-list core, compared against "legacy" as the
+# baseline
+ALT_CORES = ["active", "vector", "adaptive"]
 
 # The fixed-seed configurations the integration suite measures the
 # paper's claims on (tests/test_integration.py), plus the corner cases
@@ -84,19 +70,18 @@ GOLDEN_CONFIGS = {
     "sharing-all": dict(topology="torus", radix=8, dims=2, rate=0.012,
                         vc_sharing_mode="all", warmup_cycles=200, measure_cycles=1000,
                         seed=10, fault_percent=1),
-    # 27-94 busy channels: below the default cutoff, so TestAdaptiveSwitching
-    # sets one inside that range to keep the default core switching
+    # near idle: 27-94 busy channels, the work-lists stay short
     "crossing": dict(topology="torus", radix=8, dims=2, rate=0.005,
                      warmup_cycles=300, measure_cycles=1500, seed=3),
 }
 
 
 # Absolute pins on the oracle's own output.  Cross-core parity cannot see
-# a change in code every core shares (the scalar allocation loop runs on
-# every core, the scalar transfer loop on every run that never batches),
-# so the legacy results those tests compute anyway are also held to the
-# digests below: ``canonical_digest(result.to_dict())[:16]``.  A change
-# that moves one of them changes simulation results.
+# a change in code both cores share (the allocation and transfer loops
+# serve the oracle too), so the legacy results those tests compute anyway
+# are also held to the digests below:
+# ``canonical_digest(result.to_dict())[:16]``.  A change that moves one of
+# them changes simulation results.
 GOLDEN_DIGESTS = {
     "3d": "54128e3503bfc92b",
     "adaptive-f5": "6d7752429ddf626a",
@@ -194,15 +179,15 @@ class TestGoldenParity:
         assert legacy_sim._msg_counter == other_sim._msg_counter
 
     def test_core_selection_surface(self, monkeypatch):
-        # pin the ambient default: CI runs this suite under
-        # REPRO_SIM_CORE=vector as well
+        # pin the ambient default against a REPRO_SIM_CORE in the caller's
+        # environment
         monkeypatch.delenv("REPRO_SIM_CORE", raising=False)
         config = SimulationConfig(topology="torus", radix=4, dims=2, rate=0.01)
-        assert Simulator(config).core == ("adaptive" if HAVE_NUMPY else "active")
+        assert Simulator(config).core == "active"
         assert Simulator(config, core="legacy").core == "legacy"
-        assert Simulator(config, core="active").core == "active"
-        if HAVE_NUMPY:
-            assert Simulator(config, core="vector").core == "vector"
+        # the older names are the work-list core
+        for core in ("active", "vector", "adaptive"):
+            assert Simulator(config, core=core).core == "active"
         with pytest.raises(ValueError):
             Simulator(config, core="warp")
 
@@ -220,30 +205,11 @@ class TestGoldenParity:
             assert type(sim.transfer) is TransferStage
             assert type(sim.allocation) is AllocationStage
 
-    @pytest.mark.parametrize(
-        "core", ["legacy", pytest.param("vector", marks=needs_numpy)]
-    )
+    @pytest.mark.parametrize("core", ["legacy", "vector"])
     def test_env_var_selects_core(self, monkeypatch, core):
         config = SimulationConfig(topology="torus", radix=4, dims=2, rate=0.01)
         monkeypatch.setenv("REPRO_SIM_CORE", core)
-        assert Simulator(config).core == core
-
-    def test_vector_without_numpy_names_the_extra(self, monkeypatch):
-        import builtins
-        import sys
-
-        config = SimulationConfig(topology="torus", radix=4, dims=2, rate=0.01)
-        real_import = builtins.__import__
-
-        def no_numpy(name, *args, **kwargs):
-            if name == "numpy" or name.startswith("numpy."):
-                raise ImportError("No module named 'numpy'")
-            return real_import(name, *args, **kwargs)
-
-        monkeypatch.delitem(sys.modules, "numpy", raising=False)
-        monkeypatch.setattr(builtins, "__import__", no_numpy)
-        with pytest.raises(ImportError, match=r"repro\[fast\]"):
-            Simulator(config, core="vector")
+        assert Simulator(config).core == ("legacy" if core == "legacy" else "active")
 
 
 class TestRuntimeFaultParity:
@@ -277,8 +243,8 @@ class TestRuntimeFaultParity:
     @pytest.mark.parametrize("core", ALT_CORES)
     def test_staged_reconfiguration_window_parity(self, core):
         # detection_latency > 0 stages the fault through a transition
-        # window; the vector core must delegate those cycles to the
-        # scalar stages and resume batching afterwards with no drift
+        # window: no memo and no parking while it is open, both back
+        # afterwards with no drift
         kwargs = dict(topology="torus", radix=8, dims=2, rate=0.012,
                       warmup_cycles=300, measure_cycles=1200, seed=21,
                       detection_latency=2)
@@ -325,7 +291,7 @@ class TestRandomizedParity:
     def test_random_configs_agree(self, case_seed):
         kwargs = self.random_config(random.Random(20_000 + case_seed))
         _, legacy = run_core("legacy", kwargs)
-        for core in ("active", "vector", "adaptive") if HAVE_NUMPY else ("active",):
+        for core in ALT_CORES:
             _, other = run_core(core, kwargs)
             assert_results_identical(legacy, other)
 
@@ -435,85 +401,9 @@ def release_wakes(sim, module, blocked_on, first):
     assert module not in parked
 
 
-@needs_numpy
-class TestAdaptiveSwitching:
-    """The default core's own moves: crossing the cutoff in both
-    directions, and reconfigurations landing on either branch."""
-
-    INF = float("inf")
-    #: (enter, leave) inside the ``crossing`` config's busy-channel range;
-    #: the default cutoff (BATCH_ENTER / BATCH_LEAVE) sits above it
-    CUTOFF = (64, 48)
-
-    def test_crosses_the_cutoff_in_both_directions(self):
-        kwargs = GOLDEN_CONFIGS["crossing"]
-        _, legacy = run_core("legacy", kwargs)
-        sim = Simulator(SimulationConfig(**kwargs), core="adaptive")
-        transfer = sim.transfer
-        transfer.enter, transfer.leave = self.CUTOFF
-        adaptive = sim.run()
-        assert_results_identical(legacy, adaptive)
-        cycles = kwargs["warmup_cycles"] + kwargs["measure_cycles"]
-        assert 0 < transfer.batched_cycles < cycles  # both branches ran
-        assert transfer.switches >= 2  # up, and back down
-
-    @pytest.mark.parametrize("detection_latency", [0, 2])
-    @pytest.mark.parametrize("landing", ["batched", "scalar"])
-    def test_fault_lands_on_either_branch(self, landing, detection_latency):
-        # instantaneous reconfiguration (latency 0) and a transition
-        # window (latency 2) opening on a cycle of the given branch; the
-        # branch is pinned just long enough to make the landing certain,
-        # then the cutoff is restored and the run keeps switching
-        kwargs = dict(GOLDEN_CONFIGS["crossing"], seed=21, detection_latency=detection_latency)
-        at_cycle, spec = TestRuntimeFaultParity.FAULT
-        legacy_sim, legacy = run_core("legacy", kwargs, drain=True, fault=(at_cycle, spec))
-
-        sim = Simulator(SimulationConfig(**kwargs), core="adaptive")
-        transfer = sim.transfer
-        transfer.enter, transfer.leave = cutoff = self.CUTOFF
-        landed = []
-
-        def pin_then_bomb(now):
-            if now == at_cycle - 3:
-                transfer.enter = transfer.leave = 0 if landing == "batched" else self.INF
-            elif now == at_cycle:
-                landed.append(transfer.batching)
-                transfer.enter, transfer.leave = cutoff
-                sim.inject_runtime_fault(**spec)
-
-        sim.cycle_hooks.append(pin_then_bomb)
-        adaptive = sim.run()
-        sim.drain()
-        assert landed == [landing == "batched"]
-        assert legacy.fault_events == adaptive.fault_events == 1
-        assert_results_identical(legacy, adaptive)
-        assert legacy_sim.now == sim.now
-        assert 0 < transfer.batched_cycles < sim.now
-
-    def test_release_on_a_scalar_cycle_reaches_a_module_parked_while_batching(self):
-        # A module parks on a batched cycle, subscribed to its blocked
-        # output channel; the release then happens on a scalar cycle.
-        # The scalar loop's wake hook must take the module off the
-        # parked set that same cycle, so it grants when the oracle does.
-        granted_at, oracle_consumed = parking_oracle()
-        sim, first, second = parking_start("adaptive")
-        transfer = sim.transfer
-        transfer.enter = transfer.leave = 0  # batch from the first cycle
-        module, blocked_on = park_behind_first_worm(sim, granted_at)
-        assert transfer.batching
-
-        transfer.enter = transfer.leave = self.INF  # drop to the scalar branch
-        release_wakes(sim, module, blocked_on, first)
-        assert not transfer.batching
-        assert parking_grant_cycle(sim, second) == granted_at
-        while sim.in_flight:
-            sim.step()
-        assert (first.consumed_cycle, second.consumed_cycle) == oracle_consumed
-
-
 class TestParking:
     """Resolution memo and module parking run on every core but the
-    oracle, on scalar cycles as on batched ones."""
+    oracle."""
 
     def test_scalar_release_wakes_a_module_parked_on_a_scalar_cycle(self):
         granted_at, oracle_consumed = parking_oracle()

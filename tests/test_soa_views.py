@@ -2,20 +2,12 @@
 
 The struct-of-arrays refactor promises there is exactly ONE copy of the
 dynamic state: the `VirtualChannel` / `PhysicalChannel` /
-`MessageSource` objects are views over `SoAState` buffers.  The numeric
-fields are lists until `numpy_views()` switches the store to array mode
-for the batched pass; while it is in array mode the views wrap the same
-buffers zero-copy, and `to_lists()` switches it back.  These tests pin
-the representation switch and the aliasing contract from both sides — a
-write through either layer must be visible through the other without
-any sync step — plus the id-assignment invariants the vector core's
-gathers rely on.
+`MessageSource` objects are views over `SoAState` buffers, which are
+plain lists for the store's whole life.  These tests pin the aliasing
+contract from both sides — a write through either layer must be
+visible through the other without any sync step — plus the
+id-assignment invariants the transfer loop's indexing relies on.
 """
-
-import sys
-from array import array
-
-import pytest
 
 from repro.router.channels import (
     DEFAULT_BUFFER_DEPTH,
@@ -23,11 +15,10 @@ from repro.router.channels import (
     MessageSource,
     PhysicalChannel,
 )
-from repro.sim import SimulationConfig, Simulator
 from repro.sim.soa import BIG, KIND_CONSUMPTION, KIND_INTERNODE, SoAState
 
-#: the numeric fields: int64 buffers, then int8 ones, in array mode
-INT64_FIELDS = (
+#: every numeric field of the store
+NUMERIC_FIELDS = (
     "received",
     "sent",
     "elig",
@@ -46,8 +37,10 @@ INT64_FIELDS = (
     "free_mask",
     "vbase",
     "module_rr",
+    "waiting_route",
+    "is_real",
+    "kind_code",
 )
-INT8_FIELDS = ("waiting_route", "is_real", "kind_code")
 
 
 class FakeMessage:
@@ -60,7 +53,7 @@ def make_channel(store=None, num_classes=2, kind=ChannelKind.INTERNODE):
 
 
 def field_types(store):
-    return {type(getattr(store, name)) for name in INT64_FIELDS + INT8_FIELDS}
+    return {type(getattr(store, name)) for name in NUMERIC_FIELDS}
 
 
 def busy_store():
@@ -81,7 +74,7 @@ def busy_store():
 
 
 class TestObjectLayerInvariants:
-    """stdlib-only: the invariants hold with or without numpy."""
+    """The invariants the engine's index arithmetic relies on."""
 
     def test_sentinel_slot(self):
         ch = make_channel()
@@ -152,7 +145,7 @@ class TestObjectLayerInvariants:
             ch.busy_add(vc)
         base = ch.index * 2 * st.num_classes
         assert st.busy_count[ch.index] == 2
-        # order-preserving: the vector core's round-robin walks this
+        # order-preserving: the transfer loop's round-robin walks this
         assert st.busy_slots[base] == ch.vcs[1]._vid
         assert st.busy_slots[base + 1] == ch.vcs[0]._vid
         ch.release(ch.vcs[1])
@@ -169,7 +162,7 @@ class TestObjectLayerInvariants:
 
 
 class TestRepresentationSwitch:
-    """Lists for the scalar loops, array buffers only while batching."""
+    """Every numeric field is a list, before and after a reset."""
 
     def test_list_backed_after_construction(self):
         st = busy_store()
@@ -181,7 +174,7 @@ class TestRepresentationSwitch:
             for name in SoAState.__slots__
             if isinstance(getattr(st, name, None), list) and name not in mirrors
         }
-        assert lists == set(INT64_FIELDS + INT8_FIELDS)
+        assert lists == set(NUMERIC_FIELDS)
 
     def test_list_backed_after_reset(self):
         st = busy_store()
@@ -190,108 +183,29 @@ class TestRepresentationSwitch:
         assert st.received == [0] * len(st.received)
         assert st.head_time == [BIG] * len(st.head_time)
 
-    def test_reset_from_array_mode_leaves_list_mode(self):
-        pytest.importorskip("numpy")
-        st = busy_store()
-        st.numpy_views()
-        st.reset_dynamic()
-        assert field_types(st) == {list}
-        # the views were dropped with the buffers: the next wrap is fresh
-        assert st.numpy_views()["received"].sum() == 0
 
-    def test_numpy_free_store_stays_in_list_mode(self, monkeypatch):
-        monkeypatch.setitem(sys.modules, "numpy", None)  # import fails
-        st = busy_store()
-        with pytest.raises(ImportError):
-            st.numpy_views()
-        assert field_types(st) == {list}
+class TestStoreAliasing:
+    """The object views and the store's list fields are one copy."""
 
-    def test_numpy_views_rebinds_every_field_to_an_array(self):
-        pytest.importorskip("numpy")
-        st = busy_store()
-        before = {name: list(getattr(st, name)) for name in INT64_FIELDS + INT8_FIELDS}
-        st.numpy_views()
-        for name in INT64_FIELDS:
-            buf = getattr(st, name)
-            assert isinstance(buf, array) and buf.typecode == "q", name
-        for name in INT8_FIELDS:
-            buf = getattr(st, name)
-            assert isinstance(buf, array) and buf.typecode == "b", name
-        assert {name: list(getattr(st, name)) for name in before} == before
-
-    def test_to_lists_round_trips_every_field(self):
-        pytest.importorskip("numpy")
-        st = busy_store()
-        before = {name: list(getattr(st, name)) for name in INT64_FIELDS + INT8_FIELDS}
-        V = st.numpy_views()
-        V["received"][st.vbase[0] + 1] = 3  # a write in array mode survives
-        before["received"][st.vbase[0] + 1] = 3
-        st.to_lists()
-        assert field_types(st) == {list}
-        after = {name: getattr(st, name) for name in before}
-        assert after == before
-        assert all(type(v) is int for values in after.values() for v in values)
-        st.to_lists()  # a no-op in list mode
-        assert {name: getattr(st, name) for name in before} == before
-
-    def test_adaptive_run_switching_down_is_list_backed(self):
-        pytest.importorskip("numpy")
-        config = SimulationConfig(
-            topology="torus", radix=8, dims=2, rate=0.005,
-            warmup_cycles=0, measure_cycles=10, seed=3,
-        )
-        sim = Simulator(config, core="adaptive")
-        transfer = sim.transfer
-        transfer.enter, transfer.leave = 64, 48  # inside this run's range
-        store = sim.net.store
-        modes = set()
-        while transfer.switches < 2 or transfer.batching:
-            sim.step()
-            assert sim.now < 2000, "the run never switched up and back down"
-            # array mode is exactly the batched branch's cycles
-            modes.add((transfer.batching, frozenset(field_types(store))))
-        assert modes == {(False, frozenset({list})), (True, frozenset({array}))}
-
-
-class TestNumpyViews:
-    """Zero-copy aliasing between the stdlib buffers and numpy views."""
-
-    @pytest.fixture(autouse=True)
-    def np(self):
-        return pytest.importorskip("numpy")
-
-    def test_views_alias_object_writes(self):
+    def test_store_fields_see_object_writes(self):
         ch = make_channel()
         vc = ch.vcs[0]
-        V = ch._st.numpy_views()
+        st = ch._st
         vc.received = 4
         vc.sent = 1
         vc.eligible.append(11)
-        assert V["received"][vc._vid] == 4
-        assert V["sent"][vc._vid] == 1
-        assert V["head_time"][vc._vid] == 11
+        assert st.received[vc._vid] == 4
+        assert st.sent[vc._vid] == 1
+        assert st.head_time[vc._vid] == 11
 
-    def test_object_reads_see_view_writes(self):
+    def test_object_reads_see_store_writes(self):
         ch = make_channel()
         vc = ch.vcs[0]
-        V = ch._st.numpy_views()
-        V["received"][vc._vid] = 6
-        V["sent"][vc._vid] = 2
+        st = ch._st
+        st.received[vc._vid] = 6
+        st.sent[vc._vid] = 2
         assert vc.received == 6
         assert vc.buffered == 4
-
-    def test_cache_reused_and_growth_fenced(self):
-        st = SoAState()
-        make_channel(st)
-        V1 = st.numpy_views()
-        assert st.numpy_views() is V1  # no structural change: same wrap
-        # growing a buffer that numpy has wrapped cannot silently
-        # reallocate under the view: Python refuses the resize.  The
-        # vector core only wraps after network construction is complete,
-        # so this fence is unreachable in a simulation — but it is the
-        # reason stale views can never alias freed memory.
-        with pytest.raises(BufferError):
-            make_channel(st)
 
     def test_reset_vc_restores_numeric_zeros(self):
         ch = make_channel()
@@ -303,11 +217,11 @@ class TestNumpyViews:
         vc.eligible.append(5)
         vc.waiting_route = True
         st.reset_vc(vid)
-        V = st.numpy_views()
         assert vc.message is None
-        assert V["received"][vid] == 0
-        assert V["sent"][vid] == 0
-        assert V["head_time"][vid] == BIG
-        assert V["elig_count"][vid] == 0
+        assert st.received[vid] == 0
+        assert st.sent[vid] == 0
+        assert st.head_time[vid] == BIG
+        assert st.elig_count[vid] == 0
+        assert st.waiting_route[vid] == 0
         assert not vc.waiting_route
         assert st.free_mask[ch.index] == 0b11

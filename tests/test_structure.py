@@ -138,11 +138,11 @@ def test_one_canonical_json_hash_in_src():
 
 
 def test_scalar_loops_index_the_soa_buffers():
-    """The scalar allocation and transfer loops read the struct-of-arrays
-    buffers through local bindings (``received = store.received``), as
-    the batched pass does; the property views on virtual and physical
-    channels serve reconfiguration, the tracer, metrics and tests, never
-    these two loops."""
+    """The allocation and transfer loops read the struct-of-arrays
+    buffers through local bindings (``received = store.received``); the
+    property views on virtual and physical channels serve
+    reconfiguration, the tracer, metrics and tests, never these two
+    loops."""
     views = {
         "eligible",
         "received",
@@ -171,27 +171,35 @@ def test_scalar_loops_index_the_soa_buffers():
     assert sorted(checked) == ["AllocationStage", "TransferStage"]
 
 
-def test_one_way_into_and_out_of_array_mode():
-    """The store's numeric fields are lists except while the batched pass
-    runs: only ``repro/sim/vector.py`` switches it to array buffers
-    (``numpy_views``), and only the adaptive stage's switch down and
-    ``reset_dynamic`` switch it back (``to_lists``)."""
-    enters, leaves = set(), set()
+def test_numpy_only_in_the_sampler():
+    """numpy serves one thing: block sampling of message generation
+    (``sim/sampling.py``, which falls back to the standard library).  No
+    other module imports it, and the store's array-mode switch
+    (``numpy_views`` / ``to_lists``) stays gone: the store is lists for
+    its whole life."""
+    importers, switches = [], []
     for path in sorted(SRC.rglob("*.py")):
         rel = path.relative_to(SRC).as_posix()
-        for holder, callee, _dotted, _node in call_sites(path):
-            if callee == "numpy_views":
-                enters.add(rel)
-            elif callee == "to_lists":
-                leaves.add((rel, holder))
-    assert enters == {"sim/vector.py"}
-    assert leaves == {("sim/stages.py", "_switch"), ("sim/soa.py", "reset_dynamic")}
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                tops = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                tops = [node.module.split(".")[0]]
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if node.name in ("numpy_views", "to_lists"):
+                    switches.append((rel, node.name))
+                continue
+            else:
+                continue
+            if "numpy" in tops:
+                importers.append(rel)
+    assert importers == ["sim/sampling.py"]
+    assert switches == []
 
 
 def test_one_header_arbitration_loop_in_sim():
     """Header arbitration — resolve, memoize, grant, park — is one loop,
-    ``AllocationStage.run``, on every core and both transfer branches:
-    nothing else in ``repro.sim`` commits a hop or consults the
+    ``AllocationStage.run``, on both cores: nothing else in ``repro.sim`` commits a hop or consults the
     resolution memo, which only ``SimNetwork.__init__`` sets up
     besides."""
     commits, reads, writes = set(), set(), set()
@@ -221,7 +229,8 @@ def test_one_header_arbitration_loop_in_sim():
 def test_src_imports_stdlib_and_optional_numpy_only():
     """``pip install .`` pulls in no dependency: every absolute import is
     the standard library, ``repro`` itself or numpy (``repro[fast]``),
-    and numpy only in the simulation cores, which gate it."""
+    and numpy only in the simulator package, which gates it (see
+    :func:`test_numpy_only_in_the_sampler`)."""
     foreign = []
     for path in sorted(SRC.rglob("*.py")):
         rel = path.relative_to(SRC).as_posix()
