@@ -61,16 +61,12 @@ Finally the smoke gates the observability tracer both ways:
   when the measured factor exceeds ``TRACING_REGRESSION_FACTOR`` (125%)
   of the committed one.
 
-The same in-process technique gates the routing-policy registry: an
-active-core run whose relation came through
-:mod:`repro.core.routing_registry` must stay within
-``POLICY_INDIRECTION_LIMIT`` (2%) of one whose relation was constructed
-directly.
-
-The two gates that compare identical code — tracing disabled and
-policy indirection — take the median ratio of ``SAME_CODE_REPETITIONS``
-(7) paired repetitions instead of ``REPETITIONS`` (3): their true ratio
-is 1.0, so with three repetitions one noisy pair decided them.
+The gate that compares identical code — tracing disabled — takes the
+median ratio of ``SAME_CODE_REPETITIONS`` (7) paired repetitions
+instead of ``REPETITIONS`` (3): its true ratio is 1.0, so with three
+repetitions one noisy pair decided it.  (That the routing registry adds
+no per-call wrapper is checked structurally, not timed:
+``tests/test_routing_policies.py::test_simulator_calls_the_builders_class``.)
 """
 
 from __future__ import annotations
@@ -96,8 +92,8 @@ RADIX = 16
 WARMUP_CYCLES = 300
 MEASURE_CYCLES = 1200
 REPETITIONS = 3
-#: paired repetitions (median taken) for the two gates that compare
-#: identical code (module docstring): their limits sit within 2% of a
+#: paired repetitions (median taken) for the gate that compares
+#: identical code (module docstring): its limit sits within 2% of a
 #: true ratio of 1.0
 SAME_CODE_REPETITIONS = 7
 #: a measured speedup below this fraction of the baseline speedup fails
@@ -125,15 +121,6 @@ CLASSIFY_REGRESSION_FACTOR = 1.25
 #: ceiling on the paired-median ratio reused / fresh
 POOL_REPETITIONS = 25
 POOL_REUSE_CEILING = 0.5
-
-#: routing-policy indirection smoke: the registry/protocol layer must
-#: add no per-cycle work on the active core — a run whose relation was
-#: built through the registry may be at most 2% slower than one whose
-#: relation was constructed directly (both are the identical class; the
-#: gate pins the contract against the registry ever growing a per-call
-#: adapter)
-POLICY_RATE = 0.002
-POLICY_INDIRECTION_LIMIT = 1.02
 
 #: tracing smoke: the rate where the paper's latency curves live
 TRACING_RATE = 0.002
@@ -290,42 +277,6 @@ def _pool_cost() -> dict:
     }
 
 
-def _policy_indirection_cost() -> dict:
-    from repro.core.ft_routing import FaultTolerantRouting
-
-    config = SimulationConfig(
-        topology="torus", radix=RADIX, dims=2, rate=POLICY_RATE,
-        warmup_cycles=0, measure_cycles=10, seed=42, fault_percent=1,
-    )
-    samples: dict = {"direct": [], "registry": []}
-    # interleaved like the tracing gate: "registry" is the normal path
-    # (SimNetwork asks the routing registry for the relation), "direct"
-    # swaps in a relation constructed the pre-registry way; any per-call
-    # wrapper the registry ever grows shows up only in "registry"
-    for _ in range(SAME_CODE_REPETITIONS):
-        for variant in ("direct", "registry"):
-            sim = Simulator(config, core="active")
-            if variant == "direct":
-                sim.net.routing = FaultTolerantRouting.for_scenario(
-                    sim.net.topology, sim.net.scenario
-                )
-            for _ in range(WARMUP_CYCLES):
-                sim.step()
-            start = time.perf_counter()
-            for _ in range(MEASURE_CYCLES):
-                sim.step()
-            samples[variant].append(MEASURE_CYCLES / (time.perf_counter() - start))
-    return {
-        "rate": POLICY_RATE,
-        "repetitions": SAME_CODE_REPETITIONS,
-        "direct_cycles_per_sec": round(max(samples["direct"]), 1),
-        "registry_cycles_per_sec": round(max(samples["registry"]), 1),
-        "indirection_overhead": round(
-            _median([d / r for d, r in zip(samples["direct"], samples["registry"])]), 3
-        ),
-    }
-
-
 def _tracing_cost() -> dict:
     from repro.obs import TraceConfig, Tracer
 
@@ -397,12 +348,6 @@ def measure() -> dict:
         f"enabled={tracing['enabled_cycles_per_sec']:9.1f} c/s  "
         f"overhead={tracing['enabled_overhead']:.2f}x"
     )
-    policy = _policy_indirection_cost()
-    print(
-        f"policy indirection: direct={policy['direct_cycles_per_sec']:9.1f} c/s  "
-        f"registry={policy['registry_cycles_per_sec']:9.1f} c/s  "
-        f"overhead={policy['indirection_overhead']:.3f}x"
-    )
     return {
         "config": {
             "topology": "torus", "radix": RADIX, "dims": 2,
@@ -414,7 +359,6 @@ def measure() -> dict:
         "classify": classify,
         "pool": pool,
         "tracing": tracing,
-        "policy": policy,
     }
 
 
@@ -434,7 +378,6 @@ def check(measured: dict, baseline: dict) -> int:
         )
         if got["speedup"] < floor:
             failures += 1
-    failures += _check_policy(measured)
     failures += _check_classify(measured, baseline)
     failures += _check_pool(measured)
     base = baseline.get("reconfiguration")
@@ -495,24 +438,6 @@ def _check_pool(measured: dict) -> int:
         f"ceiling x{POOL_REUSE_CEILING}) -> {verdict}"
     )
     return 1 if ratio > POOL_REUSE_CEILING else 0
-
-
-def _check_policy(measured: dict) -> int:
-    # in-process gate like the tracing-disabled one: the two variants are
-    # compared within the same interleaved loop, so no baseline entry is
-    # needed
-    got = measured.get("policy")
-    if got is None:
-        print("policy indirection: missing from measurement", file=sys.stderr)
-        return 1
-    ratio = got["indirection_overhead"]
-    verdict = "ok" if ratio <= POLICY_INDIRECTION_LIMIT else "REGRESSION"
-    print(
-        f"policy indirection: registry {got['registry_cycles_per_sec']:.1f} c/s vs "
-        f"direct {got['direct_cycles_per_sec']:.1f} c/s (x{ratio:.3f}, "
-        f"limit x{POLICY_INDIRECTION_LIMIT}) -> {verdict}"
-    )
-    return 1 if ratio > POLICY_INDIRECTION_LIMIT else 0
 
 
 def _check_tracing(measured: dict, baseline: dict) -> int:

@@ -20,13 +20,16 @@ Flits are not materialized as objects; each virtual channel tracks counts
 plus a ring of eligibility times, which is equivalent because flits of a
 message move in order and a VC buffers flits of at most one message.
 
-Since the struct-of-arrays refactor, none of this state lives on the
-objects themselves: every dynamic field is a slot in the simulation's
-:class:`~repro.sim.soa.SoAState` buffers, and the classes below are thin
-views over those buffers (the engine's allocation and transfer loops
-index the buffers themselves).  Channels built
-outside a network (unit tests) get a private single-channel store, so
-the classes stay usable standalone.
+None of this state lives on the objects themselves: every dynamic
+field — flit counts, the eligibility ring, the busy list, the wormhole
+links — exists once, as a slot in the simulation's
+:class:`~repro.sim.soa.SoAState` lists, which the engine's allocation
+and transfer loops index directly.  The classes below carry the static
+structure (kind, endpoints, the module a channel feeds) and read or
+write the store for injection, reconfiguration, the tracer, the
+deadlock report and tests.  Channels built outside a network (unit
+tests) get a private single-channel store, so the classes stay usable
+standalone.
 """
 
 from __future__ import annotations
@@ -68,93 +71,17 @@ _KIND_CODES = {
 }
 
 
-class _EligRing(Sequence):
-    """Deque-compatible view of one VC's eligibility ring (the buffered
-    flits' eligibility times, in arrival order).
-
-    Ring capacity equals the channel's buffer depth — the transfer
-    stage's space check bounds occupancy, so the ring never overflows in
-    a simulation.  The head time is mirrored into ``head_time`` so the
-    hot pull/eligibility checks are single loads.
-    """
-
-    __slots__ = ("_st", "_vid")
-
-    def __init__(self, store: SoAState, vid: int):
-        self._st = store
-        self._vid = vid
-
-    def __len__(self) -> int:
-        return self._st.elig_count[self._vid]
-
-    def __bool__(self) -> bool:
-        return self._st.elig_count[self._vid] > 0
-
-    def __getitem__(self, i: int):
-        st, vid = self._st, self._vid
-        count = st.elig_count[vid]
-        if i < 0:
-            i += count
-        if not 0 <= i < count:
-            raise IndexError("eligibility ring index out of range")
-        ci = st.chan_of[vid]
-        depth = st.depth[ci]
-        return st.elig[st.ring_base[vid] + (st.elig_head[vid] + i) % depth]
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
-
-    def append(self, when: int) -> None:
-        st, vid = self._st, self._vid
-        depth = st.depth[st.chan_of[vid]]
-        count = st.elig_count[vid]
-        st.elig[st.ring_base[vid] + (st.elig_head[vid] + count) % depth] = when
-        st.elig_count[vid] = count + 1
-        if count == 0:
-            st.head_time[vid] = when
-
-    def extend(self, times) -> None:
-        for when in times:
-            self.append(when)
-
-    def popleft(self) -> int:
-        st, vid = self._st, self._vid
-        count = st.elig_count[vid]
-        if count == 0:
-            raise IndexError("pop from an empty eligibility ring")
-        ci = st.chan_of[vid]
-        depth = st.depth[ci]
-        head = st.elig_head[vid]
-        when = st.elig[st.ring_base[vid] + head]
-        head = (head + 1) % depth
-        st.elig_head[vid] = head
-        st.elig_count[vid] = count - 1
-        st.head_time[vid] = st.elig[st.ring_base[vid] + head] if count > 1 else BIG
-        return when
-
-    def clear(self) -> None:
-        st, vid = self._st, self._vid
-        st.elig_count[vid] = 0
-        st.head_time[vid] = BIG
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"_EligRing({list(self)})"
-
-
 class VirtualChannel:
     """One virtual channel: receiving-side flit buffer plus wormhole
     reservation state (a view over the SoA buffers at index ``vid``)."""
 
-    __slots__ = ("channel", "vc_class", "eligible", "_st", "_vid")
+    __slots__ = ("channel", "vc_class", "_st", "_vid")
 
     def __init__(self, channel: "PhysicalChannel", vc_class: int):
         self.channel = channel
         self.vc_class = vc_class
         self._st = channel._st
         self._vid = channel._vb + vc_class
-        #: eligibility times of currently buffered flits, in arrival order
-        self.eligible = _EligRing(self._st, self._vid)
         self._st.vc_obj[self._vid] = self
 
     # -- SoA-backed fields ----------------------------------------------
@@ -222,44 +149,6 @@ class VirtualChannel:
         self._st.sent[self._vid] = value
 
     @property
-    def waiting_route(self) -> bool:
-        """True while this VC holds an unrouted header (module
-        arbitration)."""
-        return bool(self._st.waiting_route[self._vid])
-
-    @waiting_route.setter
-    def waiting_route(self, value: bool) -> None:
-        self._st.waiting_route[self._vid] = 1 if value else 0
-
-    @property
-    def cached_resolution(self):
-        """Memoized Resolution for the waiting header (fault view is
-        static, so the decision cannot change while the header waits)."""
-        return self._st.res[self._vid]
-
-    @cached_resolution.setter
-    def cached_resolution(self, value) -> None:
-        self._st.res[self._vid] = value
-
-    # -- upstream interface (this VC acting as flit supplier) -----------
-    def has_eligible_flit(self, now: int) -> bool:
-        return self._st.head_time[self._vid] <= now
-
-    def pop_flit(self) -> None:
-        self.eligible.popleft()
-        self._st.sent[self._vid] += 1
-
-    # -- downstream interface (this VC acting as receiver) --------------
-    def has_space(self) -> bool:
-        st, vid = self._st, self._vid
-        return (st.received[vid] - st.sent[vid]) < self.channel.buffer_depth
-
-    @property
-    def buffered(self) -> int:
-        st, vid = self._st, self._vid
-        return st.received[vid] - st.sent[vid]
-
-    @property
     def free(self) -> bool:
         return self._st.msg[self._vid] is None
 
@@ -315,12 +204,6 @@ class MessageSource:
         else:
             self._sent = value
 
-    def has_eligible_flit(self, now: int) -> bool:
-        return self.sent < self.length
-
-    def pop_flit(self) -> None:
-        self.sent += 1
-
 
 class PhysicalChannel:
     """A unidirectional physical channel simulating ``num_classes`` virtual
@@ -334,12 +217,10 @@ class PhysicalChannel:
         "direction",
         "dst_module",
         "vcs",
-        "busy",
         "on_ring",
         "buffer_depth",
         "name",
         "index",
-        "active",
         "_st",
         "_vb",
     )
@@ -371,9 +252,6 @@ class PhysicalChannel:
         self.on_ring = False
         self.buffer_depth = buffer_depth
         self.name = name
-        #: True while registered on the transfer scheduler's work-list
-        #: (kept on the channel so registration is O(1) deduplicated)
-        self.active = False
         if store is None:
             store = SoAState()  # standalone construction (unit tests)
         self._st = store
@@ -385,13 +263,15 @@ class PhysicalChannel:
         self.index = store.add_channel(self, num_classes, buffer_depth, _KIND_CODES[kind])
         self._vb = store.vbase[self.index]
         self.vcs: List[VirtualChannel] = [VirtualChannel(self, c) for c in range(num_classes)]
-        #: virtual channels currently allocated to a message (receivers);
-        #: mirrored in the store's busy_slots, which the transfer loops
-        #: walk — use busy_add/release, never mutate directly in engine
-        #: code
-        self.busy: List[VirtualChannel] = []
 
-    # -- SoA-backed counters --------------------------------------------
+    # -- SoA-backed state -----------------------------------------------
+    @property
+    def busy(self) -> List[VirtualChannel]:
+        """Virtual channels currently allocated to a message (receivers),
+        in the store's busy-list order; change it with busy_add/release."""
+        vc_obj = self._st.vc_obj
+        return [vc_obj[vid] for vid in self._st.busy_vids(self.index)]
+
     @property
     def rr(self) -> int:
         return self._st.rr[self.index]
@@ -422,18 +302,11 @@ class PhysicalChannel:
         return None
 
     def busy_add(self, vc: VirtualChannel) -> None:
-        """Register a freshly allocated VC on the busy list (and its
-        mirror in the store)."""
-        self.busy.append(vc)
+        """Register a freshly allocated VC on the busy list."""
         self._st.busy_add(self.index, vc._vid)
 
     def release(self, vc: VirtualChannel) -> None:
-        self._st.reset_vc(vc._vid)
-        self._st.busy_remove(self.index, vc._vid)
-        try:
-            self.busy.remove(vc)
-        except ValueError:  # pragma: no cover - release is idempotent
-            pass
+        self._st.release(self.index, vc._vid)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"PhysicalChannel({self.name or self.kind.value})"

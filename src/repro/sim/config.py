@@ -40,6 +40,22 @@ _NON_NETWORK_FIELDS = {
     "strict_invariants": False,
 }
 
+#: the least value of each integer field with which a point can run
+#: (``num_vcs`` may also be None)
+_MINIMA = {
+    "radix": 2,
+    "dims": 1,
+    "num_vcs": 1,
+    "buffer_depth": 1,
+    "protocol_classes": 1,
+    "message_length": 2,
+    "injection_limit": 1,
+    "measure_cycles": 0,
+    "batches": 1,
+    "deadlock_threshold": 1,
+    "detection_latency": 0,
+}
+
 
 @dataclass
 class SimulationConfig:
@@ -134,10 +150,10 @@ class SimulationConfig:
             raise ValueError(f"unknown router model {self.router_model!r}")
         if not 0.0 <= self.rate <= 1.0:
             raise ValueError("rate is a per-cycle probability; need 0 <= rate <= 1")
-        if self.message_length < 2:
-            raise ValueError("messages need at least a header and a tail flit")
-        if self.buffer_depth < 1:
-            raise ValueError("buffer depth must be positive")
+        for name, least in _MINIMA.items():
+            value = getattr(self, name)
+            if value is not None and value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value!r}")
         if self.vc_sharing_mode not in ("rank", "all"):
             raise ValueError("vc_sharing_mode must be 'rank' or 'all'")
         if self.routing_algorithm is not None:
@@ -150,15 +166,11 @@ class SimulationConfig:
                 DeprecationWarning,
                 stacklevel=3,
             )
-        if self.protocol_classes < 1:
-            raise ValueError("need at least one protocol class")
         if self.request_reply and self.protocol_classes < 2:
             raise ValueError(
                 "request-reply traffic needs protocol_classes >= 2 (separate "
                 "banks are what prevents protocol deadlock)"
             )
-        if self.detection_latency < 0:
-            raise ValueError("detection_latency must be non-negative")
 
     @property
     def is_torus(self) -> bool:

@@ -59,8 +59,8 @@ class SimNetwork:
         self.nodes: Dict[Coord, NodeModel] = {}
         self.channels: List[PhysicalChannel] = []
         self.modules: List[Module] = []
-        #: struct-of-arrays store holding ALL dynamic channel/VC/module
-        #: state; the channel/module objects are views over it
+        #: struct-of-arrays store holding the dynamic channel/VC/module
+        #: state; the channel/module objects keep no copy of it
         self.store = SoAState()
         #: ``(routing, sharing mode, table)``: header resolutions the
         #: allocation stage memoized for exactly that routing object.  They
@@ -205,9 +205,6 @@ class SimNetwork:
         fresh :class:`~repro.sim.engine.Simulator` — e.g. across the load
         points of a sweep."""
         self.store.reset_dynamic()
-        for channel in self.channels:
-            channel.busy.clear()
-            channel.active = False
         for module in self.modules:
             module.waiting.clear()
 

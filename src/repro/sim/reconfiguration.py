@@ -498,14 +498,16 @@ def _pick_victims(net, dying_channels, dead_nodes, *, include_misrouted: bool) -
     # keyed by id, never a set of Messages: those hash by address, and the
     # kill order (hence the trace) would follow the heap
     victims: Dict[int, Message] = {}
+    store = net.store
+    msg = store.msg
     for channel in dying_channels:
-        for vc in list(channel.busy):
-            message = vc.message
+        for vid in store.busy_vids(channel.index):
+            message = msg[vid]
             if message is not None and not message.killed:
                 victims[message.msg_id] = message
     for channel in net.channels:
-        for vc in channel.busy:
-            message = vc.message
+        for vid in store.busy_vids(channel.index):
+            message = msg[vid]
             if message is None or message.killed:
                 continue
             if message.dst in dead_nodes or message.src in dead_nodes:
@@ -540,9 +542,10 @@ def _install_scenario(simulator, scenario, routing) -> None:
 
 def _clear_cached_resolutions(net) -> None:
     # stale route resolutions refer to the old fault view
+    res = net.store.res
     for module in net.modules:
         for vc in module.waiting:
-            vc.cached_resolution = None
+            res[vc._vid] = None
 
 
 def _strict_check(simulator) -> None:
@@ -580,14 +583,18 @@ def _kill_worm(simulator, message: Message) -> None:
     message.killed = True
     if simulator.tracer is not None:
         simulator.tracer.on_truncate(simulator.now, message)
-    net = simulator.net
-    for channel in net.channels:
-        for vc in list(channel.busy):
-            if vc.message is message:
+    store = simulator.net.store
+    msg = store.msg
+    for channel in simulator.net.channels:
+        ci = channel.index
+        for vid in store.busy_vids(ci):
+            if msg[vid] is message:
                 module = channel.dst_module
-                if module is not None and vc in module.waiting:
-                    module.waiting.remove(vc)
-                channel.release(vc)
+                if module is not None:
+                    vc = store.vc_obj[vid]
+                    if vc in module.waiting:
+                        module.waiting.remove(vc)
+                store.release(ci, vid)
     if message.injected_cycle is not None and message.consumed_cycle is None:
         simulator.in_flight -= 1
         if not message.exited_source and message.src in simulator.outstanding:

@@ -2,15 +2,20 @@
 
 Every quantity the engine mutates per cycle — virtual-channel flit
 counts, eligibility times, wormhole links, round-robin arbiter counters,
-per-channel transfer counters — lives here in flat, index-addressed
-buffers, one per field.  The allocation and transfer loops index
-these buffers directly.  The object layer
+per-channel busy lists and transfer counters — lives here, once, in
+flat, index-addressed buffers, one per field.  The allocation and
+transfer loops index these buffers directly.  The object layer
 (:class:`~repro.router.channels.VirtualChannel`,
 :class:`~repro.router.channels.PhysicalChannel`,
 :class:`~repro.router.channels.MessageSource`,
-:class:`~repro.router.modules.Module`) is a set of thin views over them
-that serves everything else — injection, reconfiguration, the obs
-tracer, the deadlock detector, metrics and tests.
+:class:`~repro.router.modules.Module`) keeps no copy of any of it: its
+properties read and write these buffers for everything else —
+injection, reconfiguration, the obs tracer, the deadlock detector,
+metrics and tests.  Two pieces of dynamic state live outside the
+store because they are ordered work-lists rather than per-slot
+values: each module's ``waiting`` list of headers awaiting a route
+(membership *is* "this VC waits for a route"), and the transfer
+stage's channel work-list with its per-channel registration flags.
 
 Plain lists, one copy
 ---------------------
@@ -47,28 +52,31 @@ Field catalog (all indexed by vid unless noted)
     flit counts (the wormhole state previously on ``VirtualChannel``).
 ``elig`` / ``elig_head`` / ``elig_count`` / ``head_time``
     per-VC eligibility ring of ``buffer_depth`` slots (``ring_base``
-    points at each VC's ring): the deque of eligibility times, stored
-    flat.  ``head_time`` caches the ring head (``BIG`` when empty) so
-    both the pull check and the allocation eligibility check are single
-    loads.  For shadow slots ``head_time`` is ``-1`` while the source
-    still has flits and ``BIG`` once exhausted.
+    points at each VC's ring): the buffered flits' eligibility times in
+    arrival order, stored flat.  Only the transfer loop pushes and pops
+    it, and its buffer-space check bounds occupancy by the depth, so the
+    ring never overflows.  ``head_time`` caches the ring head (``BIG``
+    when empty) so both the pull check and the allocation eligibility
+    check are single loads.  For shadow slots ``head_time`` is ``-1``
+    while the source still has flits and ``BIG`` once exhausted.
 ``upstream``
     vid of the flit supplier (0 = none; a shadow vid for sources).
 ``msg_len``
     length of the allocated message (0 = VC free).
-``waiting_route``
-    1 while the VC holds an unrouted header.
 ``chan_of`` / ``is_real``
     static: owning channel index / real-vs-shadow flag.
 
 Per-channel (indexed by channel index): ``rr``, ``transfers``,
-``busy_count`` + ``busy_slots`` (the busy list, order-preserving),
-``depth``, ``kind_code``, ``free_mask`` (bitmask of free classes),
-``vbase``.  Per-module: ``module_rr``.
+``busy_count`` + ``busy_slots`` (the busy list: channel ``ci``'s
+allocated vids in allocation order at ``busy_slots[ci * num_classes:]``,
+the only copy — ``PhysicalChannel.busy`` reads it), ``depth``,
+``kind_code``, ``free_mask`` (bitmask of free classes), ``vbase``.
+Per-module: ``module_rr``.
 
-Object references that cannot be arrays (``Message``, ``Resolution``,
-``MessageSource``, the VC views themselves) stay in parallel Python
-lists indexed the same way.
+Object references that cannot be numbers stay in parallel Python lists
+indexed the same way: ``msg`` (the allocated ``Message``), ``res`` (the
+waiting header's memoized ``Resolution``), ``src_bind`` (the bound
+``MessageSource``) and ``vc_obj`` (the VC objects themselves).
 """
 
 from __future__ import annotations
@@ -101,7 +109,6 @@ class SoAState:
         "head_time",
         "upstream",
         "msg_len",
-        "waiting_route",
         # per-vid static
         "ring_base",
         "chan_of",
@@ -136,7 +143,6 @@ class SoAState:
         self.head_time = [BIG]
         self.upstream = [0]
         self.msg_len = [0]
-        self.waiting_route = [0]
         self.ring_base = [0]
         self.chan_of = [-1]
         self.is_real = [0]
@@ -186,7 +192,6 @@ class SoAState:
         self.head_time.extend([BIG] * slots)
         self.upstream.extend([0] * slots)
         self.msg_len.extend([0] * slots)
-        self.waiting_route.extend([0] * slots)
         ring_start = len(self.elig)
         self.elig.extend([0] * (num_classes * buffer_depth))
         for c in range(num_classes):
@@ -239,8 +244,12 @@ class SoAState:
         self.elig_count[vid] = 0
         self.elig_head[vid] = 0
         self.head_time[vid] = BIG
-        self.waiting_route[vid] = 0
         self.res[vid] = None
+
+    def busy_vids(self, ci: int) -> List[int]:
+        """Channel ``ci``'s busy list (a copy), in allocation order."""
+        base = ci * self.num_classes
+        return self.busy_slots[base : base + self.busy_count[ci]]
 
     def busy_add(self, ci: int, vid: int) -> None:
         base = ci * self.num_classes
@@ -248,19 +257,19 @@ class SoAState:
         self.busy_slots[base + count] = vid
         self.busy_count[ci] = count + 1
 
-    def busy_remove(self, ci: int, vid: int) -> bool:
-        """Order-preserving removal; tolerates absent vids (release is
-        idempotent)."""
+    def release(self, ci: int, vid: int) -> None:
+        """Free VC ``vid`` of channel ``ci`` and take it off the busy
+        list, preserving the order of the rest; releasing a VC that is
+        not on the list only resets it (release is idempotent)."""
+        self.reset_vc(vid)
         base = ci * self.num_classes
         count = self.busy_count[ci]
         slots = self.busy_slots
-        for i in range(count):
-            if slots[base + i] == vid:
-                for j in range(i, count - 1):
-                    slots[base + j] = slots[base + j + 1]
+        for i in range(base, base + count):
+            if slots[i] == vid:
+                slots[i : base + count - 1] = slots[i + 1 : base + count]
                 self.busy_count[ci] = count - 1
-                return True
-        return False
+                return
 
     def reset_dynamic(self) -> None:
         """Clear every dynamic field (network reuse across runs); static
@@ -279,7 +288,6 @@ class SoAState:
         self.upstream = [0] * nv
         self.msg_len = [0] * nv
         self.head_time = [BIG] * nv
-        self.waiting_route = [0] * nv
         nc = len(self.channels)
         self.rr = [0] * nc
         self.transfers = [0] * nc

@@ -249,7 +249,7 @@ class AllocationStage:
         msg = store.msg
         msg_len = store.msg_len
         upstream = store.upstream
-        waiting_route = store.waiting_route
+        busy_add = store.busy_add
         module_rr = store.module_rr
         park = not self.plain and reconfig is None
         cache = None
@@ -370,11 +370,10 @@ class AllocationStage:
                 msg_len[down] = message.length
                 free_mask[ci] &= ~(1 << downstream.vc_class)
                 upstream[down] = vid
-                channel.busy_add(downstream)
+                busy_add(ci, down)
                 activate(channel)
                 if tracer is not None:
                     tracer.on_vc_alloc(now, message, module, channel, downstream)
-                waiting_route[vid] = 0
                 res[vid] = None
                 waiting.remove(vc)
                 # Bounded by construction: start < count and offset < count,
@@ -419,13 +418,13 @@ class TransferStage:
 
     With ``work_list`` only registered channels are serviced: a channel
     registers (``activate``) when a virtual channel is allocated on it
-    and lazily drops off once its busy list empties.  The work-list is
-    kept sorted by construction index, which makes its service order a
-    subsequence of the legacy full scan — channels with no busy VC are
-    exactly the ones the full scan skips, so both execute the same
-    transfers in the same order."""
+    and lazily drops off once its busy count (``store.busy_count``)
+    falls to zero.  The work-list is kept sorted by construction index,
+    which makes its service order a subsequence of the legacy full scan
+    — channels with no busy VC are exactly the ones the full scan skips,
+    so both execute the same transfers in the same order."""
 
-    __slots__ = ("sim", "active_set", "_active")
+    __slots__ = ("sim", "active_set", "_active", "_listed")
 
     def __init__(self, sim: "Simulator", *, work_list: bool):
         self.sim = sim
@@ -433,14 +432,17 @@ class TransferStage:
         #: work-list; False full-scans ``net.channels`` (legacy oracle)
         self.active_set = work_list
         self._active: List[PhysicalChannel] = []
+        #: by channel index: True while the channel is on the work-list
+        #: (registration is O(1) deduplicated)
+        self._listed = [False] * len(sim.net.store.channels)
 
     # -- work-list maintenance ------------------------------------------
     def activate(self, channel: PhysicalChannel) -> None:
         """Register a channel that just had a virtual channel allocated
         on it.  O(1) when already registered; ordered insert otherwise."""
-        if not self.active_set or channel.active:
+        if not self.active_set or self._listed[channel.index]:
             return
-        channel.active = True
+        self._listed[channel.index] = True
         insort(self._active, channel, key=_channel_index)
 
     def resync(self) -> None:
@@ -448,11 +450,11 @@ class TransferStage:
         reconfiguration removed channels or released worms wholesale)."""
         if not self.active_set:
             return
+        busy_count = self.sim.net.store.busy_count
+        listed = self._listed = [False] * len(self._listed)
+        self._active = [ch for ch in self.sim.net.channels if busy_count[ch.index]]
         for channel in self._active:
-            channel.active = False
-        self._active = [ch for ch in self.sim.net.channels if ch.busy]
-        for channel in self._active:
-            channel.active = True
+            listed[channel.index] = True
 
     # -- per-cycle service ----------------------------------------------
     def run(self, now: int) -> bool:
@@ -477,9 +479,10 @@ class TransferStage:
         transfers = store.transfers
         busy_count = store.busy_count
         busy_slots = store.busy_slots
-        waiting_route = store.waiting_route
+        release = store.release
         msg = store.msg
         vc_obj = store.vc_obj
+        listed = self._listed
         K = store.num_classes
         timing = sim.config.timing
         header_delay = timing.header_delay
@@ -494,17 +497,15 @@ class TransferStage:
         progress = False
         write = 0
         for channel in channels:
-            # the busy list mirrors busy_count; its truth test is the
-            # cheaper emptiness check on the legacy full scan
-            if not channel.busy:
+            ci = channel.index
+            count = busy_count[ci]
+            if not count:
                 if compact:
-                    channel.active = False
+                    listed[ci] = False
                 continue
             if compact:
                 channels[write] = channel
                 write += 1
-            ci = channel.index
-            count = busy_count[ci]
             base = ci * K
             start = rr[ci] % count
             for offset in range(count):
@@ -552,7 +553,7 @@ class TransferStage:
                         message = msg[vid]
                         message.consumed_cycle = now
                         on_consumed(message)
-                        channel.release(vc_obj[vid])
+                        release(ci, vid)
                         wake(ci)
                 else:
                     # push onto this VC's eligibility ring
@@ -566,7 +567,6 @@ class TransferStage:
                         module = channel.dst_module
                         if module is not None:
                             module.waiting.append(vc_obj[vid])
-                            waiting_route[vid] = 1
                             waiting_set[module] = None
                             parked.pop(module, None)
                     if got == length:
@@ -579,9 +579,9 @@ class TransferStage:
                         if tracer is not None:
                             tracer.on_transfer(now, message, channel, vc_obj[vid])
                 if real and pulled == length:
-                    drained = vc_obj[src]
-                    drained.channel.release(drained)
-                    wake(chan_of[src])
+                    drained = chan_of[src]
+                    release(drained, src)
+                    wake(drained)
                 transfers[ci] += 1
                 rr[ci] = (start + offset + 1) % count
                 progress = True

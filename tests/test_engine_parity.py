@@ -354,11 +354,18 @@ def parking_start(core):
 
 
 def parking_grant_cycle(sim, second):
-    # the second header waits for a route in (1,0)'s injection VC
+    # the second header waits for a route in (1,0)'s injection VC: it
+    # is on the injection module's waiting list until it is granted
     injection = sim.net.nodes[(1, 0)].injection_channel
-    while not (injection.busy and injection.busy[0].waiting_route):
+    waiting = injection.dst_module.waiting
+
+    def header_waits():
+        busy = injection.busy
+        return bool(busy) and busy[0] in waiting
+
+    while not header_waits():
         sim.step()
-    while injection.busy[0].waiting_route:
+    while header_waits():
         sim.step()
     assert injection.busy[0].message is second
     return sim.now

@@ -43,6 +43,8 @@ from repro.obs import (
 from repro.reliability import ReliabilityConfig, ReliableTransport
 from repro.sim import DeadlockError, SimulationConfig, Simulator
 
+from .channel_helpers import freeze_every_worm
+
 
 def faulty_config(**kwargs):
     defaults = dict(
@@ -210,11 +212,7 @@ class TestFlightRecorder:
         sim.step()
         with pytest.raises(DeadlockError) as excinfo:
             for _ in range(200):
-                for channel in sim.net.channels:
-                    for vc in channel.vcs:
-                        vc.eligible.clear()
-                        if vc.message is not None:
-                            vc.received = max(vc.received, 1)
+                freeze_every_worm(sim)
                 sim.step()
         return message, excinfo.value
 

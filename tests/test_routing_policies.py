@@ -15,6 +15,8 @@ Every policy in the registry is held to the same contract, mechanically:
   their coverage);
 * build determinism (two independently built relations route
   identically);
+* the simulator routes with exactly the class the registry builder
+  declares, with no wrapper in between;
 * the registry surface itself: dynamic validation errors, third-party
   registration end-to-end through ``SimulationConfig`` and a simulation,
   and the deprecation shim for ``fault_tolerant=False``.
@@ -24,6 +26,7 @@ Cross-engine bit-for-bit parity per policy lives in
 name).
 """
 
+import typing
 import warnings
 from functools import lru_cache
 
@@ -94,6 +97,17 @@ class TestProtocolConformance:
         assert routing.ring_index is not None
         assert isinstance(routing.supports_sharing, bool)
         assert 1 <= routing.base_vc_classes <= routing.num_vc_classes
+
+    def test_simulator_calls_the_builders_class(self, policy, topology, percent):
+        """The relation a network routes with is exactly the class the
+        registry builder declares and builds: no adapter or per-call
+        wrapper sits between the allocation loop and the policy."""
+        net = _net(policy, topology, percent)
+        declared = typing.get_type_hints(policy_spec(policy).builder)["return"]
+        assert type(net.routing) is declared
+        assert type(build_routing(policy, net.topology, net.scenario, net.config)) is declared
+        overridden = {"next_hop", "commit_hop", "initial_state", "route_path"}
+        assert not overridden & set(getattr(net.routing, "__dict__", ()))
 
     def test_walk_invariants(self, policy, topology, percent):
         net = _net(policy, topology, percent)

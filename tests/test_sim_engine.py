@@ -5,6 +5,8 @@ import pytest
 from repro.router import UNPIPELINED
 from repro.sim import DeadlockError, SimulationConfig, Simulator
 
+from .channel_helpers import freeze_every_worm
+
 
 def quiet_config(**kwargs):
     defaults = dict(
@@ -153,15 +155,11 @@ class TestWatchdog:
         sim = Simulator(config)
         message = sim.inject_message((0, 0), (4, 0))
         sim.step()
-        # sabotage: freeze the worm by emptying every eligibility queue
+        # sabotage: freeze the worm by emptying every eligibility ring
         # each step so no flit can ever move again
         with pytest.raises(DeadlockError):
             for _ in range(200):
-                for channel in sim.net.channels:
-                    for vc in channel.vcs:
-                        vc.eligible.clear()
-                        if vc.message is not None:
-                            vc.received = max(vc.received, 1)
+                freeze_every_worm(sim)
                 sim.step()
 
     def test_error_carries_report(self):
@@ -177,11 +175,7 @@ class TestWatchdog:
         sim.step()
         with pytest.raises(DeadlockError) as excinfo:
             for _ in range(200):
-                for channel in sim.net.channels:
-                    for vc in channel.vcs:
-                        vc.eligible.clear()
-                        if vc.message is not None:
-                            vc.received = max(vc.received, 1)
+                freeze_every_worm(sim)
                 sim.step()
         error = excinfo.value
         assert error.cycle > 0

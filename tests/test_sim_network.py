@@ -109,6 +109,25 @@ class TestFaultyWiring:
             build(faults=fs, fault_tolerant=False, routing_algorithm="ecube")
 
 
+#: ``(field, the greatest value a point cannot run with)``: each was once
+#: admitted and then raised inside a worker (``batches=0`` divided by
+#: zero; ``radix=1`` and ``dims=0`` built no network) or "ran" to a
+#: cached result with nothing delivered
+UNRUNNABLE = [
+    ("radix", 1),
+    ("dims", 0),
+    ("num_vcs", 0),
+    ("buffer_depth", 0),
+    ("protocol_classes", 0),
+    ("message_length", 1),
+    ("injection_limit", 0),
+    ("measure_cycles", -1),
+    ("batches", 0),
+    ("deadlock_threshold", 0),
+    ("detection_latency", -1),
+]
+
+
 class TestConfigValidation:
     def test_unknown_topology(self):
         with pytest.raises(ValueError):
@@ -125,6 +144,20 @@ class TestConfigValidation:
     def test_tiny_message_rejected(self):
         with pytest.raises(ValueError):
             SimulationConfig(message_length=1)
+
+    @pytest.mark.parametrize("field, value", UNRUNNABLE)
+    def test_unrunnable_value_names_its_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be at least {value + 1}"):
+            SimulationConfig(**{field: value})
+        SimulationConfig(**{field: value + 1})  # the least runnable value
+
+    @pytest.mark.parametrize("field, value", [("batches", 0), ("radix", 1)])
+    def test_unrunnable_value_refused_at_admission(self, field, value):
+        from repro.service.jobs import JobSpec, SpecError
+
+        payload = {"kind": "sweep", "config": {field: value}, "rates": [0.004]}
+        with pytest.raises(SpecError, match=f"^bad config: {field} must be at least"):
+            JobSpec.from_payload(payload)
 
     def test_describe_mentions_faults(self):
         net = build(fault_percent=5)

@@ -2,11 +2,13 @@
 
 The struct-of-arrays refactor promises there is exactly ONE copy of the
 dynamic state: the `VirtualChannel` / `PhysicalChannel` /
-`MessageSource` objects are views over `SoAState` buffers, which are
-plain lists for the store's whole life.  These tests pin the aliasing
-contract from both sides — a write through either layer must be
-visible through the other without any sync step — plus the
-id-assignment invariants the transfer loop's indexing relies on.
+`MessageSource` objects keep none of it and read and write `SoAState`
+buffers, which are plain lists for the store's whole life.  These tests
+pin the aliasing contract from both sides — a write through either
+layer must be visible through the other without any sync step — plus
+the id-assignment invariants the transfer loop's indexing relies on.
+Flits move only in the transfer loop, so the ring tests move them with
+it (``tests/channel_helpers.py``).
 """
 
 from repro.router.channels import (
@@ -16,6 +18,8 @@ from repro.router.channels import (
     PhysicalChannel,
 )
 from repro.sim.soa import BIG, KIND_CONSUMPTION, KIND_INTERNODE, SoAState
+
+from .channel_helpers import chain, fed_vc, linked_vc, transfer_stage, worm
 
 #: every numeric field of the store
 NUMERIC_FIELDS = (
@@ -37,7 +41,6 @@ NUMERIC_FIELDS = (
     "free_mask",
     "vbase",
     "module_rr",
-    "waiting_route",
     "is_real",
     "kind_code",
 )
@@ -67,8 +70,9 @@ def busy_store():
     a.busy_add(vc)
     vc.received = 2
     vc.sent = 1
-    vc.eligible.append(7)
-    vc.waiting_route = True
+    st.elig[st.ring_base[vc._vid]] = 7
+    st.elig_count[vc._vid] = 1
+    st.head_time[vc._vid] = 7
     a.rr = 5
     return st
 
@@ -109,15 +113,24 @@ class TestObjectLayerInvariants:
         assert st.msg_len[ch.vcs[0]._vid] == 0
 
     def test_eligibility_ring_mirrors_head_time(self):
-        vc = make_channel().vcs[0]
-        st, vid = vc._st, vc._vid
+        st = SoAState()
+        feed, drain = chain(st)
+        vc = fed_vc(feed, 0, worm(2))
+        vid = vc._vid
         assert st.head_time[vid] == BIG
-        vc.eligible.append(7)
-        vc.eligible.append(9)
+        fill = transfer_stage(feed)
+        fill.run(4)  # header: eligible at 4 + 3
+        fill.run(7)  # data flit: eligible at 7 + 2
         assert st.head_time[vid] == 7
-        assert vc.eligible.popleft() == 7
+        ring = st.ring_base[vid] + st.elig_head[vid]
+        assert st.elig[ring : ring + 2] == [7, 9]
+        pull = transfer_stage(drain)
+        linked_vc(drain, 0, vc)
+        pull.run(7)
+        assert st.elig_count[vid] == 1
         assert st.head_time[vid] == 9
-        vc.eligible.popleft()
+        pull.run(9)
+        assert st.elig_count[vid] == 0
         assert st.head_time[vid] == BIG
 
     def test_source_shadow_slot_binding(self):
@@ -131,8 +144,12 @@ class TestObjectLayerInvariants:
         assert st.upstream[vid] == shadow
         assert st.sent[shadow] == 1
         assert st.head_time[shadow] == -1  # flits remain: always ready
-        src.pop_flit()
-        src.pop_flit()
+        vc.message = worm(3)
+        ch.busy_add(vc)
+        stage = transfer_stage(ch)
+        stage.run(0)
+        stage.run(1)
+        assert st.sent[shadow] == 3
         assert st.head_time[shadow] == BIG  # exhausted
         vc.upstream = None
         assert src.sent == 3  # unbind folds the count back onto the source
@@ -193,10 +210,10 @@ class TestStoreAliasing:
         st = ch._st
         vc.received = 4
         vc.sent = 1
-        vc.eligible.append(11)
+        vc.message = worm(6)
         assert st.received[vc._vid] == 4
         assert st.sent[vc._vid] == 1
-        assert st.head_time[vc._vid] == 11
+        assert st.msg_len[vc._vid] == 6
 
     def test_object_reads_see_store_writes(self):
         ch = make_channel()
@@ -205,7 +222,8 @@ class TestStoreAliasing:
         st.received[vc._vid] = 6
         st.sent[vc._vid] = 2
         assert vc.received == 6
-        assert vc.buffered == 4
+        assert vc.sent == 2
+        assert vc.received - vc.sent == 4  # buffered flits
 
     def test_reset_vc_restores_numeric_zeros(self):
         ch = make_channel()
@@ -214,14 +232,13 @@ class TestStoreAliasing:
         vc.message = FakeMessage(2)
         vc.received = 2
         vc.sent = 1
-        vc.eligible.append(5)
-        vc.waiting_route = True
+        st.elig_count[vid], st.head_time[vid] = 1, 5
+        st.res[vid] = object()
         st.reset_vc(vid)
         assert vc.message is None
         assert st.received[vid] == 0
         assert st.sent[vid] == 0
         assert st.head_time[vid] == BIG
         assert st.elig_count[vid] == 0
-        assert st.waiting_route[vid] == 0
-        assert not vc.waiting_route
+        assert st.res[vid] is None
         assert st.free_mask[ch.index] == 0b11

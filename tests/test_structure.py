@@ -197,6 +197,34 @@ def test_numpy_only_in_the_sampler():
     assert switches == []
 
 
+def test_channels_keep_no_copy_of_the_store():
+    """Dynamic simulation state lives once, in the struct-of-arrays
+    store: no channel object carries a busy list, a work-list flag or an
+    eligibility ring of its own (``PhysicalChannel.busy`` reads the
+    store), and no module keeps a per-VC "waiting for a route" flag —
+    membership in ``module.waiting`` is that fact."""
+    from repro.router.channels import PhysicalChannel, VirtualChannel
+
+    for cls in (PhysicalChannel, VirtualChannel):
+        assert not {"busy", "active", "eligible"} & set(cls.__slots__), cls.__name__
+    named = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = node.name
+            elif isinstance(node, ast.Constant):
+                name = node.value
+            else:
+                continue
+            if name == "waiting_route":
+                named.append(path.relative_to(SRC).as_posix())
+    assert named == []
+
+
 def test_one_header_arbitration_loop_in_sim():
     """Header arbitration — resolve, memoize, grant, park — is one loop,
     ``AllocationStage.run``, on both cores: nothing else in ``repro.sim`` commits a hop or consults the
