@@ -39,7 +39,7 @@ class ChannelLoad:
         )
 
 
-def _measurement_window(simulator: Simulator) -> Tuple[int, Dict[int, int]]:
+def _measurement_window(simulator: Simulator) -> Tuple[int, List[int]]:
     """Denominator and per-channel transfer baseline for utilization.
 
     When the run went through the warmup boundary
@@ -49,12 +49,12 @@ def _measurement_window(simulator: Simulator) -> Tuple[int, Dict[int, int]]:
     ``run()`` (tests, drains) fall back to whole-run utilization."""
     start = simulator.measure_start_cycle
     if start is None:
-        return max(simulator.now, 1), {}
+        return max(simulator.now, 1), []
     return max(simulator.now - start, 1), simulator._measure_transfer_base
 
 
-def _channel_utilization(channel, cycles: int, base: Dict[int, int]) -> float:
-    return (channel.transfers - base.get(id(channel), 0)) / cycles
+def _channel_utilization(channel, cycles: int, base: List[int]) -> float:
+    return (channel.transfers - (base[channel.index] if base else 0)) / cycles
 
 
 def channel_utilizations(simulator: Simulator) -> Dict[str, float]:

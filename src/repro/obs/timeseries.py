@@ -15,7 +15,7 @@ state, so it cannot perturb results.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from ..router.channels import ChannelKind
 
@@ -52,10 +52,9 @@ class TimeSeries:
     sim: object
     window: int = 100
     samples: List[WindowSample] = field(default_factory=list)
-    #: per-channel transfer counts at the last window boundary, keyed by
-    #: object identity (channels can be unwired mid-run; stale keys are
-    #: simply never read again)
-    _last_transfers: Dict[int, int] = field(default_factory=dict)
+    #: every channel's transfer count at the last window boundary, by
+    #: channel index (empty before the first sample)
+    _last_transfers: List[int] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if self.window < 1:
@@ -75,21 +74,24 @@ class TimeSeries:
         occupancy = [0] * base
         ring_flits = other_flits = 0
         ring_count = other_count = 0
+        store = net.store
+        transfers = store.transfers
         last = self._last_transfers
         for channel in net.channels:
-            for vc in channel.busy:
-                occupancy[vc.vc_class % base] += 1
+            ci = channel.index
+            vb = store.vbase[ci]
+            for vid in store.busy_vids(ci):
+                occupancy[(vid - vb) % base] += 1
             if channel.kind is not ChannelKind.INTERNODE:
                 continue
-            key = id(channel)
-            delta = channel.transfers - last.get(key, 0)
-            last[key] = channel.transfers
+            delta = transfers[ci] - last[ci] if last else transfers[ci]
             if channel.on_ring:
                 ring_flits += delta
                 ring_count += 1
             else:
                 other_flits += delta
                 other_count += 1
+        self._last_transfers = list(transfers)
         window = self.window
         total_count = ring_count + other_count
         sample = WindowSample(

@@ -167,18 +167,18 @@ class Tracer:
                        node=message.src, attempt=message.attempt)
         )
 
-    def on_inject(self, now: int, message, channel, vc) -> None:
+    def on_inject(self, now: int, message, channel, vc_class: int) -> None:
         self._emit(
             TraceEvent(now, INJECT, message.msg_id, message.src, message.dst,
                        node=message.src, channel=channel.name or channel.kind.value,
-                       vc_class=vc.vc_class, attempt=message.attempt)
+                       vc_class=vc_class, attempt=message.attempt)
         )
 
-    def on_vc_alloc(self, now: int, message, module, channel, vc) -> None:
+    def on_vc_alloc(self, now: int, message, module, channel, vc_class: int) -> None:
         self._emit(
             TraceEvent(now, VC_ALLOC, message.msg_id, message.src, message.dst,
                        node=module.node_coord, channel=channel.name or channel.kind.value,
-                       vc_class=vc.vc_class, attempt=message.attempt)
+                       vc_class=vc_class, attempt=message.attempt)
         )
         # edge-detect the detour onto a fault ring: the routing logic
         # flips route.misroute when the header is steered around a block
@@ -190,7 +190,7 @@ class Tracer:
                 TraceEvent(now, MISROUTE_ENTER_RING, msg_id, message.src, message.dst,
                            node=module.node_coord,
                            channel=channel.name or channel.kind.value,
-                           vc_class=vc.vc_class, attempt=message.attempt)
+                           vc_class=vc_class, attempt=message.attempt)
             )
         elif not misrouted:
             self._on_ring.discard(msg_id)
@@ -203,12 +203,12 @@ class Tracer:
                        attempt=message.attempt)
         )
 
-    def on_transfer(self, now: int, message, channel, vc) -> None:
+    def on_transfer(self, now: int, message, channel, vc_class: int) -> None:
         self._emit(
             TraceEvent(now, TRANSFER, message.msg_id, message.src, message.dst,
                        node=channel.dst_node,
                        channel=channel.name or channel.kind.value,
-                       vc_class=vc.vc_class, attempt=message.attempt)
+                       vc_class=vc_class, attempt=message.attempt)
         )
 
     def on_deliver(self, now: int, message) -> None:

@@ -1,13 +1,7 @@
 """Router models: channels, messages, PDR and crossbar node organizations,
 and timing."""
 
-from .channels import (
-    DEFAULT_BUFFER_DEPTH,
-    ChannelKind,
-    MessageSource,
-    PhysicalChannel,
-    VirtualChannel,
-)
+from .channels import DEFAULT_BUFFER_DEPTH, ChannelKind, PhysicalChannel
 from .messages import Message
 from .modules import CrossbarNode, Module, NodeModel, PDRNode, Resolution, sharing_set
 from .timing import PIPELINED, UNPIPELINED, UNPIPELINED_SLOW_CLOCK, RouterTiming
@@ -20,13 +14,11 @@ __all__ = [
     "ChannelKind",
     "CrossbarNode",
     "Message",
-    "MessageSource",
     "Module",
     "NodeModel",
     "PDRNode",
     "PhysicalChannel",
     "Resolution",
     "RouterTiming",
-    "VirtualChannel",
     "sharing_set",
 ]

@@ -6,7 +6,6 @@ from typing import Optional
 
 from ..core import MessageRoute
 from ..topology import Coord
-from .channels import MessageSource
 
 
 class Message:
@@ -19,7 +18,6 @@ class Message:
         "dst",
         "length",
         "route",
-        "source",
         "generated_cycle",
         "injected_cycle",
         "consumed_cycle",
@@ -48,8 +46,6 @@ class Message:
         self.dst = dst
         self.length = length
         self.route = route
-        #: flit supplier once injection starts
-        self.source = MessageSource(length)
         self.generated_cycle = generated_cycle
         self.injected_cycle: Optional[int] = None
         self.consumed_cycle: Optional[int] = None

@@ -14,6 +14,12 @@ changes happen inside the switch with no interchip hop.  It is the
 baseline the paper compares against (its earlier work [3, 4] assumed such
 routers).
 
+Modules are static structure, like channels: a module's ports and the
+index of its round-robin arbiter counter (``module_rr`` in the
+simulation's :class:`~repro.sim.soa.SoAState`).  Its one piece of
+dynamic state is the ``waiting`` work-list of the vids of its input
+virtual channels that hold an unrouted header.
+
 The *resolution* step maps a routing decision (from whichever
 :class:`repro.core.RoutingPolicy` the registry built) to the next physical channel
 within the node and the admissible virtual channel classes on it,
@@ -40,7 +46,7 @@ from ..core import Decision, class_pair
 from ..core.routing_policy import RoutingPolicy
 from ..core.message_types import RoutingError
 from ..topology import Coord, Direction, GridNetwork
-from .channels import PhysicalChannel, VirtualChannel
+from .channels import PhysicalChannel
 from .messages import Message
 
 
@@ -48,43 +54,23 @@ class Module:
     """One router chip: input VCs waiting for route/VC allocation plus the
     output channels it drives."""
 
-    __slots__ = ("node_coord", "dim_index", "waiting", "outputs", "_st", "_mid", "_rr")
+    __slots__ = ("node_coord", "dim_index", "waiting", "outputs", "_mid")
 
     def __init__(self, node_coord: Coord, dim_index: int):
         self.node_coord = node_coord
         #: dimension this chip owns; -1 for a crossbar module (owns all)
         self.dim_index = dim_index
-        #: input VCs holding an unrouted header
-        self.waiting: List[VirtualChannel] = []
+        #: vids of the input VCs holding an unrouted header
+        self.waiting: List[int] = []
         #: (kind-specific key) -> PhysicalChannel driven by this module
         self.outputs: Dict[object, PhysicalChannel] = {}
-        self._st = None
+        #: index of this module's round-robin arbiter counter in the
+        #: store's ``module_rr`` (set by :meth:`adopt`)
         self._mid = 0
-        self._rr = 0
 
     def adopt(self, store) -> None:
-        """Move this module's arbiter counter into a network's SoA store
-        (modules built standalone keep a plain attribute)."""
-        mid = store.add_module()
-        store.module_rr[mid] = self._rr
-        self._st = store
-        self._mid = mid
-
-    @property
-    def rr(self) -> int:
-        """Round-robin arbiter position.  Deliberately *not* reduced
-        modulo the waiting count (the count varies cycle to cycle);
-        boundedness is asserted by the invariant tests."""
-        st = self._st
-        return st.module_rr[self._mid] if st is not None else self._rr
-
-    @rr.setter
-    def rr(self, value: int) -> None:
-        st = self._st
-        if st is not None:
-            st.module_rr[self._mid] = value
-        else:
-            self._rr = value
+        """Give this module an arbiter counter in a network's SoA store."""
+        self._mid = store.add_module()
 
     def internode_out(self, dim: int, direction: Direction) -> Optional[PhysicalChannel]:
         return self.outputs.get(("node", dim, direction))
@@ -272,7 +258,7 @@ class PDRNode(NodeModel):
         fault_tolerant: bool = True,
     ):
         super().__init__(coord, network, num_classes, base_classes)
-        if fault_tolerant and network.dims > 3:
+        if not self.covers(network.dims, fault_tolerant=fault_tolerant):
             raise ValueError(
                 "the paper's (i+1, i+2) interchip connections cover the "
                 "misrouting transitions only for 2D and 3D networks; use "
@@ -280,6 +266,12 @@ class PDRNode(NodeModel):
             )
         self.fault_tolerant = fault_tolerant
         self.modules = [Module(coord, dim) for dim in range(network.dims)]
+
+    @staticmethod
+    def covers(dims: int, *, fault_tolerant: bool) -> bool:
+        """Whether the organization can route a ``dims``-dimensional
+        network: the modified one only in 2D and 3D."""
+        return not fault_tolerant or dims <= 3
 
     def injection_module(self) -> Module:
         return self.modules[0]

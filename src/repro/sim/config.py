@@ -14,9 +14,12 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional
 
 from ..canonical import canonical_digest, to_data
+from ..core.ft_routing import FaultTolerantRouting
 from ..core.routing_registry import policy_spec
 from ..faults import FaultSet
+from ..router.modules import PDRNode
 from ..router.timing import PIPELINED, RouterTiming
+from .traffic import _PATTERNS, BitReversalTraffic
 
 #: config fields that do not influence :class:`~repro.sim.network.SimNetwork`
 #: construction — only the simulator's dynamic state.  Used by
@@ -156,6 +159,23 @@ class SimulationConfig:
                 raise ValueError(f"{name} must be at least {least}, got {value!r}")
         if self.vc_sharing_mode not in ("rank", "all"):
             raise ValueError("vc_sharing_mode must be 'rank' or 'all'")
+        orientations = FaultTolerantRouting.ORIENTATION_POLICIES
+        if self.orientation_policy not in orientations:
+            raise ValueError(
+                f"orientation_policy must be one of {orientations}, "
+                f"got {self.orientation_policy!r}"
+            )
+        if self.traffic not in _PATTERNS:
+            raise ValueError(f"traffic must be one of {sorted(_PATTERNS)}, got {self.traffic!r}")
+        # radix ** dims is a power of two exactly when the radix is
+        if (
+            _PATTERNS[self.traffic] is BitReversalTraffic
+            and BitReversalTraffic.address_bits(self.radix) is None
+        ):
+            raise ValueError(
+                f"traffic {self.traffic!r} needs a power-of-two node count, "
+                f"got radix {self.radix}"
+            )
         if self.routing_algorithm is not None:
             policy_spec(self.routing_algorithm)  # ValueError lists registered names
         elif not self.fault_tolerant:
@@ -171,6 +191,13 @@ class SimulationConfig:
                 "request-reply traffic needs protocol_classes >= 2 (separate "
                 "banks are what prevents protocol deadlock)"
             )
+        if self.router_model == "pdr" and not PDRNode.covers(
+            self.dims, fault_tolerant=self.modified_pdr
+        ):
+            raise ValueError(
+                f"dims {self.dims} is beyond the modified PDR organization "
+                "(2D and 3D only); use router_model='crossbar'"
+            )
 
     @property
     def is_torus(self) -> bool:
@@ -183,6 +210,14 @@ class SimulationConfig:
         if self.routing_algorithm is not None:
             return self.routing_algorithm
         return "ft" if self.fault_tolerant else "ecube"
+
+    @property
+    def modified_pdr(self) -> bool:
+        """Whether PDR nodes get the paper's modified interchip
+        connections: any policy that re-enters lower dimensions (table
+        via-turns, detour episodes, up*/down* walks) needs them, because
+        a strict forward-chain PDR cannot turn back."""
+        return self.fault_tolerant or policy_spec(self.effective_routing).needs_modified_pdr
 
     @property
     def effective_sharing(self) -> str:

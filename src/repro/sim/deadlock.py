@@ -102,8 +102,9 @@ def stuck_worm_snapshot(
     worms: List[StuckWorm] = []
     total = 0
     for channel in channels:
-        for vc in channel.busy:
-            message = vc.message
+        store = channel._st
+        for vid in store.busy_vids(channel.index):
+            message = store.msg[vid]
             if message is None:
                 continue
             total += 1
@@ -111,12 +112,12 @@ def stuck_worm_snapshot(
                 worms.append(
                     StuckWorm(
                         channel=channel.name or channel.kind.value,
-                        vc_class=vc.vc_class,
+                        vc_class=vid - store.vbase[channel.index],
                         msg_id=message.msg_id,
                         src=message.src,
                         dst=message.dst,
-                        received=vc.received,
-                        sent=vc.sent,
+                        received=store.received[vid],
+                        sent=store.sent[vid],
                         length=message.length,
                         misrouted=message.route.is_misrouted,
                         knowledge_lag=(

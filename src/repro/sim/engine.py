@@ -135,9 +135,9 @@ class Simulator:
         #: lets instrumentation divide by the measurement window instead
         #: of the whole run
         self.measure_start_cycle: Optional[int] = None
-        #: per-channel transfer counts at the warmup boundary, keyed by
-        #: channel identity
-        self._measure_transfer_base: Dict[int, int] = {}
+        #: every channel's transfer count at the warmup boundary, by
+        #: channel index (empty before measurement starts)
+        self._measure_transfer_base: List[int] = []
 
         # survivability accounting (cumulative over the whole run, not
         # reset at the warmup boundary: fault events are rare, discrete
@@ -320,9 +320,7 @@ class Simulator:
     def _start_measurement(self) -> None:
         self.stats.start_measurement(self.config.batches)
         self.measure_start_cycle = self.now
-        self._measure_transfer_base = {
-            id(channel): channel.transfers for channel in self.net.channels
-        }
+        self._measure_transfer_base = list(self.net.store.transfers)
 
     # ------------------------------------------------------------------
     # statistics compatibility surface (campaigns, tools and tests read

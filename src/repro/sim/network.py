@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional
 
-from ..core.routing_registry import build_routing, policy_spec
+from ..core.routing_registry import build_routing
 from ..faults import (
     DegradationInfo,
     FaultScenario,
@@ -109,12 +109,7 @@ class SimNetwork:
                     self.topology,
                     self.num_classes,
                     self.base_classes,
-                    # any policy that re-enters lower dimensions (table
-                    # via-turns, detour episodes, up*/down* walks) needs the
-                    # modified interchip connections — a strict
-                    # forward-chain PDR cannot turn back
-                    fault_tolerant=config.fault_tolerant
-                    or policy_spec(config.effective_routing).needs_modified_pdr,
+                    fault_tolerant=config.modified_pdr,
                 )
             node.on_ring = coord in self.scenario.ring_index.node_owners
             self.nodes[coord] = node

@@ -311,16 +311,16 @@ class TransitionWindow:
         return self.detection.knowledge_lag(coord, self.sim.now)
 
     # -- allocation-stage fallback --------------------------------------
-    def resolve(self, node, module, vc, routing, share_idle):
+    def resolve(self, node, module, message, routing, share_idle):
         """Resolve a waiting header during the window.  A stale node may
         steer a worm at a component that is already gone (RoutingError:
         the output channel was unwired) or at ring geometry that no
         longer resolves; fail-stop semantics truncate the worm.  Returns
         None when the worm was killed."""
         try:
-            return node.resolve(module, vc.message, routing, share_idle)
+            return node.resolve(module, message, routing, share_idle)
         except (RoutingError, RingGeometryError):
-            self.record_loss(vc.message)
+            self.record_loss(message)
             return None
 
     def record_loss(self, message: Message) -> None:
@@ -544,8 +544,8 @@ def _clear_cached_resolutions(net) -> None:
     # stale route resolutions refer to the old fault view
     res = net.store.res
     for module in net.modules:
-        for vc in module.waiting:
-            res[vc._vid] = None
+        for vid in module.waiting:
+            res[vid] = None
 
 
 def _strict_check(simulator) -> None:
@@ -590,10 +590,8 @@ def _kill_worm(simulator, message: Message) -> None:
         for vid in store.busy_vids(ci):
             if msg[vid] is message:
                 module = channel.dst_module
-                if module is not None:
-                    vc = store.vc_obj[vid]
-                    if vc in module.waiting:
-                        module.waiting.remove(vc)
+                if module is not None and vid in module.waiting:
+                    module.waiting.remove(vid)
                 store.release(ci, vid)
     if message.injected_cycle is not None and message.consumed_cycle is None:
         simulator.in_flight -= 1
@@ -627,13 +625,13 @@ def _unwire(net, dying_channels, dead_nodes) -> None:
     """Remove dying channels from the simulation and dead nodes from the
     node map (a failed node 'simply stops sending signals on all of its
     outgoing channels')."""
-    dying_set = set(map(id, dying_channels))
+    dying_set = {channel.index for channel in dying_channels}
     for node in net.nodes.values():
         for module in node.modules:
             for key, channel in list(module.outputs.items()):
-                if id(channel) in dying_set:
+                if channel.index in dying_set:
                     del module.outputs[key]
-    net.channels = [ch for ch in net.channels if id(ch) not in dying_set]
+    net.channels = [ch for ch in net.channels if ch.index not in dying_set]
     net.modules = [
         module
         for module in net.modules

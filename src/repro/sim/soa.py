@@ -3,19 +3,19 @@
 Every quantity the engine mutates per cycle — virtual-channel flit
 counts, eligibility times, wormhole links, round-robin arbiter counters,
 per-channel busy lists and transfer counters — lives here, once, in
-flat, index-addressed buffers, one per field.  The allocation and
-transfer loops index these buffers directly.  The object layer
-(:class:`~repro.router.channels.VirtualChannel`,
-:class:`~repro.router.channels.PhysicalChannel`,
-:class:`~repro.router.channels.MessageSource`,
-:class:`~repro.router.modules.Module`) keeps no copy of any of it: its
-properties read and write these buffers for everything else —
-injection, reconfiguration, the obs tracer, the deadlock detector,
-metrics and tests.  Two pieces of dynamic state live outside the
-store because they are ordered work-lists rather than per-slot
-values: each module's ``waiting`` list of headers awaiting a route
-(membership *is* "this VC waits for a route"), and the transfer
-stage's channel work-list with its per-channel registration flags.
+flat, index-addressed buffers, one per field.  A virtual channel has no
+object: it is named by its *vid*, the index of its slot, and the
+allocation and transfer loops, injection, reconfiguration, the obs
+tracer and the deadlock detector all index these buffers by vid.  The
+object layer (:class:`~repro.router.channels.PhysicalChannel`,
+:class:`~repro.router.modules.Module`) is static structure only: a
+channel knows its index and vid block, a module its arbiter slot, and
+the store keeps no mirror of either.  Two pieces of dynamic
+state live outside the store because they are ordered work-lists
+rather than per-slot values: each module's ``waiting`` list of the
+vids whose header awaits a route (membership *is* "this VC waits for a
+route"), and the transfer stage's channel work-list with its
+per-channel registration flags.
 
 Plain lists, one copy
 ---------------------
@@ -32,15 +32,17 @@ Id assignment
 
 * Physical channels get dense indices in construction order (the same
   order :class:`~repro.sim.network.SimNetwork` builds them in, which is
-  the engine's service order).
+  the engine's service order); the channel count is ``len(rr)``.
 * Each channel owns ``2 * num_classes`` consecutive *vid* slots starting
   at its ``vbase``: the first ``num_classes`` are its real virtual
-  channels (``vid = vbase + vc_class``), the second ``num_classes`` are
-  *shadow source slots* — ``vid + num_classes`` mirrors the
-  :class:`MessageSource` feeding ``vid`` while a message is being
-  injected, so the transfer stage's pull check is one uniform gather
-  (``head_time[upstream[v]] <= now``) regardless of whether the supplier
-  is a virtual channel or the processor.
+  channels (``vid = vbase + vc_class``, so a vid's class is
+  ``vid - vbase[chan_of[vid]]``), the second ``num_classes`` are
+  *shadow source slots* — ``vid + num_classes`` is the processor
+  streaming a message into injection VC ``vid``: injection sets its
+  ``sent`` to 0, its ``msg_len`` to the message length and its
+  ``head_time`` to -1, so the transfer stage's pull check is one
+  uniform gather (``head_time[upstream[v]] <= now``) regardless of
+  whether the supplier is a virtual channel or the processor.
 * Slot 0 is a reserved sentinel (``head_time = BIG`` forever); the
   ``upstream`` array stores 0 for "no upstream", which makes the gather
   safe without a mask.
@@ -49,7 +51,8 @@ Field catalog (all indexed by vid unless noted)
 -----------------------------------------------
 
 ``received`` / ``sent``
-    flit counts (the wormhole state previously on ``VirtualChannel``).
+    flit counts: flits that entered / left the VC's buffer (for a
+    shadow slot, ``sent`` is the flits the source has streamed).
 ``elig`` / ``elig_head`` / ``elig_count`` / ``head_time``
     per-VC eligibility ring of ``buffer_depth`` slots (``ring_base``
     points at each VC's ring): the buffered flits' eligibility times in
@@ -62,21 +65,21 @@ Field catalog (all indexed by vid unless noted)
 ``upstream``
     vid of the flit supplier (0 = none; a shadow vid for sources).
 ``msg_len``
-    length of the allocated message (0 = VC free).
+    length of the allocated message (0 = VC free; for a shadow slot,
+    the length of the message being injected).
 ``chan_of`` / ``is_real``
     static: owning channel index / real-vs-shadow flag.
 
 Per-channel (indexed by channel index): ``rr``, ``transfers``,
 ``busy_count`` + ``busy_slots`` (the busy list: channel ``ci``'s
 allocated vids in allocation order at ``busy_slots[ci * num_classes:]``,
-the only copy — ``PhysicalChannel.busy`` reads it), ``depth``,
+the only copy — :meth:`SoAState.busy_vids` reads it), ``depth``,
 ``kind_code``, ``free_mask`` (bitmask of free classes), ``vbase``.
 Per-module: ``module_rr``.
 
 Object references that cannot be numbers stay in parallel Python lists
-indexed the same way: ``msg`` (the allocated ``Message``), ``res`` (the
-waiting header's memoized ``Resolution``), ``src_bind`` (the bound
-``MessageSource``) and ``vc_obj`` (the VC objects themselves).
+indexed the same way: ``msg`` (the allocated ``Message``) and ``res``
+(the waiting header's memoized ``Resolution``).
 """
 
 from __future__ import annotations
@@ -122,12 +125,9 @@ class SoAState:
         "kind_code",
         "free_mask",
         "vbase",
-        # object mirrors
+        # object references
         "msg",
         "res",
-        "src_bind",
-        "vc_obj",
-        "channels",
         # per-module
         "module_rr",
         # bookkeeping
@@ -158,9 +158,6 @@ class SoAState:
 
         self.msg: List[Optional[object]] = [None]
         self.res: List[Optional[object]] = [None]
-        self.src_bind: List[Optional[object]] = [None]
-        self.vc_obj: List[Optional[object]] = [None]
-        self.channels: List[object] = []
 
         self.module_rr = []
 
@@ -171,7 +168,7 @@ class SoAState:
     # ------------------------------------------------------------------
     # structural registration
     # ------------------------------------------------------------------
-    def add_channel(self, channel, num_classes: int, buffer_depth: int, kind_code: int) -> int:
+    def add_channel(self, num_classes: int, buffer_depth: int, kind_code: int) -> int:
         """Register a channel; allocates its vid block and returns its
         dense channel index (== position in construction order)."""
         if self.num_classes == 0:
@@ -181,8 +178,7 @@ class SoAState:
                 f"one SoA store holds channels of a single VC count; "
                 f"got {num_classes} after {self.num_classes}"
             )
-        index = len(self.channels)
-        self.channels.append(channel)
+        index = len(self.rr)
         vbase = len(self.received)
         slots = 2 * num_classes  # real VCs then shadow source slots
         self.received.extend([0] * slots)
@@ -202,8 +198,6 @@ class SoAState:
         self.is_real.extend([0] * num_classes)
         self.msg.extend([None] * slots)
         self.res.extend([None] * slots)
-        self.src_bind.extend([None] * slots)
-        self.vc_obj.extend([None] * slots)
 
         self.rr.append(0)
         self.transfers.append(0)
@@ -223,21 +217,21 @@ class SoAState:
         return mid
 
     # ------------------------------------------------------------------
-    # dynamic-state primitives (shared by the object views and the
-    # engine's release paths)
+    # dynamic-state primitives (the engine's release paths, injection
+    # and reconfiguration)
     # ------------------------------------------------------------------
     def reset_vc(self, vid: int) -> None:
-        """Equivalent of the old ``VirtualChannel.reset``."""
+        """Free real VC ``vid`` and clear its flit state; its shadow
+        source slot stops supplying flits."""
         msg = self.msg
         if msg[vid] is not None:
             msg[vid] = None
             ci = self.chan_of[vid]
             self.free_mask[ci] |= 1 << (vid - self.vbase[ci])
         self.msg_len[vid] = 0
-        src = self.src_bind[vid]
-        if src is not None:
-            src._unbind()
-            self.src_bind[vid] = None
+        shadow = vid + self.num_classes
+        self.head_time[shadow] = BIG
+        self.sent[shadow] = 0
         self.upstream[vid] = 0
         self.received[vid] = 0
         self.sent[vid] = 0
@@ -274,12 +268,6 @@ class SoAState:
     def reset_dynamic(self) -> None:
         """Clear every dynamic field (network reuse across runs); static
         layout (rings, kinds, depths, vbase) survives."""
-        # unbind sources first so in-flight injection counts are written
-        # back to their MessageSource objects (legacy reset kept them)
-        for i, src in enumerate(self.src_bind):
-            if src is not None:
-                src._unbind()
-                self.src_bind[i] = None
         nv = len(self.received)
         self.received = [0] * nv
         self.sent = [0] * nv
@@ -288,7 +276,7 @@ class SoAState:
         self.upstream = [0] * nv
         self.msg_len = [0] * nv
         self.head_time = [BIG] * nv
-        nc = len(self.channels)
+        nc = len(self.rr)
         self.rr = [0] * nc
         self.transfers = [0] * nc
         self.busy_count = [0] * nc

@@ -23,8 +23,10 @@ The stages serve the work-list core and the oracle
   oracle and transition windows).  Phase 4 is one loop,
   :meth:`TransferStage.run`.  Both index the
   :class:`~repro.sim.soa.SoAState` lists directly; Python objects
-  (messages, VC views, modules) are fetched only where an event needs
+  (messages, channels, modules) are fetched only where an event needs
   them — a header wake-up, a tail, a delivery, a release, the tracer.
+  A virtual channel is its vid throughout: ``module.waiting`` holds
+  vids and the tracer is handed VC classes.
 * ``"legacy"`` — the seed engine's full-scan algorithm, kept as the
   oracle: every healthy node draws inline and every physical channel is
   visited every cycle.
@@ -125,6 +127,15 @@ class InjectionStage:
         activate = self.transfer.activate
         stats = sim.stats
         tracer = sim.tracer
+        store = sim.net.store
+        msg = store.msg
+        msg_len = store.msg_len
+        sent = store.sent
+        head_time = store.head_time
+        upstream = store.upstream
+        free_mask = store.free_mask
+        vbase = store.vbase
+        K = store.num_classes
         done: List = []
         for coord in sources:
             queue = sim.queues[coord]
@@ -137,19 +148,30 @@ class InjectionStage:
             message = queue[0]
             base = sim.net.base_classes
             bank = range(message.protocol * base, (message.protocol + 1) * base)
-            vc = channel.free_vc(bank)
-            if vc is None:
+            vid = channel.free_vc(bank)
+            if vid is None:
                 continue
             queue.popleft()
-            vc.message = message
-            vc.upstream = message.source
-            channel.busy_add(vc)
+            ci = channel.index
+            vc_class = vid - vbase[ci]
+            length = message.length
+            msg[vid] = message
+            msg_len[vid] = length
+            free_mask[ci] &= ~(1 << vc_class)
+            # the processor streams the message through the VC's shadow
+            # slot: ready at once until all ``length`` flits have left
+            shadow = vid + K
+            sent[shadow] = 0
+            msg_len[shadow] = length
+            head_time[shadow] = -1
+            upstream[vid] = shadow
+            store.busy_add(ci, vid)
             activate(channel)
             message.injected_cycle = now
             sim.outstanding[coord] += 1
             sim.in_flight += 1
             if tracer is not None:
-                tracer.on_inject(now, message, channel, vc)
+                tracer.on_inject(now, message, channel, vc_class)
             if stats.measuring:
                 stats.injected += 1
             if not queue:
@@ -193,7 +215,7 @@ class AllocationStage:
       for a route, and pushes never touch a non-empty ring's head), so
       a timer at that cycle is exact;
     * its resolved output channel has no free VC in the admissible
-      classes — free bits are set only by ``channel.release``, and every
+      classes — free bits are set only by ``store.release``, and every
       release in the transfer loop calls :meth:`wake` for the channel's
       subscribers.
 
@@ -251,6 +273,7 @@ class AllocationStage:
         upstream = store.upstream
         busy_add = store.busy_add
         module_rr = store.module_rr
+        vbase = store.vbase
         park = not self.plain and reconfig is None
         cache = None
         parked = self._parked if park else _NOT_PARKED
@@ -283,8 +306,7 @@ class AllocationStage:
             count = len(waiting)
             start = module_rr[mid] % count
             for offset in range(count):
-                vc = waiting[(start + offset) % count]
-                vid = vc._vid
+                vid = waiting[(start + offset) % count]
                 # the header is the ring head while the VC waits for a
                 # route, so its eligibility is one load
                 ht = head_time[vid]
@@ -303,7 +325,7 @@ class AllocationStage:
                         # worm at a dead component — the window truncates
                         # it (loss) instead of letting the error escape
                         resolution = reconfig.resolve(
-                            node, module, vc, routing, share_idle
+                            node, module, message, routing, share_idle
                         )
                         if resolution is None:
                             # the kill mutated module.waiting under us;
@@ -349,10 +371,10 @@ class AllocationStage:
                 channel = resolution.channel
                 ci = channel.index
                 if free_mask[ci] & resolution.class_mask:
-                    downstream = channel.free_vc(resolution.classes)
+                    down = channel.free_vc(resolution.classes)
                 else:
-                    downstream = None
-                if downstream is None:
+                    down = None
+                if down is None:
                     if fresh and tracer is not None:
                         # only the header's first failed attempt at this
                         # node: later retries find the cached resolution
@@ -363,19 +385,19 @@ class AllocationStage:
                     routing.commit_hop(
                         message.route, module.node_coord, resolution.commit_decision
                     )
-                # extend the worm: the downstream VC is free, so no
-                # message source is bound to it
-                down = downstream._vid
+                # extend the worm: the downstream VC pulls from the
+                # header's VC
+                down_class = down - vbase[ci]
                 msg[down] = message
                 msg_len[down] = message.length
-                free_mask[ci] &= ~(1 << downstream.vc_class)
+                free_mask[ci] &= ~(1 << down_class)
                 upstream[down] = vid
                 busy_add(ci, down)
                 activate(channel)
                 if tracer is not None:
-                    tracer.on_vc_alloc(now, message, module, channel, downstream)
+                    tracer.on_vc_alloc(now, message, module, channel, down_class)
                 res[vid] = None
-                waiting.remove(vc)
+                waiting.remove(vid)
                 # Bounded by construction: start < count and offset < count,
                 # so rr <= 2*count - 1 (tests/test_router_modules.py asserts
                 # the invariant).  Do NOT reduce this modulo count: the next
@@ -434,7 +456,7 @@ class TransferStage:
         self._active: List[PhysicalChannel] = []
         #: by channel index: True while the channel is on the work-list
         #: (registration is O(1) deduplicated)
-        self._listed = [False] * len(sim.net.store.channels)
+        self._listed = [False] * len(sim.net.store.rr)
 
     # -- work-list maintenance ------------------------------------------
     def activate(self, channel: PhysicalChannel) -> None:
@@ -481,7 +503,6 @@ class TransferStage:
         busy_slots = store.busy_slots
         release = store.release
         msg = store.msg
-        vc_obj = store.vc_obj
         listed = self._listed
         K = store.num_classes
         timing = sim.config.timing
@@ -566,7 +587,7 @@ class TransferStage:
                     if got == 1:
                         module = channel.dst_module
                         if module is not None:
-                            module.waiting.append(vc_obj[vid])
+                            module.waiting.append(vid)
                             waiting_set[module] = None
                             parked.pop(module, None)
                     if got == length:
@@ -577,7 +598,7 @@ class TransferStage:
                             outstanding[message.src] -= 1
                             active_sources.add(message.src)
                         if tracer is not None:
-                            tracer.on_transfer(now, message, channel, vc_obj[vid])
+                            tracer.on_transfer(now, message, channel, vid - store.vbase[ci])
                 if real and pulled == length:
                     drained = chan_of[src]
                     release(drained, src)

@@ -80,10 +80,17 @@ class BitReversalTraffic(TrafficPattern):
 
     def __init__(self, network: GridNetwork, healthy: Sequence[Coord], rng: random.Random):
         super().__init__(network, healthy, rng)
-        bits = (network.num_nodes - 1).bit_length()
-        if 1 << bits != network.num_nodes:
+        bits = self.address_bits(network.num_nodes)
+        if bits is None:
             raise ValueError("bit-reversal traffic needs a power-of-two node count")
         self._bits = bits
+
+    @staticmethod
+    def address_bits(num_nodes: int) -> Optional[int]:
+        """Bits of a node id, or None when ``num_nodes`` is not a power
+        of two (the permutation is then undefined)."""
+        bits = (num_nodes - 1).bit_length()
+        return bits if 1 << bits == num_nodes else None
 
     def destination(self, src: Coord) -> Optional[Coord]:
         src_id = self.network.node_id(src)

@@ -1,15 +1,16 @@
 """Drive the engine's transfer loop over hand-built channels.
 
-Virtual channels keep no flit state of their own: a flit enters a VC's
-eligibility ring and leaves it only inside
+A virtual channel is a vid, a slot of the SoA store: a flit enters a
+VC's eligibility ring and leaves it only inside
 :meth:`repro.sim.stages.TransferStage.run`.  Channel-level unit tests
-therefore move flits with that loop, over a few channels that share one
-store, instead of through a per-flit API of their own; and the watchdog
-tests stall a simulation by writing the store fields that loop reads."""
+therefore allocate VCs by writing the store fields injection and header
+allocation write, and move flits with that loop over a few channels
+that share one store; the watchdog tests stall a simulation by writing
+the store fields that loop reads."""
 
 from types import SimpleNamespace
 
-from repro.router.channels import ChannelKind, MessageSource, PhysicalChannel
+from repro.router.channels import ChannelKind, PhysicalChannel
 from repro.router.timing import PIPELINED
 from repro.sim.soa import BIG
 from repro.sim.stages import TransferStage
@@ -37,26 +38,41 @@ def worm(length):
     return SimpleNamespace(length=length, exited_source=True)
 
 
-def fed_vc(channel, vc_class, message, source=None):
-    """Allocate ``channel.vcs[vc_class]`` to ``message`` and bind
-    ``source`` (a fresh :class:`MessageSource` by default) upstream of
-    it, as injection does."""
-    vc = channel.vcs[vc_class]
-    vc.message = message
-    vc.upstream = source if source is not None else MessageSource(message.length)
-    channel.busy_add(vc)
-    return vc
+def allocate(channel, vc_class, message):
+    """Allocate class ``vc_class`` of ``channel`` to ``message`` and put
+    it on the channel's busy list, writing the store fields header
+    allocation writes; returns the VC's vid."""
+    st, ci = channel._st, channel.index
+    vid = st.vbase[ci] + vc_class
+    st.msg[vid] = message
+    st.msg_len[vid] = message.length
+    st.free_mask[ci] &= ~(1 << vc_class)
+    st.busy_add(ci, vid)
+    return vid
 
 
-def linked_vc(channel, vc_class, upstream_vc):
-    """Allocate ``channel.vcs[vc_class]`` to the worm holding
-    ``upstream_vc`` and link it downstream of that VC, as header
-    allocation does."""
-    vc = channel.vcs[vc_class]
-    vc.message = upstream_vc.message
-    vc.upstream = upstream_vc
-    channel.busy_add(vc)
-    return vc
+def fed_vc(channel, vc_class, message):
+    """Allocate class ``vc_class`` of ``channel`` to ``message`` with the
+    processor streaming it in through the VC's shadow slot, as
+    injection does; returns the VC's vid."""
+    st = channel._st
+    vid = allocate(channel, vc_class, message)
+    shadow = vid + st.num_classes
+    st.sent[shadow] = 0
+    st.msg_len[shadow] = message.length
+    st.head_time[shadow] = -1
+    st.upstream[vid] = shadow
+    return vid
+
+
+def linked_vc(channel, vc_class, upstream_vid):
+    """Allocate class ``vc_class`` of ``channel`` to the worm holding VC
+    ``upstream_vid`` and link it downstream of that VC, as header
+    allocation does; returns the new VC's vid."""
+    st = channel._st
+    vid = allocate(channel, vc_class, st.msg[upstream_vid])
+    st.upstream[vid] = upstream_vid
+    return vid
 
 
 def chain(store, depth=4, num_classes=4):
@@ -73,8 +89,9 @@ def freeze_every_worm(sim):
     ever move again."""
     store = sim.net.store
     for channel in sim.net.channels:
-        for vc in channel.vcs:
-            store.head_time[vc._vid] = BIG
-            store.elig_count[vc._vid] = 0
-            if vc.message is not None:
-                vc.received = max(vc.received, 1)
+        vb = store.vbase[channel.index]
+        for vid in range(vb, vb + store.num_classes):
+            store.head_time[vid] = BIG
+            store.elig_count[vid] = 0
+            if store.msg[vid] is not None:
+                store.received[vid] = max(store.received[vid], 1)

@@ -356,18 +356,19 @@ def parking_start(core):
 def parking_grant_cycle(sim, second):
     # the second header waits for a route in (1,0)'s injection VC: it
     # is on the injection module's waiting list until it is granted
+    store = sim.net.store
     injection = sim.net.nodes[(1, 0)].injection_channel
     waiting = injection.dst_module.waiting
 
     def header_waits():
-        busy = injection.busy
+        busy = store.busy_vids(injection.index)
         return bool(busy) and busy[0] in waiting
 
     while not header_waits():
         sim.step()
     while header_waits():
         sim.step()
-    assert injection.busy[0].message is second
+    assert store.msg[store.busy_vids(injection.index)[0]] is second
     return sim.now
 
 
@@ -382,7 +383,7 @@ def parking_oracle():
 
 def park_behind_first_worm(sim, granted_at):
     """Step until (1,0)'s injection module parks on a blocked channel;
-    return the module and the channels it waits on."""
+    return the module and the indices of the channels it waits on."""
     allocation = sim.allocation
     module = sim.net.nodes[(1, 0)].injection_channel.dst_module
     # (it parks on a timer first, until the header becomes eligible)
@@ -390,17 +391,17 @@ def park_behind_first_worm(sim, granted_at):
         sim.step()
         assert sim.now < granted_at
     assert module in allocation._parked
-    channels = sim.net.store.channels
-    return module, [channels[ci] for ci, woken in allocation._subs.items() if module in woken]
+    return module, [ci for ci, woken in allocation._subs.items() if module in woken]
 
 
 def release_wakes(sim, module, blocked_on, first):
     """Step until the first worm lets go of the blocked channel: the
     module stays parked until then and is awake the cycle it happens."""
     parked = sim.allocation._parked
+    store = sim.net.store
 
     def held():
-        return any(vc.message is first for channel in blocked_on for vc in channel.busy)
+        return any(store.msg[vid] is first for ci in blocked_on for vid in store.busy_vids(ci))
 
     while held():
         assert module in parked

@@ -138,12 +138,13 @@ class TestTruncateAndRetransmit:
         tracer = Tracer(sim, TraceConfig(window=0))
         message = sim.inject_message((0, 0), (5, 0))
         link = None
+        store = sim.net.store
         for _ in range(100):
             sim.step()
             for channel in sim.net.channels:
                 if channel.kind.value != "internode":
                     continue
-                if any(vc.message is message for vc in channel.busy):
+                if any(store.msg[vid] is message for vid in store.busy_vids(channel.index)):
                     link = (channel.src_node, channel.dim, int(channel.direction))
                     break
             if link is not None:

@@ -93,8 +93,5 @@ class TestPolicyInSimulation:
         assert result.misrouted_messages > 0
 
     def test_invalid_policy_rejected_at_config(self):
-        config = SimulationConfig(orientation_policy="zigzag")
-        from repro.sim import SimNetwork
-
-        with pytest.raises(ValueError):
-            SimNetwork(config)
+        with pytest.raises(ValueError, match="^orientation_policy must be one of"):
+            SimulationConfig(orientation_policy="zigzag")

@@ -25,8 +25,9 @@ class TestBankStructure:
         net = build()
         assert net.base_classes == 4
         assert net.num_classes == 8
+        assert net.store.num_classes == 8
         for channel in net.channels:
-            assert len(channel.vcs) == 8
+            assert net.store.vbase[channel.index] == 1 + 2 * 8 * channel.index
 
     def test_mesh_banks(self):
         net = build(topology="mesh")

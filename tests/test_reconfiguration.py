@@ -127,9 +127,10 @@ class TestTrafficContinuity:
         sim = running_sim(rate=0.03)
         report = sim.inject_runtime_fault(nodes=[(4, 4)])
         lost = set(report.lost_message_ids)
+        store = sim.net.store
         for channel in sim.net.channels:
-            for vc in channel.busy:
-                assert vc.message.msg_id not in lost
+            for vid in store.busy_vids(channel.index):
+                assert store.msg[vid].msg_id not in lost
 
     def test_accounting_consistent_after_event(self):
         sim = running_sim(rate=0.03)

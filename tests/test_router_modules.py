@@ -176,32 +176,35 @@ class TestRoundRobinBounds:
 
     def test_module_rr_bounded_by_twice_fanin(self):
         sim = self.run_sim()
+        store = sim.net.store
         # a module arbitrates over at most its input VCs; the waiting
         # list can never exceed the VCs of the channels feeding it
         for module in sim.net.modules:
-            fan_in = sum(
-                len(ch.vcs) for ch in sim.net.channels if ch.dst_module is module
+            fan_in = store.num_classes * sum(
+                1 for ch in sim.net.channels if ch.dst_module is module
             )
-            assert 0 <= module.rr <= 2 * max(fan_in, 1)
+            assert 0 <= store.module_rr[module._mid] <= 2 * max(fan_in, 1)
 
     def test_channel_rr_stays_within_vc_count(self):
         sim = self.run_sim()
+        store = sim.net.store
         served = 0
         for channel in sim.net.channels:
             if channel.transfers:
                 served += 1
-            assert 0 <= channel.rr < max(len(channel.vcs), 1)
+            assert 0 <= store.rr[channel.index] < max(store.num_classes, 1)
         assert served > 0
 
     def test_bounds_hold_under_saturation(self):
         sim = self.run_sim(rate=0.08, measure_cycles=600, fault_percent=0)
+        store = sim.net.store
         for module in sim.net.modules:
-            fan_in = sum(
-                len(ch.vcs) for ch in sim.net.channels if ch.dst_module is module
+            fan_in = store.num_classes * sum(
+                1 for ch in sim.net.channels if ch.dst_module is module
             )
-            assert 0 <= module.rr <= 2 * max(fan_in, 1)
+            assert 0 <= store.module_rr[module._mid] <= 2 * max(fan_in, 1)
         for channel in sim.net.channels:
-            assert 0 <= channel.rr < max(len(channel.vcs), 1)
+            assert 0 <= store.rr[channel.index] < max(store.num_classes, 1)
 
 
 class TestCrossbarResolution:

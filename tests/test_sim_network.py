@@ -1,5 +1,7 @@
 """Unit tests for network construction and wiring."""
 
+import re
+
 import pytest
 
 from repro.faults import FaultSet
@@ -109,22 +111,73 @@ class TestFaultyWiring:
             build(faults=fs, fault_tolerant=False, routing_algorithm="ecube")
 
 
-#: ``(field, the greatest value a point cannot run with)``: each was once
-#: admitted and then raised inside a worker (``batches=0`` divided by
-#: zero; ``radix=1`` and ``dims=0`` built no network) or "ran" to a
+def _below_minimum(field, value):
+    """``value`` is the greatest one ``field`` cannot run with; one more
+    is runnable."""
+    return pytest.param(
+        {field: value},
+        f"{field} must be at least {value + 1}",
+        {field: value + 1},
+        id=f"{field}-{value}",
+    )
+
+
+#: ``(fields, the start of the error, the nearest runnable fields)``:
+#: each config was once admitted and then raised inside a worker
+#: (``batches=0`` divided by zero; ``radix=1`` and ``dims=0`` built no
+#: network; no traffic pattern, bit-reversal permutation, orientation
+#: policy or PDR node could be built for the last four) or "ran" to a
 #: cached result with nothing delivered
 UNRUNNABLE = [
-    ("radix", 1),
-    ("dims", 0),
-    ("num_vcs", 0),
-    ("buffer_depth", 0),
-    ("protocol_classes", 0),
-    ("message_length", 1),
-    ("injection_limit", 0),
-    ("measure_cycles", -1),
-    ("batches", 0),
-    ("deadlock_threshold", 0),
-    ("detection_latency", -1),
+    _below_minimum("radix", 1),
+    _below_minimum("dims", 0),
+    _below_minimum("num_vcs", 0),
+    _below_minimum("buffer_depth", 0),
+    _below_minimum("protocol_classes", 0),
+    _below_minimum("message_length", 1),
+    _below_minimum("injection_limit", 0),
+    _below_minimum("measure_cycles", -1),
+    _below_minimum("batches", 0),
+    _below_minimum("deadlock_threshold", 0),
+    _below_minimum("detection_latency", -1),
+    pytest.param(
+        {"traffic": "nonsense"}, "traffic must be one of", {"traffic": "hotspot"},
+        id="traffic-nonsense",
+    ),
+    pytest.param(
+        {"traffic": "bit-reversal", "radix": 6},
+        "traffic 'bit-reversal' needs a power-of-two node count",
+        {"traffic": "bit-reversal", "radix": 8},
+        id="traffic-bit-reversal-radix-6",
+    ),
+    pytest.param(
+        {"orientation_policy": "sideways"},
+        "orientation_policy must be one of",
+        {"orientation_policy": "balanced"},
+        id="orientation_policy-sideways",
+    ),
+    pytest.param(
+        {"dims": 5},
+        "dims 5 is beyond the modified PDR organization",
+        {"dims": 5, "router_model": "crossbar"},
+        id="dims-5-pdr",
+    ),
+]
+
+#: the admission cases, ``(fields, the start of the error)``: a served
+#: root must answer each with a 400
+INADMISSIBLE = [
+    pytest.param(*case.values[:2], id=case.id)
+    for case in UNRUNNABLE
+    if case.id
+    in {
+        "batches-0",
+        "radix-1",
+        "traffic-nonsense",
+        "traffic-bit-reversal-radix-6",
+        "orientation_policy-sideways",
+        "dims-5-pdr",
+    }
 ]
 
 
@@ -145,18 +198,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SimulationConfig(message_length=1)
 
-    @pytest.mark.parametrize("field, value", UNRUNNABLE)
-    def test_unrunnable_value_names_its_field(self, field, value):
-        with pytest.raises(ValueError, match=f"^{field} must be at least {value + 1}"):
-            SimulationConfig(**{field: value})
-        SimulationConfig(**{field: value + 1})  # the least runnable value
+    @pytest.mark.parametrize("fields, message, runnable", UNRUNNABLE)
+    def test_unrunnable_value_names_its_field(self, fields, message, runnable):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            SimulationConfig(**fields)
+        SimulationConfig(**runnable)  # the nearest runnable config
 
-    @pytest.mark.parametrize("field, value", [("batches", 0), ("radix", 1)])
-    def test_unrunnable_value_refused_at_admission(self, field, value):
+    @pytest.mark.parametrize("fields, message", INADMISSIBLE)
+    def test_unrunnable_value_refused_at_admission(self, fields, message):
         from repro.service.jobs import JobSpec, SpecError
 
-        payload = {"kind": "sweep", "config": {field: value}, "rates": [0.004]}
-        with pytest.raises(SpecError, match=f"^bad config: {field} must be at least"):
+        payload = {"kind": "sweep", "config": fields, "rates": [0.004]}
+        with pytest.raises(SpecError, match=f"^bad config: {re.escape(message)}"):
             JobSpec.from_payload(payload)
 
     def test_describe_mentions_faults(self):

@@ -1,25 +1,21 @@
 """SoA store / object-layer consistency.
 
 The struct-of-arrays refactor promises there is exactly ONE copy of the
-dynamic state: the `VirtualChannel` / `PhysicalChannel` /
-`MessageSource` objects keep none of it and read and write `SoAState`
-buffers, which are plain lists for the store's whole life.  These tests
-pin the aliasing contract from both sides — a write through either
-layer must be visible through the other without any sync step — plus
-the id-assignment invariants the transfer loop's indexing relies on.
-Flits move only in the transfer loop, so the ring tests move them with
-it (``tests/channel_helpers.py``).
+dynamic state: a virtual channel is a vid, a slot of `SoAState`'s plain
+lists, and the static `PhysicalChannel` objects read those lists and
+keep no copy.  These tests pin that contract — what injection writes
+lands in the fields the transfer loop reads, and what a channel reports
+is read from the store without any sync step — plus the id-assignment
+invariants the transfer loop's indexing relies on.  Flits move only in
+the transfer loop, so the ring tests move them with it
+(``tests/channel_helpers.py``).
 """
 
-from repro.router.channels import (
-    DEFAULT_BUFFER_DEPTH,
-    ChannelKind,
-    MessageSource,
-    PhysicalChannel,
-)
+from repro.router.channels import ChannelKind, PhysicalChannel
+from repro.sim import SimulationConfig, Simulator
 from repro.sim.soa import BIG, KIND_CONSUMPTION, KIND_INTERNODE, SoAState
 
-from .channel_helpers import chain, fed_vc, linked_vc, transfer_stage, worm
+from .channel_helpers import allocate, chain, fed_vc, linked_vc, transfer_stage, worm
 
 #: every numeric field of the store
 NUMERIC_FIELDS = (
@@ -46,11 +42,6 @@ NUMERIC_FIELDS = (
 )
 
 
-class FakeMessage:
-    def __init__(self, length):
-        self.length = length
-
-
 def make_channel(store=None, num_classes=2, kind=ChannelKind.INTERNODE):
     return PhysicalChannel(kind, num_classes, name="t", store=store)
 
@@ -65,16 +56,27 @@ def busy_store():
     st = SoAState()
     a = make_channel(st)
     make_channel(st, kind=ChannelKind.CONSUMPTION)
-    vc = a.vcs[1]
-    vc.message = FakeMessage(3)
-    a.busy_add(vc)
-    vc.received = 2
-    vc.sent = 1
-    st.elig[st.ring_base[vc._vid]] = 7
-    st.elig_count[vc._vid] = 1
-    st.head_time[vc._vid] = 7
-    a.rr = 5
+    vid = allocate(a, 1, worm(3))
+    st.received[vid] = 2
+    st.sent[vid] = 1
+    st.elig[st.ring_base[vid]] = 7
+    st.elig_count[vid] = 1
+    st.head_time[vid] = 7
+    st.rr[a.index] = 5
     return st
+
+
+def injected(length=6):
+    """A 4x4 torus simulator one cycle after injecting one message at
+    (0, 0): returns the simulator, the message and its injection VC."""
+    cfg = SimulationConfig(topology="torus", radix=4, dims=2, rate=0.0,
+                           message_length=length, warmup_cycles=0, measure_cycles=10)
+    sim = Simulator(cfg)
+    message = sim.inject_message((0, 0), (2, 0))
+    sim.step()
+    ci = sim.net.nodes[(0, 0)].injection_channel.index
+    (vid,) = sim.net.store.busy_vids(ci)
+    return sim, message, vid
 
 
 class TestObjectLayerInvariants:
@@ -96,27 +98,32 @@ class TestObjectLayerInvariants:
         assert b.index == a.index + 1
         # 2 * num_classes slots per channel: real VCs then shadow slots
         assert st.vbase[b.index] - st.vbase[a.index] == 2 * 2
-        for vc in a.vcs + b.vcs:
-            assert st.chan_of[vc._vid] == vc.channel.index
-            assert st.is_real[vc._vid] == 1
-            assert st.is_real[vc._vid + st.num_classes] == 0
+        for channel in (a, b):
+            for vc_class in range(st.num_classes):
+                vid = st.vbase[channel.index] + vc_class
+                assert st.chan_of[vid] == channel.index
+                assert vid - st.vbase[st.chan_of[vid]] == vc_class
+                assert st.is_real[vid] == 1
+                assert st.is_real[vid + st.num_classes] == 0
 
     def test_message_setter_maintains_free_mask(self):
-        ch = make_channel()
-        st = ch._st
-        assert st.free_mask[ch.index] == 0b11
-        ch.vcs[0].message = FakeMessage(5)
-        assert st.free_mask[ch.index] == 0b10
-        assert st.msg_len[ch.vcs[0]._vid] == 5
-        ch.vcs[0].message = None
-        assert st.free_mask[ch.index] == 0b11
-        assert st.msg_len[ch.vcs[0]._vid] == 0
+        """Injection clears the allocated class's free bit and records the
+        length; the release at the tail restores both."""
+        sim, message, vid = injected()
+        st = sim.net.store
+        ci = st.chan_of[vid]
+        full = (1 << st.num_classes) - 1
+        assert st.msg[vid] is message and st.msg_len[vid] == message.length
+        assert st.free_mask[ci] == full & ~(1 << (vid - st.vbase[ci]))
+        while sim.in_flight:
+            sim.step()
+        assert st.msg[vid] is None and st.msg_len[vid] == 0
+        assert st.free_mask == [full] * len(st.rr)
 
     def test_eligibility_ring_mirrors_head_time(self):
         st = SoAState()
         feed, drain = chain(st)
-        vc = fed_vc(feed, 0, worm(2))
-        vid = vc._vid
+        vid = fed_vc(feed, 0, worm(2))
         assert st.head_time[vid] == BIG
         fill = transfer_stage(feed)
         fill.run(4)  # header: eligible at 4 + 3
@@ -125,7 +132,7 @@ class TestObjectLayerInvariants:
         ring = st.ring_base[vid] + st.elig_head[vid]
         assert st.elig[ring : ring + 2] == [7, 9]
         pull = transfer_stage(drain)
-        linked_vc(drain, 0, vc)
+        linked_vc(drain, 0, vid)
         pull.run(7)
         assert st.elig_count[vid] == 1
         assert st.head_time[vid] == 9
@@ -134,41 +141,39 @@ class TestObjectLayerInvariants:
         assert st.head_time[vid] == BIG
 
     def test_source_shadow_slot_binding(self):
-        ch = make_channel()
-        vc = ch.vcs[1]
-        st, vid = ch._st, vc._vid
-        src = MessageSource(3)
-        src.sent = 1
-        vc.upstream = src
+        """Injection points the VC at its shadow slot, which supplies
+        exactly the message's flits and is cleared by the release."""
+        sim, message, vid = injected(length=3)
+        st = sim.net.store
         shadow = vid + st.num_classes
         assert st.upstream[vid] == shadow
-        assert st.sent[shadow] == 1
+        assert st.msg_len[shadow] == 3
+        # the cycle's transfer stage already pulled the header
+        assert st.sent[shadow] == st.received[vid] == 1
         assert st.head_time[shadow] == -1  # flits remain: always ready
-        vc.message = worm(3)
-        ch.busy_add(vc)
-        stage = transfer_stage(ch)
-        stage.run(0)
-        stage.run(1)
+        sim.step()
+        sim.step()
         assert st.sent[shadow] == 3
         assert st.head_time[shadow] == BIG  # exhausted
-        vc.upstream = None
-        assert src.sent == 3  # unbind folds the count back onto the source
+        while sim.in_flight:
+            sim.step()
+        assert st.upstream[vid] == 0 and st.sent[shadow] == 0
 
     def test_busy_list_mirrored_into_slots(self):
         ch = make_channel()
         st = ch._st
-        for vc in (ch.vcs[1], ch.vcs[0]):
-            vc.message = FakeMessage(2)
-            ch.busy_add(vc)
-        base = ch.index * 2 * st.num_classes
+        vb = st.vbase[ch.index]
+        for vc_class in (1, 0):
+            allocate(ch, vc_class, worm(2))
+        base = ch.index * st.num_classes
         assert st.busy_count[ch.index] == 2
         # order-preserving: the transfer loop's round-robin walks this
-        assert st.busy_slots[base] == ch.vcs[1]._vid
-        assert st.busy_slots[base + 1] == ch.vcs[0]._vid
-        ch.release(ch.vcs[1])
+        assert st.busy_slots[base] == vb + 1
+        assert st.busy_slots[base + 1] == vb + 0
+        st.release(ch.index, vb + 1)
         assert st.busy_count[ch.index] == 1
-        assert st.busy_slots[base] == ch.vcs[0]._vid
-        assert [vc.vc_class for vc in ch.busy] == [0]
+        assert st.busy_slots[base] == vb + 0
+        assert st.busy_vids(ch.index) == [vb + 0]
 
     def test_kind_codes_mirrored(self):
         st = SoAState()
@@ -184,12 +189,12 @@ class TestRepresentationSwitch:
     def test_list_backed_after_construction(self):
         st = busy_store()
         assert field_types(st) == {list}
-        # every list slot but the object mirrors is a numeric field
-        mirrors = {"msg", "res", "src_bind", "vc_obj", "channels"}
+        # every list slot but the object references is a numeric field
+        references = {"msg", "res"}
         lists = {
             name
             for name in SoAState.__slots__
-            if isinstance(getattr(st, name, None), list) and name not in mirrors
+            if isinstance(getattr(st, name, None), list) and name not in references
         }
         assert lists == set(NUMERIC_FIELDS)
 
@@ -202,40 +207,40 @@ class TestRepresentationSwitch:
 
 
 class TestStoreAliasing:
-    """The object views and the store's list fields are one copy."""
+    """The channel objects and the store's list fields are one copy."""
 
     def test_store_fields_see_object_writes(self):
-        ch = make_channel()
-        vc = ch.vcs[0]
-        st = ch._st
-        vc.received = 4
-        vc.sent = 1
-        vc.message = worm(6)
-        assert st.received[vc._vid] == 4
-        assert st.sent[vc._vid] == 1
-        assert st.msg_len[vc._vid] == 6
+        """What the engine's injection writes is what the transfer loop
+        reads: the header has crossed the injection channel."""
+        sim, message, vid = injected()
+        st = sim.net.store
+        ci = st.chan_of[vid]
+        channel = sim.net.nodes[(0, 0)].injection_channel
+        assert channel.index == ci
+        assert st.received[vid] == 1 and st.transfers[ci] == 1 == channel.transfers
+        assert message.injected_cycle == 0
 
     def test_object_reads_see_store_writes(self):
         ch = make_channel()
-        vc = ch.vcs[0]
         st = ch._st
-        st.received[vc._vid] = 6
-        st.sent[vc._vid] = 2
-        assert vc.received == 6
-        assert vc.sent == 2
-        assert vc.received - vc.sent == 4  # buffered flits
+        vb = st.vbase[ch.index]
+        st.transfers[ch.index] = 6
+        assert ch.transfers == 6
+        st.msg[vb] = worm(2)
+        assert ch.free_vc((0, 1)) == vb + 1
+        st.msg[vb + 1] = worm(2)
+        assert ch.free_vc((0, 1)) is None
 
     def test_reset_vc_restores_numeric_zeros(self):
         ch = make_channel()
-        vc = ch.vcs[0]
-        st, vid = ch._st, vc._vid
-        vc.message = FakeMessage(2)
-        vc.received = 2
-        vc.sent = 1
+        st = ch._st
+        vid = allocate(ch, 0, worm(2))
+        st.received[vid] = 2
+        st.sent[vid] = 1
         st.elig_count[vid], st.head_time[vid] = 1, 5
         st.res[vid] = object()
         st.reset_vc(vid)
-        assert vc.message is None
+        assert st.msg[vid] is None
         assert st.received[vid] == 0
         assert st.sent[vid] == 0
         assert st.head_time[vid] == BIG

@@ -199,14 +199,27 @@ def test_numpy_only_in_the_sampler():
 
 def test_channels_keep_no_copy_of_the_store():
     """Dynamic simulation state lives once, in the struct-of-arrays
-    store: no channel object carries a busy list, a work-list flag or an
-    eligibility ring of its own (``PhysicalChannel.busy`` reads the
-    store), and no module keeps a per-VC "waiting for a route" flag —
-    membership in ``module.waiting`` is that fact."""
-    from repro.router.channels import PhysicalChannel, VirtualChannel
+    store, and a virtual channel is its vid there: the router package
+    defines no virtual-channel or message-source object, a message
+    carries no flit supplier, the store keeps no reference back to the
+    object layer, no channel object carries a busy list, a work-list
+    flag or an eligibility ring of its own, and no module keeps a per-VC
+    "waiting for a route" flag — membership in ``module.waiting`` is
+    that fact."""
+    import repro.router as router
+    from repro.router.channels import PhysicalChannel
+    from repro.router.messages import Message
+    from repro.sim.soa import SoAState
 
-    for cls in (PhysicalChannel, VirtualChannel):
-        assert not {"busy", "active", "eligible"} & set(cls.__slots__), cls.__name__
+    defined = {
+        name
+        for module in (router, *(getattr(router, m) for m in ("channels", "messages", "modules")))
+        for name in vars(module)
+    }
+    assert not {"VirtualChannel", "MessageSource"} & defined
+    assert not {"vc_obj", "src_bind", "channels"} & set(SoAState.__slots__)
+    assert "source" not in Message.__slots__
+    assert not {"busy", "active", "eligible", "vcs"} & set(PhysicalChannel.__slots__)
     named = []
     for path in sorted(SRC.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
