@@ -61,7 +61,7 @@ def channel_walk(
         if resolution.commit_decision is not None:
             routing.commit_hop(message.route, node.coord, resolution.commit_decision)
             node = net.nodes[channel.dst_node]
-        module = channel.dst_module
+        module = net.feeds[channel.index]
     raise RoutingError(f"channel walk {src}->{dst} exceeded {hop_budget} hops")
 
 

@@ -23,9 +23,11 @@ its handle is one integer, its *vid* in the simulation's
 dynamic field — flit counts, the ring of eligibility times, the busy
 list, the wormhole links — exists once, as a slot in the store's lists,
 which the engine's loops index directly.  :class:`PhysicalChannel`
-carries only static structure (kind, endpoints, the module it feeds,
-its index and vid block) plus the two reads every caller needs:
-:meth:`PhysicalChannel.free_vc` and the ``transfers`` counter.
+carries only static structure (kind, endpoints, its index and vid
+block) plus the two reads every caller needs:
+:meth:`PhysicalChannel.free_vc` and the ``transfers`` counter.  The
+module a channel feeds is ``SimNetwork.feeds[index]``, so a channel
+holds no reference to a module.
 Channels built outside a network (unit tests) get a private
 single-channel store, so the class stays usable standalone.
 """
@@ -74,7 +76,6 @@ class PhysicalChannel:
         "dst_node",
         "dim",
         "direction",
-        "dst_module",
         "on_ring",
         "name",
         "index",
@@ -91,7 +92,6 @@ class PhysicalChannel:
         dst_node: Optional[Coord] = None,
         dim: int = -1,
         direction: Direction = Direction.POS,
-        dst_module: Optional[object] = None,
         buffer_depth: int = DEFAULT_BUFFER_DEPTH,
         name: str = "",
         store: Optional[SoAState] = None,
@@ -101,9 +101,6 @@ class PhysicalChannel:
         self.dst_node = dst_node
         self.dim = dim
         self.direction = direction
-        #: the router module whose input this channel feeds (None for
-        #: consumption channels, which feed the processor sink)
-        self.dst_module = dst_module
         #: True if the channel lies on an f-ring (virtual channels are then
         #: reserved for their designated message types)
         self.on_ring = False

@@ -57,7 +57,17 @@ class SimNetwork:
         )
 
         self.nodes: Dict[Coord, NodeModel] = {}
+        #: the live channels, in index order (reconfiguration removes
+        #: dead ones)
         self.channels: List[PhysicalChannel] = []
+        #: by channel index, every channel ever built (never shrinks)
+        self.channel_at: List[PhysicalChannel] = []
+        #: by channel index, the router module whose input the channel
+        #: feeds (None for consumption channels, which feed the
+        #: processor sink).  It lives here, not on the channel, so
+        #: modules and channels form no reference cycle and a dropped
+        #: network is freed by reference counting alone
+        self.feeds: List[Optional[Module]] = []
         self.modules: List[Module] = []
         #: struct-of-arrays store holding the dynamic channel/VC/module
         #: state; the channel/module objects keep no copy of it
@@ -118,7 +128,9 @@ class SimNetwork:
             self.modules.extend(node.modules)
 
     # ------------------------------------------------------------------
-    def _new_channel(self, kind: ChannelKind, **kwargs) -> PhysicalChannel:
+    def _new_channel(
+        self, kind: ChannelKind, *, feeds: Optional[Module] = None, **kwargs
+    ) -> PhysicalChannel:
         channel = PhysicalChannel(
             kind,
             self.num_classes,
@@ -129,6 +141,8 @@ class SimNetwork:
         # construction order == store index order == engine service order
         assert channel.index == len(self.channels)
         self.channels.append(channel)
+        self.channel_at.append(channel)
+        self.feeds.append(feeds)
         return channel
 
     def _wire_channels(self) -> None:
@@ -140,7 +154,7 @@ class SimNetwork:
                 ChannelKind.INJECTION,
                 src_node=coord,
                 dst_node=coord,
-                dst_module=inject_module,
+                feeds=inject_module,
                 name=f"inject@{coord}",
             )
             last_module = node.modules[-1]
@@ -160,7 +174,7 @@ class SimNetwork:
                             ChannelKind.INTERCHIP,
                             src_node=coord,
                             dst_node=coord,
-                            dst_module=node.modules[target],
+                            feeds=node.modules[target],
                             name=f"chip{module.dim_index}->chip{target}@{coord}",
                         )
                         module.outputs[("chip", target)] = channel
@@ -187,7 +201,7 @@ class SimNetwork:
                     dst_node=neighbor,
                     dim=dim,
                     direction=direction,
-                    dst_module=dst_module,
+                    feeds=dst_module,
                     name=f"{coord}->DIM{dim}{direction.symbol}",
                 )
                 channel.on_ring = link in ring_links

@@ -583,13 +583,14 @@ def _kill_worm(simulator, message: Message) -> None:
     message.killed = True
     if simulator.tracer is not None:
         simulator.tracer.on_truncate(simulator.now, message)
-    store = simulator.net.store
+    net = simulator.net
+    store = net.store
     msg = store.msg
-    for channel in simulator.net.channels:
+    for channel in net.channels:
         ci = channel.index
         for vid in store.busy_vids(ci):
             if msg[vid] is message:
-                module = channel.dst_module
+                module = net.feeds[ci]
                 if module is not None and vid in module.waiting:
                     module.waiting.remove(vid)
                 store.release(ci, vid)

@@ -14,9 +14,9 @@ The stages serve the work-list core and the oracle
 * **work-lists** (``"active"``, the default) — sources enter the
   injection work-list only when they hold queued messages, modules enter
   the allocation work-list only when a header arrives (the engine's
-  long-standing ``_modules_waiting`` pattern), channels enter the
-  transfer work-list only while a virtual channel is busy on them, and
-  generation skips idle sources through the
+  long-standing ``_modules_waiting`` pattern), channels stay on the
+  transfer work-list only while a busy virtual channel on them may
+  move a flit, and generation skips idle sources through the
   :class:`~repro.sim.sampling.GeometricSampler` block stream.  Phase 3
   is one loop, :meth:`AllocationStage.run`; it memoizes header
   resolutions and parks modules that cannot grant (everywhere but the
@@ -44,17 +44,12 @@ from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Dict, List
 
 from ..core.ecube import next_ecube_dim
-from ..router.channels import PhysicalChannel
 from ..router.modules import Module
 from .sampling import GeometricSampler
 from .soa import BIG, KIND_CONSUMPTION, KIND_INTERNODE
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import cycle guard
     from .engine import Simulator
-
-
-def _channel_index(channel: PhysicalChannel) -> int:
-    return channel.index
 
 
 #: what the oracle and transition windows consult instead of the parked set
@@ -166,7 +161,7 @@ class InjectionStage:
             head_time[shadow] = -1
             upstream[vid] = shadow
             store.busy_add(ci, vid)
-            activate(channel)
+            activate(ci)
             message.injected_cycle = now
             sim.outstanding[coord] += 1
             sim.in_flight += 1
@@ -393,7 +388,7 @@ class AllocationStage:
                 free_mask[ci] &= ~(1 << down_class)
                 upstream[down] = vid
                 busy_add(ci, down)
-                activate(channel)
+                activate(ci)
                 if tracer is not None:
                     tracer.on_vc_alloc(now, message, module, channel, down_class)
                 res[vid] = None
@@ -438,52 +433,96 @@ class TransferStage:
     entering a module input buffer become eligible after the router
     timing delay; flits entering a consumption channel are delivered.
 
-    With ``work_list`` only registered channels are serviced: a channel
-    registers (``activate``) when a virtual channel is allocated on it
-    and lazily drops off once its busy count (``store.busy_count``)
-    falls to zero.  The work-list is kept sorted by construction index,
-    which makes its service order a subsequence of the legacy full scan
-    — channels with no busy VC are exactly the ones the full scan skips,
-    so both execute the same transfers in the same order."""
+    The loop walks channel *indices*; it fetches a channel object
+    (``net.channel_at``) only for the tracer and a module
+    (``net.feeds``) only when a header arrives.  The oracle
+    (``work_list=False``) visits every live channel every cycle.  With
+    ``work_list`` only listed channels are served: a channel is listed
+    (``activate``) when a virtual channel is allocated on it, drops off
+    once its busy count (``store.busy_count``) falls to zero, and
+    **parks** — busy but off the list — after a scan that moves nothing
+    when every busy VC is either
+
+    * *draining*: it received the whole worm, so it never pulls again
+      until it is released; or
+    * *full*: its buffer holds ``depth`` flits on a channel that is not
+      a consumption channel, so it cannot pull until the channel
+      downstream pops one.
+
+    A VC that waits only for its upstream flit to become eligible keeps
+    the channel listed; it is polled as before.  Parking is invisible: a
+    scan that moves nothing writes nothing (``rr`` is untouched), and a
+    parked channel is rescanned no later than the first cycle it could
+    move, because only two events let one of its VCs move:
+
+    * a new VC allocation (injection or allocation) — :meth:`activate`
+      lists the channel;
+    * a pop from a full VC — the pop site in this loop lists the VC's
+      channel ``cs``.  The full scan would still visit ``cs`` this
+      cycle when ``cs > ci`` (the channel being served), so ``cs`` is
+      inserted into the list being walked (the unvisited part of it is
+      sorted, and a list iterator advances by position); when
+      ``cs < ci`` the full scan has already passed it, so ``cs`` joins
+      the next cycle's list.
+
+    A release never lets another VC of its channel move, and releases
+    outside this loop (worms killed by a reconfiguration) are followed
+    by :meth:`resync`, which lists every busy channel again.  The list
+    stays sorted by channel index, so its service order is a
+    subsequence of the full scan's, and the channels it leaves out are
+    exactly ones the full scan would visit without moving a flit: both
+    execute the same transfers in the same order."""
 
     __slots__ = ("sim", "active_set", "_active", "_listed")
 
     def __init__(self, sim: "Simulator", *, work_list: bool):
         self.sim = sim
         #: True when channels register on (and are served from) the
-        #: work-list; False full-scans ``net.channels`` (legacy oracle)
+        #: work-list; False full-scans every live channel (legacy oracle)
         self.active_set = work_list
-        self._active: List[PhysicalChannel] = []
+        #: sorted channel indices: the work-list, or every live channel
+        #: for the oracle
+        self._active: List[int] = []
         #: by channel index: True while the channel is on the work-list
         #: (registration is O(1) deduplicated)
         self._listed = [False] * len(sim.net.store.rr)
+        if not work_list:
+            self.resync()
 
     # -- work-list maintenance ------------------------------------------
-    def activate(self, channel: PhysicalChannel) -> None:
-        """Register a channel that just had a virtual channel allocated
-        on it.  O(1) when already registered; ordered insert otherwise."""
-        if not self.active_set or self._listed[channel.index]:
+    def activate(self, ci: int) -> None:
+        """Register channel ``ci``, which just had a virtual channel
+        allocated on it.  O(1) when already registered; ordered insert
+        otherwise."""
+        if not self.active_set or self._listed[ci]:
             return
-        self._listed[channel.index] = True
-        insort(self._active, channel, key=_channel_index)
+        self._listed[ci] = True
+        insort(self._active, ci)
 
     def resync(self) -> None:
-        """Rebuild the work-list from the network's channel list (after a
-        reconfiguration removed channels or released worms wholesale)."""
+        """Rebuild the list from the network's live channels (after a
+        reconfiguration removed channels or released worms wholesale):
+        every busy channel for the work-list, parked ones included;
+        every channel for the oracle."""
+        indices = [channel.index for channel in self.sim.net.channels]
         if not self.active_set:
+            self._active = indices
             return
         busy_count = self.sim.net.store.busy_count
         listed = self._listed = [False] * len(self._listed)
-        self._active = [ch for ch in self.sim.net.channels if busy_count[ch.index]]
-        for channel in self._active:
-            listed[channel.index] = True
+        self._active = [ci for ci in indices if busy_count[ci]]
+        for ci in self._active:
+            listed[ci] = True
 
     # -- per-cycle service ----------------------------------------------
     def run(self, now: int) -> bool:
         sim = self.sim
         compact = self.active_set
-        channels = self._active if compact else sim.net.channels
-        store = sim.net.store
+        channels = self._active
+        net = sim.net
+        channel_at = net.channel_at
+        feeds = net.feeds
+        store = net.store
         received = store.received
         sent = store.sent
         head_time = store.head_time
@@ -517,16 +556,22 @@ class TransferStage:
         parked = sim.allocation._parked
         progress = False
         write = 0
-        for channel in channels:
-            ci = channel.index
+        # channels woken behind the one being served: next cycle's list
+        late: List[int] = []
+        for ci in channels:
             count = busy_count[ci]
             if not count:
                 if compact:
                     listed[ci] = False
                 continue
             if compact:
-                channels[write] = channel
+                channels[write] = ci
                 write += 1
+            kind = kind_code[ci]
+            consume = kind == KIND_CONSUMPTION
+            # a consumption channel delivers at once: its buffer never fills
+            room = BIG if consume else depth[ci]
+            polled = False
             base = ci * K
             start = rr[ci] % count
             for offset in range(count):
@@ -542,28 +587,37 @@ class TransferStage:
                     # have been released and re-allocated), so it must not
                     # pull again.
                     continue
+                if got - sent[vid] >= room:
+                    continue  # full until the channel downstream pops
                 # one pull check for both suppliers: a VC's head_time is
                 # its ring head, a source's shadow slot is -1 while it
                 # still has flits (soa.py)
                 src = upstream[vid]
                 if head_time[src] > now:
-                    continue
-                kind = kind_code[ci]
-                consume = kind == KIND_CONSUMPTION
-                if not consume and got - sent[vid] >= depth[ci]:
+                    polled = True  # no event marks the flit turning eligible
                     continue
                 # pop the upstream flit
                 pulled = sent[src] + 1
                 sent[src] = pulled
                 real = is_real[src]
                 if real:
+                    cs = chan_of[src]
+                    cap = depth[cs]
                     left = elig_count[src] - 1
                     head = elig_head[src] + 1
-                    if head == depth[chan_of[src]]:
+                    if head == cap:
                         head = 0
                     elig_head[src] = head
                     elig_count[src] = left
                     head_time[src] = elig[ring_base[src] + head] if left else BIG
+                    if not listed[cs] and compact and received[src] - pulled >= cap - 1:
+                        # the pop took a full VC below ``depth``: wake its
+                        # parked channel where the full scan would reach it
+                        listed[cs] = True
+                        if cs > ci:
+                            insort(channels, cs, lo=write)
+                        else:
+                            late.append(cs)
                 elif pulled >= msg_len[src]:
                     head_time[src] = BIG  # the source is exhausted
                 got += 1
@@ -580,12 +634,12 @@ class TransferStage:
                     # push onto this VC's eligibility ring
                     when = now + (header_delay if got == 1 else data_delay)
                     held = elig_count[vid]
-                    elig[ring_base[vid] + (elig_head[vid] + held) % depth[ci]] = when
+                    elig[ring_base[vid] + (elig_head[vid] + held) % room] = when
                     elig_count[vid] = held + 1
                     if not held:
                         head_time[vid] = when
                     if got == 1:
-                        module = channel.dst_module
+                        module = feeds[ci]
                         if module is not None:
                             module.waiting.append(vid)
                             waiting_set[module] = None
@@ -598,15 +652,23 @@ class TransferStage:
                             outstanding[message.src] -= 1
                             active_sources.add(message.src)
                         if tracer is not None:
-                            tracer.on_transfer(now, message, channel, vid - store.vbase[ci])
+                            tracer.on_transfer(
+                                now, message, channel_at[ci], vid - store.vbase[ci]
+                            )
                 if real and pulled == length:
-                    drained = chan_of[src]
-                    release(drained, src)
-                    wake(drained)
+                    release(cs, src)
+                    wake(cs)
                 transfers[ci] += 1
                 rr[ci] = (start + offset + 1) % count
                 progress = True
                 break  # one flit per physical channel per cycle
+            else:
+                if compact and not polled:
+                    # every busy VC is draining or full: park
+                    listed[ci] = False
+                    write -= 1
         if compact:
             del channels[write:]
+            for cs in late:
+                insort(channels, cs)
         return progress

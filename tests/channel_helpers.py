@@ -20,8 +20,17 @@ def transfer_stage(*channels):
     """The transfer stage serving exactly ``channels`` (one store, full
     scan), with no module waiting on them, no measurement and no
     tracer; ``run(now)`` moves at most one flit per channel."""
+    store = channels[0]._st
+    channel_at = [None] * len(store.rr)
+    for channel in channels:
+        channel_at[channel.index] = channel
     sim = SimpleNamespace(
-        net=SimpleNamespace(store=channels[0]._st, channels=list(channels)),
+        net=SimpleNamespace(
+            store=store,
+            channels=list(channels),
+            channel_at=channel_at,
+            feeds=[None] * len(store.rr),
+        ),
         config=SimpleNamespace(timing=PIPELINED),
         _modules_waiting={},
         _on_consumed=lambda message: None,

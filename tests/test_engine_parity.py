@@ -18,6 +18,7 @@ import pytest
 
 from repro.canonical import canonical_digest, to_data
 from repro.sim import SimulationConfig, Simulator
+from repro.sim.soa import KIND_CONSUMPTION
 
 # every spelling of the work-list core, compared against "legacy" as the
 # baseline
@@ -358,7 +359,7 @@ def parking_grant_cycle(sim, second):
     # is on the injection module's waiting list until it is granted
     store = sim.net.store
     injection = sim.net.nodes[(1, 0)].injection_channel
-    waiting = injection.dst_module.waiting
+    waiting = sim.net.feeds[injection.index].waiting
 
     def header_waits():
         busy = store.busy_vids(injection.index)
@@ -385,7 +386,7 @@ def park_behind_first_worm(sim, granted_at):
     """Step until (1,0)'s injection module parks on a blocked channel;
     return the module and the indices of the channels it waits on."""
     allocation = sim.allocation
-    module = sim.net.nodes[(1, 0)].injection_channel.dst_module
+    module = sim.net.feeds[sim.net.nodes[(1, 0)].injection_channel.index]
     # (it parks on a timer first, until the header becomes eligible)
     while not any(module in woken for woken in allocation._subs.values()):
         sim.step()
@@ -443,6 +444,138 @@ class TestParking:
                 assert routing is sim.net.routing and table
         assert parked_cycles["legacy"] == 0
         assert parked_cycles["active"] > 0
+
+
+def parked_channels(sim):
+    """Indices of the busy channels off the transfer work-list."""
+    store, listed = sim.net.store, sim.transfer._listed
+    return [
+        ch.index for ch in sim.net.channels if store.busy_count[ch.index] and not listed[ch.index]
+    ]
+
+
+def assert_cannot_move(store, ci):
+    """Every busy VC of channel ``ci`` is draining or full."""
+    for vid in store.busy_vids(ci):
+        got = store.received[vid]
+        draining = got >= store.msg_len[vid]
+        full = (
+            store.kind_code[ci] != KIND_CONSUMPTION
+            and got - store.sent[vid] >= store.depth[ci]
+        )
+        assert draining or full, (ci, vid, got, store.sent[vid], store.msg_len[vid])
+
+
+# Two 32-flit worms converge on (3,0)'s consumption channel, so the
+# channels feeding it fill up and park, and each pop the consumption
+# channel makes wakes one of them; those come after it in index order,
+# so the woken channel is served in the same cycle.  A third worm's
+# header blocks at (1,0) behind the first; its injection channel parks
+# full, and the pop that lets it move again comes from a channel after
+# it, so it is served the next cycle.
+def converging_worms(core):
+    sim = Simulator(SimulationConfig(**PARKING_CONFIG), core=core)
+    worms = [sim.inject_message((0, 0), (3, 0)), sim.inject_message((3, 2), (3, 0))]
+    for _ in range(12):
+        sim.step()
+    worms.append(sim.inject_message((1, 0), (3, 0)))
+    return sim, worms
+
+
+class TestTransferParking:
+    """A busy channel that cannot move a flit leaves the transfer
+    work-list until a pop or an allocation wakes it, on every core but
+    the oracle."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+    def test_parked_channels_hold_only_draining_or_full_vcs(self, name):
+        kwargs = dict(GOLDEN_CONFIGS[name], warmup_cycles=100, measure_cycles=300)
+        sim = Simulator(SimulationConfig(**kwargs), core="active")
+        seen = []
+
+        def check(now):
+            parked = parked_channels(sim)
+            for ci in parked:
+                assert_cannot_move(sim.net.store, ci)
+            seen.extend(parked)
+
+        sim.cycle_hooks.append(check)
+        sim.run()
+        assert seen
+
+    def test_the_oracle_never_parks(self):
+        kwargs = dict(GOLDEN_CONFIGS["saturated"], warmup_cycles=100, measure_cycles=300)
+        sim = Simulator(SimulationConfig(**kwargs), core="legacy")
+        transfer = sim.transfer
+        live = [ch.index for ch in sim.net.channels]
+
+        def check(now):
+            assert transfer._active == live
+            assert not any(transfer._listed)
+
+        sim.cycle_hooks.append(check)
+        sim.run()
+        assert any(sim.net.store.busy_count)
+
+    def test_a_runtime_fault_resyncs_parked_channels(self):
+        # the reconfiguration kills worms wholesale and rebuilds the
+        # work-list; parity with the oracle is TestRuntimeFaultParity's
+        kwargs = dict(topology="torus", radix=8, dims=2, rate=0.02,
+                      warmup_cycles=100, measure_cycles=400, seed=21)
+        sim = Simulator(SimulationConfig(**kwargs), core="active")
+        parked_at_fault = []
+
+        def check(now):
+            if now == 250:
+                parked_at_fault.extend(parked_channels(sim))
+                sim.inject_runtime_fault(nodes=[(5, 5)])
+                assert parked_channels(sim) == []
+            for ci in parked_channels(sim):
+                assert_cannot_move(sim.net.store, ci)
+
+        sim.cycle_hooks.append(check)
+        sim.run()
+        assert parked_at_fault and sim.fault_events == 1
+
+    def test_a_pop_wakes_a_parked_channel_where_the_full_scan_serves_it(self):
+        oracle_sim, oracle_worms = converging_worms("legacy")
+        while oracle_sim.in_flight:
+            oracle_sim.step()
+        sim, worms = converging_worms("active")
+        store, listed = sim.net.store, sim.transfer._listed
+        same, late = [], []
+        # channel -> (busy vids, transfers) when parked at a cycle's start
+        parked, woken = {}, {}
+
+        def watch(now):
+            # a channel parked at the last cycle's start whose VCs did not
+            # change (no allocation, no release) was woken by a pop
+            for ci, (vids, moved) in parked.items():
+                if store.busy_vids(ci) != vids:
+                    continue
+                if store.transfers[ci] != moved:
+                    same.append(ci)
+                elif listed[ci]:
+                    woken[ci] = (vids, moved, now)
+            for ci, (vids, moved, at) in list(woken.items()):
+                if at < now:
+                    del woken[ci]
+                    if store.busy_vids(ci) == vids and store.transfers[ci] != moved:
+                        late.append(ci)
+            parked.clear()
+            for ci in parked_channels(sim):
+                parked[ci] = (store.busy_vids(ci), store.transfers[ci])
+
+        sim.cycle_hooks.append(watch)
+        while sim.in_flight:
+            sim.step()
+        # woken by a pop from a channel before it: served that cycle
+        assert same
+        # woken by a pop from a channel after it: served the next cycle
+        assert late
+        consumed = [worm.consumed_cycle for worm in worms]
+        assert consumed == [worm.consumed_cycle for worm in oracle_worms]
+        assert sim.now == oracle_sim.now
 
 
 class TestBatchNormalization:

@@ -86,7 +86,7 @@ class TestBankResolution:
             if res.commit_decision is not None:
                 net.routing.commit_hop(message.route, node.coord, res.commit_decision)
                 node = net.nodes[res.channel.dst_node]
-            module = res.channel.dst_module
+            module = net.feeds[res.channel.index]
         # skip the injection entry of walk0; compare hop classes
         for (ch0, c0), c1 in zip(walk0[1:], classes1):
             if ch0.kind is ChannelKind.CONSUMPTION:

@@ -83,7 +83,7 @@ class TestPDRResolution:
         node, module, message = header_at(net, (0, 0), (0, 3))
         res = node.resolve(module, message, net.routing, share_idle=False)
         assert res.channel.kind is ChannelKind.INTERCHIP
-        assert res.channel.dst_module is node.modules[1]
+        assert net.feeds[res.channel.index] is node.modules[1]
         # never traveled dim 0: any class of M0's pair
         assert res.classes == (0, 1)
         assert res.commit_decision is None
@@ -181,7 +181,7 @@ class TestRoundRobinBounds:
         # list can never exceed the VCs of the channels feeding it
         for module in sim.net.modules:
             fan_in = store.num_classes * sum(
-                1 for ch in sim.net.channels if ch.dst_module is module
+                1 for ch in sim.net.channels if sim.net.feeds[ch.index] is module
             )
             assert 0 <= store.module_rr[module._mid] <= 2 * max(fan_in, 1)
 
@@ -200,7 +200,7 @@ class TestRoundRobinBounds:
         store = sim.net.store
         for module in sim.net.modules:
             fan_in = store.num_classes * sum(
-                1 for ch in sim.net.channels if ch.dst_module is module
+                1 for ch in sim.net.channels if sim.net.feeds[ch.index] is module
             )
             assert 0 <= store.module_rr[module._mid] <= 2 * max(fan_in, 1)
         for channel in sim.net.channels:

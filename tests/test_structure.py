@@ -238,6 +238,40 @@ def test_channels_keep_no_copy_of_the_store():
     assert named == []
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(topology="torus", radix=16, dims=2, fault_percent=5, fault_seed=42),
+        dict(topology="torus", radix=4, dims=2, fault_percent=5),
+        dict(topology="mesh", radix=6, dims=2, fault_percent=5),
+        dict(topology="torus", radix=4, dims=3),
+    ],
+    ids=["torus16-f5", "torus4-f5", "mesh6-f5", "torus4x3"],
+)
+def test_a_dropped_network_is_freed_without_the_cycle_collector(kwargs):
+    """A network's object graph holds no reference cycle: modules point
+    at the channels they drive, and the module a channel feeds is
+    ``SimNetwork.feeds[index]``, not a channel attribute.  So dropping a
+    network frees it at once, and peak memory does not wait on a
+    generation-2 collection (the benchmark builds and drops several
+    16x16 networks in setup)."""
+    import gc
+
+    from repro.sim import SimulationConfig
+    from repro.sim.network import SimNetwork
+
+    config = SimulationConfig(rate=0.01, **kwargs)
+    gc.collect()
+    gc.disable()
+    try:
+        net = SimNetwork(config)
+        assert net.channels and net.modules
+        del net
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_one_header_arbitration_loop_in_sim():
     """Header arbitration — resolve, memoize, grant, park — is one loop,
     ``AllocationStage.run``, on both cores: nothing else in ``repro.sim`` commits a hop or consults the
