@@ -26,18 +26,22 @@ Usage::
 
 The smoke also measures the cost of a staged runtime reconfiguration (a
 non-convex pattern injected with hop-by-hop detection, stepped until the
-transition window closes).  The cost is expressed in *equivalent
-simulation cycles* — wall time over the same sim's per-cycle step time —
-so it is machine-independent too; ``--check`` fails when it exceeds
+transition window closes).  The cost is expressed in *reference-loop
+equivalents* — wall time over the time a fixed pure-Python loop
+(``_reference_loop``) takes in the same repetition — so it is
+machine-independent too; ``--check`` fails when it exceeds
 ``RECONFIG_REGRESSION_FACTOR`` (125%) of the committed baseline.
 
 Pattern classification (``repro.mc``'s fast tier: blocking rule, regions,
 f-rings, degrade pipeline, routing build) is measured the same way for
 the three cells of the ``mc_torus16`` suite workload: milliseconds per
-classified pattern over the legacy core's per-cycle step time taken in
-the same repetition, so the committed number is in legacy
-cycle-equivalents and machine-independent; ``--check`` fails when a cell
-exceeds ``CLASSIFY_REGRESSION_FACTOR`` (125%) of the committed value.
+classified pattern over the reference loop's time taken in the same
+repetition; ``--check`` fails when a cell exceeds
+``CLASSIFY_REGRESSION_FACTOR`` (125%) of the committed value.  The
+reference loop runs no simulator code, so a faster simulation core does
+not tighten either gate (a simulator-cycle unit would); the
+reconfiguration window itself steps the simulator, so a faster core
+lowers that cost.
 
 The worker pool is measured per call: milliseconds per ``execute()`` of
 two no-op tasks at ``jobs=2`` through a pool opened and closed by the
@@ -105,7 +109,8 @@ REGRESSION_FRACTION = 0.75
 RECONFIG_RATE = 0.002
 RECONFIG_LATENCY = 4
 RECONFIG_NODES = ((4, 4), (5, 6))
-RECONFIG_BASELINE_CYCLES = 400
+#: cycles stepped before the fault, to steady occupancy
+RECONFIG_STEADY_CYCLES = 700
 #: a measured reconfiguration cost above this multiple of the baseline fails
 RECONFIG_REGRESSION_FACTOR = 1.25
 
@@ -116,6 +121,9 @@ CLASSIFY_CELLS = ((16, 1, 1, "ft"), (16, 4, 10, "ft"), (8, 2, 2, "adaptive"))
 CLASSIFY_PATTERNS = 100
 #: a measured classification cost above this multiple of the baseline fails
 CLASSIFY_REGRESSION_FACTOR = 1.25
+
+#: passes of the reference loop per repetition (median taken)
+REFERENCE_PASSES = 7
 
 #: pool smoke: ``execute()`` calls per variant (each a few ms) and the
 #: ceiling on the paired-median ratio reused / fresh
@@ -162,15 +170,43 @@ def _measure_rate(rate: float) -> dict:
     return point
 
 
-def _steady_cycle_seconds(sim) -> float:
-    """Per-cycle step time of ``sim`` once it is at steady occupancy: the
-    unit the reconfiguration and classification costs are expressed in."""
-    for _ in range(WARMUP_CYCLES):
-        sim.step()
+class _Slot:
+    """One entry of the reference loop's working set."""
+
+    __slots__ = ("total", "recent")
+
+    def __init__(self) -> None:
+        self.total = 0
+        self.recent: list = []
+
+    def visit(self, table: dict, key: int) -> int:
+        self.total += key & 7
+        self.recent.append(key)
+        if len(self.recent) > 4:
+            self.recent.pop(0)
+        table[key & 255] = self.total
+        return table.get((key * 7) & 255, 0)
+
+
+def _reference_loop() -> float:
+    """Seconds one pass of a fixed pure-Python loop takes now: integer
+    arithmetic, then method calls with attribute, list and dict traffic
+    (the interpreter work classification and reconfiguration do).  It
+    runs no simulator code: the unit the reconfiguration and
+    classification costs are expressed in."""
     start = time.perf_counter()
-    for _ in range(RECONFIG_BASELINE_CYCLES):
-        sim.step()
-    return (time.perf_counter() - start) / RECONFIG_BASELINE_CYCLES
+    acc = 0
+    for i in range(20000):
+        acc += i * i % 7
+    slots = [_Slot() for _ in range(16)]
+    table: dict = {}
+    for key in range(3000):
+        acc += slots[key & 15].visit(table, key)
+    return time.perf_counter() - start
+
+
+def _reference_seconds() -> float:
+    return _median([_reference_loop() for _ in range(REFERENCE_PASSES)])
 
 
 def _reconfiguration_cost() -> dict:
@@ -183,7 +219,9 @@ def _reconfiguration_cost() -> dict:
     window_cycles = 0
     for _ in range(REPETITIONS):
         sim = Simulator(config)
-        per_cycle = _steady_cycle_seconds(sim)
+        for _ in range(RECONFIG_STEADY_CYCLES):
+            sim.step()
+        unit = _reference_seconds()
         start = time.perf_counter()
         sim.inject_runtime_fault(nodes=RECONFIG_NODES)
         window_cycles = 0
@@ -191,31 +229,27 @@ def _reconfiguration_cost() -> dict:
             sim.step()
             window_cycles += 1
         elapsed = time.perf_counter() - start
-        best = min(best, elapsed / per_cycle)
+        best = min(best, elapsed / unit)
     return {
         "detection_latency": RECONFIG_LATENCY,
         "window_cycles": window_cycles,
-        "cost_cycles": round(best, 1),
+        "cost_refs": round(best, 1),
     }
 
 
 def _classify_cost() -> dict:
     from repro.mc import MCCell, PatternSampler, classify_pattern
 
-    config = SimulationConfig(
-        topology="torus", radix=RADIX, dims=2, rate=RECONFIG_RATE,
-        warmup_cycles=0, measure_cycles=10, seed=42,
-    )
     cells = {
         f"torus{radix} {nodes}+{links} {policy}": MCCell("torus", radix, 2, nodes, links, policy)
         for radix, nodes, links, policy in CLASSIFY_CELLS
     }
     seconds: dict = {label: [] for label in cells}
     ratios: dict = {label: [] for label in cells}
-    # each repetition times the legacy core's cycle and every cell
+    # each repetition times the reference loop and every cell
     # back-to-back; the per-repetition ratio cancels clock drift
     for _ in range(REPETITIONS):
-        per_cycle = _steady_cycle_seconds(Simulator(config, core="legacy"))
+        unit = _reference_seconds()
         for label, cell in cells.items():
             # the per-process network every shard of the cell shares:
             # repetition one fills its tables, the median reads them warm
@@ -230,13 +264,13 @@ def _classify_cost() -> dict:
                 classify_pattern(network, faults, policy=cell.policy)
             per_pattern = (time.perf_counter() - start) / CLASSIFY_PATTERNS
             seconds[label].append(per_pattern)
-            ratios[label].append(per_pattern / per_cycle)
+            ratios[label].append(per_pattern / unit)
     return {
         "patterns": CLASSIFY_PATTERNS,
         "cells": {
             label: {
                 "ms_per_pattern": round(1e3 * min(seconds[label]), 3),
-                "cost_cycles": round(_median(ratios[label]), 4),
+                "cost_refs": round(_median(ratios[label]), 4),
             }
             for label in cells
         },
@@ -326,7 +360,7 @@ def measure() -> dict:
         )
     reconfig = _reconfiguration_cost()
     print(
-        f"reconfiguration: {reconfig['cost_cycles']:.1f} cycle-equivalents "
+        f"reconfiguration: {reconfig['cost_refs']:.1f} reference-loop equivalents "
         f"({reconfig['window_cycles']} window cycles at detection latency "
         f"{reconfig['detection_latency']})"
     )
@@ -334,7 +368,7 @@ def measure() -> dict:
     for label, cell in classify["cells"].items():
         print(
             f"classify {label}: {cell['ms_per_pattern']:.3f} ms/pattern = "
-            f"{cell['cost_cycles']:.4f} legacy cycle-equivalents"
+            f"{cell['cost_refs']:.4f} reference-loop equivalents"
         )
     pool = _pool_cost()
     print(
@@ -380,31 +414,35 @@ def check(measured: dict, baseline: dict) -> int:
             failures += 1
     failures += _check_classify(measured, baseline)
     failures += _check_pool(measured)
-    base = baseline.get("reconfiguration")
-    if base is None:
-        # pre-reconfiguration baseline file: nothing to compare against
-        print("reconfiguration: no baseline entry; skipping (--write to add)")
-        return failures
-    got = measured.get("reconfiguration")
-    if got is None:
-        print("reconfiguration: missing from measurement", file=sys.stderr)
-        return failures + 1
-    ceiling = RECONFIG_REGRESSION_FACTOR * base["cost_cycles"]
-    verdict = "ok" if got["cost_cycles"] <= ceiling else "REGRESSION"
-    print(
-        f"reconfiguration: {got['cost_cycles']:.1f} cycle-equivalents vs "
-        f"baseline {base['cost_cycles']:.1f} (ceiling {ceiling:.1f}) -> {verdict}"
-    )
-    if got["cost_cycles"] > ceiling:
-        failures += 1
+    failures += _check_reconfiguration(measured, baseline)
     failures += _check_tracing(measured, baseline)
     return failures
 
 
+def _check_reconfiguration(measured: dict, baseline: dict) -> int:
+    base = baseline.get("reconfiguration")
+    if base is None or "cost_refs" not in base:
+        # no entry, or one in the retired simulator-cycle unit
+        print("reconfiguration: no baseline entry in reference units; skipping (--write to add)")
+        return 0
+    got = measured.get("reconfiguration")
+    if got is None:
+        print("reconfiguration: missing from measurement", file=sys.stderr)
+        return 1
+    ceiling = RECONFIG_REGRESSION_FACTOR * base["cost_refs"]
+    verdict = "ok" if got["cost_refs"] <= ceiling else "REGRESSION"
+    print(
+        f"reconfiguration: {got['cost_refs']:.1f} reference-loop equivalents vs "
+        f"baseline {base['cost_refs']:.1f} (ceiling {ceiling:.1f}) -> {verdict}"
+    )
+    return 1 if got["cost_refs"] > ceiling else 0
+
+
 def _check_classify(measured: dict, baseline: dict) -> int:
     base = baseline.get("classify")
-    if base is None:
-        print("classify: no baseline entry; skipping (--write to add)")
+    if base is None or any("cost_refs" not in cell for cell in base["cells"].values()):
+        # no entry, or one in the retired legacy-cycle unit
+        print("classify: no baseline entry in reference units; skipping (--write to add)")
         return 0
     got = measured.get("classify")
     if got is None:
@@ -412,12 +450,12 @@ def _check_classify(measured: dict, baseline: dict) -> int:
         return 1
     failures = 0
     for label, cell in base["cells"].items():
-        cost = got["cells"][label]["cost_cycles"]
-        ceiling = CLASSIFY_REGRESSION_FACTOR * cell["cost_cycles"]
+        cost = got["cells"][label]["cost_refs"]
+        ceiling = CLASSIFY_REGRESSION_FACTOR * cell["cost_refs"]
         verdict = "ok" if cost <= ceiling else "REGRESSION"
         print(
-            f"classify {label}: {cost:.4f} cycle-equivalents vs baseline "
-            f"{cell['cost_cycles']:.4f} (ceiling {ceiling:.4f}) -> {verdict}"
+            f"classify {label}: {cost:.4f} reference-loop equivalents vs baseline "
+            f"{cell['cost_refs']:.4f} (ceiling {ceiling:.4f}) -> {verdict}"
         )
         if cost > ceiling:
             failures += 1

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import os
 import random
+import weakref
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Set
 
@@ -167,12 +168,15 @@ class Simulator:
         self.stats = StatsCollector(config.collect_latencies)
 
         # the pipeline; transfer first so the upstream stages can register
-        # channels on its work-list
+        # channels on its work-list.  The stages reach the simulator
+        # through a weak proxy: no reference cycle, so a dropped
+        # simulator is freed at once instead of by the cycle collector
         work_lists = core != "legacy"
-        self.transfer = TransferStage(self, work_list=work_lists)
-        self.allocation = AllocationStage(self, self.transfer)
-        self.injection = InjectionStage(self, self.transfer)
-        self.generation = GenerationStage(self, block_sampling=work_lists)
+        owner = weakref.proxy(self)
+        self.transfer = TransferStage(owner, work_list=work_lists)
+        self.allocation = AllocationStage(owner, self.transfer)
+        self.injection = InjectionStage(owner, self.transfer)
+        self.generation = GenerationStage(owner, block_sampling=work_lists)
 
     # ------------------------------------------------------------------
     # public driver

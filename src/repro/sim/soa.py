@@ -53,15 +53,20 @@ Field catalog (all indexed by vid unless noted)
 ``received`` / ``sent``
     flit counts: flits that entered / left the VC's buffer (for a
     shadow slot, ``sent`` is the flits the source has streamed).
-``elig`` / ``elig_head`` / ``elig_count`` / ``head_time``
+``elig`` / ``head_time``
     per-VC eligibility ring of ``buffer_depth`` slots (``ring_base``
-    points at each VC's ring): the buffered flits' eligibility times in
-    arrival order, stored flat.  Only the transfer loop pushes and pops
-    it, and its buffer-space check bounds occupancy by the depth, so the
-    ring never overflows.  ``head_time`` caches the ring head (``BIG``
-    when empty) so both the pull check and the allocation eligibility
-    check are single loads.  For shadow slots ``head_time`` is ``-1``
-    while the source still has flits and ``BIG`` once exhausted.
+    points at each VC's ring): the buffered flits' eligibility times,
+    stored flat and indexed by the flit counters — flit ``n`` of the
+    worm sits at slot ``n % depth``, so the ring holds flits ``sent``
+    .. ``received - 1`` and its head is slot ``sent % depth``.  Only the
+    transfer loop pushes and pops it, and its buffer-space check bounds
+    ``received - sent`` by the depth, so the ring never overflows.  (A
+    consumption VC delivers each flit as it arrives: ``received ==
+    sent``, its ring stays empty.)  ``head_time`` caches the ring head
+    (``BIG`` when empty) so both the pull check and the allocation
+    eligibility check are single loads.  For shadow slots ``head_time``
+    is ``-1`` while the source still has flits and ``BIG`` once
+    exhausted.
 ``upstream``
     vid of the flit supplier (0 = none; a shadow vid for sources).
 ``msg_len``
@@ -107,8 +112,6 @@ class SoAState:
         "received",
         "sent",
         "elig",
-        "elig_head",
-        "elig_count",
         "head_time",
         "upstream",
         "msg_len",
@@ -138,8 +141,6 @@ class SoAState:
         self.received = [0]  # slot 0 = sentinel
         self.sent = [0]
         self.elig = []
-        self.elig_head = [0]
-        self.elig_count = [0]
         self.head_time = [BIG]
         self.upstream = [0]
         self.msg_len = [0]
@@ -183,8 +184,6 @@ class SoAState:
         slots = 2 * num_classes  # real VCs then shadow source slots
         self.received.extend([0] * slots)
         self.sent.extend([0] * slots)
-        self.elig_head.extend([0] * slots)
-        self.elig_count.extend([0] * slots)
         self.head_time.extend([BIG] * slots)
         self.upstream.extend([0] * slots)
         self.msg_len.extend([0] * slots)
@@ -235,8 +234,6 @@ class SoAState:
         self.upstream[vid] = 0
         self.received[vid] = 0
         self.sent[vid] = 0
-        self.elig_count[vid] = 0
-        self.elig_head[vid] = 0
         self.head_time[vid] = BIG
         self.res[vid] = None
 
@@ -271,8 +268,6 @@ class SoAState:
         nv = len(self.received)
         self.received = [0] * nv
         self.sent = [0] * nv
-        self.elig_head = [0] * nv
-        self.elig_count = [0] * nv
         self.upstream = [0] * nv
         self.msg_len = [0] * nv
         self.head_time = [BIG] * nv

@@ -6,7 +6,8 @@ order: :class:`GenerationStage`, :class:`InjectionStage`,
 each phase's state and wakeup discipline in one object; the shared
 dynamic state (source queues, outstanding counts, the waiting-module
 set, in-flight accounting) stays on the simulator, which every stage
-holds a reference to.
+reaches through a weak proxy (``Simulator.__init__``), so a simulator
+and its stages form no reference cycle.
 
 The stages serve the work-list core and the oracle
 (``Simulator(core=...)``):
@@ -433,6 +434,17 @@ class TransferStage:
     entering a module input buffer become eligible after the router
     timing delay; flits entering a consumption channel are delivered.
 
+    Each visit has two parts.  *Select* picks the VC that moves a flit,
+    or decides to skip, poll or park the channel.  A channel with one
+    busy VC — most visits, at every load — takes the one-worm path: the
+    same tests on ``busy_slots[ci * K]`` and ``rr[ci] = 0``, which is
+    what the round robin over one candidate writes; two or more busy
+    VCs run the round-robin scan.  *Move* is one block for both: pop
+    the upstream flit, push it onto the VC's eligibility ring (or
+    deliver it), and handle header arrival, tail and releases.  A VC's
+    ring is indexed by its flit counters (``soa.py``): it holds flits
+    ``sent`` .. ``received - 1``, flit ``n`` at slot ``n % depth``.
+
     The loop walks channel *indices*; it fetches a channel object
     (``net.channel_at``) only for the tracer and a module
     (``net.feeds``) only when a header arrives.  The oracle
@@ -529,8 +541,6 @@ class TransferStage:
         upstream = store.upstream
         msg_len = store.msg_len
         elig = store.elig
-        elig_head = store.elig_head
-        elig_count = store.elig_count
         ring_base = store.ring_base
         chan_of = store.chan_of
         is_real = store.is_real
@@ -559,114 +569,125 @@ class TransferStage:
         # channels woken behind the one being served: next cycle's list
         late: List[int] = []
         for ci in channels:
+            # -- select: the VC that moves a flit, or park / poll / skip
             count = busy_count[ci]
-            if not count:
+            if count == 1:
+                # one worm: the round robin has a single candidate
+                vid = busy_slots[ci * K]
+                got = received[vid]
+                length = msg_len[vid]
+                if got >= length or got - sent[vid] >= depth[ci]:
+                    if compact:
+                        listed[ci] = False  # draining or full: park
+                    continue
+                if compact:
+                    channels[write] = ci
+                    write += 1
+                src = upstream[vid]
+                if head_time[src] > now:
+                    continue  # no event marks the flit turning eligible
+                rr[ci] = 0
+            elif count:
+                if compact:
+                    channels[write] = ci
+                    write += 1
+                room = depth[ci]
+                polled = False
+                base = ci * K
+                start = rr[ci] % count
+                for offset in range(count):
+                    slot = start + offset
+                    if slot >= count:
+                        slot -= count
+                    vid = busy_slots[base + slot]
+                    got = received[vid]
+                    length = msg_len[vid]
+                    if got >= length:
+                        # Whole worm already received; the VC is only draining
+                        # downstream.  Its upstream link is stale (that VC may
+                        # have been released and re-allocated), so it must not
+                        # pull again.
+                        continue
+                    if got - sent[vid] >= room:
+                        continue  # full until the channel downstream pops
+                    # one pull check for both suppliers: a VC's head_time is
+                    # its ring head, a source's shadow slot is -1 while it
+                    # still has flits (soa.py)
+                    src = upstream[vid]
+                    if head_time[src] > now:
+                        polled = True  # no event marks the flit turning eligible
+                        continue
+                    rr[ci] = (start + offset + 1) % count
+                    break
+                else:
+                    if compact and not polled:
+                        # every busy VC is draining or full: park
+                        listed[ci] = False
+                        write -= 1
+                    continue
+            else:
                 if compact:
                     listed[ci] = False
                 continue
-            if compact:
-                channels[write] = ci
-                write += 1
+            # -- move one flit from ``src`` into ``vid``: pop it upstream
+            pulled = sent[src] + 1
+            sent[src] = pulled
+            real = is_real[src]
+            if real:
+                cs = chan_of[src]
+                cap = depth[cs]
+                held = received[src] - pulled
+                # the ring holds flits ``sent`` .. ``received - 1``, flit
+                # ``n`` at slot ``n % depth``
+                head_time[src] = elig[ring_base[src] + pulled % cap] if held else BIG
+                if not listed[cs] and compact and held >= cap - 1:
+                    # the pop took a full VC below ``depth``: wake its
+                    # parked channel where the full scan would reach it
+                    listed[cs] = True
+                    if cs > ci:
+                        insort(channels, cs, lo=write)
+                    else:
+                        late.append(cs)
+            elif pulled >= msg_len[src]:
+                head_time[src] = BIG  # the source is exhausted
+            # ... and push it here, as flit ``got``
+            received[vid] = got + 1
             kind = kind_code[ci]
-            consume = kind == KIND_CONSUMPTION
-            # a consumption channel delivers at once: its buffer never fills
-            room = BIG if consume else depth[ci]
-            polled = False
-            base = ci * K
-            start = rr[ci] % count
-            for offset in range(count):
-                slot = start + offset
-                if slot >= count:
-                    slot -= count
-                vid = busy_slots[base + slot]
-                got = received[vid]
-                length = msg_len[vid]
-                if got >= length:
-                    # Whole worm already received; the VC is only draining
-                    # downstream.  Its upstream link is stale (that VC may
-                    # have been released and re-allocated), so it must not
-                    # pull again.
-                    continue
-                if got - sent[vid] >= room:
-                    continue  # full until the channel downstream pops
-                # one pull check for both suppliers: a VC's head_time is
-                # its ring head, a source's shadow slot is -1 while it
-                # still has flits (soa.py)
-                src = upstream[vid]
-                if head_time[src] > now:
-                    polled = True  # no event marks the flit turning eligible
-                    continue
-                # pop the upstream flit
-                pulled = sent[src] + 1
-                sent[src] = pulled
-                real = is_real[src]
-                if real:
-                    cs = chan_of[src]
-                    cap = depth[cs]
-                    left = elig_count[src] - 1
-                    head = elig_head[src] + 1
-                    if head == cap:
-                        head = 0
-                    elig_head[src] = head
-                    elig_count[src] = left
-                    head_time[src] = elig[ring_base[src] + head] if left else BIG
-                    if not listed[cs] and compact and received[src] - pulled >= cap - 1:
-                        # the pop took a full VC below ``depth``: wake its
-                        # parked channel where the full scan would reach it
-                        listed[cs] = True
-                        if cs > ci:
-                            insort(channels, cs, lo=write)
-                        else:
-                            late.append(cs)
-                elif pulled >= msg_len[src]:
-                    head_time[src] = BIG  # the source is exhausted
-                got += 1
-                received[vid] = got
-                if consume:
-                    sent[vid] += 1
-                    if got == length:
-                        message = msg[vid]
-                        message.consumed_cycle = now
-                        on_consumed(message)
-                        release(ci, vid)
-                        wake(ci)
-                else:
-                    # push onto this VC's eligibility ring
-                    when = now + (header_delay if got == 1 else data_delay)
-                    held = elig_count[vid]
-                    elig[ring_base[vid] + (elig_head[vid] + held) % room] = when
-                    elig_count[vid] = held + 1
-                    if not held:
-                        head_time[vid] = when
-                    if got == 1:
-                        module = feeds[ci]
-                        if module is not None:
-                            module.waiting.append(vid)
-                            waiting_set[module] = None
-                            parked.pop(module, None)
-                    if got == length:
-                        # the tail finished crossing this channel (hop done)
-                        message = msg[vid]
-                        if not message.exited_source and kind == KIND_INTERNODE:
-                            message.exited_source = True
-                            outstanding[message.src] -= 1
-                            active_sources.add(message.src)
-                        if tracer is not None:
-                            tracer.on_transfer(
-                                now, message, channel_at[ci], vid - store.vbase[ci]
-                            )
-                if real and pulled == length:
-                    release(cs, src)
-                    wake(cs)
-                transfers[ci] += 1
-                rr[ci] = (start + offset + 1) % count
-                progress = True
-                break  # one flit per physical channel per cycle
+            if kind == KIND_CONSUMPTION:
+                sent[vid] = got + 1  # delivered at once: the buffer stays empty
+                if got + 1 == length:
+                    message = msg[vid]
+                    message.consumed_cycle = now
+                    on_consumed(message)
+                    release(ci, vid)
+                    wake(ci)
             else:
-                if compact and not polled:
-                    # every busy VC is draining or full: park
-                    listed[ci] = False
-                    write -= 1
+                when = now + (data_delay if got else header_delay)
+                elig[ring_base[vid] + got % depth[ci]] = when
+                if got == sent[vid]:
+                    head_time[vid] = when  # it is the ring's only flit
+                if not got:
+                    module = feeds[ci]
+                    if module is not None:
+                        module.waiting.append(vid)
+                        waiting_set[module] = None
+                        parked.pop(module, None)
+                if got + 1 == length:
+                    # the tail finished crossing this channel (hop done)
+                    message = msg[vid]
+                    if not message.exited_source and kind == KIND_INTERNODE:
+                        message.exited_source = True
+                        outstanding[message.src] -= 1
+                        active_sources.add(message.src)
+                    if tracer is not None:
+                        tracer.on_transfer(
+                            now, message, channel_at[ci], vid - store.vbase[ci]
+                        )
+            if real and pulled == length:
+                release(cs, src)
+                wake(cs)
+            transfers[ci] += 1
+            progress = True
         if compact:
             del channels[write:]
             for cs in late:

@@ -93,14 +93,13 @@ def chain(store, depth=4, num_classes=4):
 
 
 def freeze_every_worm(sim):
-    """Sabotage: empty every virtual channel's eligibility ring (the
-    store fields the transfer and allocation loops read), so no flit can
-    ever move again."""
+    """Sabotage: hide every virtual channel's ring head (``head_time``,
+    the store field the transfer and allocation loops read), so no flit
+    that is already buffered can ever move again."""
     store = sim.net.store
     for channel in sim.net.channels:
         vb = store.vbase[channel.index]
         for vid in range(vb, vb + store.num_classes):
             store.head_time[vid] = BIG
-            store.elig_count[vid] = 0
             if store.msg[vid] is not None:
                 store.received[vid] = max(store.received[vid], 1)

@@ -17,8 +17,11 @@ import random
 import pytest
 
 from repro.canonical import canonical_digest, to_data
+from repro.router.channels import ChannelKind, PhysicalChannel
 from repro.sim import SimulationConfig, Simulator
-from repro.sim.soa import KIND_CONSUMPTION
+from repro.sim.soa import BIG, KIND_CONSUMPTION, SoAState
+
+from .channel_helpers import fed_vc, linked_vc, transfer_stage, worm
 
 # every spelling of the work-list core, compared against "legacy" as the
 # baseline
@@ -576,6 +579,58 @@ class TestTransferParking:
         consumed = [worm.consumed_cycle for worm in worms]
         assert consumed == [worm.consumed_cycle for worm in oracle_worms]
         assert sim.now == oracle_sim.now
+
+
+def assert_rings_follow_the_counters(store):
+    """Every busy VC buffers ``received - sent`` flits, at most
+    ``depth``, and caches its ring head, slot ``sent % depth``."""
+    for ci in range(len(store.busy_count)):
+        depth = store.depth[ci]
+        for vid in store.busy_vids(ci):
+            got, gone = store.received[vid], store.sent[vid]
+            assert 0 <= got - gone <= depth, (ci, vid, got, gone)
+            head = store.elig[store.ring_base[vid] + gone % depth] if got - gone else BIG
+            assert store.head_time[vid] == head, (ci, vid, got, gone)
+
+
+class TestTransferRing:
+    """The eligibility ring is indexed by the flit counters, and a
+    channel with one busy VC skips the round robin."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+    def test_every_ring_follows_its_flit_counters(self, name):
+        kwargs = dict(GOLDEN_CONFIGS[name], warmup_cycles=100, measure_cycles=300)
+        sim = Simulator(SimulationConfig(**kwargs))
+        buffered = []
+
+        def check(now):
+            store = sim.net.store
+            assert_rings_follow_the_counters(store)
+            buffered.append(sum(got > gone for got, gone in zip(store.received, store.sent)))
+
+        sim.cycle_hooks.append(check)
+        sim.run()
+        assert_rings_follow_the_counters(sim.net.store)
+        assert max(buffered) > 0
+
+    def test_a_lone_worm_moves_and_resets_the_round_robin(self):
+        st = SoAState()
+        feed = PhysicalChannel(ChannelKind.INJECTION, 4, buffer_depth=4, store=st)
+        sink = PhysicalChannel(ChannelKind.CONSUMPTION, 4, buffer_depth=4, store=st)
+        short, long = fed_vc(feed, 0, worm(1)), fed_vc(feed, 1, worm(3))
+        first, second = linked_vc(sink, 0, short), linked_vc(sink, 1, long)
+        stage = transfer_stage(feed, sink)
+        for now in range(4):
+            stage.run(now)
+        # cycle 3: the short worm's header (eligible at 0 + 3) is
+        # delivered whole, and the sink's round robin points past it
+        assert st.msg[first] is None and st.busy_vids(sink.index) == [second]
+        assert st.rr[sink.index] == 1 and st.received[second] == 0
+        stage.run(4)
+        # the survivor, alone on the channel, moves at once (its header
+        # was eligible at 1 + 3) and the round robin restarts at slot 0
+        assert st.received[second] == 1
+        assert st.rr[sink.index] == 0
 
 
 class TestBatchNormalization:

@@ -21,7 +21,7 @@ class TestVirtualChannel:
         st = channel._st
         vid = st.vbase[channel.index]
         assert st.msg[vid] is None and st.received[vid] == st.sent[vid] == 0
-        assert st.elig_count[vid] == 0
+        assert st.received[vid] - st.sent[vid] == 0
         # the pull check the transfer loop makes: nothing is ever ready
         assert st.head_time[vid] > 100
 
@@ -48,7 +48,7 @@ class TestVirtualChannel:
         fill = transfer_stage(feed)
         fill.run(7)  # header: eligible at 7 + 3
         fill.run(10)  # data flit: eligible at 10 + 2
-        assert st.elig_count[up] == 2
+        assert st.received[up] - st.sent[up] == 2
         assert st.head_time[up] == 10
         down = linked_vc(drain, 1, up)
         pull = transfer_stage(drain)
@@ -70,11 +70,11 @@ class TestVirtualChannel:
         vid = fed_vc(channel, 2, worm(5))
         shadow = st.upstream[vid]
         st.received[vid], st.sent[vid], st.sent[shadow] = 5, 3, 5
-        st.elig_count[vid], st.head_time[vid] = 2, 1
+        st.head_time[vid] = 1
         st.res[vid] = object()
         st.reset_vc(vid)
         assert st.msg[vid] is None and st.received[vid] == st.sent[vid] == 0
-        assert st.elig_count[vid] == 0 and st.head_time[vid] == BIG
+        assert st.received[vid] - st.sent[vid] == 0 and st.head_time[vid] == BIG
         assert st.res[vid] is None and st.upstream[vid] == 0
         # the shadow slot stops supplying flits
         assert st.head_time[shadow] == BIG and st.sent[shadow] == 0

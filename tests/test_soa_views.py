@@ -22,8 +22,6 @@ NUMERIC_FIELDS = (
     "received",
     "sent",
     "elig",
-    "elig_head",
-    "elig_count",
     "head_time",
     "upstream",
     "msg_len",
@@ -59,8 +57,8 @@ def busy_store():
     vid = allocate(a, 1, worm(3))
     st.received[vid] = 2
     st.sent[vid] = 1
-    st.elig[st.ring_base[vid]] = 7
-    st.elig_count[vid] = 1
+    # one buffered flit, flit 1: the ring head is slot ``sent % depth``
+    st.elig[st.ring_base[vid] + st.sent[vid] % st.depth[a.index]] = 7
     st.head_time[vid] = 7
     st.rr[a.index] = 5
     return st
@@ -129,15 +127,15 @@ class TestObjectLayerInvariants:
         fill.run(4)  # header: eligible at 4 + 3
         fill.run(7)  # data flit: eligible at 7 + 2
         assert st.head_time[vid] == 7
-        ring = st.ring_base[vid] + st.elig_head[vid]
+        ring = st.ring_base[vid] + st.sent[vid] % st.depth[feed.index]
         assert st.elig[ring : ring + 2] == [7, 9]
         pull = transfer_stage(drain)
         linked_vc(drain, 0, vid)
         pull.run(7)
-        assert st.elig_count[vid] == 1
+        assert st.received[vid] - st.sent[vid] == 1
         assert st.head_time[vid] == 9
         pull.run(9)
-        assert st.elig_count[vid] == 0
+        assert st.received[vid] - st.sent[vid] == 0
         assert st.head_time[vid] == BIG
 
     def test_source_shadow_slot_binding(self):
@@ -237,13 +235,13 @@ class TestStoreAliasing:
         vid = allocate(ch, 0, worm(2))
         st.received[vid] = 2
         st.sent[vid] = 1
-        st.elig_count[vid], st.head_time[vid] = 1, 5
+        st.head_time[vid] = 5
         st.res[vid] = object()
         st.reset_vc(vid)
         assert st.msg[vid] is None
         assert st.received[vid] == 0
         assert st.sent[vid] == 0
         assert st.head_time[vid] == BIG
-        assert st.elig_count[vid] == 0
+        assert st.received[vid] - st.sent[vid] == 0
         assert st.res[vid] is None
         assert st.free_mask[ch.index] == 0b11

@@ -272,6 +272,31 @@ def test_a_dropped_network_is_freed_without_the_cycle_collector(kwargs):
         gc.enable()
 
 
+def test_a_dropped_simulator_is_freed_without_the_cycle_collector():
+    """A simulator and its stages hold no reference cycle: the stages
+    reach the simulator through a weak proxy.  So a sweep that runs one
+    simulator per point on a kept network frees each one as soon as it
+    is dropped, messages, queues and all."""
+    import gc
+
+    from repro.sim import SimulationConfig, Simulator
+    from repro.sim.network import SimNetwork
+
+    config = SimulationConfig(
+        radix=16, fault_percent=5, rate=0.01, warmup_cycles=10, measure_cycles=40
+    )
+    net = SimNetwork(config)
+    gc.collect()
+    gc.disable()
+    try:
+        sim = Simulator(config, net)
+        assert sim.run().delivered
+        del sim
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_one_header_arbitration_loop_in_sim():
     """Header arbitration — resolve, memoize, grant, park — is one loop,
     ``AllocationStage.run``, on both cores: nothing else in ``repro.sim`` commits a hop or consults the

@@ -16,7 +16,9 @@ transfer loop applies to each busy virtual channel:
 
 A channel counts as parked ahead of the other classes, so ``draining``,
 ``full`` and ``drain+full`` are the no-move visits the work-list still
-makes.  The tests read the state a cycle hook sees, before that cycle's
+makes.  A second table sorts the same visits, parked ones left out, by
+how many busy VCs the channel holds (1 / 2 / 3+): a visit that finds one
+takes the loop's one-worm path, without the round robin.  The tests read the state a cycle hook sees, before that cycle's
 injection and allocation; transfers earlier in the same cycle can
 change what a channel finds, so a handful of visits land in ``other``.
 Standard library only; the simulator is driven through
@@ -35,7 +37,7 @@ import argparse
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Tuple
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -43,13 +45,17 @@ from repro.sim import SimulationConfig, Simulator  # noqa: E402
 from repro.sim.soa import KIND_CONSUMPTION  # noqa: E402
 
 CLASSES = ("moved", "draining", "full", "drain+full", "upstream", "parked", "other")
+#: busy VCs a visit finds, the last bucket open-ended
+BUSY_VCS = ("1", "2", "3+")
 
 
-def census(sim: Simulator) -> Counter:
-    """Run ``sim`` to the end and count its busy-channel visits by class."""
+def census(sim: Simulator) -> Tuple[Counter, Counter]:
+    """Run ``sim`` to the end; count its busy-channel visits by class,
+    and the unparked ones by how many busy VCs they find."""
     store = sim.net.store
     stage = sim.transfer
     counts: Counter = Counter()
+    found: Counter = Counter()
     pending = {}  # channel index -> class found at the start of the last cycle
     before = list(store.transfers)
 
@@ -76,6 +82,7 @@ def census(sim: Simulator) -> Counter:
             if listed is not None and not listed[ci]:
                 pending[ci] = "parked"
                 continue
+            found[BUSY_VCS[min(len(vids), len(BUSY_VCS)) - 1]] += 1
             room = None if store.kind_code[ci] == KIND_CONSUMPTION else store.depth[ci]
             draining = full = upstream = ready = 0
             for vid in vids:
@@ -100,7 +107,16 @@ def census(sim: Simulator) -> Counter:
     sim.cycle_hooks.append(visit)
     sim.run()
     settle()
-    return counts
+    return counts, found
+
+
+def table(title: str, names: Iterable[str], counts: Counter, total_label: str) -> None:
+    total = sum(counts.values())
+    print(f"{title:<12}{'visits':>10}{'share':>9}")
+    for name in names:
+        share = counts[name] / total if total else 0.0
+        print(f"{name:<12}{counts[name]:>10}{share:>9.1%}")
+    print(f"{total_label:<12}{total:>10}")
 
 
 def main(argv: Iterable[str]) -> int:
@@ -126,17 +142,14 @@ def main(argv: Iterable[str]) -> int:
         seed=args.seed,
         fault_seed=args.seed,
     )
-    counts = census(Simulator(config, core=args.core))
-    total = sum(counts.values())
+    counts, found = census(Simulator(config, core=args.core))
     print(
         f"{args.topology} {args.radix}^{args.dims}, {args.faults}% faults, rate {args.rate}, "
         f"seed {args.seed}, {args.warmup}+{args.measure} cycles, core {args.core}"
     )
-    print(f"{'class':<12}{'visits':>10}{'share':>9}")
-    for name in CLASSES:
-        share = counts[name] / total if total else 0.0
-        print(f"{name:<12}{counts[name]:>10}{share:>9.1%}")
-    print(f"{'busy visits':<12}{total:>10}")
+    table("class", CLASSES, counts, "busy visits")
+    print()
+    table("busy VCs", BUSY_VCS, found, "unparked")
     return 0
 
 
