@@ -76,6 +76,7 @@ no per-call wrapper is checked structurally, not timed:
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -329,6 +330,10 @@ def _tracing_cost() -> dict:
                 Tracer(sim, TraceConfig(window=100))
             for _ in range(WARMUP_CYCLES):
                 sim.step()
+            # a full collection (~30 ms on a 2-vCPU box, ~10% of a
+            # window) is due every few windows; run it before this one,
+            # not inside it
+            gc.collect()
             start = time.perf_counter()
             for _ in range(MEASURE_CYCLES):
                 sim.step()

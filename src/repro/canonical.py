@@ -54,9 +54,14 @@ class DecodeError(ValueError):
         self.path = path  #: the steps from the root: ``.cells[0].radix``
 
 
+#: the digest's one encoder: ``json.dumps`` with these arguments builds a
+#: new encoder on every call; reusing one writes the same bytes
+_DIGEST_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_digest(payload: Any) -> str:
     """Hex sha256 of ``payload`` as compact, key-sorted JSON."""
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    blob = _DIGEST_ENCODER.encode(payload)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 

@@ -10,7 +10,10 @@ restart exactly where it stopped.  It is two files in one directory:
     ``{"format": 1, "version": <store version>, "label": ..., "keys":
     [<task key>, ...]}``.  Reopening with a different task list raises
     :class:`CheckpointMismatch` — a checkpoint never silently applies to
-    a different sweep.
+    a different sweep.  :func:`~repro.exec.executor.execute` takes the
+    tasks' keys from here (:meth:`SweepCheckpoint.keys_for`): without
+    hashing them again for the very tasks :meth:`SweepCheckpoint.for_tasks`
+    verified, and checked against a fresh derivation for any others.
 
 ``done.jsonl``
     Append-only completion log (the one rule of
@@ -35,7 +38,7 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from .durable import append_jsonl, atomic_write_text, read_jsonl
 from .store import CODE_VERSION
@@ -71,6 +74,9 @@ class SweepCheckpoint:
         self.manifest_path = self.directory / MANIFEST_NAME
         self.done_path = self.directory / DONE_NAME
         self._manifest: Optional[dict] = None
+        #: the task objects whose keys ``for_tasks`` verified against the
+        #: manifest; ``keys_for`` trusts the manifest for these alone
+        self._verified: Optional[Tuple[Any, ...]] = None
 
     # ------------------------------------------------------------------
     # creation / opening
@@ -115,6 +121,34 @@ class SweepCheckpoint:
     def keys(self) -> List[str]:
         return list(self.manifest().get("keys", []))
 
+    def keys_for(self, tasks: Sequence[Any], version: str = CODE_VERSION) -> List[str]:
+        """The keys of ``tasks`` under ``version``, which must be the
+        ones this checkpoint names.
+
+        Given the very task objects :meth:`for_tasks` verified (same
+        objects, same order) and the manifest's version, the manifest's
+        keys are theirs and nothing is hashed again.  Any other task list is keyed afresh, and a
+        list the manifest does not name raises :class:`CheckpointMismatch`
+        — completion marks are never served to another sweep's tasks.
+        """
+        keys = self.keys()
+        verified = self._verified
+        if (
+            verified is not None
+            and version == self.manifest().get("version")
+            and len(verified) == len(tasks)
+            and all(a is b for a, b in zip(verified, tasks))
+        ):
+            return keys
+        derived = [task_key(task, version) for task in tasks]
+        if derived != keys:
+            raise CheckpointMismatch(
+                f"checkpoint at {self.directory} names {len(keys)} task(s) "
+                f"other than the {len(tasks)} being run; open it with "
+                "SweepCheckpoint.for_tasks"
+            )
+        return derived
+
     @classmethod
     def open_or_create(
         cls,
@@ -157,9 +191,11 @@ class SweepCheckpoint:
         digest = hashlib.sha256(
             ("\n".join(keys) + "|" + version).encode("utf-8")
         ).hexdigest()
-        return cls.open_or_create(
+        checkpoint = cls.open_or_create(
             Path(root) / digest[:16], keys, version=version, label=label
         )
+        checkpoint._verified = tuple(tasks)
+        return checkpoint
 
     # ------------------------------------------------------------------
     # the completion log

@@ -79,7 +79,7 @@ from ..sim.deadlock import DeadlockError
 from ..sim.engine import Simulator
 from ..sim.metrics import SimulationResult
 from ..sim.network import SimNetwork
-from .checkpoint import SweepCheckpoint, task_key
+from .checkpoint import SweepCheckpoint
 from .store import CODE_VERSION, ResultStore
 
 # ----------------------------------------------------------------------
@@ -624,7 +624,20 @@ class WorkerPool:
 
     def _discard(self, wid: int) -> _WorkerHandle:
         handle = self._workers.pop(wid)
-        _stop_worker(handle)
+        # every worker writes to the one results pipe under one
+        # process-shared lock, and run() wakes on a worker's message, so
+        # a kill tends to land just as the victim's feeder thread has
+        # written a heartbeat and not yet released that lock; it would
+        # then be held for good and no worker could post again.  Hold it
+        # across the kill (bounded: a large message from another worker
+        # may be waiting for run() to drain the pipe).
+        lock = self._results._wlock if handle.process.is_alive() else None
+        held = lock is not None and lock.acquire(timeout=1.0)
+        try:
+            _stop_worker(handle)
+        finally:
+            if held:
+                lock.release()
         self._lost += 1
         return handle
 
@@ -649,6 +662,10 @@ class WorkerPool:
             _stop_worker(handle)
         try:
             self._results.close()
+            # a worker that died mid-send leaves the queue's write lock
+            # held, and whatever this process put after that never leaves
+            # its feeder thread: interpreter exit must not join it
+            self._results.cancel_join_thread()
         except Exception:
             pass
 
@@ -834,10 +851,13 @@ def execute(
     """Run every task and return ``(payloads, stats)`` in task order.
 
     ``store`` memoizes cacheable tasks: hits skip the pool entirely and
-    fresh results are persisted the moment they arrive.  ``jobs=1`` runs
-    in-process (keeping the per-process network reuse); ``jobs>1`` uses
-    a supervised worker pool; ``jobs in (None, 0)`` sizes the pool to
-    the CPU count.
+    fresh results are persisted the moment they arrive.  Each task's key
+    is derived once per call and serves its store lookup, its store
+    write and its checkpoint marks.
+
+    ``jobs=1`` runs in-process (keeping the per-process network reuse);
+    ``jobs>1`` uses a supervised worker pool; ``jobs in (None, 0)``
+    sizes the pool to the CPU count.
 
     ``pool`` says who owns the workers: a caller that makes many calls
     passes its own :class:`WorkerPool` and keeps the workers (warm)
@@ -853,7 +873,11 @@ def execute(
     marked durably as it completes, previously recorded failures are
     replayed as :class:`TaskFailure`\\ s without re-running the task, and
     previously completed work is served from the store (or re-executed
-    deterministically when the store cannot serve it).
+    deterministically when the store cannot serve it).  It must name
+    exactly ``tasks``, else :class:`~.checkpoint.CheckpointMismatch` is raised before
+    anything runs.  Opened by :meth:`SweepCheckpoint.for_tasks` for these
+    very task objects, its manifest's keys are used without hashing the
+    tasks again (:meth:`SweepCheckpoint.keys_for`).
 
     With ``allow_failures=True`` failed tasks yield ``None`` payloads and
     are listed in ``stats.failures``; otherwise the first failure in task
@@ -868,14 +892,22 @@ def execute(
     payloads: List[Any] = [None] * len(tasks)
     completed = 0
 
+    # one key per task per call, handed to the checkpoint marks and the
+    # store's get / put: a cacheable task's checkpoint key is its store
+    # key (task_key), so under the store's version one list serves both
     keys: Optional[List[str]] = None
+    store_keys: Optional[List[Optional[str]]] = None
     records: Dict[str, dict] = {}
     if checkpoint is not None:
         version = checkpoint.manifest().get("version") or (
             store.version if store is not None else CODE_VERSION
         )
-        keys = [task_key(task, version) for task in tasks]
+        keys = checkpoint.keys_for(tasks, version)
         records = checkpoint.completed()
+        if store is not None and version == store.version:
+            store_keys = keys
+    if store is not None and store_keys is None:
+        store_keys = [store.key(task.config) if task.cacheable else None for task in tasks]
 
     def record_event(kind: str, index: int, attempt: int, detail: str = "") -> None:
         from ..obs.events import ExecEvent
@@ -914,7 +946,7 @@ def execute(
             stats.count_task(task_kind(tasks[index]), "done")
             if store is not None and tasks[index].cacheable:
                 result = payload.result if isinstance(payload, CampaignReplay) else payload
-                store.store(tasks[index].config, result)
+                store.put(store_keys[index], tasks[index].config, result)
             if checkpoint is not None:
                 checkpoint.mark_ok(keys[index])
             finish(index, payload, cached=False, attempt=attempt)
@@ -961,7 +993,7 @@ def execute(
         # traced tasks always execute: a cache hit would return the same
         # result but skip producing the trace files the caller asked for
         if store is not None and task.cacheable and getattr(task, "trace", None) is None:
-            hit = store.load(task.config)
+            hit = store.get(store_keys[index])
         if hit is not None:
             stats.cache_hits += 1
             stats.count_task(task_kind(task), "cached")

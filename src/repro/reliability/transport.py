@@ -36,6 +36,7 @@ docs/architecture.md).
 from __future__ import annotations
 
 import heapq
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -126,7 +127,8 @@ class ReliableTransport:
     def __init__(self, sim, config: Optional[ReliabilityConfig] = None):
         if sim.reliability is not None:
             raise ValueError("simulator already has a reliability layer attached")
-        self.sim = sim
+        # a weak proxy, as the tracer holds: no cycle with the simulator
+        self.sim = weakref.proxy(sim)
         self.config = config or ReliabilityConfig()
         self.stats = ReliabilityStats()
         self._next_seq: Dict[Coord, int] = {}

@@ -18,7 +18,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields
-from typing import List, Sequence, Tuple
+from functools import lru_cache
+from typing import FrozenSet, List, Sequence, Tuple
 
 from ..canonical import to_data
 
@@ -212,7 +213,7 @@ class SimulationResult:
         round-trip).  Derived metrics included by ``to_dict`` are ignored;
         unknown keys are tolerated so stores written by newer code still
         load where possible."""
-        names = {spec.name for spec in fields(cls)}
+        names = _field_names(cls)
         return cls(**{k: v for k, v in data.items() if k in names})
 
     @classmethod
@@ -233,3 +234,10 @@ class SimulationResult:
             f"lat={self.avg_latency:7.1f} (+-{self.latency_ci:.1f}) "
             f"msgs={self.delivered}"
         )
+
+
+@lru_cache(maxsize=None)
+def _field_names(cls: type) -> FrozenSet[str]:
+    """A result class's field names, read once per class rather than on
+    every :meth:`SimulationResult.from_dict`."""
+    return frozenset(spec.name for spec in fields(cls))

@@ -2,6 +2,7 @@
 semantics, caching behavior, and parity with the deprecated wrappers."""
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -88,6 +89,33 @@ class TestRun:
         monkeypatch.setenv("REPRO_RESULT_STORE", str(tmp_path / "store"))
         Experiment.point(config()).run(cache=False)
         assert not (tmp_path / "store").exists()
+
+    def test_each_config_is_hashed_once_per_call(self, tmp_path, monkeypatch):
+        """A task's key is derived once per call and serves the
+        checkpoint, the store lookup and the store write: a cold run
+        hashes each config once more, for its network signature; a warm
+        run hashes it once."""
+        configs = [
+            config(radix=4, rate=0.01 + 0.0001 * i, warmup_cycles=5, measure_cycles=15, seed=i)
+            for i in range(100)
+        ]
+        exp = Experiment.from_configs(configs)
+        store = ResultStore(tmp_path / "store")
+        calls = []
+        content_hash = SimulationConfig.content_hash
+
+        def counted(self, version_tag=""):
+            calls.append(version_tag)
+            return content_hash(self, version_tag)
+
+        monkeypatch.setattr(SimulationConfig, "content_hash", counted)
+        cold = exp.run(jobs=1, store=store, resume=tmp_path / "ckpt")
+        assert cold.stats.executed == 100
+        assert Counter(calls) == {store.version: 100, "network": 100}
+        calls.clear()
+        warm = exp.run(jobs=1, store=store, resume=tmp_path / "ckpt")
+        assert warm.stats.cache_hits == 100 and list(warm) == list(cold)
+        assert calls == [store.version] * 100
 
 
 class TestResultSet:

@@ -7,6 +7,9 @@ They pin the encoding: a result store, a ``--resume`` directory, a
 service root and a tally log written by that commit must still be
 addressed by this one."""
 
+import hashlib
+import json
+
 from repro.canonical import canonical_digest
 from repro.exec.executor import CampaignTask
 from repro.mc import MCCell, MCPlan, MCSettings
@@ -33,6 +36,14 @@ def test_encoding_is_compact_sorted_json():
         canonical_digest({"a": 1})
         == "015abd7f5cc57a2dd94b7590f04ad8084273905ee33ec5cebeae62276a97f862"
     )
+    # byte for byte the json.dumps spelling the digest was first written in
+    for payload in (
+        {"z": {"y": [1, {"b": 2, "a": [0.1, 1e-07, 1.5e16, -0.0]}]}, "a": None},
+        {"\u00fcn\u00ef": "\u00e7 \u2713 \U0001f600", "x": [True, False, 3]},
+        [0.1 + 0.2, 2.5e-300, 123456789.123456789, {"": ""}],
+    ):
+        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        assert canonical_digest(payload) == hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def test_store_key_of_the_default_config():

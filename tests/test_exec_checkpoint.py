@@ -166,6 +166,38 @@ class TestCheckpointedExecution:
         assert second_stats.executed == 0
         assert second_stats.cache_hits == len(tasks)
 
+    @pytest.mark.parametrize("other", ["fewer", "configs", "order"])
+    def test_checkpoint_of_other_tasks_serves_nothing(self, tmp_path, other):
+        """A finished checkpoint of other tasks — fewer of them, other
+        configs, or these configs in another order — must not lend its
+        keys to this sweep: the run is refused before anything is served,
+        marked or stored, through execute and through Experiment.run
+        alike."""
+        from repro import Experiment
+
+        tasks = sweep_tasks()
+        done_tasks = {
+            "fewer": tasks[:2],
+            "configs": sweep_tasks(rates=(0.005, 0.009, 0.013)),
+            "order": tasks[::-1],
+        }[other]
+        store = ResultStore(tmp_path / "store")
+        finished = SweepCheckpoint.for_tasks(
+            tmp_path / "ckpt", done_tasks, version=store.version
+        )
+        execute(done_tasks, store=store, checkpoint=finished)
+        marks = finished.done_path.read_bytes()
+        entries = sorted(p.name for p in store.root.rglob("*.json"))
+
+        reopened = SweepCheckpoint(finished.directory)
+        with pytest.raises(CheckpointMismatch, match="other than the 3 being run"):
+            execute(tasks, store=store, checkpoint=reopened)
+        experiment = Experiment.from_configs([task.config for task in tasks])
+        with pytest.raises(CheckpointMismatch, match="other than the 3 being run"):
+            experiment.run(jobs=1, store=store, resume=reopened)
+        assert finished.done_path.read_bytes() == marks
+        assert sorted(p.name for p in store.root.rglob("*.json")) == entries
+
     def test_partial_checkpoint_runs_only_the_rest(self, tmp_path):
         """Simulate an interruption: mark the first task done by hand,
         then run — only the unfinished tasks execute."""

@@ -197,7 +197,7 @@ class TestAtomicWrite:
 def test_durability_primitives_live_in_one_module():
     """``fsync`` / ``os.replace`` / ``mkstemp`` outside the durable
     module is a fifth hand-rolled writer.  ``exec/store.py`` is the one
-    exception: ``store()`` journals the temp file's *name* between
+    exception: ``put()`` journals the temp file's *name* between
     creating and writing it, which ``atomic_write_text(path, text)``
     cannot express without a callback."""
     src = Path(repro.__file__).parent

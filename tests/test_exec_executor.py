@@ -8,6 +8,9 @@ can pickle them.
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
+import textwrap
 import time
 from dataclasses import dataclass
 
@@ -445,6 +448,84 @@ class TestWorkerPool:
             )
             assert [tag for tag, _pid in payloads] == ["fresh-0", "fresh-1"]
             assert stats.executed == 2 and stats.infra_events == []
+
+    def test_a_timeout_kill_cannot_silence_the_pool(self):
+        """run() wakes on a worker's message, so a timeout kill tends to
+        land just after the victim wrote a heartbeat, before its feeder
+        thread released the results queue's shared write lock.  Killed
+        there, the victim would leave the lock held, and no worker of
+        the pool could post again.  With 1 ms heartbeats that race is
+        hit within a few kills unless the pool holds the lock across
+        each one."""
+        kill = ExecPolicy(task_timeout=0.2, max_attempts=1, in_process_fallback=False)
+        check = ExecPolicy(task_timeout=5.0, max_attempts=1, in_process_fallback=False)
+        with WorkerPool(heartbeat_interval=0.001) as pool:
+            for _ in range(10):
+                _, stats = execute(
+                    [_SleepTask(config(), 30.0)],
+                    jobs=2,
+                    policy=kill,
+                    allow_failures=True,
+                    pool=pool,
+                )
+                assert stats.infra_timeouts == 1
+                payloads, stats = execute(
+                    [_PidTask("a"), _PidTask("b")],
+                    jobs=2,
+                    policy=check,
+                    allow_failures=True,
+                    pool=pool,
+                )
+                assert stats.failed == 0, stats.describe()
+                assert [tag for tag, _pid in payloads] == ["a", "b"]
+
+    def test_closed_pool_cannot_block_interpreter_exit(self, tmp_path):
+        """A worker that dies mid-send leaves the results queue's write
+        lock held; a message the parent then puts on that queue stays in
+        its feeder thread for good.  Closing the pool must keep
+        interpreter exit from joining that thread."""
+        script = tmp_path / "exit_after_timeout.py"
+        script.write_text(
+            textwrap.dedent(
+                """
+                import time
+
+                from repro.exec import ExecPolicy, WorkerPool, execute
+
+
+                class Sleep:
+                    cacheable = False
+
+                    def execute(self):
+                        time.sleep(30.0)
+
+
+                if __name__ == "__main__":
+                    strict = ExecPolicy(
+                        task_timeout=0.5, max_attempts=1, in_process_fallback=False
+                    )
+                    pool = WorkerPool()
+                    _, stats = execute(
+                        [Sleep(), Sleep()], jobs=2, policy=strict,
+                        allow_failures=True, pool=pool,
+                    )
+                    assert stats.infra_timeouts == 2, stats.describe()
+                    # the lock as a worker that died inside send() leaves it
+                    pool._results._wlock.acquire()
+                    pool._results.put(("done", 0, pool._epoch, 0, 1, ("ok", "stale")))
+                    pool.close()
+                    print("closed", flush=True)
+                """
+            )
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        started = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, str(script)], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "closed\n"
+        assert time.monotonic() - started < 30
 
     def test_call_aborted_mid_task_cannot_answer_the_next_call(self):
         """A call that leaves by an exception while a worker is still

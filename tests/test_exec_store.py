@@ -3,6 +3,7 @@ result store (repro.exec.store) — including the crash-safety layer: the
 write-ahead journal and stale-temp garbage collection on open."""
 
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -118,6 +119,37 @@ class TestResultStore:
         store.store(cfg, result)
         assert cfg in store
         assert store.load(cfg) == result
+
+    def test_entry_bytes_are_what_json_dump_wrote(self, store, result):
+        """An entry is encoded in one ``json.dumps`` call; its bytes are
+        the ones the streaming ``json.dump`` wrote before, so a store
+        written by either reads the same."""
+        small = dict(radix=4, warmup_cycles=10, measure_cycles=60)
+        cases = [(config(), result)] + [
+            (cfg, Simulator(cfg).run())
+            for cfg in (
+                config(topology="mesh", rate=0.0137, fault_percent=5, **small),
+                config(timing=UNPIPELINED, collect_latencies=True, seed=123, **small),
+            )
+        ]
+        for cfg, res in cases:
+            path = store.store(cfg, res)
+            entry = {
+                "key": store.key(cfg),
+                "version": store.version,
+                "config": to_data(cfg),
+                "result": res.to_dict(),
+            }
+            streamed = io.StringIO()
+            json.dump(entry, streamed, sort_keys=True)
+            assert path.read_text(encoding="utf-8") == streamed.getvalue()
+
+    def test_key_addressed_get_and_put(self, store, result):
+        cfg = config()
+        key = store.key(cfg)
+        assert store.get(key) is None
+        assert store.put(key, cfg, result) == store.path_for(cfg)
+        assert store.get(key) == store.load(cfg) == result
 
     def test_distinct_configs_distinct_entries(self, store, result):
         store.store(config(), result)
@@ -292,10 +324,15 @@ class TestCrashSafety:
         path = store.store(config(), result)
         before = path.read_text(encoding="utf-8")
 
-        def dies(*args, **kwargs):
-            raise RuntimeError("writer dies here")
+        real_dumps = json.dumps
 
-        monkeypatch.setattr(json, "dump", dies)
+        def dies_on_the_entry(obj, *args, **kwargs):
+            # the journal's begin record goes through; the entry does not
+            if isinstance(obj, dict) and "result" in obj:
+                raise RuntimeError("writer dies here")
+            return real_dumps(obj, *args, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", dies_on_the_entry)
         with pytest.raises(RuntimeError, match="writer dies"):
             store.store(config(), result)
         monkeypatch.undo()

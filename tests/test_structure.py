@@ -123,11 +123,13 @@ def test_one_canonical_json_hash_in_src():
     for path in sorted(SRC.rglob("*.py")):
         rel = path.relative_to(SRC).as_posix()
         for holder, _callee, dotted, node in call_sites(path):
-            if dotted == "json.dumps" and any(kw.arg == "separators" for kw in node.keywords):
+            compact = any(kw.arg == "separators" for kw in node.keywords)
+            if dotted in ("json.dumps", "json.JSONEncoder") and compact:
                 compact_dumps.add((rel, holder))
             if dotted == "hashlib.sha256":
                 sha256.add((rel, holder))
-    assert compact_dumps == {("canonical.py", "canonical_digest")}
+    # canonical_digest's one encoder, built when canonical.py is imported
+    assert compact_dumps == {("canonical.py", "<module>")}
     # the other two hash no JSON into a key: bytes into a seed, and a
     # newline-joined key list into a directory name
     assert sha256 == {
@@ -274,11 +276,14 @@ def test_a_dropped_network_is_freed_without_the_cycle_collector(kwargs):
 
 def test_a_dropped_simulator_is_freed_without_the_cycle_collector():
     """A simulator and its stages hold no reference cycle: the stages
-    reach the simulator through a weak proxy.  So a sweep that runs one
-    simulator per point on a kept network frees each one as soon as it
-    is dropped, messages, queues and all."""
+    reach the simulator through a weak proxy, and so do an attached
+    tracer and reliable transport.  So a sweep that runs one simulator
+    per point on a kept network frees each one as soon as it is dropped,
+    messages, queues and all."""
     import gc
 
+    from repro.obs import TraceConfig, Tracer
+    from repro.reliability import ReliableTransport
     from repro.sim import SimulationConfig, Simulator
     from repro.sim.network import SimNetwork
 
@@ -286,15 +291,22 @@ def test_a_dropped_simulator_is_freed_without_the_cycle_collector():
         radix=16, fault_percent=5, rate=0.01, warmup_cycles=10, measure_cycles=40
     )
     net = SimNetwork(config)
-    gc.collect()
-    gc.disable()
-    try:
-        sim = Simulator(config, net)
-        assert sim.run().delivered
-        del sim
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
+    attachments = {
+        "nothing": lambda sim: None,
+        "a tracer": lambda sim: Tracer(sim, TraceConfig(window=10)),
+        "a transport": ReliableTransport,
+    }
+    for attached, attach in attachments.items():
+        gc.collect()
+        gc.disable()
+        try:
+            sim = Simulator(config, net)
+            attach(sim)
+            assert sim.run().delivered
+            del sim
+            assert gc.collect() == 0, f"with {attached} attached"
+        finally:
+            gc.enable()
 
 
 def test_one_header_arbitration_loop_in_sim():
