@@ -38,7 +38,6 @@ from .executor import (
     resolve_jobs,
     run_configs,
 )
-from .fsck import FsckIssue, FsckReport, fsck
 from .store import CODE_VERSION, STORE_ENV, ResultStore, default_store_root
 
 __all__ = [
@@ -50,8 +49,6 @@ __all__ = [
     "ExecPolicy",
     "ExecutionError",
     "ExecutionStats",
-    "FsckIssue",
-    "FsckReport",
     "PointTask",
     "ProgressEvent",
     "ResultStore",
@@ -61,7 +58,6 @@ __all__ = [
     "WorkerPool",
     "default_store_root",
     "execute",
-    "fsck",
     "resolve_jobs",
     "run_configs",
     "task_key",

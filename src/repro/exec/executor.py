@@ -54,7 +54,8 @@ loop keeps beating and is caught by the wall-clock timeout instead.
 pool to whoever holds it: :func:`execute` opens one per call unless its
 caller passes ``pool=`` — ``mc.run_plan`` keeps one for a plan,
 ``CampaignService`` for its life (docs/execution.md, "Pool lifetime and
-ownership").
+ownership").  Each worker talks to the parent over a pipe of its own,
+so a worker killed even halfway through a message costs only its task.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ from __future__ import annotations
 import heapq
 import multiprocessing
 import os
-import queue as queue_mod
 import signal
 import threading
 import time
@@ -70,6 +70,7 @@ import traceback
 import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -464,14 +465,17 @@ def _task_label(task, index: int) -> str:
 # ----------------------------------------------------------------------
 
 
-def _worker_main(worker_id, task_queue, result_queue, heartbeat_interval) -> None:
-    """Worker process body: execute tasks from ``task_queue`` one at a
+def _worker_main(conn, heartbeat_interval) -> None:
+    """Worker process body: execute tasks received on ``conn`` one at a
     time, posting heartbeats from a daemon thread *while a task is in
-    flight* so the parent can tell a stalled process from a slow one
-    (an idle worker posts nothing: between calls nobody reads the
-    queue).  If the parent disappears (its pid changes — the parent was
-    SIGKILLed and we were re-parented) the worker exits immediately
-    instead of blocking on the queue forever.
+    flight* so the parent can tell a stalled process from a slow one (an
+    idle worker posts nothing: between calls nobody reads its pipe).  The
+    pipe is this worker's alone, both ways, so a worker killed mid-send
+    damages nothing but its own pipe; a worker-local lock orders its two
+    senders.  If the parent disappears (its pid changes — the parent was
+    SIGKILLed and we were re-parented) the worker exits within a poll
+    tick: EOF cannot tell it, since workers forked later hold copies of
+    the parent's end.
 
     A worker is forked from whatever its owner happened to be — a
     server that routes SIGTERM/SIGINT to a graceful drain, say — so it
@@ -483,9 +487,17 @@ def _worker_main(worker_id, task_queue, result_queue, heartbeat_interval) -> Non
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     parent = os.getppid()
     busy = threading.Event()
+    send_lock = threading.Lock()
 
     def orphaned() -> bool:
         return os.getppid() != parent
+
+    def send(message) -> None:
+        try:
+            with send_lock:
+                conn.send(message)
+        except Exception:
+            os._exit(2)
 
     if heartbeat_interval and heartbeat_interval > 0:
 
@@ -495,20 +507,17 @@ def _worker_main(worker_id, task_queue, result_queue, heartbeat_interval) -> Non
                 if orphaned():
                     os._exit(2)
                 if busy.is_set():
-                    try:
-                        result_queue.put(("hb", worker_id))
-                    except Exception:
-                        os._exit(2)
+                    send(("hb",))
 
         threading.Thread(target=beat, daemon=True).start()
 
     while True:
         try:
-            item = task_queue.get(timeout=1.0)
-        except queue_mod.Empty:
-            if orphaned():
-                os._exit(2)
-            continue
+            if not conn.poll(1.0):
+                if orphaned():
+                    os._exit(2)
+                continue
+            item = conn.recv()
         except (EOFError, OSError):
             os._exit(2)
         if item is None:  # shutdown sentinel
@@ -517,18 +526,15 @@ def _worker_main(worker_id, task_queue, result_queue, heartbeat_interval) -> Non
         busy.set()
         outcome = _run_task(task)
         busy.clear()
-        try:
-            result_queue.put(("done", worker_id, epoch, index, attempt, outcome))
-        except Exception:
-            os._exit(2)
+        send(("done", epoch, index, attempt, outcome))
 
 
 class _WorkerHandle:
-    __slots__ = ("process", "queue", "busy", "last_beat")
+    __slots__ = ("process", "conn", "busy", "last_beat")
 
-    def __init__(self, process, task_queue):
+    def __init__(self, process, conn):
         self.process = process
-        self.queue = task_queue
+        self.conn = conn
         self.busy: Optional[Tuple[int, int, float]] = None  # (index, attempt, t0)
         self.last_beat = time.monotonic()
 
@@ -537,23 +543,21 @@ def _stop_worker(handle: _WorkerHandle) -> None:
     if handle.process.is_alive():
         handle.process.kill()
     handle.process.join(timeout=1.0)
-    try:
-        handle.queue.close()
-        # whatever is still buffered for a dead worker has no reader;
-        # never let interpreter exit wait on flushing it
-        handle.queue.cancel_join_thread()
-    except Exception:
-        pass
+    handle.conn.close()
 
 
 class WorkerPool:
     """Supervised worker processes, kept for as long as their owner
     holds the pool.
 
-    Unlike ``concurrent.futures``, every worker has its own task queue,
-    so the parent always knows exactly which (task, attempt) a dead,
-    hung or overdue worker was running — failures are attributable, and
-    only the victim task pays for them.
+    Unlike ``concurrent.futures``, every worker has its own duplex pipe
+    — tasks go down it, heartbeats and results come back — so the parent
+    always knows exactly which (task, attempt) a dead, hung or overdue
+    worker was running: failures are attributable, and only the victim
+    task pays for them.  Nothing is shared between workers, so a worker
+    killed at any point, even halfway through writing a message, cannot
+    stall the others: the parent holds no copy of a worker's end, and a
+    dead worker's pipe reads as end-of-file.
 
     **Ownership.**  Lifetime is whoever holds the object: :func:`execute`
     opens one for a single call when none is passed, ``mc.run_plan``
@@ -575,7 +579,6 @@ class WorkerPool:
 
     def __init__(self, *, heartbeat_interval: float = DEFAULT_POLICY.heartbeat_interval):
         self._ctx = multiprocessing.get_context()
-        self._results = self._ctx.Queue()
         self._workers: Dict[int, _WorkerHandle] = {}
         self._heartbeat_interval = heartbeat_interval
         self._next_wid = 0
@@ -609,14 +612,17 @@ class WorkerPool:
     def _spawn(self) -> None:
         wid = self._next_wid
         self._next_wid += 1
-        task_queue = self._ctx.Queue()
+        conn, worker_conn = self._ctx.Pipe()
         process = self._ctx.Process(
             target=_worker_main,
-            args=(wid, task_queue, self._results, self._heartbeat_interval),
+            args=(worker_conn, self._heartbeat_interval),
             daemon=True,
         )
         process.start()
-        self._workers[wid] = _WorkerHandle(process, task_queue)
+        # the worker's end must live in the worker alone: a worker that
+        # dies mid-send then reads as EOF here, never as a blocked recv()
+        worker_conn.close()
+        self._workers[wid] = _WorkerHandle(process, conn)
         self.spawned += 1
         if self._lost:
             self._lost -= 1
@@ -624,50 +630,29 @@ class WorkerPool:
 
     def _discard(self, wid: int) -> _WorkerHandle:
         handle = self._workers.pop(wid)
-        # every worker writes to the one results pipe under one
-        # process-shared lock, and run() wakes on a worker's message, so
-        # a kill tends to land just as the victim's feeder thread has
-        # written a heartbeat and not yet released that lock; it would
-        # then be held for good and no worker could post again.  Hold it
-        # across the kill (bounded: a large message from another worker
-        # may be waiting for run() to drain the pipe).
-        lock = self._results._wlock if handle.process.is_alive() else None
-        held = lock is not None and lock.acquire(timeout=1.0)
-        try:
-            _stop_worker(handle)
-        finally:
-            if held:
-                lock.release()
+        _stop_worker(handle)
         self._lost += 1
         return handle
 
     def close(self) -> None:
         """Stop every worker — sentinel, a bounded join, then kill — and
-        release the queues.  Idempotent."""
+        close the pipes.  Idempotent."""
         if self._closed:
             return
         self._closed = True
         handles = list(self._workers.values())
         self._workers.clear()
-        # run() leaves no worker busy, so each is waiting on its queue
+        # run() leaves no worker busy, so each is waiting on its pipe
         for handle in handles:
             try:
-                handle.queue.put(None)
-            except Exception:
+                handle.conn.send(None)
+            except OSError:
                 pass
         deadline = time.monotonic() + 1.0
         for handle in handles:
             handle.process.join(timeout=max(0.0, deadline - time.monotonic()))
         for handle in handles:
             _stop_worker(handle)
-        try:
-            self._results.close()
-            # a worker that died mid-send leaves the queue's write lock
-            # held, and whatever this process put after that never leaves
-            # its feeder thread: interpreter exit must not join it
-            self._results.cancel_join_thread()
-        except Exception:
-            pass
 
     # ------------------------------------------------------------------
     def run(
@@ -799,33 +784,33 @@ class WorkerPool:
                     if item is None:
                         break
                     index, attempt = item
-                    handle.queue.put((epoch, index, attempt, tasks[index]))
+                    try:
+                        handle.conn.send((epoch, index, attempt, tasks[index]))
+                    except OSError:
+                        pass  # the worker is dead; the supervisor settles it
                     handle.busy = (index, attempt, now)
                     handle.last_beat = now
                     self.tasks_run += 1
                 # --- drain results and heartbeats --------------------------
-                message = None
-                try:
-                    message = self._results.get(timeout=0.05)
-                except (queue_mod.Empty, EOFError, OSError):
-                    pass
-                while message is not None:
-                    handle = workers.get(message[1])
-                    if message[0] == "hb":
-                        if handle is not None:
-                            handle.last_beat = time.monotonic()
-                    elif message[2] == epoch:
-                        _, _wid, _epoch, index, attempt, outcome = message
-                        if handle is not None:
-                            handle.busy = None
-                        if index in outstanding:
-                            outstanding.discard(index)
-                            deliver(index, attempt, outcome)
-                    # else: the answer to an earlier call; its worker is gone
+                owner = {handle.conn: handle for handle in workers.values()}
+                for conn in wait(owner, timeout=0.05):
+                    handle = owner[conn]
                     try:
-                        message = self._results.get_nowait()
-                    except (queue_mod.Empty, EOFError, OSError):
-                        message = None
+                        while conn.poll():
+                            message = conn.recv()
+                            if message[0] == "hb":
+                                handle.last_beat = time.monotonic()
+                            elif message[1] == epoch:
+                                _, _epoch, index, attempt, outcome = message
+                                handle.busy = None
+                                if index in outstanding:
+                                    outstanding.discard(index)
+                                    deliver(index, attempt, outcome)
+                            # else: the answer to an earlier call
+                    except (EOFError, OSError):
+                        # the worker died, perhaps halfway through a
+                        # message; once reaped, the supervisor settles it
+                        handle.process.join(timeout=1.0)
         finally:
             # a call that leaves by an exception can leave workers mid-task
             # on work nobody will collect; between calls every worker is idle

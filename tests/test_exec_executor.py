@@ -13,6 +13,7 @@ import sys
 import textwrap
 import time
 from dataclasses import dataclass
+from multiprocessing.connection import Connection
 
 import pytest
 
@@ -159,6 +160,34 @@ class _SigtermOnceTask:
         os.kill(os.getpid(), signal.SIGTERM)
         time.sleep(30.0)
         return "survived-sigterm"
+
+
+# A task that finds its worker's own end of the pipe, writes the length
+# header of a 1 MiB message and 10 bytes of its body, and SIGKILLs its
+# worker: the shape of a worker killed halfway through sending a result.
+_HALF_FRAME_TASK = textwrap.dedent(
+    """
+    import os
+    import signal
+    import struct
+    import sys
+    import time
+
+    from repro.exec import ExecPolicy, WorkerPool, execute
+
+
+    class HalfFrame:
+        cacheable = False
+
+        def execute(self):
+            frame = sys._getframe()
+            while frame.f_code.co_name != "_worker_main":
+                frame = frame.f_back
+            conn = frame.f_locals["conn"]
+            os.write(conn.fileno(), struct.pack("!i", 1 << 20) + b"x" * 10)
+            os.kill(os.getpid(), signal.SIGKILL)
+    """
+)
 
 
 def _wait_dead(pid, timeout=5.0):
@@ -425,9 +454,19 @@ class TestWorkerPool:
             assert not stats.pool_broken
             assert pool.describe()["respawned"] == 1 and len(pool.pids()) == 2
 
-    def test_timed_out_task_leaves_nothing_deliverable_in_the_next_call(self):
+    def test_timed_out_task_leaves_nothing_deliverable_in_the_next_call(self, monkeypatch):
         strict = ExecPolicy(task_timeout=1.0, max_attempts=1, in_process_fallback=False)
         with WorkerPool() as pool:
+            # keep a copy of each worker's end of its pipe, in spawn order
+            worker_ends = []
+            make_pipe = pool._ctx.Pipe
+
+            def pipe(*args, **kwargs):
+                conn, worker_conn = make_pipe(*args, **kwargs)
+                worker_ends.append(Connection(os.dup(worker_conn.fileno())))
+                return conn, worker_conn
+
+            monkeypatch.setattr(pool._ctx, "Pipe", pipe)
             payloads, stats = execute(
                 [_SleepTask(config(), 30.0), _PidTask("ok")],
                 jobs=2,
@@ -441,22 +480,23 @@ class TestWorkerPool:
             # before it was declared overdue: a task index and attempt
             # the next call also uses, but an older epoch
             (survivor,) = pool._workers
-            pool._results.put(("done", survivor, pool._epoch, 0, 1, ("ok", "stale")))
-            time.sleep(0.05)  # let the feeder thread put it on the pipe
+            worker_ends[survivor].send(("done", pool._epoch, 0, 1, ("ok", "stale")))
             payloads, stats = execute(
                 [_PidTask("fresh-0"), _PidTask("fresh-1")], jobs=2, pool=pool
             )
             assert [tag for tag, _pid in payloads] == ["fresh-0", "fresh-1"]
             assert stats.executed == 2 and stats.infra_events == []
+            for end in worker_ends:
+                end.close()
 
     def test_a_timeout_kill_cannot_silence_the_pool(self):
         """run() wakes on a worker's message, so a timeout kill tends to
-        land just after the victim wrote a heartbeat, before its feeder
-        thread released the results queue's shared write lock.  Killed
-        there, the victim would leave the lock held, and no worker of
-        the pool could post again.  With 1 ms heartbeats that race is
-        hit within a few kills unless the pool holds the lock across
-        each one."""
+        land just as the victim is writing a heartbeat.  Were that pipe
+        shared, with a lock around its writes, a victim killed there
+        could leave the lock held and no worker of the pool could post
+        again; with 1 ms heartbeats that race is hit within a few kills.
+        Each worker writes to its own pipe, so the kill damages only the
+        pipe it closes."""
         kill = ExecPolicy(task_timeout=0.2, max_attempts=1, in_process_fallback=False)
         check = ExecPolicy(task_timeout=5.0, max_attempts=1, in_process_fallback=False)
         with WorkerPool(heartbeat_interval=0.001) as pool:
@@ -480,17 +520,16 @@ class TestWorkerPool:
                 assert [tag for tag, _pid in payloads] == ["a", "b"]
 
     def test_closed_pool_cannot_block_interpreter_exit(self, tmp_path):
-        """A worker that dies mid-send leaves the results queue's write
-        lock held; a message the parent then puts on that queue stays in
-        its feeder thread for good.  Closing the pool must keep
-        interpreter exit from joining that thread."""
+        """Workers killed by the supervisor and workers that die halfway
+        through writing a message must leave nothing in the parent that
+        interpreter exit would wait for: the parent starts no thread of
+        its own for a pool, during a call or after it."""
         script = tmp_path / "exit_after_timeout.py"
         script.write_text(
-            textwrap.dedent(
+            _HALF_FRAME_TASK
+            + textwrap.dedent(
                 """
-                import time
-
-                from repro.exec import ExecPolicy, WorkerPool, execute
+                import threading
 
 
                 class Sleep:
@@ -501,6 +540,8 @@ class TestWorkerPool:
 
 
                 if __name__ == "__main__":
+                    before = set(threading.enumerate())
+                    during = []
                     strict = ExecPolicy(
                         task_timeout=0.5, max_attempts=1, in_process_fallback=False
                     )
@@ -510,9 +551,14 @@ class TestWorkerPool:
                         allow_failures=True, pool=pool,
                     )
                     assert stats.infra_timeouts == 2, stats.describe()
-                    # the lock as a worker that died inside send() leaves it
-                    pool._results._wlock.acquire()
-                    pool._results.put(("done", 0, pool._epoch, 0, 1, ("ok", "stale")))
+                    _, stats = execute(
+                        [HalfFrame(), HalfFrame()], jobs=2, policy=strict,
+                        allow_failures=True, pool=pool,
+                        progress=lambda _event: during.append(set(threading.enumerate())),
+                    )
+                    assert stats.infra_crashes == 2, stats.describe()
+                    assert len(during) == 2 and all(seen == before for seen in during)
+                    assert set(threading.enumerate()) == before, threading.enumerate()
                     pool.close()
                     print("closed", flush=True)
                 """
@@ -526,6 +572,52 @@ class TestWorkerPool:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "closed\n"
         assert time.monotonic() - started < 30
+
+    def test_a_worker_killed_mid_send_is_a_crash_not_a_hang(self, tmp_path):
+        """A worker that dies after writing a message's length header and
+        part of its body: the parent reads end-of-file where the rest
+        should be, settles the task as a crash, and the pool serves the
+        next call.  Run in a subprocess, so a regression shows as a
+        timeout rather than a hung test session."""
+        script = tmp_path / "half_frame.py"
+        script.write_text(
+            _HALF_FRAME_TASK
+            + textwrap.dedent(
+                """
+                class Tag:
+                    cacheable = False
+
+                    def __init__(self, tag):
+                        self.tag = tag
+
+                    def execute(self):
+                        return self.tag
+
+
+                if __name__ == "__main__":
+                    strict = ExecPolicy(max_attempts=1, in_process_fallback=False)
+                    with WorkerPool() as pool:
+                        payloads, stats = execute(
+                            [HalfFrame()], jobs=2, policy=strict,
+                            allow_failures=True, pool=pool,
+                        )
+                        assert payloads == [None], payloads
+                        assert stats.infra_crashes == 1, stats.describe()
+                        payloads, stats = execute(
+                            [Tag("a"), Tag("b")], jobs=2, pool=pool
+                        )
+                        assert payloads == ["a", "b"], payloads
+                        assert stats.infra_failures == 0, stats.describe()
+                    print("served", flush=True)
+                """
+            )
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run(
+            [sys.executable, str(script)], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "served\n"
 
     def test_call_aborted_mid_task_cannot_answer_the_next_call(self):
         """A call that leaves by an exception while a worker is still

@@ -4,7 +4,10 @@ nothing, and the CLI exit codes reflect what was found.
 """
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -188,3 +191,17 @@ class TestMain:
             kind="torn-entry", path="a/b.json", detail="bad", quarantined_to="q/b.json"
         )
         assert "-> q/b.json" in issue.describe()
+
+    def test_module_run_warns_nothing(self, tmp_path):
+        """``python -m repro.exec.fsck`` must not find its own module
+        already imported by the package (runpy's ``RuntimeWarning``)."""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run(
+            [
+                sys.executable, "-W", "error::RuntimeWarning",
+                "-m", "repro.exec.fsck", "--dry-run", str(tmp_path),
+            ],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""

@@ -139,6 +139,27 @@ def test_one_canonical_json_hash_in_src():
     }
 
 
+def test_no_shared_queue_in_exec():
+    """Each pool worker has its own pipe; no ``multiprocessing`` queue,
+    whose one process-shared write lock a killed worker can leave held,
+    and none of the workarounds that lock needed (holding CPython's
+    private ``_wlock`` across a kill, cancelling a feeder thread's
+    exit-time join)."""
+    found = []
+    for path in sorted((SRC / "exec").glob("*.py")):
+        for holder, callee, _dotted, _node in call_sites(path):
+            if callee.endswith("Queue"):
+                found.append((path.name, holder, callee))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in ("_wlock", "cancel_join_thread"):
+                found.append((path.name, node.attr))
+            elif isinstance(node, ast.Import):
+                found += [(path.name, alias.name) for alias in node.names if alias.name == "queue"]
+            elif isinstance(node, ast.ImportFrom) and node.module == "queue":
+                found.append((path.name, "queue"))
+    assert found == []
+
+
 def test_scalar_loops_index_the_soa_buffers():
     """The allocation and transfer loops read the struct-of-arrays
     buffers through local bindings (``received = store.received``); the
