@@ -75,12 +75,12 @@ def main() -> None:
     print(f"mean per-window gap: {series.mean_ring_gap():+.3f} flits/cycle "
           "(positive in every window: the hotspot never goes away)\n")
 
-    summary = latency_summary(simulator.latency_samples)
+    summary = latency_summary(simulator.stats.latency_samples)
     print(f"latency: mean {summary['mean']:.1f}, p50 {summary['p50']:.0f}, "
           f"p90 {summary['p90']:.0f}, p99 {summary['p99']:.0f}, max {summary['max']:.0f}")
     print(f"misrouted messages: {result.misrouted_messages} "
           f"({100 * result.misrouted_messages / result.delivered:.1f}% of deliveries)\n")
-    print(latency_histogram(simulator.latency_samples, bins=10))
+    print(latency_histogram(simulator.stats.latency_samples, bins=10))
 
 
 if __name__ == "__main__":

@@ -144,7 +144,7 @@ class CampaignTask:
         payload = {
             "kind": "campaign",
             "config": to_data(self.config),
-            "campaign": self.campaign.to_canonical(),
+            "campaign": to_data(self.campaign),
             "reliability": to_data(self.reliability),
             "settle_cycles": self.settle_cycles,
             "drain": self.drain,

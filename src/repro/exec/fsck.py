@@ -6,8 +6,10 @@ hand-edited entry can stop matching its content-addressed name.  The
 detect/contain discipline the paper applies to router faults applies
 here too: :func:`fsck` scans every entry, *quarantines* anything that
 does not verify (moved to ``<root>/quarantine/`` — never deleted, so a
-surprising result can be inspected), garbage-collects temp files, and
-resets the write-ahead journal.
+surprising result can be inspected), and garbage-collects temp files by
+the store's own rule (:meth:`~repro.exec.store.ResultStore.clean_stale`)
+with no grace period: every temp but one a live writer is still writing
+goes, and the write-ahead journal is reset once none is left.
 
 An entry verifies when all of the following hold:
 
@@ -129,8 +131,8 @@ def _quarantine(path: Path, root: Path) -> Path:
 def fsck(
     store: Union[ResultStore, str, Path], *, repair: bool = True
 ) -> FsckReport:
-    """Verify every entry, quarantine failures, GC temps, reset the
-    journal.  With ``repair=False`` nothing is moved or deleted — the
+    """Verify every entry, quarantine failures, remove the temps no live
+    writer owns (``clean_stale(ttl=0.0)``).  With ``repair=False`` nothing is moved or deleted — the
     report only describes what a repairing pass would do."""
     if not isinstance(store, ResultStore):
         store = ResultStore(store, clean_on_open=False)
@@ -161,21 +163,10 @@ def fsck(
         for record in store.pending_writes()
         if not pid_alive(int(record.get("pid", -1)))
     )
-    temps = store.temp_files()
     if repair:
-        for tmp in temps:
-            try:
-                tmp.unlink()
-                report.temps_removed += 1
-            except OSError:
-                pass
-        try:
-            if store.journal_path.is_file():
-                store.journal_path.write_text("")
-        except OSError:
-            pass
+        report.temps_removed = store.clean_stale(ttl=0.0)
     else:
-        report.temps_removed = len(temps)
+        report.temps_removed = len(store.stale_temps(ttl=0.0))
     return report
 
 

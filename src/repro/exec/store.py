@@ -110,9 +110,6 @@ class ResultStore:
         Garbage-collect stale temp files (and compact the journal) when
         the store directory already exists — the self-healing pass that
         makes a hard-killed writer harmless.
-    temp_ttl:
-        Age threshold for removing temp files the journal knows nothing
-        about (default :data:`STALE_TEMP_SECONDS`).
     """
 
     def __init__(
@@ -121,13 +118,12 @@ class ResultStore:
         *,
         version: str = CODE_VERSION,
         clean_on_open: bool = True,
-        temp_ttl: float = STALE_TEMP_SECONDS,
     ):
         self.root = Path(root) if root is not None else default_store_root()
         self.version = version
         if clean_on_open and self.root.is_dir():
             try:
-                self.clean_stale(ttl=temp_ttl)
+                self.clean_stale()
             except OSError:
                 pass  # a read-only or racing store must still open
 
@@ -238,17 +234,11 @@ class ResultStore:
             return []
         return sorted(self.root.glob("*/*.tmp"))
 
-    def clean_stale(self, *, ttl: float = STALE_TEMP_SECONDS) -> int:
-        """Garbage-collect temp files left behind by crashed writers;
-        returns how many were removed.
-
-        A temp file is removed when the journal attributes it to a dead
-        pid, or — for temps the journal knows nothing about — when it is
-        older than ``ttl`` seconds.  Temps owned by a journaled *live*
-        pid are never touched.  Once no temp files remain the journal
-        itself is truncated, keeping it small.
-        """
-        removed = 0
+    def stale_temps(self, ttl: float = STALE_TEMP_SECONDS) -> List[Path]:
+        """The temp files no live writer owns: those the journal
+        attributes to a dead pid, and those it knows nothing about that
+        are older than ``ttl`` seconds.  A temp a journaled *live* pid
+        is writing is never on the list, whatever its age."""
         live_tmps = set()
         dead_tmps = set()
         for record in self.pending_writes():
@@ -258,6 +248,7 @@ class ResultStore:
             else:
                 dead_tmps.add(tmp)
         now = time.time()
+        stale = []
         for tmp in self.temp_files():
             rel = os.path.relpath(tmp, self.root)
             if rel in live_tmps:
@@ -268,6 +259,15 @@ class ResultStore:
                         continue
                 except OSError:
                     continue
+            stale.append(tmp)
+        return stale
+
+    def clean_stale(self, *, ttl: float = STALE_TEMP_SECONDS) -> int:
+        """Remove :meth:`stale_temps` — the temp files crashed writers
+        left behind — and return how many went.  Once no temp file
+        remains the journal itself is truncated, keeping it small."""
+        removed = 0
+        for tmp in self.stale_temps(ttl):
             try:
                 tmp.unlink()
                 removed += 1

@@ -9,9 +9,7 @@ from .events import (
     BLOCKED,
     DELIVER,
     EVENT_KINDS,
-    EVENT_SCHEMA,
     EXEC_EVENT_KINDS,
-    EXEC_EVENT_SCHEMA,
     GENERATE,
     INJECT,
     MISROUTE_ENTER_RING,
@@ -43,9 +41,7 @@ __all__ = [
     "BLOCKED",
     "DELIVER",
     "EVENT_KINDS",
-    "EVENT_SCHEMA",
     "EXEC_EVENT_KINDS",
-    "EXEC_EVENT_SCHEMA",
     "GENERATE",
     "INJECT",
     "MISROUTE_ENTER_RING",

@@ -8,17 +8,18 @@ winning (or failing to win) a virtual channel, a worm detouring onto a
 fault ring, a truncation, a retransmission.
 
 One event is one :class:`TraceEvent`: a flat, JSON-safe record with a
-``kind`` from :data:`EVENT_KINDS` and a fixed field set described by
-:data:`EVENT_SCHEMA`.  Exporters (:mod:`repro.obs.export`) write
-``repro.canonical.to_data`` and never invent fields of their own, so
-anything they write reads back with ``from_data`` and validates with
-:func:`validate_event`.
+``kind`` from :data:`EVENT_KINDS` and the fixed field set of the class.
+Exporters (:mod:`repro.obs.export`) write ``repro.canonical.to_data``
+and never invent fields of their own, so anything they write reads back
+with ``from_data`` and validates with :func:`validate_event`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
+
+from ..canonical import DecodeError, from_data
 
 # ----------------------------------------------------------------------
 # the taxonomy
@@ -80,70 +81,35 @@ class TraceEvent:
 
 
 # ----------------------------------------------------------------------
-# the schema exporters are validated against
+# validation
 # ----------------------------------------------------------------------
 
-#: field -> (required, validator description).  Kept as plain data so the
-#: trace-export smoke job can validate files without third-party
-#: jsonschema dependencies.
-EVENT_SCHEMA: Dict[str, Dict[str, Any]] = {
-    "cycle": {"required": True, "type": "int", "min": 0},
-    "kind": {"required": True, "type": "str", "enum": sorted(EVENT_KINDS)},
-    "msg_id": {"required": True, "type": "int", "min": 0},
-    "src": {"required": True, "type": "coord"},
-    "dst": {"required": True, "type": "coord"},
-    "node": {"required": False, "type": "coord"},
-    "channel": {"required": False, "type": "str"},
-    "vc_class": {"required": False, "type": "int", "min": 0},
-    "attempt": {"required": False, "type": "int", "min": 0},
-}
 
-_EVENT_FIELDS = {spec.name for spec in fields(TraceEvent)}
-assert set(EVENT_SCHEMA) == _EVENT_FIELDS, "schema drifted from TraceEvent"
-
-
-def _check_type(value: Any, spec: Dict[str, Any]) -> Optional[str]:
-    kind = spec["type"]
-    if kind == "int":
-        if not isinstance(value, int) or isinstance(value, bool):
-            return f"expected int, got {type(value).__name__}"
-        if "min" in spec and value < spec["min"]:
-            return f"{value} below minimum {spec['min']}"
-    elif kind == "str":
-        if not isinstance(value, str):
-            return f"expected str, got {type(value).__name__}"
-        if "enum" in spec and value not in spec["enum"]:
-            return f"{value!r} not one of {spec['enum']}"
-    elif kind == "coord":
-        if not isinstance(value, (list, tuple)) or not all(
-            isinstance(x, int) and not isinstance(x, bool) for x in value
-        ):
-            return "expected a coordinate (list of ints)"
-    return None
+def _problems(cls: type, kinds: frozenset, minimums: Dict[str, int], data: Any) -> List[str]:
+    """What is wrong with ``data`` read as ``cls``: the codec's strict
+    read checks field names, types and required fields; the kind set and
+    the lower bounds are the two rules an annotation cannot state."""
+    try:
+        event = from_data(cls, data)
+    except DecodeError as exc:
+        return [str(exc)]
+    problems = []
+    if event.kind not in kinds:
+        problems.append(f"kind: {event.kind!r} not one of {sorted(kinds)}")
+    for name, low in minimums.items():
+        value = getattr(event, name)
+        if value is not None and value < low:
+            problems.append(f"{name}: {value} below minimum {low}")
+    return problems
 
 
-def _validate(data: Any, schema: Dict[str, Dict[str, Any]]) -> List[str]:
-    errors: List[str] = []
-    if not isinstance(data, dict):
-        return [f"event is not an object: {type(data).__name__}"]
-    for name, spec in schema.items():
-        if name not in data or data[name] is None:
-            if spec["required"]:
-                errors.append(f"missing required field {name!r}")
-            continue
-        problem = _check_type(data[name], spec)
-        if problem is not None:
-            errors.append(f"field {name!r}: {problem}")
-    for name in data:
-        if name not in schema:
-            errors.append(f"unknown field {name!r}")
-    return errors
+_EVENT_MINIMUMS = {"cycle": 0, "msg_id": 0, "vc_class": 0, "attempt": 0}
 
 
-def validate_event(data: Dict[str, Any]) -> List[str]:
-    """Validate one event dict against :data:`EVENT_SCHEMA`; returns a
-    list of problems (empty = valid)."""
-    return _validate(data, EVENT_SCHEMA)
+def validate_event(data: Any) -> List[str]:
+    """Check one event dict as a :class:`TraceEvent`; returns a list of
+    problems (empty = valid), each naming its field."""
+    return _problems(TraceEvent, EVENT_KINDS, _EVENT_MINIMUMS, data)
 
 
 # ----------------------------------------------------------------------
@@ -185,19 +151,10 @@ class ExecEvent:
     detail: str = ""
 
 
-EXEC_EVENT_SCHEMA: Dict[str, Dict[str, Any]] = {
-    "kind": {"required": True, "type": "str", "enum": sorted(EXEC_EVENT_KINDS)},
-    "task_index": {"required": True, "type": "int", "min": 0},
-    "attempt": {"required": True, "type": "int", "min": 1},
-    "key": {"required": False, "type": "str"},
-    "detail": {"required": False, "type": "str"},
-}
-
-_EXEC_EVENT_FIELDS = {spec.name for spec in fields(ExecEvent)}
-assert set(EXEC_EVENT_SCHEMA) == _EXEC_EVENT_FIELDS, "schema drifted from ExecEvent"
+_EXEC_EVENT_MINIMUMS = {"task_index": 0, "attempt": 1}
 
 
-def validate_exec_event(data: Dict[str, Any]) -> List[str]:
-    """Validate one exec-event dict against :data:`EXEC_EVENT_SCHEMA`;
-    returns a list of problems (empty = valid)."""
-    return _validate(data, EXEC_EVENT_SCHEMA)
+def validate_exec_event(data: Any) -> List[str]:
+    """Check one exec-event dict as an :class:`ExecEvent`; returns a list
+    of problems (empty = valid), each naming its field."""
+    return _problems(ExecEvent, EXEC_EVENT_KINDS, _EXEC_EVENT_MINIMUMS, data)

@@ -4,7 +4,7 @@ JSON for ``chrome://tracing`` / Perfetto.
 Formats:
 
 * **JSONL** — one :class:`~repro.obs.events.TraceEvent` dict per line
-  (schema: :data:`repro.obs.events.EVENT_SCHEMA`; ``*.exec.jsonl``
+  (checked by :func:`repro.obs.events.validate_event`; ``*.exec.jsonl``
   files hold :class:`~repro.obs.events.ExecEvent`\\ s instead).  Streams
   into ``jq``/pandas; round-trips through :func:`read_jsonl`.
 * **CSV** — one row per :class:`~repro.obs.timeseries.WindowSample`,
@@ -252,9 +252,9 @@ _PHASES = {"b", "e", "i", "C"}
 
 
 def validate_chrome_trace(payload: Dict[str, Any]) -> List[str]:
-    """Structural validation of a Chrome trace payload; instant events'
-    args are additionally checked against the event schema's field types.
-    Returns a list of problems (empty = valid)."""
+    """Structural validation of a Chrome trace payload; an instant
+    event's name must also be one of :data:`EVENT_KINDS`.  Returns a
+    list of problems (empty = valid)."""
     errors: List[str] = []
     if not isinstance(payload, dict) or "traceEvents" not in payload:
         return ["payload is not an object with a traceEvents array"]

@@ -1,4 +1,4 @@
-"""Validate trace exports against the event schema.
+"""Validate trace exports against the event classes.
 
 CI smoke usage::
 
@@ -26,8 +26,8 @@ from .export import validate_chrome_trace
 
 
 def validate_jsonl_file(path: Path) -> List[str]:
-    # executor-infrastructure exports carry a different schema, routed
-    # on the double suffix the exporter always writes
+    # executor-infrastructure exports hold ExecEvents, routed on the
+    # double suffix the exporter always writes
     validator = (
         validate_exec_event if path.name.endswith(".exec.jsonl") else validate_event
     )
@@ -75,7 +75,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.validate",
         description="Validate JSONL / Chrome-trace / CSV exports against "
-        "the trace event schema.",
+        "the trace event classes.",
     )
     parser.add_argument("files", nargs="+", help="trace files to validate")
     args = parser.parse_args(argv)

@@ -33,10 +33,10 @@ from __future__ import annotations
 
 import random
 import warnings
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
-from ..canonical import canonical_digest, from_data, to_data
+from ..canonical import canonical_digest, to_data
 from ..faults import (
     FaultGenerationError,
     FaultSet,
@@ -75,12 +75,16 @@ class FaultEvent:
         return "; ".join(parts)
 
 
+@dataclass(frozen=True)
 class FaultCampaign:
     """An ordered timeline of fault events (cycles relative to the cycle
-    at which the campaign starts running)."""
+    at which the campaign starts running).  ``to_data`` of a campaign
+    identifies its timeline — the basis of checkpoint task keys."""
 
-    def __init__(self, events: Iterable[FaultEvent]):
-        self.events: List[FaultEvent] = sorted(events, key=lambda e: e.cycle)
+    events: Tuple[FaultEvent, ...] = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "events", tuple(sorted(self.events, key=lambda e: e.cycle)))
 
     def __len__(self) -> int:
         return len(self.events)
@@ -93,24 +97,11 @@ class FaultCampaign:
         """Cycle of the last event (0 for an empty campaign)."""
         return self.events[-1].cycle if self.events else 0
 
-    # ------------------------------------------------------------------
-    # canonical identity
-    # ------------------------------------------------------------------
-    # a campaign is not a dataclass, so it spells its canonical form out
-    def to_canonical(self) -> dict:
-        """A JSON-safe dict that uniquely identifies this campaign's
-        timeline — the basis of checkpoint task keys."""
-        return {"events": to_data(self.events)}
-
-    @classmethod
-    def from_canonical(cls, data: dict) -> "FaultCampaign":
-        return cls(from_data(Dict[str, Tuple[FaultEvent, ...]], data).get("events", ()))
-
     def content_hash(self, version_tag: str = "") -> str:
         """Stable hash of the canonical timeline (plus an optional
         code-version tag), mirroring
         :meth:`~repro.sim.config.SimulationConfig.content_hash`."""
-        return canonical_digest({"campaign": self.to_canonical(), "version": version_tag})
+        return canonical_digest({"campaign": to_data(self), "version": version_tag})
 
     # ------------------------------------------------------------------
     # seeded generators
@@ -453,18 +444,19 @@ def replay_campaign(
     for every retransmission to be acknowledged.
     """
     start = sim.now
-    if not sim._measuring:
+    stats = sim.stats
+    if not stats.measuring:
         sim._start_measurement()
     transport = sim.reliability
 
-    mark_delivered = sim.delivered
-    mark_latency = sim.latency_sum
+    mark_delivered = stats.delivered
+    mark_latency = stats.latency_sum
     mark_cycle = sim.now
 
     def close_epoch(label: str) -> EpochStats:
         nonlocal mark_delivered, mark_latency, mark_cycle
-        delivered = sim.delivered - mark_delivered
-        latency_sum = sim.latency_sum - mark_latency
+        delivered = stats.delivered - mark_delivered
+        latency_sum = stats.latency_sum - mark_latency
         epoch = EpochStats(
             label=label,
             start_cycle=mark_cycle,
@@ -472,8 +464,8 @@ def replay_campaign(
             delivered=delivered,
             avg_latency=latency_sum / delivered if delivered else 0.0,
         )
-        mark_delivered = sim.delivered
-        mark_latency = sim.latency_sum
+        mark_delivered = stats.delivered
+        mark_latency = stats.latency_sum
         mark_cycle = sim.now
         return epoch
 

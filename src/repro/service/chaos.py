@@ -124,7 +124,7 @@ def build_specs(
     campaign_spec = JobSpec(
         kind="campaign",
         config=to_data(campaign_config),
-        campaign=campaign.to_canonical(),
+        campaign=to_data(campaign),
         settle_cycles=interval,
         label="chaos campaign",
     )

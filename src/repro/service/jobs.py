@@ -171,7 +171,7 @@ class JobSpec:
             try:
                 from ..reliability import FaultCampaign
 
-                FaultCampaign.from_canonical(self.campaign)
+                from_data(FaultCampaign, self.campaign)
             except ValueError as exc:
                 raise SpecError(f"bad campaign timeline: {exc}") from exc
             if self.rates or self.seeds:
@@ -248,7 +248,7 @@ class JobSpec:
             return [
                 CampaignTask(
                     config=from_data(SimulationConfig, self.config),
-                    campaign=FaultCampaign.from_canonical(self.campaign or {}),
+                    campaign=from_data(FaultCampaign, self.campaign or {}),
                     reliability=from_data(Optional[ReliabilityConfig], self.reliability),
                     settle_cycles=self.settle_cycles,
                     drain=self.drain,

@@ -121,9 +121,6 @@ class Simulator:
         self.reliability = None
         #: called with each consumed Message (after transport processing)
         self.delivery_hooks: List[Callable[[Message], None]] = []
-        #: called once per runtime fault event with
-        #: ``(report, dead_nodes, killed_messages)``
-        self.fault_hooks: List[Callable] = []
         #: called with ``now`` at the start of every cycle
         self.cycle_hooks: List[Callable[[int], None]] = []
         #: optional observability tracer (attached by
@@ -325,50 +322,6 @@ class Simulator:
         self.stats.start_measurement(self.config.batches)
         self.measure_start_cycle = self.now
         self._measure_transfer_base = list(self.net.store.transfers)
-
-    # ------------------------------------------------------------------
-    # statistics compatibility surface (campaigns, tools and tests read
-    # these counters directly off the simulator)
-    # ------------------------------------------------------------------
-    @property
-    def _measuring(self) -> bool:
-        return self.stats.measuring
-
-    @property
-    def generated(self) -> int:
-        return self.stats.generated
-
-    @property
-    def injected(self) -> int:
-        return self.stats.injected
-
-    @property
-    def delivered(self) -> int:
-        return self.stats.delivered
-
-    @property
-    def delivered_flits(self) -> int:
-        return self.stats.delivered_flits
-
-    @property
-    def bisection_messages(self) -> int:
-        return self.stats.bisection_messages
-
-    @property
-    def latency_sum(self) -> float:
-        return self.stats.latency_sum
-
-    @property
-    def queueing_sum(self) -> float:
-        return self.stats.queueing_sum
-
-    @property
-    def misrouted_messages(self) -> int:
-        return self.stats.misrouted_messages
-
-    @property
-    def latency_samples(self) -> List[int]:
-        return self.stats.latency_samples
 
     # ------------------------------------------------------------------
     def _result(self) -> SimulationResult:

@@ -229,11 +229,8 @@ def _account_event(simulator, report, info, dead_nodes, retired) -> None:
     simulator.killed_queued += len(dropped)
     simulator.degraded_nodes_total += len(info.degraded_nodes)
     simulator.convexify_steps_total += info.convexify_steps
-    killed = victims + dropped
     if simulator.reliability is not None:
-        simulator.reliability.on_fault(report, dead_nodes, killed)
-    for hook in simulator.fault_hooks:
-        hook(report, dead_nodes, killed)
+        simulator.reliability.on_fault(report, dead_nodes, victims + dropped)
 
 
 # ----------------------------------------------------------------------

@@ -149,6 +149,36 @@ class TestRepair:
         assert report.temps_removed == 1 and not tmp.exists()
         assert not report.clean  # a removed temp is evidence of a crash
 
+    def test_live_writers_temp_survives(self, store):
+        """fsck applies the store's own temp rule: a temp that a live
+        pid journaled as *begin* is a write in progress, not garbage."""
+        tmp = next(iter(store._shards())) / "inflight.tmp"
+        tmp.write_text("half a result", encoding="utf-8")
+        store._journal("begin", "k" * 64, tmp=os.path.relpath(tmp, store.root))
+        assert fsck(store, repair=False).temps_removed == 0
+        report = fsck(store)
+        assert report.temps_removed == 0 and report.clean
+        assert tmp.exists()
+        assert [r["key"] for r in store.pending_writes()] == ["k" * 64]
+
+    def test_fsck_during_a_put_lets_the_put_finish(self, store, result, monkeypatch):
+        """fsck run from outside while a writer sits between its *begin*
+        record and its rename leaves the writer's temp alone."""
+        journal = store._journal
+        reports = []
+
+        def journal_then_fsck(op, key, **extra):
+            journal(op, key, **extra)
+            if op == "begin":
+                reports.append(fsck(store.root))
+
+        monkeypatch.setattr(store, "_journal", journal_then_fsck)
+        fresh = config(seed=11)
+        store.store(fresh, result)
+        assert reports[0].temps_removed == 0
+        assert store.load(fresh) is not None
+        assert store.pending_writes() == []
+
     def test_dry_run_changes_nothing(self, store):
         path = entry_path(store)
         path.write_text("{ torn", encoding="utf-8")

@@ -117,8 +117,8 @@ class TestLatencyDistribution:
             percentile([1.0], 101)
 
     def test_summary_fields(self, faulty_run):
-        summary = latency_summary(faulty_run.latency_samples)
-        assert summary["count"] == len(faulty_run.latency_samples) > 0
+        summary = latency_summary(faulty_run.stats.latency_samples)
+        assert summary["count"] == len(faulty_run.stats.latency_samples) > 0
         assert summary["p50"] <= summary["p90"] <= summary["p99"] <= summary["max"]
 
     def test_summary_empty(self):
@@ -139,4 +139,4 @@ class TestLatencyDistribution:
                                   rate=0.01, warmup_cycles=100, measure_cycles=400)
         sim = Simulator(config)
         sim.run()
-        assert sim.latency_samples == []
+        assert sim.stats.latency_samples == []

@@ -355,6 +355,21 @@ class TestExporters:
         bad.write_text('{"traceEvents": [{"ph": "q"}]}')
         assert main([str(bad)]) == 1
 
+    def test_validate_cli_names_the_bad_field(self, traced_faulty_run, tmp_path, capsys):
+        from repro.obs.validate import main
+
+        _, tracer, _ = traced_faulty_run
+        good = to_data(tracer.events[0])
+        bad = tmp_path / "bad.events.jsonl"
+        lines = [dict(good, cycle=-1), dict(good, color="red"), dict(good, kind="warp")]
+        bad.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        capsys.readouterr()
+        assert main([str(bad)]) == 1
+        out = capsys.readouterr().out
+        assert "line 1: cycle: -1 below minimum 0" in out
+        assert "line 2: color: unknown field" in out
+        assert "line 3: kind: 'warp' not one of" in out
+
 
 # ----------------------------------------------------------------------
 # Experiment / executor plumbing
@@ -448,6 +463,24 @@ class TestTaxonomy:
         data["color"] = "red"
         assert any("unknown field" in p for p in validate_event(data))
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("cycle", -1),
+            ("msg_id", True),  # a bool is not an int
+            ("vc_class", -2),
+            ("src", 5),  # not a list
+            ("node", [0, "1"]),
+            ("kind", "warp"),
+            ("color", "red"),
+        ],
+    )
+    def test_validate_event_names_the_bad_field(self, name, value):
+        data = to_data(TraceEvent(1, DELIVER, 2, (0, 0), (1, 1)))
+        data[name] = value
+        problems = validate_event(data)
+        assert problems and all(p.startswith((f"{name}:", f"{name}[")) for p in problems), problems
+
     def test_validate_event_requires_required_fields(self):
         assert validate_event({"kind": DELIVER})
         assert any(
@@ -490,6 +523,10 @@ class TestExecEvents:
         extra = to_data(self.exec_events()[0])
         extra["when"] = 12345  # wall-clock time would break determinism
         assert any("unknown field" in p for p in validate_exec_event(extra))
+        zero = to_data(ExecEvent(kind="task_crash", task_index=0, attempt=0))
+        assert validate_exec_event(zero) == ["attempt: 0 below minimum 1"]
+        negative = to_data(ExecEvent(kind="task_crash", task_index=-1, attempt=1))
+        assert validate_exec_event(negative) == ["task_index: -1 below minimum 0"]
 
     def test_jsonl_round_trip(self, tmp_path):
         events = self.exec_events()

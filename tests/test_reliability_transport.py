@@ -87,7 +87,7 @@ class TestCleanDelivery:
             sim.inject_message((0, 0), (4, 4))
         sim.drain()
         # 4 data messages were consumed; the 4 ACKs must not be counted
-        assert sim.delivered == 4
+        assert sim.stats.delivered == 4
 
     def test_ack_rides_highest_protocol_bank_by_default(self):
         sim = quiet_sim(protocol_classes=2)

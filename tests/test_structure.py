@@ -97,8 +97,6 @@ def test_one_codec_in_src():
         ("exec/executor.py", "ExecutionStats", "to_dict"),
         ("mc/engine.py", "CellEstimate", "to_payload"),
         ("mc/engine.py", "MCRunResult", "to_payload"),
-        ("reliability/campaign.py", "FaultCampaign", "to_canonical"),
-        ("reliability/campaign.py", "FaultCampaign", "from_canonical"),
     }
     names = {"to_payload", "from_payload", "to_dict", "from_dict", "to_canonical", "from_canonical"}
     converters = set()
@@ -158,6 +156,57 @@ def test_no_shared_queue_in_exec():
             elif isinstance(node, ast.ImportFrom) and node.module == "queue":
                 found.append((path.name, "queue"))
     assert found == []
+
+
+def test_no_event_schema_beside_the_codec_in_obs():
+    """A trace or exec event is checked by ``from_data`` of its class
+    plus the rules no annotation states; a module-level ``*_SCHEMA``
+    table is a second copy of the field list, free to drift."""
+    found = []
+    for path in sorted((SRC / "obs").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            found += [
+                (path.name, target.id)
+                for target in targets
+                if isinstance(target, ast.Name) and target.id.endswith("_SCHEMA")
+            ]
+    assert found == []
+
+
+def test_run_counters_are_read_from_stats_only():
+    """The run counters live in ``sim.stats``; a ``Simulator`` property
+    whose body only returns ``self.stats.<name>`` is a second way in."""
+    tree = ast.parse((SRC / "sim" / "engine.py").read_text(encoding="utf-8"))
+    (simulator,) = [
+        node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Simulator"
+    ]
+    forwards = []
+    for node in simulator.body:
+        if not isinstance(node, ast.FunctionDef) or not any(
+            isinstance(d, ast.Name) and d.id == "property" for d in node.decorator_list
+        ):
+            continue
+        body = [
+            stmt
+            for stmt in node.body
+            if not (isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant))
+        ]
+        value = body[0].value if len(body) == 1 and isinstance(body[0], ast.Return) else None
+        if (
+            isinstance(value, ast.Attribute)
+            and isinstance(value.value, ast.Attribute)
+            and value.value.attr == "stats"
+            and isinstance(value.value.value, ast.Name)
+            and value.value.value.id == "self"
+        ):
+            forwards.append(node.name)
+    assert forwards == []
 
 
 def test_scalar_loops_index_the_soa_buffers():
