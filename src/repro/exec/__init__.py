@@ -10,7 +10,7 @@
   append-only JSONL log (one torn-tail rule) every durable file uses.
 * :mod:`repro.exec.store` — memoize :class:`SimulationResult`\\ s on disk
   keyed by a content hash of the canonical configuration plus a
-  code-version tag; writes are journaled and crash-safe.
+  code-version tag; writes are atomic and crash-safe.
 * :mod:`repro.exec.checkpoint` — durable sweep manifests + completion
   logs so interrupted runs resume exactly where they stopped.
 * :mod:`repro.exec.fsck` — verify the store, quarantine entries that do

@@ -1,10 +1,10 @@
 """Durable files: the one append-only-log rule and the one atomic writer.
 
 Everything the repo must find intact after a SIGKILL is either a JSONL
-log (the store's write-ahead journal, a checkpoint's ``done.jsonl``, the
-service journal, the MC tally log) or a whole file replaced atomically
-(checkpoint manifest, job spec / result, ``server.json``).  Both go
-through this module, and the logs follow one rule:
+log (a checkpoint's ``done.jsonl``, the service journal, the MC tally
+log) or a whole file replaced atomically (store entry, checkpoint
+manifest, job spec / result, ``server.json``).  Both go through this
+module, and the logs follow one rule:
 
     A record is one ``\\n``-terminated line written by one ``write`` and
     fsynced before the caller proceeds.  A crash leaves at most one
@@ -16,6 +16,11 @@ through this module, and the logs follow one rule:
 
 A skipped record costs its owner one unit of deterministic rework (see
 "Durable files" in ``docs/execution.md``); it never costs correctness.
+
+An atomic write's temp file is named ``<target>.<pid>.<random>.tmp``
+from the moment it exists, so whoever finds one left over can tell from
+the name alone whether its writer may still be writing it
+(:func:`temp_writer_pid`).
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import List
+from typing import List, Optional
 
 
 def append_jsonl(path: Path, record: dict) -> None:
@@ -70,7 +75,9 @@ def atomic_write_text(path: Path, text: str) -> None:
     """Replace ``path`` with ``text`` so that a crash at any point
     leaves the complete old file or the complete new one."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    fd, tmp = tempfile.mkstemp(
+        dir=path.parent, prefix=f"{path.name}.{os.getpid()}.", suffix=".tmp"
+    )
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -83,3 +90,12 @@ def atomic_write_text(path: Path, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def temp_writer_pid(name: str) -> Optional[int]:
+    """The writer pid in the name of a temp file :func:`atomic_write_text`
+    made, or None for any other name."""
+    parts = name.rsplit(".", 3)
+    if len(parts) == 4 and parts[3] == "tmp" and parts[1].isdecimal():
+        return int(parts[1])
+    return None

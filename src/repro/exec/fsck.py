@@ -9,7 +9,8 @@ does not verify (moved to ``<root>/quarantine/`` — never deleted, so a
 surprising result can be inspected), and garbage-collects temp files by
 the store's own rule (:meth:`~repro.exec.store.ResultStore.clean_stale`)
 with no grace period: every temp but one a live writer is still writing
-goes, and the write-ahead journal is reset once none is left.
+goes.  A temp's name carries its writer's pid, so a temp whose writer is
+dead counts as a dead write — evidence of a crash.
 
 An entry verifies when all of the following hold:
 
@@ -70,20 +71,20 @@ class FsckReport:
     ok: int = 0
     issues: List[FsckIssue] = field(default_factory=list)
     temps_removed: int = 0
-    #: in-flight journal records whose writer pid is dead — evidence of
-    #: a crashed writer (its temp file is what ``temps_removed`` counts)
-    journal_pending: int = 0
+    #: temp files whose writer pid is dead — evidence of a crashed
+    #: writer (``temps_removed`` counts them among the rest)
+    dead_writes: int = 0
 
     @property
     def clean(self) -> bool:
         """True when the pass found nothing to fix at all."""
-        return not self.issues and not self.temps_removed and not self.journal_pending
+        return not self.issues and not self.temps_removed and not self.dead_writes
 
     def describe(self) -> str:
         lines = [
             f"fsck {self.root}: {self.scanned} entries scanned, {self.ok} ok, "
             f"{len(self.issues)} quarantined, {self.temps_removed} temp file(s) "
-            f"removed, {self.journal_pending} dead in-flight write(s)"
+            f"removed, {self.dead_writes} dead in-flight write(s)"
         ]
         lines.extend("  " + issue.describe() for issue in self.issues)
         lines.append("store is clean" if self.clean else "store needed repair")
@@ -132,8 +133,9 @@ def fsck(
     store: Union[ResultStore, str, Path], *, repair: bool = True
 ) -> FsckReport:
     """Verify every entry, quarantine failures, remove the temps no live
-    writer owns (``clean_stale(ttl=0.0)``).  With ``repair=False`` nothing is moved or deleted — the
-    report only describes what a repairing pass would do."""
+    writer owns (``clean_stale(ttl=0.0)``).  With ``repair=False``
+    nothing is moved or deleted — the report only describes what a
+    repairing pass would do."""
     if not isinstance(store, ResultStore):
         store = ResultStore(store, clean_on_open=False)
     report = FsckReport(root=str(store.root), repaired=repair)
@@ -158,10 +160,10 @@ def fsck(
                 quarantined_to=quarantined_to,
             )
         )
-    report.journal_pending = sum(
+    report.dead_writes = sum(
         1
-        for record in store.pending_writes()
-        if not pid_alive(int(record.get("pid", -1)))
+        for pid in store._writers().values()
+        if pid is not None and not pid_alive(pid)
     )
     if repair:
         report.temps_removed = store.clean_stale(ttl=0.0)
@@ -174,7 +176,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.exec.fsck",
         description="Verify the on-disk result store: quarantine torn or "
-        "mismatched entries, remove orphaned temp files, reset the journal.",
+        "mismatched entries, remove orphaned temp files.",
     )
     parser.add_argument(
         "root",

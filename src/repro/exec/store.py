@@ -16,23 +16,21 @@ Entries are one JSON file per result under ``<root>/<hash[:2]>/<hash>.json``
 (two-level fan-out keeps directories small).
 
 **Crash safety.**  Every write goes temp file → ``fsync`` →
-``os.replace``, bracketed by *begin*/*commit* records appended to a
-small write-ahead journal at ``<root>/journal.jsonl`` (an append-only
-log under the one rule of :mod:`repro.exec.durable`).  A
-reader therefore never sees a torn entry, and after a hard kill
-(SIGKILL, OOM, power loss) the store self-heals: opening it garbage
-collects temp files whose writing process is provably dead (the journal
-records the writer pid) plus any unjournaled temp file older than
-:data:`STALE_TEMP_SECONDS`, and :mod:`repro.exec.fsck` can additionally
-quarantine entries that do not verify.  The store remains a pure cache:
-deleting its directory is always safe.
+``os.replace`` through :func:`repro.exec.durable.atomic_write_text`,
+whose temp file carries its writer's pid in its name from the moment it
+exists.  A reader therefore never sees a torn entry, and after a hard
+kill (SIGKILL, OOM, power loss) the store self-heals: opening it garbage
+collects temp files whose writing process is provably dead plus any
+temp file with no known writer older than :data:`STALE_TEMP_SECONDS`,
+and :mod:`repro.exec.fsck` can additionally quarantine entries that do
+not verify.  The store remains a pure cache: deleting its directory is
+always safe.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Union
@@ -40,7 +38,7 @@ from typing import Dict, Iterator, List, Optional, Union
 from ..canonical import to_data
 from ..sim.config import SimulationConfig
 from ..sim.metrics import SimulationResult
-from .durable import append_jsonl, read_jsonl
+from .durable import atomic_write_text, read_jsonl, temp_writer_pid
 
 #: Bump whenever a change alters simulation outcomes for an unchanged
 #: configuration (engine semantics, routing decisions, RNG consumption
@@ -55,14 +53,15 @@ CODE_VERSION = "sim-v3"
 #: Environment variable overriding the default store location.
 STORE_ENV = "REPRO_RESULT_STORE"
 
-#: Write-ahead journal kept at the store root.
-JOURNAL_NAME = "journal.jsonl"
+#: The write-ahead journal older versions kept at the store root: read
+#: for their unfinished writes, never written.
+_OLD_JOURNAL = "journal.jsonl"
 
 #: Directory (under the root) where fsck moves entries it cannot trust.
 QUARANTINE_DIR = "quarantine"
 
-#: Age after which a temp file with no live journaled writer is
-#: considered abandoned and removed on open.
+#: Age after which a temp file with no known writer is considered
+#: abandoned and removed on open.
 STALE_TEMP_SECONDS = 3600.0
 
 
@@ -107,9 +106,9 @@ class ResultStore:
         Code-version tag mixed into every key (default
         :data:`CODE_VERSION`).
     clean_on_open:
-        Garbage-collect stale temp files (and compact the journal) when
-        the store directory already exists — the self-healing pass that
-        makes a hard-killed writer harmless.
+        Garbage-collect stale temp files when the store directory
+        already exists — the self-healing pass that makes a hard-killed
+        writer harmless.
     """
 
     def __init__(
@@ -162,69 +161,21 @@ class ResultStore:
         """Atomically persist ``result`` under ``key``, which must be
         :meth:`key` of ``config``; returns the entry path.
 
-        The temp file is fsynced before the rename and the write is
-        bracketed by journal records, so a crash at any point leaves
-        either the complete old state or the complete new state — never
-        a torn entry — and the leftover temp file is attributable.
+        The entry is fsynced before its rename, so a crash at any point
+        leaves either the complete old state or the complete new state —
+        never a torn entry — and a leftover temp file names its writer.
         """
         path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         entry = {
             "key": key,
             "version": self.version,
             "config": to_data(config),
             "result": result.to_dict(),
         }
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        tmp_name = os.path.relpath(tmp, self.root)
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                self._journal("begin", key, tmp=tmp_name)
-                # one C-encoded string: the same bytes ``json.dump``
-                # streams through the pure-Python encoder, at a third
-                # of the cost
-                handle.write(json.dumps(entry, sort_keys=True))
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        self._journal("commit", key, tmp=tmp_name)
+        # one C-encoded string: the same bytes ``json.dump`` streams
+        # through the pure-Python encoder, at a third of the cost
+        atomic_write_text(path, json.dumps(entry, sort_keys=True))
         return path
-
-    # ------------------------------------------------------------------
-    # the write-ahead journal
-    # ------------------------------------------------------------------
-    @property
-    def journal_path(self) -> Path:
-        return self.root / JOURNAL_NAME
-
-    def _journal(self, op: str, key: str, **extra) -> None:
-        record = {"op": op, "key": key, "pid": os.getpid(), "time": time.time()}
-        record.update(extra)
-        append_jsonl(self.journal_path, record)
-
-    def journal_entries(self) -> List[dict]:
-        """The journal's records (:func:`repro.exec.durable.read_jsonl`)."""
-        return read_jsonl(self.journal_path)
-
-    def pending_writes(self) -> List[dict]:
-        """*begin* records with no matching *commit* — writes that were
-        in flight when their process stopped journaling."""
-        begins: Dict[str, dict] = {}
-        for record in self.journal_entries():
-            tmp = record.get("tmp")
-            if not isinstance(tmp, str):
-                continue
-            if record.get("op") == "begin":
-                begins[tmp] = record
-            elif record.get("op") == "commit":
-                begins.pop(tmp, None)
-        return list(begins.values())
 
     # ------------------------------------------------------------------
     # self-healing
@@ -234,26 +185,31 @@ class ResultStore:
             return []
         return sorted(self.root.glob("*/*.tmp"))
 
+    def _writers(self) -> Dict[Path, Optional[int]]:
+        """Each temp file and its writer's pid: the one in its name, else
+        the one an unfinished *begin* of an older version's journal
+        records, else None."""
+        journaled = _journaled_writers(self.root)
+        writers: Dict[Path, Optional[int]] = {}
+        for tmp in self.temp_files():
+            pid = temp_writer_pid(tmp.name)
+            if pid is None:
+                pid = journaled.get(os.path.relpath(tmp, self.root))
+            writers[tmp] = pid
+        return writers
+
     def stale_temps(self, ttl: float = STALE_TEMP_SECONDS) -> List[Path]:
-        """The temp files no live writer owns: those the journal
-        attributes to a dead pid, and those it knows nothing about that
-        are older than ``ttl`` seconds.  A temp a journaled *live* pid
-        is writing is never on the list, whatever its age."""
-        live_tmps = set()
-        dead_tmps = set()
-        for record in self.pending_writes():
-            tmp = record["tmp"]
-            if pid_alive(int(record.get("pid", -1))):
-                live_tmps.add(tmp)
-            else:
-                dead_tmps.add(tmp)
+        """The temp files no live writer owns: those whose writer pid is
+        dead, and those with no known writer that are older than ``ttl``
+        seconds.  A temp a *live* pid is writing is never on the list,
+        whatever its age."""
         now = time.time()
         stale = []
-        for tmp in self.temp_files():
-            rel = os.path.relpath(tmp, self.root)
-            if rel in live_tmps:
-                continue
-            if rel not in dead_tmps:
+        for tmp, pid in self._writers().items():
+            if pid is not None:
+                if pid_alive(pid):
+                    continue
+            else:
                 try:
                     if now - tmp.stat().st_mtime < ttl:
                         continue
@@ -264,8 +220,8 @@ class ResultStore:
 
     def clean_stale(self, *, ttl: float = STALE_TEMP_SECONDS) -> int:
         """Remove :meth:`stale_temps` — the temp files crashed writers
-        left behind — and return how many went.  Once no temp file
-        remains the journal itself is truncated, keeping it small."""
+        left behind — and return how many went.  An older version's
+        journal is deleted once it names no temp file that is left."""
         removed = 0
         for tmp in self.stale_temps(ttl):
             try:
@@ -273,10 +229,9 @@ class ResultStore:
                 removed += 1
             except OSError:
                 pass
-        if not self.temp_files():
+        if not any((self.root / tmp).exists() for tmp in _journaled_writers(self.root)):
             try:
-                if self.journal_path.is_file() and self.journal_path.stat().st_size:
-                    self.journal_path.write_text("")
+                (self.root / _OLD_JOURNAL).unlink()
             except OSError:
                 pass
         return removed
@@ -284,8 +239,7 @@ class ResultStore:
     # ------------------------------------------------------------------
     def _shards(self) -> Iterator[Path]:
         """Fan-out directories only — two-hex-char names — so the
-        quarantine directory and the journal are never mistaken for
-        entries."""
+        quarantine directory is never mistaken for entries."""
         if not self.root.is_dir():
             return
         for shard in sorted(self.root.iterdir()):
@@ -312,3 +266,19 @@ class ResultStore:
 
     def describe(self) -> str:
         return f"{self.root} ({self.version})"
+
+
+def _journaled_writers(root: Path) -> Dict[str, int]:
+    """Temp file (relative to ``root``) -> writer pid for every *begin*
+    with no *commit* in the journal an older version of the store kept,
+    whose temp names did not carry the pid."""
+    writers: Dict[str, int] = {}
+    for record in read_jsonl(root / _OLD_JOURNAL):
+        tmp, pid = record.get("tmp"), record.get("pid")
+        if not isinstance(tmp, str):
+            continue
+        if record.get("op") == "begin":
+            writers[tmp] = pid if isinstance(pid, int) else -1
+        elif record.get("op") == "commit":
+            writers.pop(tmp, None)
+    return writers

@@ -20,11 +20,13 @@ all.  Two implementation paths:
   back only once the block is exhausted.  The geometric gaps between
   hits are skipped inside the block instead of being simulated draw by
   draw.  A sampler's first block spans 32 cycles and each new one twice
-  as many, up to ``_BLOCK_TARGET`` draws, so a short run draws little
-  more than it consumes.
-* **pure-Python fallback** — when numpy is unavailable the sampler
-  degrades to a tight per-cycle comprehension with the same consumption
-  order.
+  as many, up to ``_BLOCK_TARGET`` draws, so a run that ends soon after
+  the inline prefix draws little more than it consumes.
+* **inline path** — a tight per-cycle comprehension over ``rng`` with
+  the same consumption order.  Every sampler draws its first
+  ``_INLINE_DRAWS`` values this way, because numpy's set-up (a
+  generator, two state copies) costs more than a short run's whole
+  stream; and when numpy is unavailable the sampler never leaves it.
 
 Exactness contract: for a given ``(nodes, rate)`` the sampler consumes
 ``nodes`` draws per cycle in node order, exactly like the per-node loop.
@@ -47,13 +49,19 @@ try:  # the sampler is optional-dependency tolerant by design
 except ImportError:  # pragma: no cover - exercised on numpy-free installs
     _np = None
 
+#: draws every sampler takes inline before its first numpy block: where
+#: the two paths cost the same for a whole run, so no run pays more than
+#: about twice its cheaper path.  Sampler time per run on a 2-vCPU Xeon
+#: at 16-256 nodes and rates 0.005-0.02, inline over numpy: ~0.4 at
+#: 4,096 draws, 0.55-1.0 at 8,192, 0.85-1.0 at 16,384, 1.1-1.9 at 24,576
+_INLINE_DRAWS = 16_384
 #: target doubles per numpy block draw; bounds both memory (8 bytes per
 #: draw) and the cost of a mid-block rewind (a rewind re-materializes at
 #: most one block's worth of consumed draws)
 _BLOCK_TARGET = 32_768
 #: cycles in a sampler's first block; each new block doubles the span up
-#: to the ``_BLOCK_TARGET`` draws, so a run of a few dozen cycles draws
-#: little more than it consumes
+#: to the ``_BLOCK_TARGET`` draws, so a run a few dozen cycles past the
+#: inline prefix draws little more than it consumes
 _FIRST_BLOCK_CYCLES = 32
 
 
@@ -96,6 +104,8 @@ class GeometricSampler:
 
     def __init__(self, rng: random.Random):
         self.rng = rng
+        #: draws left before the sampler switches to numpy blocks
+        self._inline = _INLINE_DRAWS
         self._block: Optional[_Block] = None
         #: cycles the next block spans (before the per-node cap)
         self._span = _FIRST_BLOCK_CYCLES
@@ -111,7 +121,10 @@ class GeometricSampler:
         draws from the stream, in node order)."""
         if nodes <= 0:
             return []
-        if _np is None:
+        if _np is None or self._inline > 0:
+            # the prefix draws from ``rng`` itself, so no block is ever
+            # outstanding here and the first block copies ``rng``'s state
+            self._inline -= nodes
             rng_random = self.rng.random
             return [i for i in range(nodes) if rng_random() < rate]
         block = self._block

@@ -3,6 +3,7 @@ identity, the append-only completion log, and checkpointed execution —
 resume serves completed work and replays recorded failures.
 """
 
+import os
 from dataclasses import dataclass, replace
 
 import pytest
@@ -165,6 +166,25 @@ class TestCheckpointedExecution:
         assert second == first  # bit-for-bit: same payload objects rebuild
         assert second_stats.executed == 0
         assert second_stats.cache_hits == len(tasks)
+
+    def test_a_cold_point_costs_two_fsyncs(self, tmp_path, monkeypatch):
+        """One for the store entry, one for the checkpoint mark."""
+        tasks = [PointTask(config(radix=4, warmup_cycles=5, measure_cycles=15))]
+        store = ResultStore(tmp_path / "store")
+        checkpoint = SweepCheckpoint.for_tasks(
+            tmp_path / "ckpt", tasks, version=store.version
+        )
+        fsyncs = []
+        real = os.fsync
+
+        def fsync(fd):
+            fsyncs.append(fd)
+            real(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        _, stats = execute(tasks, jobs=1, store=store, checkpoint=checkpoint)
+        assert stats.executed == 1
+        assert len(fsyncs) == 2
 
     @pytest.mark.parametrize("other", ["fewer", "configs", "order"])
     def test_checkpoint_of_other_tasks_serves_nothing(self, tmp_path, other):

@@ -1,7 +1,7 @@
 """Every crash point of every durable file, once (repro.exec.durable).
 
-The four JSONL logs — the store's write-ahead journal, a checkpoint's
-``done.jsonl``, the service journal, the MC tally log — follow one rule
+The three JSONL logs — a checkpoint's ``done.jsonl``, the service
+journal, the MC tally log — follow one rule
 (see the module docstring of ``repro.exec.durable``), so one test cuts
 each of them at every byte, with and without undecodable bytes after
 the cut, and asks the same three things: the reader returns a prefix of
@@ -18,7 +18,12 @@ import pytest
 import repro
 from repro.canonical import to_data
 from repro.exec import ResultStore, SweepCheckpoint
-from repro.exec.durable import append_jsonl, atomic_write_text, read_jsonl
+from repro.exec.durable import (
+    append_jsonl,
+    atomic_write_text,
+    read_jsonl,
+    temp_writer_pid,
+)
 from repro.exec.fsck import main as fsck_main
 from repro.mc import MCCell, MCSettings, ShardTally, TallyLog, run_cell
 from repro.service.jobs import DONE, JobSpec, JobStore
@@ -47,25 +52,9 @@ def tally(start=0):
 
 
 # ----------------------------------------------------------------------
-# the four logs, each through its owner: (path, write(i) -> identities
+# the three logs, each through its owner: (path, write(i) -> identities
 # of the records it committed, read() -> identities in file order)
 # ----------------------------------------------------------------------
-
-
-def store_journal(root, result):
-    # opening with clean_on_open compacts a journal that has no temp
-    # file left to account for; that is not a reader
-    store = ResultStore(root, clean_on_open=False)
-
-    def write(i):
-        key = store.path_for(tiny(i)).stem
-        store.store(tiny(i), result)
-        return [("begin", key), ("commit", key)]
-
-    def read():
-        return [(r["op"], r["key"]) for r in store.journal_entries()]
-
-    return store.journal_path, write, read
 
 
 def checkpoint_log(root, result):
@@ -99,7 +88,7 @@ def tally_log(root, result):
     return path, write, lambda: list(TallyLog(path).entries)
 
 
-LOGS = [store_journal, checkpoint_log, service_journal, tally_log]
+LOGS = [checkpoint_log, service_journal, tally_log]
 
 #: what may follow a cut: nothing, a UTF-16 BOM, half a UTF-8 character
 TAILS = (b"", b"\xff\xfe", b"\xc3")
@@ -138,19 +127,23 @@ def test_store_opens_and_fscks_with_a_bad_byte_at_the_journal_tail(
     tmp_path, result, capsys
 ):
     """One non-UTF-8 byte used to raise out of ``ResultStore(...)`` and
-    out of the repair tool itself."""
+    out of the repair tool itself.  The journal is one an older version
+    left, still naming an in-flight write of this (live) process, so
+    opening the store keeps it."""
     root = tmp_path / "store"
     store = ResultStore(root)
     store.store(tiny(), result)
-    # an in-flight write of this (live) process keeps the journal from
-    # being compacted on open
     (root / "aa").mkdir()
     (root / "aa" / "x.tmp").write_text("partial")
-    store._journal("begin", "k" * 64, tmp="aa/x.tmp")
-    with open(store.journal_path, "ab") as handle:
+    append_jsonl(
+        root / "journal.jsonl",
+        {"op": "begin", "key": "k" * 64, "pid": os.getpid(), "tmp": "aa/x.tmp"},
+    )
+    with open(root / "journal.jsonl", "ab") as handle:
         handle.write(b"\xff")
     reopened = ResultStore(root)
-    assert [r["tmp"] for r in reopened.pending_writes()] == ["aa/x.tmp"]
+    assert reopened.stale_temps(ttl=0.0) == []
+    assert (root / "aa" / "x.tmp").exists() and (root / "journal.jsonl").exists()
     assert reopened.load(tiny()) == result
     assert fsck_main([str(root)]) == 0
     assert "1 entries scanned, 1 ok" in capsys.readouterr().out
@@ -186,6 +179,22 @@ class TestAtomicWrite:
         assert path.read_text() == "old"
         assert list(tmp_path.iterdir()) == [path]
 
+    def test_temp_is_named_for_its_writer(self, tmp_path, monkeypatch):
+        path = tmp_path / "f.json"
+        seen = []
+        real = os.fsync
+
+        def fsync(fd):
+            seen.extend(p.name for p in tmp_path.iterdir())
+            real(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        atomic_write_text(path, "one")
+        (name,) = seen
+        assert name.startswith("f.json.") and temp_writer_pid(name) == os.getpid()
+        for other in ("leftover.tmp", "tmpab_cd12.tmp", "f.json.12x.ab.tmp", "f.json.1.ab"):
+            assert temp_writer_pid(other) is None
+
     def test_replaces_and_creates_parents(self, tmp_path):
         path = tmp_path / "a" / "b" / "f.json"
         atomic_write_text(path, "one")
@@ -196,12 +205,10 @@ class TestAtomicWrite:
 
 def test_durability_primitives_live_in_one_module():
     """``fsync`` / ``os.replace`` / ``mkstemp`` outside the durable
-    module is a fifth hand-rolled writer.  ``exec/store.py`` is the one
-    exception: ``put()`` journals the temp file's *name* between
-    creating and writing it, which ``atomic_write_text(path, text)``
-    cannot express without a callback."""
+    module is a hand-rolled writer: store entries too go through
+    ``atomic_write_text``."""
     src = Path(repro.__file__).parent
-    allowed = {"exec/durable.py", "exec/store.py"}
+    allowed = {"exec/durable.py"}
     offenders = [
         (path.relative_to(src).as_posix(), needle)
         for path in sorted(src.rglob("*.py"))

@@ -8,6 +8,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 
 import pytest
 
@@ -150,34 +151,47 @@ class TestRepair:
         assert not report.clean  # a removed temp is evidence of a crash
 
     def test_live_writers_temp_survives(self, store):
-        """fsck applies the store's own temp rule: a temp that a live
-        pid journaled as *begin* is a write in progress, not garbage."""
-        tmp = next(iter(store._shards())) / "inflight.tmp"
+        """fsck applies the store's own temp rule: a temp named for a
+        live pid is a write in progress, not garbage."""
+        shard = next(iter(store._shards()))
+        tmp = shard / f"{shard.name * 32}.json.{os.getpid()}.abc.tmp"
         tmp.write_text("half a result", encoding="utf-8")
-        store._journal("begin", "k" * 64, tmp=os.path.relpath(tmp, store.root))
         assert fsck(store, repair=False).temps_removed == 0
         report = fsck(store)
         assert report.temps_removed == 0 and report.clean
         assert tmp.exists()
-        assert [r["key"] for r in store.pending_writes()] == ["k" * 64]
+
+    def test_dead_writers_temp_is_a_dead_write(self, store):
+        shard = next(iter(store._shards()))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import os; print(os.getpid())"],
+            capture_output=True, text=True, check=True,
+        )  # a reaped child: its pid names no live process
+        tmp = shard / f"{shard.name * 32}.json.{proc.stdout.strip()}.abc.tmp"
+        tmp.write_text("half a result", encoding="utf-8")
+        assert fsck(store, repair=False).dead_writes == 1 and tmp.exists()
+        report = fsck(store)
+        assert report.dead_writes == report.temps_removed == 1
+        assert "1 dead in-flight write(s)" in report.describe()
+        assert not tmp.exists() and fsck(store).clean
 
     def test_fsck_during_a_put_lets_the_put_finish(self, store, result, monkeypatch):
-        """fsck run from outside while a writer sits between its *begin*
-        record and its rename leaves the writer's temp alone."""
-        journal = store._journal
+        """fsck run from outside while a writer's temp file exists, before
+        anything is written to it, leaves the writer's temp alone."""
+        mkstemp = tempfile.mkstemp
         reports = []
 
-        def journal_then_fsck(op, key, **extra):
-            journal(op, key, **extra)
-            if op == "begin":
-                reports.append(fsck(store.root))
+        def mkstemp_then_fsck(*args, **kwargs):
+            made = mkstemp(*args, **kwargs)
+            reports.append(fsck(store.root))
+            return made
 
-        monkeypatch.setattr(store, "_journal", journal_then_fsck)
+        monkeypatch.setattr(tempfile, "mkstemp", mkstemp_then_fsck)
         fresh = config(seed=11)
         store.store(fresh, result)
         assert reports[0].temps_removed == 0
         assert store.load(fresh) is not None
-        assert store.pending_writes() == []
+        assert store.temp_files() == []
 
     def test_dry_run_changes_nothing(self, store):
         path = entry_path(store)

@@ -1,6 +1,7 @@
 """Tests for config canonicalization, content hashing, and the on-disk
-result store (repro.exec.store) — including the crash-safety layer: the
-write-ahead journal and stale-temp garbage collection on open."""
+result store (repro.exec.store) — including the crash-safety layer:
+temp files named for their writer, and stale-temp garbage collection on
+open."""
 
 import dataclasses
 import io
@@ -211,8 +212,14 @@ def plant_temp(store, name="leftover.tmp", age=0.0):
     return tmp
 
 
+def temp_name(pid):
+    """A temp file name as ``atomic_write_text`` makes it for an entry."""
+    return f"{'ab' * 32}.json.{pid}.x1y2_z3w.tmp"
+
+
 def plant_begin(store, tmp, pid):
-    """A journaled *begin* with no *commit* — an in-flight write."""
+    """A *begin* with no *commit* in the journal older versions of the
+    store kept — an in-flight write whose temp name has no pid."""
     record = {
         "op": "begin",
         "key": "k" * 64,
@@ -221,8 +228,20 @@ def plant_begin(store, tmp, pid):
         "tmp": os.path.relpath(tmp, store.root),
     }
     store.root.mkdir(parents=True, exist_ok=True)
-    with open(store.journal_path, "a", encoding="utf-8") as handle:
+    with open(store.root / "journal.jsonl", "a", encoding="utf-8") as handle:
         handle.write(json.dumps(record) + "\n")
+
+
+def count_fsyncs(monkeypatch):
+    calls = []
+    real = os.fsync
+
+    def fsync(fd):
+        calls.append(fd)
+        real(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    return calls
 
 
 class TestCrashSafety:
@@ -231,72 +250,61 @@ class TestCrashSafety:
         assert not pid_alive(dead_pid())
         assert not pid_alive(-1) and not pid_alive(0)
 
-    def test_store_brackets_writes_in_the_journal(self, tmp_path, result):
+    def test_put_is_one_fsync_and_keeps_no_journal(
+        self, tmp_path, result, monkeypatch
+    ):
         store = ResultStore(tmp_path / "results")
+        fsyncs = count_fsyncs(monkeypatch)
         store.store(config(), result)
-        ops = [r["op"] for r in store.journal_entries()]
-        assert ops == ["begin", "commit"]
-        begin, commit = store.journal_entries()
-        assert begin["pid"] == commit["pid"] == os.getpid()
-        assert begin["key"] == commit["key"] == store.key(config())
-        assert begin["tmp"] == commit["tmp"]
-        assert store.pending_writes() == []  # committed: nothing in flight
+        assert len(fsyncs) == 1  # the entry's own, before its rename
+        assert store.load(config()) == result
         assert store.temp_files() == []
+        assert sorted(p.name for p in store.root.iterdir()) == [store.key(config())[:2]]
 
-    def test_torn_journal_tail_is_skipped(self, tmp_path, result):
-        store = ResultStore(tmp_path / "results")
-        store.store(config(), result)
-        with open(store.journal_path, "a", encoding="utf-8") as handle:
-            handle.write('{"op": "beg')
-        assert [r["op"] for r in store.journal_entries()] == ["begin", "commit"]
-
-    def test_append_heals_a_tail_torn_at_any_byte(self, tmp_path, result):
-        """A writer killed mid-line leaves a fragment with no newline;
-        the next append must start a line of its own, or the fragment
-        swallows the next *begin* and its *commit* dangles."""
-        store = ResultStore(tmp_path / "results", clean_on_open=False)
-        store.store(config(), result)
-        intact = store.journal_path.read_bytes()
-        plant_begin(store, store.root / "aa" / "x.tmp", dead_pid())
-        whole = store.journal_path.read_bytes()
-        fresh = config(seed=10)
-        # every cut that leaves a partial last record, down to one byte
-        for cut in range(len(intact) + 1, len(whole) - 1):
-            store.journal_path.write_bytes(whole[:cut])
-            store.store(fresh, result)
-            entries = store.journal_entries()
-            assert [r["op"] for r in entries] == ["begin", "commit"] * 2, cut
-            assert entries[2]["key"] == entries[3]["key"] == store.key(fresh)
-            assert entries[2]["tmp"] == entries[3]["tmp"]
-            assert store.pending_writes() == [], cut
-        # cut between the record and its newline: the line is whole, and
-        # healing must keep it so (a dead writer's begin, still pending)
-        store.journal_path.write_bytes(whole[:-1])
-        store.store(fresh, result)
-        assert [r["op"] for r in store.journal_entries()] == [
-            "begin", "commit", "begin", "begin", "commit"
-        ]
-        assert [r["key"] for r in store.pending_writes()] == ["k" * 64]
-
-    def test_dead_writers_temp_collected_on_open(self, tmp_path):
-        """The self-healing pass: a SIGKILLed writer's journaled temp is
-        removed the next time anything opens the store."""
+    def test_torn_journal_tail_is_skipped(self, tmp_path):
+        """An older version's journal, torn after the *begin* of a write
+        its dead writer never finished, still attributes that temp."""
         store = ResultStore(tmp_path / "results", clean_on_open=False)
         tmp = plant_temp(store)
         plant_begin(store, tmp, dead_pid())
-        reopened = ResultStore(store.root)  # clean_on_open=True (default)
+        with open(store.root / "journal.jsonl", "a", encoding="utf-8") as handle:
+            handle.write('{"op": "beg')
+        ResultStore(store.root)
         assert not tmp.exists()
-        assert reopened.journal_path.read_text(encoding="utf-8") == ""
+        assert not (store.root / "journal.jsonl").exists()
+
+    def test_dead_writers_temp_collected_on_open(self, tmp_path):
+        """The self-healing pass: a SIGKILLed writer's temp, named for
+        its pid, is removed the next time anything opens the store."""
+        store = ResultStore(tmp_path / "results", clean_on_open=False)
+        tmp = plant_temp(store, temp_name(dead_pid()))
+        ResultStore(store.root)  # clean_on_open=True (default)
+        assert not tmp.exists()
 
     def test_live_writers_temp_preserved(self, tmp_path):
-        """A temp owned by a journaled *live* pid is a write in progress
-        — never touched, and the journal keeps its evidence."""
+        """A temp named for a *live* pid is a write in progress — never
+        touched, whatever its age."""
         store = ResultStore(tmp_path / "results", clean_on_open=False)
-        tmp = plant_temp(store, age=7200.0)  # old, but the writer lives
-        plant_begin(store, tmp, os.getpid())
+        tmp = plant_temp(store, temp_name(os.getpid()), age=7200.0)
         ResultStore(store.root)
         assert tmp.exists()
-        assert store.pending_writes()  # journal not truncated either
+        assert store.stale_temps(ttl=0.0) == []
+
+    def test_old_journal_is_read_until_it_accounts_for_no_temp(self, tmp_path):
+        """A store written before temp names carried the pid: the
+        journal's live writer keeps its temp and the journal; once that
+        temp is gone the journal is deleted, and nothing writes it."""
+        store = ResultStore(tmp_path / "results", clean_on_open=False)
+        live = plant_temp(store, "live.tmp", age=7200.0)
+        dead = plant_temp(store, "dead.tmp")
+        plant_begin(store, live, os.getpid())
+        plant_begin(store, dead, dead_pid())
+        ResultStore(store.root)
+        assert live.exists() and not dead.exists()
+        assert (store.root / "journal.jsonl").exists()
+        live.unlink()
+        ResultStore(store.root)
+        assert not (store.root / "journal.jsonl").exists()
 
     def test_unjournaled_temp_aged_out(self, tmp_path):
         store = ResultStore(tmp_path / "results", clean_on_open=False)
@@ -317,40 +325,34 @@ class TestCrashSafety:
     def test_interrupted_write_leaves_old_entry_intact(
         self, tmp_path, result, monkeypatch
     ):
-        """Crash-consistency: a failure after *begin* (mid temp write)
-        never tears the existing entry, and the journal records the
-        in-flight write."""
+        """Crash-consistency: a failure mid temp write never tears the
+        existing entry, and the failed write's temp is gone."""
         store = ResultStore(tmp_path / "results")
         path = store.store(config(), result)
         before = path.read_text(encoding="utf-8")
 
-        real_dumps = json.dumps
+        def dies(fd):
+            raise RuntimeError("writer dies here")
 
-        def dies_on_the_entry(obj, *args, **kwargs):
-            # the journal's begin record goes through; the entry does not
-            if isinstance(obj, dict) and "result" in obj:
-                raise RuntimeError("writer dies here")
-            return real_dumps(obj, *args, **kwargs)
-
-        monkeypatch.setattr(json, "dumps", dies_on_the_entry)
+        monkeypatch.setattr(os, "fsync", dies)
         with pytest.raises(RuntimeError, match="writer dies"):
             store.store(config(), result)
         monkeypatch.undo()
         assert path.read_text(encoding="utf-8") == before
         assert store.load(config()) == result
-        (pending,) = store.pending_writes()  # begin with no commit
-        assert pending["pid"] == os.getpid()
+        assert store.temp_files() == []
 
-    def test_unjournalable_begin_leaks_neither_descriptor_nor_temp(
-        self, tmp_path, result
+    def test_failed_write_leaks_neither_descriptor_nor_temp(
+        self, tmp_path, result, monkeypatch
     ):
-        """The *begin* record is written inside the block that closes
-        the temp file's descriptor and unlinks it: a journal that cannot
-        be appended to (ENOSPC, read-only root — here: a directory in
-        its place) must not leave an open fd and an unattributable temp
-        behind on every attempt."""
+        """A write that cannot complete (ENOSPC, read-only root) must
+        not leave an open fd and a temp behind on every attempt."""
         store = ResultStore(tmp_path / "results")
-        store.journal_path.mkdir(parents=True)
+
+        def no_space(fd):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(os, "fsync", no_space)
         open_fds = len(os.listdir("/proc/self/fd"))
         for _ in range(3):
             with pytest.raises(OSError):

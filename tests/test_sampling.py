@@ -2,9 +2,10 @@
 
 The contract under test: for every sequence of per-cycle ``(nodes,
 rate)`` parameters — including degenerate rates, mid-block parameter
-changes and the numpy-free fallback — the sampler hands out exactly the
-hits the inline per-node loop would, and leaves the shared RNG in the
-inline loop's state whenever it is flushed or a block is exhausted.
+changes, the switch from the inline prefix to numpy blocks and the
+numpy-free fallback — the sampler hands out exactly the hits the inline
+per-node loop would, and leaves the shared RNG in the inline loop's
+state whenever it is flushed or a block is exhausted.
 """
 
 import random
@@ -12,9 +13,16 @@ import random
 import pytest
 
 import repro.sim.sampling as sampling
+from repro.sim import SimulationConfig, Simulator
 from repro.sim.sampling import GeometricSampler
 
 SEED = 1234
+
+
+def prefix_cycles(nodes):
+    """Cycles of ``nodes`` draws a sampler takes inline before its
+    first numpy block."""
+    return -(-sampling._INLINE_DRAWS // nodes)
 
 
 def inline_cycle(rng, nodes, rate):
@@ -25,14 +33,18 @@ def inline_cycle(rng, nodes, rate):
 def assert_stream_exact(schedule, seed=SEED):
     """Run the sampler and the inline loop on the same (nodes, rate)
     schedule and demand identical hits every cycle and identical RNG
-    state at the end (after folding back any partial block)."""
-    sampler_rng = random.Random(seed)
-    inline_rng = random.Random(seed)
-    sampler = GeometricSampler(sampler_rng)
-    for nodes, rate in schedule:
-        assert sampler.next_cycle(nodes, rate) == inline_cycle(inline_rng, nodes, rate)
-    sampler.flush()
-    assert sampler_rng.getstate() == inline_rng.getstate()
+    state at the end (after folding back any partial block).  The
+    schedule runs twice: behind the inline prefix, and with no prefix,
+    so that numpy blocks serve it from its first cycle."""
+    for prefix in (sampling._INLINE_DRAWS, 0):
+        sampler_rng = random.Random(seed)
+        inline_rng = random.Random(seed)
+        sampler = GeometricSampler(sampler_rng)
+        sampler._inline = prefix
+        for nodes, rate in schedule:
+            assert sampler.next_cycle(nodes, rate) == inline_cycle(inline_rng, nodes, rate)
+        sampler.flush()
+        assert sampler_rng.getstate() == inline_rng.getstate()
 
 
 class TestDegenerateRates:
@@ -94,13 +106,13 @@ class TestMidBlockChanges:
         ]
 
     def test_run_shorter_than_first_block(self):
-        # a 20-cycle run draws one first-size block and leaves it
-        # partially consumed; the flush folds back exactly 20 cycles
+        # 20 cycles past the inline prefix draw one first-size block and
+        # leave it partially consumed; the flush folds back exactly 20
         pytest.importorskip("numpy")
         rng = random.Random(SEED)
         sampler = GeometricSampler(rng)
         inline_rng = random.Random(SEED)
-        for _ in range(20):
+        for _ in range(prefix_cycles(16) + 20):
             assert sampler.next_cycle(16, 0.1) == inline_cycle(inline_rng, 16, 0.1)
         block = sampler._block
         assert (block.cycles, block.used) == (sampling._FIRST_BLOCK_CYCLES, 20)
@@ -108,14 +120,15 @@ class TestMidBlockChanges:
         assert rng.getstate() == inline_rng.getstate()
 
     def test_flush_mid_grown_block(self):
-        # blocks of 32 and 64 cycles are exhausted, the third (128
-        # cycles) is flushed after 10; the stream then resumes exactly
+        # past the inline prefix, blocks of 32 and 64 cycles are
+        # exhausted, the third (128 cycles) is flushed after 10; the
+        # stream then resumes exactly
         pytest.importorskip("numpy")
         first = sampling._FIRST_BLOCK_CYCLES
         sampler_rng = random.Random(SEED)
         inline_rng = random.Random(SEED)
         sampler = GeometricSampler(sampler_rng)
-        for _ in range(3 * first + 10):
+        for _ in range(prefix_cycles(5) + 3 * first + 10):
             assert sampler.next_cycle(5, 0.3) == inline_cycle(inline_rng, 5, 0.3)
         block = sampler._block
         assert (block.cycles, block.used) == (4 * first, 10)
@@ -130,6 +143,45 @@ class TestMidBlockChanges:
         # 4096 nodes -> _BLOCK_TARGET//4096 = 8 cycles per block: cross
         # several block boundaries and keep exactness throughout
         assert_stream_exact([(4096, 0.003)] * 20)
+
+
+class TestInlinePrefix:
+    def test_short_run_builds_no_numpy_generator(self):
+        # a 20-cycle 4x4 run draws 320 values, all inline
+        sim = Simulator(
+            SimulationConfig(
+                topology="torus", radix=4, dims=2, rate=0.01,
+                warmup_cycles=5, measure_cycles=15, seed=SEED,
+            )
+        )
+        sim.run()
+        assert sim.generation.sampler._rs is None
+
+    @pytest.mark.parametrize("nodes", [16, 7])
+    def test_changes_in_the_first_block_after_the_switch(self, nodes):
+        # 16 nodes end the prefix on a cycle boundary, 7 overrun it; the
+        # rate changes and the healthy set shrinks inside the first
+        # numpy block (32 cycles), then the run goes on past it
+        pytest.importorskip("numpy")
+        schedule = (
+            [(nodes, 0.1)] * (prefix_cycles(nodes) + 5)
+            + [(nodes, 0.3)] * 5
+            + [(nodes - 2, 0.3)] * 5
+            + [(nodes - 2, 0.02)] * 60
+        )
+        assert_stream_exact(schedule)
+
+    def test_prefix_then_blocks(self):
+        pytest.importorskip("numpy")
+        rng = random.Random(SEED)
+        sampler = GeometricSampler(rng)
+        inline_rng = random.Random(SEED)
+        for _ in range(prefix_cycles(16)):
+            assert sampler.next_cycle(16, 0.1) == inline_cycle(inline_rng, 16, 0.1)
+        assert sampler._rs is None and sampler._block is None
+        assert rng.getstate() == inline_rng.getstate()  # nothing buffered
+        assert sampler.next_cycle(16, 0.1) == inline_cycle(inline_rng, 16, 0.1)
+        assert sampler._rs is not None and sampler._block.used == 1
 
 
 class TestNumpyFreeFallback:

@@ -13,7 +13,7 @@ import time
 import pytest
 
 from repro.canonical import from_data, to_data
-from repro.exec.store import append_jsonl
+from repro.exec.durable import append_jsonl
 from repro.service import (
     CampaignService,
     Draining,
