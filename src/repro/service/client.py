@@ -20,7 +20,7 @@ import urllib.request
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
-from .server import read_server_info
+from .server import HOLD_S, read_server_info
 
 
 class ServiceUnavailable(RuntimeError):
@@ -181,27 +181,45 @@ class ServiceClient:
     def wait(
         self, job_id: str, *, timeout: float = 600.0, poll: float = 0.3
     ) -> Dict[str, Any]:
-        """Block until the job is terminal; returns its result payload.
-        Polls (retrying through restarts) rather than holding one
-        connection open, because the server may die mid-wait."""
+        """Block until the job is terminal; returns its result payload
+        (the job summary for a failed job that left none).
+
+        Each request is one bounded hold, ``GET /jobs/<id>?wait=S``,
+        which the server answers the moment the job is terminal, with
+        the result in the summary.  ``S`` stays below both the server's
+        cap (:data:`~repro.service.server.HOLD_S`) and half this
+        client's socket timeout, so a held request never reads as a dead
+        server; a server killed mid-hold drops the connection, which
+        :meth:`request` retries, re-reading ``server.json`` to follow a
+        restart.  ``poll`` is the pause before asking again after a
+        non-terminal answer that came back early: a server that ignores
+        ``?wait=``, or a queued job on a draining server."""
         deadline = time.monotonic() + timeout
         while True:
-            summary = self.job(job_id)
+            asked = time.monotonic()
+            hold = max(0.0, min(deadline - asked, self.timeout / 2, HOLD_S))
+            status, summary = self.request("GET", f"/jobs/{job_id}?wait={hold:.3f}")
+            if status >= 400:
+                raise ClientError(status, summary)
             if summary.get("state") in ("done", "failed"):
-                result = self.result(job_id)
-                if result is not None:
-                    return result
-                return summary
-            if time.monotonic() >= deadline:
+                result = summary.get("result")
+                return summary if result is None else result
+            now = time.monotonic()
+            if now >= deadline:
                 raise TimeoutError(
                     f"job {job_id} still {summary.get('state')!r} "
                     f"after {timeout:.0f}s"
                 )
-            time.sleep(poll)
+            if now - asked < hold:
+                time.sleep(poll)
 
     def events(self, job_id: str, *, since: int = 0) -> Iterator[Dict[str, Any]]:
-        """Yield NDJSON progress events from the streaming endpoint.
-        One-shot (no restart-following): intended for live tailing."""
+        """Yield NDJSON progress events from the streaming endpoint, then
+        the job's summary.  One-shot (no restart-following): intended for
+        live tailing.  A quiet job costs nothing here: the server writes
+        a blank keep-alive line (skipped) after every
+        :data:`~repro.service.server.HOLD_S` without an event, so this
+        client's socket timeout must exceed that (the default does)."""
         url = self._url(f"/jobs/{job_id}/events?since={since}")
         if url is None:
             raise ServiceUnavailable(f"no server.json under {self.root}")

@@ -41,7 +41,8 @@ Endpoints (all JSON unless noted)::
 
     POST /jobs            submit a spec        -> 200/201 {job, state, ...}
     GET  /jobs            list job summaries
-    GET  /jobs/<id>       one job's summary (includes result when done)
+    GET  /jobs/<id>       one job's summary (includes result when done);
+                          ?wait=S holds it until the job is terminal
     GET  /jobs/<id>/result    terminal payload (409 while running)
     GET  /jobs/<id>/events    NDJSON progress stream (?since=N)
     GET  /jobs/<id>/trace     exported obs artifacts as they land
@@ -54,6 +55,7 @@ Endpoints (all JSON unless noted)::
 from __future__ import annotations
 
 import json
+import math
 import os
 import signal
 import socket
@@ -61,7 +63,7 @@ import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 from urllib.parse import parse_qs, urlparse
 
 from ..canonical import to_data
@@ -72,6 +74,7 @@ from ..exec.store import CODE_VERSION, ResultStore
 from .jobs import (
     DONE,
     FAILED,
+    QUEUED,
     RUNNING,
     JobRecord,
     JobSpec,
@@ -86,6 +89,12 @@ MAX_BODY_BYTES = 1 << 20
 #: seconds a connection may stall on one socket read or write; a body
 #: that stops short of its ``Content-Length`` is answered 408
 REQUEST_TIMEOUT_S = 10.0
+#: the longest the server holds one request open for a job to move
+#: (``GET /jobs/<id>?wait=S``, and each silent stretch of the event
+#: stream, which then writes a keep-alive blank line).  It sits well
+#: below the client's default 30 s socket timeout, so a held request is
+#: never mistaken for a dead server.
+HOLD_S = 10.0
 
 
 class QueueFull(RuntimeError):
@@ -463,27 +472,50 @@ class CampaignService:
         with self._lock:
             return self.records.get(job_id)
 
+    def _settled(self, record: JobRecord) -> bool:
+        """Whether this server will do nothing more to ``record``: it is
+        terminal, the service stopped, or the service drains and the job
+        is still queued (it stays journaled for the next start).  Called
+        with the lock held."""
+        return (
+            record.terminal
+            or self._stopped
+            or (self._draining and record.state == QUEUED)
+        )
+
+    def _hold(self, ready: Callable[[], bool], timeout: float) -> None:
+        """Wait on ``_progress`` until ``ready()``, for at most ``timeout``
+        capped at :data:`HOLD_S`.  Every change to a job's state or
+        events, and every drain or stop, notifies ``_progress``, so this
+        is the one place a request waits for a job.  Called with the
+        lock held."""
+        deadline = _monotonic() + min(timeout, HOLD_S)
+        while not ready():
+            remaining = deadline - _monotonic()
+            if remaining <= 0:
+                return
+            self._progress.wait(timeout=remaining)
+
     def wait_events(
-        self, job_id: str, since: int, timeout: float = 10.0
+        self, job_id: str, since: int, timeout: float = HOLD_S
     ) -> Tuple[List[Dict[str, Any]], bool]:
         """Events past index ``since`` for the NDJSON stream, long-polling
         up to ``timeout`` when none are pending; returns ``(events,
-        terminal)``."""
-        deadline = _monotonic() + timeout
+        settled)`` (see :meth:`_settled`)."""
         with self._lock:
             record = self.records.get(job_id)
             if record is None:
                 return [], True
-            while (
-                len(record.events) <= since
-                and not record.terminal
-                and not self._stopped
-            ):
-                remaining = deadline - _monotonic()
-                if remaining <= 0:
-                    break
-                self._progress.wait(timeout=min(remaining, 0.5))
-            return list(record.events[since:]), record.terminal
+            self._hold(lambda: len(record.events) > since or self._settled(record), timeout)
+            return list(record.events[since:]), self._settled(record)
+
+    def wait_settled(self, job_id: str, timeout: float) -> None:
+        """Return once the job is settled (see :meth:`_settled`), is
+        unknown, or ``timeout`` (capped at :data:`HOLD_S`) has passed."""
+        with self._lock:
+            record = self.records.get(job_id)
+            if record is not None:
+                self._hold(lambda: self._settled(record), timeout)
 
     # ------------------------------------------------------------------
     # drain / shutdown
@@ -513,6 +545,15 @@ def _natural(text: str) -> Optional[int]:
     """``text`` as a non-negative integer, else ``None``: ASCII digits
     only, so no sign, no point, no blank."""
     return int(text) if text.isascii() and text.isdigit() else None
+
+
+def _seconds(text: str) -> Optional[float]:
+    """``text`` as a finite non-negative number of seconds, else ``None``."""
+    try:
+        value = float(text)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) and value >= 0 else None
 
 
 def _monotonic() -> float:
@@ -618,6 +659,15 @@ class _Handler(BaseHTTPRequestHandler):
             self._error(404, f"unknown job {job_id}")
             return
         if not rest:
+            raw = parse_qs(url.query, keep_blank_values=True).get("wait")
+            if raw is not None:
+                hold = _seconds(raw[0])
+                if hold is None:
+                    self._error(
+                        400, f"bad wait {raw[0][:40]!r}: expected a finite non-negative number"
+                    )
+                    return
+                service.wait_settled(job_id, hold)
             payload = record.summary()
             if record.terminal:
                 payload["result"] = service.job_store.load_result(job_id)
@@ -642,8 +692,11 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _stream_events(self, service: CampaignService, record: JobRecord, url) -> None:
         """NDJSON long-poll stream: every progress event from ``?since=N``
-        onward, then a terminal summary line, then EOF."""
-        raw = parse_qs(url.query).get("since", ["0"])[0]
+        onward, then a summary line, then EOF.  The stream ends once the
+        job is settled (terminal, or left queued by a drain).  A hold
+        that ends with nothing to send writes a blank keep-alive line, so
+        a quiet job never trips the client's socket timeout."""
+        raw = parse_qs(url.query, keep_blank_values=True).get("since", ["0"])[0]
         since = _natural(raw)
         if since is None:
             self._error(400, f"bad since {raw[:40]!r}: expected a non-negative integer")
@@ -653,14 +706,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Connection", "close")
         self.end_headers()
         while True:
-            events, terminal = service.wait_events(record.job_id, since)
-            for event in events:
-                self.wfile.write(
-                    (json.dumps(event, sort_keys=True) + "\n").encode("utf-8")
-                )
-            self.wfile.flush()
-            since += len(events)
-            if terminal and not events:
+            events, settled = service.wait_events(record.job_id, since)
+            if settled and not events:
                 self.wfile.write(
                     (json.dumps(record.summary(), sort_keys=True) + "\n").encode(
                         "utf-8"
@@ -669,6 +716,10 @@ class _Handler(BaseHTTPRequestHandler):
                 self.wfile.flush()
                 self.close_connection = True
                 return
+            lines = "".join(json.dumps(event, sort_keys=True) + "\n" for event in events)
+            self.wfile.write((lines or "\n").encode("utf-8"))
+            self.wfile.flush()
+            since += len(events)
 
     def _trace(
         self, service: CampaignService, record: JobRecord, rest: List[str]

@@ -22,6 +22,7 @@ from repro.service import (
     QueueFull,
     ServiceClient,
     SpecError,
+    deterministic_blob,
     read_server_info,
     serve,
 )
@@ -268,6 +269,33 @@ class TestAdmission:
         with pytest.raises(Draining):
             service.submit(sweep_payload())
 
+    def test_stop_releases_every_hold(self, tmp_path, gated_runs):
+        """``stop()`` wakes every held request at once: summary holds on
+        the running and the queued job, and an event-stream hold."""
+        service = CampaignService(tmp_path, jobs=1)
+        try:
+            running, _ = service.submit(sweep_payload())
+            queued, _ = service.submit(sweep_payload(seed=2))
+            holds = [
+                threading.Thread(target=service.wait_settled, args=(running.job_id, 10)),
+                threading.Thread(target=service.wait_settled, args=(queued.job_id, 10)),
+                threading.Thread(target=service.wait_events, args=(running.job_id, 0, 10)),
+            ]
+            for hold in holds:
+                hold.start()
+            time.sleep(0.3)
+            assert all(hold.is_alive() for hold in holds)
+            started = time.monotonic()
+            service.stop()
+            for hold in holds:
+                hold.join(timeout=5)
+            assert not any(hold.is_alive() for hold in holds)
+            assert time.monotonic() - started < 1
+        finally:
+            service.stop()
+            gated_runs.set()
+            assert service.wait_drained(timeout=60)
+
     def test_recovered_pending_job_runs_on_next_start(self, tmp_path):
         """Drain semantics: a job still queued when the server stops is
         journaled, and the next server run picks it up and finishes it."""
@@ -356,10 +384,9 @@ def _children(pid):
     return found
 
 
-@pytest.fixture
-def live_server(tmp_path):
-    """A real HTTP server on an ephemeral port, drained at teardown."""
-    root = tmp_path / "svc"
+def serve_in_thread(root):
+    """``serve()`` on an ephemeral port in a daemon thread; returns the
+    thread and a retrying client once ``server.json`` is published."""
     thread = threading.Thread(
         target=serve,
         args=(root,),
@@ -367,15 +394,38 @@ def live_server(tmp_path):
         daemon=True,
     )
     thread.start()
-    client = ServiceClient(root, attempts=20)
     deadline = time.monotonic() + 30
     while time.monotonic() < deadline:
         if (root / "server.json").is_file():
             break
         time.sleep(0.01)
+    return thread, ServiceClient(root, attempts=20)
+
+
+@pytest.fixture
+def live_server(tmp_path):
+    """A real HTTP server on an ephemeral port, drained at teardown."""
+    thread, client = serve_in_thread(tmp_path / "svc")
     yield client
     client.drain()
     thread.join(timeout=60)
+
+
+@pytest.fixture
+def gated_runs(monkeypatch):
+    """Every job the service starts waits (up to 30 s) for the returned
+    event before it runs, so a test can hold a job running, and the jobs
+    behind it queued, for as long as it needs; set at teardown."""
+    gate = threading.Event()
+    original = CampaignService._run_one
+
+    def gated(self, record):
+        gate.wait(timeout=30)
+        original(self, record)
+
+    monkeypatch.setattr(CampaignService, "_run_one", gated)
+    yield gate
+    gate.set()
 
 
 def raw_request(root, head, body=b""):
@@ -403,6 +453,63 @@ class TestHTTP:
         again = client.submit(sweep_payload())
         assert again["job"] == summary["job"]
         assert again["state"] == "done"
+
+    def test_wait_is_one_held_request(self, live_server, monkeypatch):
+        """A job that finishes within one hold costs ``wait()`` exactly
+        one request: no polling, and no ``GET /result`` after the
+        terminal summary, which already carries the result."""
+        client = live_server
+        paths = []
+        original = ServiceClient.request
+
+        def counted(self, method, path, body=None):
+            paths.append(path)
+            return original(self, method, path, body)
+
+        job = client.submit(sweep_payload())["job"]
+        monkeypatch.setattr(ServiceClient, "request", counted)
+        result = client.wait(job, timeout=120, poll=0.001)
+        assert len(paths) == 1, paths
+        assert result["failures"] == [] and len(result["results"]) == 2
+
+    def test_wait_returns_the_result_payload(self, live_server, monkeypatch):
+        """What ``wait()`` returns compares bit-for-bit with ``result()``,
+        and it never needs ``GET /jobs/<id>/result`` to get it."""
+        client = live_server
+        original = ServiceClient.request
+
+        def no_result_fetch(self, method, path, body=None):
+            assert not path.endswith("/result"), path
+            return original(self, method, path, body)
+
+        job = client.submit(sweep_payload(seed=3))["job"]
+        monkeypatch.setattr(ServiceClient, "request", no_result_fetch)
+        waited = client.wait(job, timeout=120)
+        monkeypatch.setattr(ServiceClient, "request", original)
+        assert deterministic_blob(waited) == deterministic_blob(client.result(job))
+
+    def test_event_stream_outlives_a_quiet_job(self, live_server, monkeypatch, gated_runs):
+        """A job that sends no event for longer than the client's socket
+        timeout: the stream's keep-alive lines keep it open until the
+        job is done, instead of the client raising ``TimeoutError``."""
+        monkeypatch.setattr(server_module, "HOLD_S", 0.2)
+        job = live_server.submit(sweep_payload())["job"]
+        threading.Timer(2.5, gated_runs.set).start()
+        client = ServiceClient(live_server.root, attempts=1, timeout=1.0)
+        events = list(client.events(job))
+        assert [e["completed"] for e in events[:-1]] == [1, 2]
+        assert events[-1]["state"] == "done"
+
+    def test_holds_never_outlast_the_cap(self, live_server, monkeypatch, gated_runs):
+        """``?wait=`` above the cap is clamped to it: the held request
+        comes back with the job still running."""
+        monkeypatch.setattr(server_module, "HOLD_S", 0.3)
+        job = live_server.submit(sweep_payload())["job"]
+        started = time.monotonic()
+        status, body = raw_request(live_server.root, f"GET /jobs/{job}?wait=1000 HTTP/1.1")
+        assert status == 200
+        assert json.loads(body)["state"] == "running"
+        assert 0.25 < time.monotonic() - started < 3
 
     def test_events_stream_progress(self, live_server):
         client = live_server
@@ -465,7 +572,7 @@ class TestHTTP:
         events (``-1``); ``since=0`` streams every event once."""
         job = live_server.submit(sweep_payload())["job"]
         live_server.wait(job, timeout=120)
-        for since in ("abc", "-1", "1.5"):
+        for since in ("abc", "-1", "1.5", ""):
             status, body = raw_request(
                 live_server.root, f"GET /jobs/{job}/events?since={since} HTTP/1.1"
             )
@@ -476,6 +583,23 @@ class TestHTTP:
         assert status == 200
         assert [e["completed"] for e in events[:-1]] == [1, 2]
         assert events[-1]["state"] == "done"
+
+    def test_job_wait_is_client_input(self, live_server):
+        """``wait`` that is not a finite non-negative number is a 400
+        naming it, like ``since``; a valid one on a finished job answers
+        at once with the result."""
+        job = live_server.submit(sweep_payload())["job"]
+        live_server.wait(job, timeout=120)
+        for wait in ("-1", "x", "nan", "inf", "-inf", "1e999", ""):
+            status, body = raw_request(live_server.root, f"GET /jobs/{job}?wait={wait} HTTP/1.1")
+            assert status == 400, wait
+            assert "wait" in json.loads(body)["error"], wait
+        for wait in ("0", "2.5", "1e9"):
+            started = time.monotonic()
+            status, body = raw_request(live_server.root, f"GET /jobs/{job}?wait={wait} HTTP/1.1")
+            assert status == 200, wait
+            assert json.loads(body)["result"]["failures"] == [], wait
+            assert time.monotonic() - started < 2, wait
 
     def test_short_body_times_out_with_408(self, live_server, monkeypatch):
         """A body that stops short of its ``Content-Length`` is answered
@@ -504,35 +628,88 @@ class TestHTTP:
         assert "stats" in status and "infra_retries" in status["stats"]
 
 
+class TestHoldsAndDrain:
+    def test_drain_releases_a_hold_on_a_queued_job(self, tmp_path, gated_runs):
+        """``POST /drain`` answers a held request on a queued job (which
+        this server will now never run) within a second, a new hold on
+        it answers at once, and ``wait()`` on it times out by its own
+        deadline instead of hanging."""
+        thread, client = serve_in_thread(tmp_path / "svc")
+        try:
+            client.submit(sweep_payload())
+            queued = client.submit(sweep_payload(seed=2))["job"]
+            answers = []
+            held = threading.Thread(
+                target=lambda: answers.append(client.request("GET", f"/jobs/{queued}?wait=10"))
+            )
+            held.start()
+            time.sleep(0.3)
+            assert held.is_alive()
+            started = time.monotonic()
+            client.drain()
+            held.join(timeout=5)
+            assert not held.is_alive()
+            assert time.monotonic() - started < 1
+            assert answers[0][0] == 200 and answers[0][1]["state"] == "queued"
+            started = time.monotonic()
+            assert client.job(queued)["state"] == "queued"
+            status, summary = client.request("GET", f"/jobs/{queued}?wait=10")
+            assert (status, summary["state"]) == (200, "queued")
+            assert time.monotonic() - started < 1
+            with pytest.raises(TimeoutError):
+                client.wait(queued, timeout=0.3, poll=0.05)
+        finally:
+            gated_runs.set()
+            thread.join(timeout=60)
+        assert not thread.is_alive()
+
+
+def spawn_server(root, jobs):
+    """``python -m repro.service serve`` on ``root`` as a child process,
+    returned once it has published ``server.json``."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    env = dict(os.environ)
+    src_root = str(Path(repro.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = src_root + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro.service", "serve", "--root", str(root), "--jobs", str(jobs)],
+        env=env,
+        stderr=subprocess.DEVNULL,
+    )
+    deadline = time.monotonic() + 30
+    while not (root / "server.json").is_file():
+        if server.poll() is not None or time.monotonic() > deadline:
+            server.kill()
+            server.wait()
+            raise AssertionError(f"server on {root} did not come up")
+        time.sleep(0.01)
+    return server
+
+
+def stop_server(server):
+    if server.poll() is None:
+        server.kill()
+    server.wait()
+
+
 class TestServedProcessDrain:
     def test_sigterm_after_jobs_exits_clean_and_leaves_no_child(self, tmp_path):
         """Persistent workers are forked after ``serve()`` installed its
         SIGTERM handler; the server must still stop them and exit 0
         promptly, not hang in the exit-time join of ``multiprocessing``."""
-        import os
         import signal
-        import subprocess
-        import sys
-        from pathlib import Path
 
-        import repro
-
-        env = dict(os.environ)
-        src_root = str(Path(repro.__file__).resolve().parent.parent)
-        env["PYTHONPATH"] = src_root + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-        )
         root = tmp_path / "svc"
-        server = subprocess.Popen(
-            [sys.executable, "-m", "repro.service", "serve", "--root", str(root), "--jobs", "2"],
-            env=env,
-            stderr=subprocess.DEVNULL,
-        )
+        server = spawn_server(root, jobs=2)
         try:
-            deadline = time.monotonic() + 30
-            while not (root / "server.json").is_file():
-                assert server.poll() is None and time.monotonic() < deadline
-                time.sleep(0.01)
             client = ServiceClient(root, attempts=20)
             for seed in (1, 2):
                 summary = client.submit(sweep_payload(seed=seed))
@@ -546,44 +723,47 @@ class TestServedProcessDrain:
             assert time.monotonic() - started < 5
             assert not any(_running(pid) for pid in workers)
         finally:
-            if server.poll() is None:
-                server.kill()
-                server.wait()
+            stop_server(server)
+
+    def test_wait_follows_a_server_killed_mid_hold(self, tmp_path):
+        """A SIGKILLed server drops the held ``?wait=`` connection; the
+        client retries it against the restarted server (found through a
+        fresh ``server.json``) and returns the job's result."""
+        root = tmp_path / "svc"
+        servers = [spawn_server(root, jobs=1)]
+        try:
+            client = ServiceClient(root, attempts=40, backoff_cap=0.5)
+            payload = sweep_payload(rates=(0.004, 0.008, 0.012, 0.016), measure_cycles=12000)
+            job = client.submit(payload)["job"]
+            answers = []
+            waiter = threading.Thread(target=lambda: answers.append(client.wait(job, timeout=120)))
+            waiter.start()
+            time.sleep(0.5)
+            assert client.job(job)["state"] == "running"
+            servers[0].kill()
+            servers[0].wait()
+            (root / "server.json").unlink()
+            servers.append(spawn_server(root, jobs=1))
+            waiter.join(timeout=120)
+            assert not waiter.is_alive()
+            assert answers[0]["failures"] == [] and len(answers[0]["results"]) == 4
+            assert deterministic_blob(answers[0]) == deterministic_blob(client.result(job))
+        finally:
+            for server in servers:
+                stop_server(server)
 
     def test_idle_drain_answers_before_the_process_exits(self, tmp_path):
         """``POST /drain`` on an idle served process: the drain watcher
         stops the listener at once and handler threads are daemons, so
         the 202 must be on the wire before the drain begins — every
         time, with a complete body and exit code 0."""
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        import repro
-
-        env = dict(os.environ)
-        src_root = str(Path(repro.__file__).resolve().parent.parent)
-        env["PYTHONPATH"] = src_root + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-        )
         for round_index in range(20):
             root = tmp_path / f"svc{round_index}"
-            server = subprocess.Popen(
-                [sys.executable, "-m", "repro.service", "serve", "--root", str(root), "--jobs", "1"],
-                env=env,
-                stderr=subprocess.DEVNULL,
-            )
+            server = spawn_server(root, jobs=1)
             try:
-                deadline = time.monotonic() + 30
-                while not (root / "server.json").is_file():
-                    assert server.poll() is None and time.monotonic() < deadline
-                    time.sleep(0.01)
                 # one attempt: a torn response must surface, not be retried
                 answer = ServiceClient(root, attempts=1).request("POST", "/drain")
                 assert answer == (202, {"draining": True})
                 assert server.wait(timeout=60) == 0
             finally:
-                if server.poll() is None:
-                    server.kill()
-                    server.wait()
+                stop_server(server)
